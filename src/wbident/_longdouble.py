@@ -115,9 +115,3 @@ def log_gamma_ld(z: CLD) -> CLD:
     if shifted:
         out = out - clog(acc)
     return out
-
-
-def gamma_ratio_ld(num, den) -> CLD:
-    """Gamma(num) / Gamma(den) with longdouble internals."""
-    return cexp(log_gamma_ld(CLD.from_complex(num))
-                - log_gamma_ld(CLD.from_complex(den)))

@@ -138,7 +138,7 @@ def _cmd_verify(args, config: EvalConfig) -> int:
     elif args.check == "coupled":
         from .ode import coupled_residual
         cv = coeffs_from_recurrence(params, config)
-        reports = [coupled_residual(cv)]
+        reports = [coupled_residual(cv, config)]
     elif args.check == "second-order":
         cv = coeffs_from_recurrence(params, config)
         reports = [check_second_order(cv, "printed"),

@@ -147,16 +147,8 @@ class PolyC:
             acc = acc * x + c
         return acc
 
-    def shift_up(self, powers: int = 1) -> "PolyC":
-        """Multiply by x**powers."""
-        return PolyC.make([0j] * powers + list(self.coeffs))
-
     def max_coeff(self) -> float:
         return max(abs(c) for c in self.coeffs)
-
-
-def poly_x() -> PolyC:
-    return PolyC.make([0, 1])
 
 
 def poly_from_real(coeffs: Sequence[float]) -> PolyC:

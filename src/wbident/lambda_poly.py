@@ -31,7 +31,7 @@ orders from a_1 to a_{n+1} while rounding noise does not.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -73,7 +73,6 @@ class CoeffVector:
     params: OrderParams
     a: tuple[complex, ...]                  # a[m-1] is a_m
     convention: str = CONVENTION_MINUS
-    exact: tuple[_QC, ...] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.a) != self.params.n + 1:
@@ -166,8 +165,7 @@ def coeffs_from_recurrence(params: OrderParams,
                 f"2^n/sqrt(pi) by {dev:.3e} (relative); convention "
                 f"'{convention}' is inconsistent with the recurrence")
     coeffs = tuple(_qc_to_complex(scaled[m], 1 / SQRT_PI) for m in range(1, n + 2))
-    return CoeffVector(params=params, a=coeffs, convention=convention,
-                       exact=tuple(scaled[1:]))
+    return CoeffVector(params=params, a=coeffs, convention=convention)
 
 
 def resolve_convention(n: int = 1, k: float = 1.0) -> str:
@@ -193,7 +191,7 @@ def laguerre_closed_form(n: int) -> CoeffVector:
         exact.append(_qc(c))
     coeffs = tuple(_qc_to_complex(e, 1 / SQRT_PI) for e in exact)
     return CoeffVector(params=OrderParams(n=n, k=0.0), a=coeffs,
-                       convention=CONVENTION_MINUS, exact=tuple(exact))
+                       convention=CONVENTION_MINUS)
 
 
 def first_order_residuals(cv: CoeffVector) -> list[float]:

@@ -32,7 +32,7 @@ import numpy.polynomial.polynomial as npoly
 
 from .config import EvalConfig, default_config
 from .core import SQRT_PI, PolyC, gamma, laguerre
-from .errors import StepInstabilityError
+from .errors import InvariantViolationError, StepInstabilityError
 from .kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                       whittaker_w)
 from .lambda_poly import CoeffVector, coeffs_from_recurrence, laguerre_closed_form
@@ -99,10 +99,12 @@ def ode4_coeffs(params: OrderParams, variant: str = "corrected") -> Ode4Coeffs:
 
 # --- coupled second-order equation, exact in coefficient space --------------
 
-def coupled_residual(cv: CoeffVector) -> ResidualReport:
+def coupled_residual(cv: CoeffVector,
+                     config: EvalConfig | None = None) -> ResidualReport:
     """Form x L'' + (1-2ik) L' + (1+2n) L - 2x conj(L)' - conj(L) exactly as a
     polynomial in the coefficients of L = lambda/x and report the coefficient
     magnitudes of the residual relative to the largest input coefficient."""
+    config = config or default_config()
     n, k = cv.params.n, cv.params.k
     big_l = cv.big_lambda_poly()
     lc = big_l.conjugate_coeffs()
@@ -122,7 +124,7 @@ def coupled_residual(cv: CoeffVector) -> ResidualReport:
         params=cv.params,
         grid=[float(j) for j in range(len(residuals))],
         residuals=residuals,
-        threshold=default_config().coupled_tol,
+        threshold=config.coupled_tol,
     )
 
 
@@ -455,7 +457,7 @@ def solution_constants(params: OrderParams,
     consts = constants_defining_system(params)
     r2 = printed_relation_residuals(consts, params)[1]
     if r2 > config.constants_relation_tol:
-        raise ArithmeticError(
+        raise InvariantViolationError(
             f"defining-system constants violate the surviving linear relation "
             f"by {r2:.3e}")
     return consts

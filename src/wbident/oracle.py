@@ -1,18 +1,20 @@
 """High-precision reference evaluators (the slow path).
 
-Brute-force term summation of the same series the production kernels use,
-run at 50-digit working precision under mpmath.  Values from this module are
-the ground truth for derived expected values and for regimes double precision
-cannot reach (large x in the connection formula, ill-conditioned collocation
-fits at high degree).
+Kummer M and Bessel I come from mpmath's own hypergeometric evaluators
+(``mp.hyp1f1``, ``mp.besseli``), run at 50-digit working precision, so they
+share no code with the production kernels.  Whittaker M and W and Bessel K
+are built from them by the same closed formulas the kernels use (no
+quadrature).  Values from this module are the ground truth for derived
+expected values and for regimes double precision cannot reach (large x in
+the connection formula, ill-conditioned collocation fits at high degree).
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import mpmath as mp
+from mpmath.libmp import NoConvergence
 
 from .config import EvalConfig, default_config
 from .errors import ConvergenceError
@@ -25,26 +27,19 @@ def _dps(config: EvalConfig):
         yield
 
 
-def _series_tol(config: EvalConfig):
-    return mp.mpf(10) ** (-(config.oracle_dps - 5))
+@contextmanager
+def _converging(what: str):
+    try:
+        yield
+    except NoConvergence as exc:
+        raise ConvergenceError(f"oracle {what} did not converge: {exc}") from exc
 
 
 def kummer_m(a, b, z, config: EvalConfig | None = None):
-    """Brute-force Kummer series at oracle precision; returns mpmath mpc."""
+    """Kummer M(a, b, z) at oracle precision; returns mpmath mpc."""
     config = config or default_config()
-    with _dps(config):
-        a = mp.mpc(a)
-        b = mp.mpc(b)
-        z = mp.mpc(z)
-        tol = _series_tol(config)
-        s = mp.mpc(1)
-        t = mp.mpc(1)
-        for m in range(20 * config.series_max_terms):
-            t = t * (a + m) / (b + m) * z / (m + 1)
-            s += t
-            if m > 6 and abs(t) < tol * abs(s):
-                return s
-        raise ConvergenceError("oracle Kummer series did not converge")
+    with _dps(config), _converging("Kummer M"):
+        return mp.hyp1f1(mp.mpc(a), mp.mpc(b), mp.mpc(z))
 
 
 def whittaker_m(kappa, mu, z, config: EvalConfig | None = None):
@@ -72,21 +67,10 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
 
 
 def bessel_i(nu, x, config: EvalConfig | None = None):
+    """Bessel I_nu(x) at oracle precision; returns mpmath mpc."""
     config = config or default_config()
-    with _dps(config):
-        nu = mp.mpc(nu)
-        x = mp.mpf(x)
-        tol = _series_tol(config)
-        s = mp.mpc(0)
-        m = 0
-        while True:
-            t = (x / 2) ** (2 * m + nu) / (mp.factorial(m) * mp.gamma(m + nu + 1))
-            s += t
-            m += 1
-            if m > 6 and abs(t) < tol * abs(s):
-                return s
-            if m > 20 * config.series_max_terms:
-                raise ConvergenceError("oracle Bessel-I series did not converge")
+    with _dps(config), _converging("Bessel I"):
+        return mp.besseli(mp.mpc(nu), mp.mpf(x))
 
 
 def bessel_k(nu, x, config: EvalConfig | None = None):

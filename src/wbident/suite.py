@@ -12,8 +12,6 @@ the quadrature Bessel-K evaluator, so the two sides share no code path.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .config import EvalConfig, default_config
 from .core import SQRT_PI
 from .kernels import OrderParams, bessel_k_quad, bessel_k_via_w, whittaker_w
@@ -33,10 +31,12 @@ IDENTITY_X_RANGE = (0.25, 8.0)
 
 def verify_identity(params: OrderParams, x_grid,
                     config: EvalConfig | None = None) -> ResidualReport:
-    """Relative residual |LHS - RHS| / |LHS| of the central identity at each
-    grid point.  k = 0 is routed through the closed Laguerre forms; small
-    nonzero k is refused in double-precision mode (gamma-prefactor
-    cancellation makes the connection formula meaningless there)."""
+    """Relative residual |LHS - RHS| / max(|LHS|, |lambda(x) K(x)|) of the
+    central identity at each grid point; 0 where both scales vanish (a common
+    zero of W and Lambda on the k = 0 branch).  k = 0 is routed through the
+    closed Laguerre forms; small nonzero k is refused in double-precision
+    mode (gamma-prefactor cancellation makes the connection formula
+    meaningless there)."""
     config = config or default_config()
     n, k = params.n, params.k
     x_grid = [float(x) for x in x_grid]
@@ -57,11 +57,11 @@ def verify_identity(params: OrderParams, x_grid,
     lam = cv.lam_poly()
     residuals = []
     for x in x_grid:
-        kp = bessel_k_quad(complex(0.5, k), x, config)
-        lam_x = lam.evaluate(x)
-        rhs = (lam_x * kp + (lam_x * kp).conjugate()).real
+        lam_k = lam.evaluate(x) * bessel_k_quad(complex(0.5, k), x, config)
+        rhs = (lam_k + lam_k.conjugate()).real
         lhs = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
-        residuals.append(abs(lhs - rhs) / abs(lhs))
+        scale = max(abs(lhs), abs(lam_k))
+        residuals.append(abs(lhs - rhs) / scale if scale else 0.0)
     return ResidualReport(
         check_name="identity",
         params=params,
@@ -145,8 +145,7 @@ def run_suite(config: EvalConfig | None = None,
               n_max: int = DEFAULT_N_MAX,
               k_set=DEFAULT_K_SET,
               x_grid=DEFAULT_X_GRID,
-              use_oracle: bool = False,
-              max_workers: int = 4) -> VerificationSuiteResult:
+              use_oracle: bool = False) -> VerificationSuiteResult:
     """Execute, in order: kernel cross-checks, coefficient construction and
     invariants, oracle equivalence, coupled residual, identity grid, ODE4
     basis checks, indicial analysis, constants and reconstruction.
@@ -167,22 +166,16 @@ def run_suite(config: EvalConfig | None = None,
     # 1. kernel cross-checks
     reports += kernel_cross_reports(k_set, x_grid, n_max, config)
 
-    # 2 + 4 + 5. coefficients, coupled equation, identity; concurrent over
-    # (n, k) cells -- all operations are pure.
-    def cell(task):
-        n, k = task
-        params = OrderParams(n=n, k=k)
-        cv, reps = coefficient_reports(params, config)
-        reps.append(coupled_residual(cv))
-        reps.append(check_second_order(cv, "printed"))
-        reps.append(check_second_order(cv, "derived"))
-        reps.append(verify_identity(params, x_grid, config))
-        return reps
-
-    tasks = [(n, k) for n in range(n_max + 1) for k in ks_pos]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        for reps in pool.map(cell, tasks):
+    # 2 + 4 + 5. coefficients, coupled equation, identity per (n, k) cell
+    for n in range(n_max + 1):
+        for k in ks_pos:
+            params = OrderParams(n=n, k=k)
+            cv, reps = coefficient_reports(params, config)
             reports += reps
+            reports.append(coupled_residual(cv, config))
+            reports.append(check_second_order(cv, "printed"))
+            reports.append(check_second_order(cv, "derived"))
+            reports.append(verify_identity(params, x_grid, config))
     if not ks_pos or 0.0 in k_set:
         for n in range(n_max + 1):
             params = OrderParams(n=n, k=0.0)

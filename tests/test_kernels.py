@@ -271,3 +271,42 @@ class TestAsymptotics:
         assert d2 < 0.05
         assert d4 < 5e-3
         assert d6 < 5e-5
+
+
+class TestOracle:
+    """The 50-digit oracle against mpmath's own whitw and besselk, whose
+    formulas it does not share."""
+
+    ORACLE_TOL = 1e-35
+
+    @pytest.mark.parametrize("n", [0, 3, 8, 25])
+    def test_whittaker_w_matches_mpmath_whitw(self, n):
+        import mpmath as mp
+        from wbident import oracle
+        with mp.workdps(EvalConfig().oracle_dps):
+            for k in (0.1, 1.0, 4.5):
+                for x in (0.25, 2.0, 8.0):
+                    got = oracle.whittaker_w(n + 0.5, 1j * k, 2 * x)
+                    want = mp.whitw(mp.mpf(n) + 0.5, mp.mpc(0, k), 2 * mp.mpf(x))
+                    assert abs(got - want) <= self.ORACLE_TOL * abs(want), (k, x)
+
+    @pytest.mark.parametrize("k", [0.1, 1.0, 4.5])
+    def test_bessel_k_matches_mpmath_besselk(self, k):
+        import mpmath as mp
+        from wbident import oracle
+        with mp.workdps(EvalConfig().oracle_dps):
+            for x in (0.25, 2.0, 8.0):
+                got = oracle.bessel_k(complex(0.5, k), x)
+                want = mp.besselk(mp.mpf(0.5) + mp.mpc(0, k), mp.mpf(x))
+                assert abs(got - want) <= self.ORACLE_TOL * abs(want), x
+
+    def test_mpmath_non_convergence_is_structured_error(self, monkeypatch):
+        import mpmath as mp
+        from mpmath.libmp import NoConvergence
+        from wbident import oracle
+
+        def stuck(*args, **kwargs):
+            raise NoConvergence("stuck")
+        monkeypatch.setattr(mp, "besseli", stuck)
+        with pytest.raises(ConvergenceError):
+            oracle.bessel_k(complex(0.5, 1.0), 2.0)

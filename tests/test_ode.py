@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from wbident.errors import StepInstabilityError
+from wbident.config import EvalConfig
+from wbident.errors import InvariantViolationError, StepInstabilityError
 from wbident.kernels import OrderParams, bessel_i, bessel_k_quad, whittaker_m
 from wbident.lambda_poly import coeffs_from_recurrence
 from wbident.ode import (SolutionConstants, basis_products, c4_closed_form,
@@ -213,6 +214,11 @@ class TestConstants:
         c = solution_constants(params)
         r = printed_relation_residuals(c, params)
         assert r[1] <= 1e-10
+
+    def test_relation_violation_is_structured_error(self):
+        cfg = EvalConfig(constants_relation_tol=1e-300)
+        with pytest.raises(InvariantViolationError):
+            solution_constants(OrderParams(n=2, k=1.0), cfg)
 
     def test_first_and_third_printed_relations_fail(self):
         params = OrderParams(n=2, k=1.0)

@@ -1,11 +1,14 @@
 """Tests for report serialization, determinism, and the CLI."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wbident
 from wbident.cli import main
 from wbident.config import ENV_CONFIG_VAR, EvalConfig, default_config, load_config
 from wbident.errors import ConvergenceError
@@ -210,6 +213,10 @@ class TestCli:
         assert main(["verify", "--check", "identity", "--n", "1", "--k", "1.0",
                      "--x-grid", "1.0", "--tol", "1e-30"]) == 1
 
+    def test_coupled_tol_override_can_fail(self, capsys):
+        assert main(["verify", "--check", "coupled", "--n", "5", "--k", "0.5",
+                     "--tol", "1e-300"]) == 1
+
     def test_structured_error_exit_code(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"series_max_terms": 10}')
@@ -228,10 +235,18 @@ class TestCli:
         text = capsys.readouterr().out
         assert "checks passed" in text
 
+    def test_suite_common_zero_of_both_sides(self, capsys):
+        # at k = 0, n = 1 both W_{3/2,0}(2x) and Lambda vanish at x = 1/2
+        assert main(["suite", "--n-max", "2", "--k-set", "0,1",
+                     "--x-grid", "0.5,1,2"]) == 0
+
     def test_console_entry_point(self):
+        # the child imports wbident from the same place this process does
+        src = str(Path(wbident.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-m", "wbident.cli", "coeffs", "--n", "0", "--k", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert out.returncode == 0
         assert json.loads(out.stdout)["n"] == 0
 
