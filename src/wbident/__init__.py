@@ -5,8 +5,7 @@ from .config import EvalConfig, default_config, load_config
 from .core import PolyC, gamma, laguerre, log_gamma, pochhammer
 from .errors import (ConvergenceError, DegenerateParameterError,
                      IllConditionedError, InvariantViolationError,
-                     NearDegeneracyWarning, PoleError, StepInstabilityError,
-                     WbidentError)
+                     NearDegeneracyWarning, PoleError, WbidentError)
 from .kernels import (OrderParams, bessel_i, bessel_i_tilde, bessel_k_quad,
                       bessel_k_via_w, kummer_m, whittaker_m, whittaker_w)
 from .lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS, CoeffVector,

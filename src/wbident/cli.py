@@ -45,7 +45,7 @@ _CHECK_TOL_FIELD = {
     "indicial": "indicial_tol",
     "trial": "whittaker_eq_tol",
     "reconstruction": "reconstruction_tol",
-    "second-order": None,
+    "second-order": "second_order_tol",
 }
 
 
@@ -128,9 +128,7 @@ def _cmd_eval(args, config: EvalConfig) -> int:
 
 def _cmd_verify(args, config: EvalConfig) -> int:
     if args.tol is not None:
-        field = _CHECK_TOL_FIELD[args.check]
-        if field:
-            config = config.replace(**{field: args.tol})
+        config = config.replace(**{_CHECK_TOL_FIELD[args.check]: args.tol})
     params = OrderParams(n=args.n, k=args.k)
     grid = args.x_grid
     if args.check == "identity":
@@ -141,8 +139,8 @@ def _cmd_verify(args, config: EvalConfig) -> int:
         reports = [coupled_residual(cv, config)]
     elif args.check == "second-order":
         cv = coeffs_from_recurrence(params, config)
-        reports = [check_second_order(cv, "printed"),
-                   check_second_order(cv, "derived")]
+        reports = [check_second_order(cv, "printed", config),
+                   check_second_order(cv, "derived", config)]
     elif args.check == "ode4-basis":
         reports = [product_solution_check(params, config,
                                           x_grid=grid or (0.5, 1.0, 2.0, 4.0))]

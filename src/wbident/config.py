@@ -27,10 +27,6 @@ class EvalConfig:
     quad_rel_tol: float = 1e-12
     quad_max_halvings: int = 12
 
-    # finite differences
-    fd_step: float = 1e-2
-    fd_instability_floor: float = 1e-6    # residuals below this are FD noise
-
     # parameter-degeneracy handling
     k_zero_threshold: float = 0.0         # |k| <= this counts as the exact k=0 branch
     k_refuse_threshold: float = 1e-3      # 0 < k below this is refused in double precision
@@ -44,11 +40,10 @@ class EvalConfig:
     # check thresholds
     top_coeff_tol: float = 1e-10
     coupled_tol: float = 1e-12
+    second_order_tol: float = 1e-12
     identity_tol: float = 1e-6
-    ode4_tol: float = 1e-4
-    whittaker_eq_tol: float = 1e-6
-    itilde_recurrence_tol: float = 1e-8
-    bessel_derivative_tol: float = 1e-7
+    ode4_tol: float = 1e-10
+    whittaker_eq_tol: float = 1e-9
     kernel_cross_tol: float = 1e-10
     realness_tol: float = 1e-10
     indicial_tol: float = 1e-10
@@ -61,12 +56,11 @@ class EvalConfig:
 
     def __post_init__(self):
         positive = [
-            "series_rel_tol", "quad_step", "quad_rel_tol", "fd_step",
-            "fd_instability_floor", "k_refuse_threshold", "mu_degeneracy_tol",
+            "series_rel_tol", "quad_step", "quad_rel_tol",
+            "k_refuse_threshold", "mu_degeneracy_tol",
             "collocation_cond_limit", "collocation_escalate_cond",
             "collocation_resid_tol", "top_coeff_tol", "coupled_tol",
-            "identity_tol", "ode4_tol", "whittaker_eq_tol",
-            "itilde_recurrence_tol", "bessel_derivative_tol",
+            "second_order_tol", "identity_tol", "ode4_tol", "whittaker_eq_tol",
             "kernel_cross_tol", "realness_tol", "indicial_tol",
             "constants_relation_tol", "reconstruction_tol", "oracle_match_tol",
         ]

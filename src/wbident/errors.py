@@ -31,11 +31,6 @@ class InvariantViolationError(WbidentError):
     usually signals a convention or transcription failure upstream."""
 
 
-class StepInstabilityError(WbidentError):
-    """A finite-difference residual changed too much under step halving to be
-    trusted."""
-
-
 class NearDegeneracyWarning(UserWarning):
     """Parameters are close enough to a degenerate manifold that severe
     cancellation is expected."""

@@ -9,6 +9,13 @@ The connection formula for W subtracts terms that grow like e^{+x} while W
 itself decays like e^{-x}; the generic branch therefore runs its series and
 prefactors in 80-bit precision (see _longdouble) before rounding the result
 to complex128.  In double-precision mode the usable range is x <= 8.
+
+With ``deriv=True`` the Whittaker, Bessel-I and quadrature Bessel-K
+evaluators also return exact derivatives, summed in the same series or
+quadrature loop as the value: term by term for the series (first and second
+derivative for M and W, first for I) and by differentiating under the
+integral for K (DLMF 10.32.9).  The value they return is the value-only
+call's, bit for bit, except that K's halving test then covers both numbers.
 """
 
 from __future__ import annotations
@@ -56,24 +63,30 @@ def _is_nonpositive_int(z: complex, tol: float = 0.0) -> bool:
             and abs(z.real - round(z.real)) <= tol and round(z.real) <= 0)
 
 
-def _kummer_series_ld(a, b, z, config: EvalConfig) -> CLD:
-    """sum_m (a)_m / (b)_m z^m / m!, stopping after three consecutive terms
-    below series_rel_tol * |partial sum| (complex-parameter series can have
-    transiently tiny terms)."""
+def _kummer_series_ld(a, b, z, config: EvalConfig, deriv: bool = False):
+    """sum_m t_m with t_m = (a)_m / (b)_m z^m / m!, stopping after three
+    consecutive terms below series_rel_tol * |partial sum| (complex-parameter
+    series can have transiently tiny terms).  With deriv, returns
+    (M, M', M'') from the term-by-term sums of m t_m / z and
+    m (m-1) t_m / z^2."""
     a = CLD.from_complex(a)
     b = CLD.from_complex(b)
     z = CLD.from_complex(z)
     s = CLD(1)
     t = CLD(1)
+    s1 = s2 = CLD(0)
     tol2 = LD(config.series_rel_tol) ** 2
     small = 0
     for m in range(config.series_max_terms):
         t = t * (a + CLD(m)) / (b + CLD(m)) * z / CLD(m + 1)
         s = s + t
+        if deriv:
+            s1 = s1 + CLD(m + 1) * t
+            s2 = s2 + CLD(m * (m + 1)) * t
         if t.abs2() <= tol2 * s.abs2():
             small += 1
             if small >= 3:
-                return s
+                return (s, s1 / z, s2 / (z * z)) if deriv else s
         else:
             small = 0
     raise ConvergenceError(
@@ -89,22 +102,38 @@ def kummer_m(a, b, z, config: EvalConfig | None = None) -> complex:
     return _kummer_series_ld(a, b, z, config).to_complex()
 
 
-def _whittaker_m_ld(kappa, mu, z: float, config: EvalConfig) -> CLD:
+def _times_prefactor(pref, c, z, f, f1, f2):
+    """(P f, (P f)', (P f)'') for P(z) = e^{-z/2} z^c, given P, c, z and
+    (f, f', f''); P' = g P and P'' = (g^2 - c/z^2) P with g = c/z - 1/2."""
+    g = c / z - CLD(0.5)
+    return (pref * f,
+            pref * (g * f + f1),
+            pref * ((g * g - c / (z * z)) * f + CLD(2) * g * f1 + f2))
+
+
+def _whittaker_m_ld(kappa, mu, z: float, config: EvalConfig, deriv: bool = False):
     kappa = complex(kappa)
     mu = complex(mu)
-    ser = _kummer_series_ld(0.5 + mu - kappa, 1 + 2 * mu, z, config)
+    ser = _kummer_series_ld(0.5 + mu - kappa, 1 + 2 * mu, z, config, deriv)
     lz = clog(CLD(z))
-    pref = cexp((CLD(0.5) + CLD.from_complex(mu)) * lz - CLD(z) / CLD(2))
+    c = CLD(0.5) + CLD.from_complex(mu)
+    pref = cexp(c * lz - CLD(z) / CLD(2))
+    if deriv:
+        return _times_prefactor(pref, c, CLD(z), *ser)
     return pref * ser
 
 
-def whittaker_m(kappa, mu, z: float, config: EvalConfig | None = None) -> complex:
-    """Whittaker M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu} M(1/2+mu-kappa, 1+2mu, z)."""
+def whittaker_m(kappa, mu, z: float, config: EvalConfig | None = None, *,
+                deriv: bool = False):
+    """Whittaker M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu} M(1/2+mu-kappa, 1+2mu, z);
+    with deriv, the tuple (M, dM/dz, d^2M/dz^2)."""
     config = config or default_config()
     if not z > 0:
         raise ValueError("whittaker_m requires z > 0")
     if _is_nonpositive_int(complex(1 + 2 * complex(mu))):
         raise PoleError(f"whittaker_m: 1+2*mu = {1 + 2 * complex(mu)} is a nonpositive integer")
+    if deriv:
+        return tuple(v.to_complex() for v in _whittaker_m_ld(kappa, mu, z, config, True))
     return _whittaker_m_ld(kappa, mu, z, config).to_complex()
 
 
@@ -114,8 +143,11 @@ def _laguerre_whittaker_w(n: int, z: float) -> float:
             * math.exp(-z / 2) * laguerre(n, z))
 
 
-def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None) -> complex:
-    """Whittaker W_{kappa,mu}(z).
+def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
+                deriv: bool = False):
+    """Whittaker W_{kappa,mu}(z); with deriv, the tuple
+    (W, dW/dz, d^2W/dz^2), each term of the connection formula
+    differentiated through its M factor (generic branch only).
 
     Generic branch (2*mu not an integer): the connection formula
 
@@ -143,6 +175,10 @@ def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None) -> comple
                 n_real = kappa.real - 0.5
                 n = round(n_real)
                 if n >= 0 and abs(n_real - n) < 1e-12:
+                    if deriv:
+                        raise DegenerateParameterError(
+                            "whittaker_w: derivatives are not provided on the "
+                            "mu = 0 Laguerre branch")
                     return complex(_laguerre_whittaker_w(n, z))
             raise DegenerateParameterError(
                 f"whittaker_w with mu = 0 requires kappa = n + 1/2, got {kappa}")
@@ -159,17 +195,25 @@ def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None) -> comple
         - log_gamma_ld(CLD.from_complex(0.5 - mu - kappa))
     lg_b = log_gamma_ld(CLD.from_complex(two_mu)) \
         - log_gamma_ld(CLD.from_complex(0.5 + mu - kappa))
+    if deriv:
+        pref_a, pref_b = cexp(lg_a), cexp(lg_b)
+        return tuple((pref_a * ma + pref_b * mb).to_complex() for ma, mb in zip(
+            _whittaker_m_ld(kappa, mu, z, config, True),
+            _whittaker_m_ld(kappa, -mu, z, config, True)))
     term_a = cexp(lg_a) * _whittaker_m_ld(kappa, mu, z, config)
     term_b = cexp(lg_b) * _whittaker_m_ld(kappa, -mu, z, config)
     return (term_a + term_b).to_complex()
 
 
-def bessel_k_quad(nu, x: float, config: EvalConfig | None = None) -> complex:
+def bessel_k_quad(nu, x: float, config: EvalConfig | None = None, *,
+                  deriv: bool = False):
     """K_nu(x) by trapezoid quadrature of int_0^inf e^{-x cosh t} cosh(nu t) dt.
 
     The integrand decays double-exponentially, so the trapezoid rule is
     spectrally accurate; the step is halved until two successive values agree
-    to quad_rel_tol.
+    to quad_rel_tol.  With deriv, returns (K, K') with
+    K' = -int_0^inf cosh t e^{-x cosh t} cosh(nu t) dt on the same nodes, and
+    the halving test applies to both.
     """
     config = config or default_config()
     if not x > 0:
@@ -186,18 +230,23 @@ def bessel_k_quad(nu, x: float, config: EvalConfig | None = None) -> complex:
         while x * math.cosh(cutoff) - a * cutoff <= 45.0:
             cutoff += 0.5
 
-    def trapezoid(h: float) -> complex:
+    def trapezoid(h: float) -> tuple[complex, ...]:
         ts = np.arange(int(math.ceil(cutoff / h)) + 1) * h
-        vals = np.exp(-x * np.cosh(ts)) * np.cosh(nu * ts)
-        return complex(h * (vals[0] / 2 + vals[1:].sum()))
+        cosh_t = np.cosh(ts)
+        vals = np.exp(-x * cosh_t) * np.cosh(nu * ts)
+        value = complex(h * (vals[0] / 2 + vals[1:].sum()))
+        if not deriv:
+            return (value,)
+        dvals = -cosh_t * vals
+        return value, complex(h * (dvals[0] / 2 + dvals[1:].sum()))
 
     h = config.quad_step
     prev = trapezoid(h)
     for _ in range(config.quad_max_halvings):
         h /= 2
         cur = trapezoid(h)
-        if abs(cur - prev) <= config.quad_rel_tol * abs(cur):
-            return cur
+        if all(abs(c - p) <= config.quad_rel_tol * abs(c) for c, p in zip(cur, prev)):
+            return cur if deriv else cur[0]
         prev = cur
     raise ConvergenceError(
         f"bessel_k_quad: no convergence after {config.quad_max_halvings} halvings")
@@ -212,9 +261,12 @@ def bessel_k_via_w(nu, x: float, config: EvalConfig | None = None) -> complex:
     return math.sqrt(math.pi / (2 * x)) * whittaker_w(0.0, nu, 2 * x, config)
 
 
-def bessel_i(nu, x: float, config: EvalConfig | None = None) -> complex:
-    """I_nu(x) by the ascending series sum_m (x/2)^{2m+nu} / (m! Gamma(m+nu+1)),
-    with the same three-small-terms stopping rule as the Kummer series."""
+def bessel_i(nu, x: float, config: EvalConfig | None = None, *,
+             deriv: bool = False):
+    """I_nu(x) by the ascending series sum_m t_m with
+    t_m = (x/2)^{2m+nu} / (m! Gamma(m+nu+1)), with the same three-small-terms
+    stopping rule as the Kummer series.  With deriv, returns (I, I') with
+    I' = sum_m (2m+nu)/x t_m."""
     config = config or default_config()
     if not x > 0:
         raise ValueError("bessel_i requires x > 0")
@@ -224,15 +276,20 @@ def bessel_i(nu, x: float, config: EvalConfig | None = None) -> complex:
     lx = np.log(LD(x) / 2)
     t = cexp(CLD.from_complex(nu) * CLD(lx)
              - log_gamma_ld(CLD.from_complex(nu + 1)))
-    s = CLD(0)
+    s = s1 = CLD(0)
+    nu_ld = CLD.from_complex(nu)
     x2 = CLD((LD(x) / 2) ** 2)
     tol2 = LD(config.series_rel_tol) ** 2
     small = 0
     for m in range(config.series_max_terms):
         s = s + t
+        if deriv:
+            s1 = s1 + (CLD(2 * m) + nu_ld) * t
         if t.abs2() <= tol2 * s.abs2():
             small += 1
             if small >= 3:
+                if deriv:
+                    return s.to_complex(), (s1 / CLD(x)).to_complex()
                 return s.to_complex()
         else:
             small = 0

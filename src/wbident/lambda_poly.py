@@ -252,10 +252,12 @@ def second_order_residuals(cv: CoeffVector, variant: str = "printed") -> list[fl
     return out
 
 
-def check_second_order(cv: CoeffVector, variant: str = "printed"):
+def check_second_order(cv: CoeffVector, variant: str = "printed",
+                       config: EvalConfig | None = None):
     """ResidualReport for the five-factor recurrence (advisory for the
     printed variant; the derived variant genuinely holds)."""
     from .report import ResidualReport
+    config = config or default_config()
     res = second_order_residuals(cv, variant)
     grid = [float(m) for m in range(1, cv.params.n)] if cv.params.n >= 3 else []
     return ResidualReport(
@@ -263,7 +265,7 @@ def check_second_order(cv: CoeffVector, variant: str = "printed"):
         params=cv.params,
         grid=grid,
         residuals=res,
-        threshold=1e-12,
+        threshold=config.second_order_tol,
     )
 
 

@@ -13,6 +13,12 @@ spanned by the four products
     I_{-1/2+ik}(x) M_{n+1/2,ik}(2x),   I_{-1/2+ik}(x) W_{n+1/2,ik}(2x),
     K_{-1/2+ik}(x) W_{n+1/2,ik}(2x),   K_{-1/2+ik}(x) M_{n+1/2,ik}(2x).
 
+The basis check needs four derivatives of each product.  Each factor solves
+a second-order equation y'' = p y' + q y: the modified Bessel equation
+(DLMF 10.25.1) for I and K, the Whittaker equation (DLMF 13.14.1) for M and
+W.  One kernel call gives the exact (y, y'), the equation gives y'' to
+y'''', and the Leibniz rule gives the derivatives of the product.
+
 Two variants of the ODE coefficients are provided.  The historically printed
 a3 has constant term 2i(1-2k)(i+k)(i+4k); eliminating conj(L) symbolically
 gives -2(1+2ik)(i+k)(i+4k) instead, and only the corrected variant annihilates
@@ -26,13 +32,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from .config import EvalConfig, default_config
 from .core import SQRT_PI, PolyC, gamma, laguerre
-from .errors import InvariantViolationError, StepInstabilityError
+from .errors import InvariantViolationError
 from .kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                       whittaker_w)
 from .lambda_poly import CoeffVector, coeffs_from_recurrence, laguerre_closed_form
@@ -128,25 +135,78 @@ def coupled_residual(cv: CoeffVector,
     )
 
 
-# --- finite differences ------------------------------------------------------
+# --- derivatives from the factors' second-order equations -----------------
 
-# 9-point central stencils (offsets -4..4): 8th order for y', y'',
-# 6th order for y''', y''''.
-_FD_W1 = np.array([3, -32, 168, -672, 0, 672, -168, 32, -3], dtype=float) / 840.0
-_FD_W2 = np.array([-9, 128, -1008, 8064, -14350, 8064, -1008, 128, -9],
-                  dtype=float) / 5040.0
-_FD_W3 = np.array([-7, 72, -338, 488, 0, -488, 338, -72, 7], dtype=float) / 240.0
-_FD_W4 = np.array([7, -96, 676, -1952, 2730, -1952, 676, -96, 7], dtype=float) / 240.0
+BASIS = ("I*M", "I*W", "K*W", "K*M")
 
 
-def fd_derivatives(f, x: float, h: float) -> list[complex]:
-    """[f, f', f'', f''', f''''] at x from the 9-point stencil with step h."""
-    vals = np.array([f(x + j * h) for j in range(-4, 5)], dtype=complex)
-    return [complex(vals[4]),
-            complex((_FD_W1 * vals).sum() / h),
-            complex((_FD_W2 * vals).sum() / h ** 2),
-            complex((_FD_W3 * vals).sum() / h ** 3),
-            complex((_FD_W4 * vals).sum() / h ** 4)]
+def bessel_ode_coeffs(nu, x: float):
+    """(p, p', p''), (q, q', q'') at x of the modified Bessel equation
+    y'' = p y' + q y, with p = -1/x and q = 1 + nu^2/x^2."""
+    nu2 = complex(nu) ** 2
+    return ((-1 / x, 1 / x ** 2, -2 / x ** 3),
+            (1 + nu2 / x ** 2, -2 * nu2 / x ** 3, 6 * nu2 / x ** 4))
+
+
+def whittaker_ode_coeffs(kappa, mu, x: float):
+    """(p, p', p''), (q, q', q'') at x of the equation v'' = q v solved by
+    v(x) = W_{kappa,mu}(2x) and M_{kappa,mu}(2x), with
+    q = 1 - 2 kappa/x - (1/4 - mu^2)/x^2."""
+    c = 0.25 - complex(mu) ** 2
+    return ((0.0, 0.0, 0.0),
+            (1 - 2 * kappa / x - c / x ** 2,
+             2 * kappa / x ** 2 + 2 * c / x ** 3,
+             -4 * kappa / x ** 3 - 6 * c / x ** 4))
+
+
+def lift_derivatives(y, dy, p, q) -> list[complex]:
+    """[y, y', y'', y''', y''''] of a solution of y'' = p y' + q y, given
+    (y, y') and p, q each as (value, first, second derivative)."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    d2 = p0 * dy + q0 * y
+    d3 = p1 * dy + p0 * d2 + q1 * y + q0 * dy
+    d4 = p2 * dy + 2 * p1 * d2 + p0 * d3 + q2 * y + 2 * q1 * dy + q0 * d2
+    return [y, dy, d2, d3, d4]
+
+
+def product_derivatives(f, g) -> list[complex]:
+    """Derivatives 0..4 of f*g by the Leibniz rule."""
+    return [sum(comb(j, i) * f[i] * g[j - i] for i in range(j + 1))
+            for j in range(5)]
+
+
+def factor_derivatives(factor: str, params: OrderParams, x: float,
+                       config: EvalConfig | None = None) -> list[complex]:
+    """Derivatives 0..4 at x of one basis factor: "I" or "K" of order
+    -1/2+ik at x, or "M" or "W" of indices (n+1/2, ik) at 2x.  One kernel
+    call gives the exact value and first derivative; the factor's own
+    equation gives the rest."""
+    config = config or default_config()
+    n, k = params.n, params.k
+    if factor in ("I", "K"):
+        nu = complex(-0.5, k)
+        kernel = bessel_i if factor == "I" else bessel_k_quad
+        y, dy = kernel(nu, x, config, deriv=True)
+        p, q = bessel_ode_coeffs(nu, x)
+    elif factor in ("M", "W"):
+        kernel = whittaker_m if factor == "M" else whittaker_w
+        y, dz, _ = kernel(n + 0.5, 1j * k, 2 * x, config, deriv=True)
+        dy = 2 * dz                               # d/dx f(2x) = 2 f'(2x)
+        p, q = whittaker_ode_coeffs(n + 0.5, 1j * k, x)
+    else:
+        raise KeyError(factor)
+    return lift_derivatives(y, dy, p, q)
+
+
+def basis_products(params: OrderParams, x: float,
+                   config: EvalConfig | None = None) -> dict[str, list[complex]]:
+    """Derivatives 0..4 at x of the four product solutions, from one kernel
+    call per factor."""
+    config = config or default_config()
+    factors = {f: factor_derivatives(f, params, x, config) for f in "IKMW"}
+    return {name: product_derivatives(factors[name[0]], factors[name[2]])
+            for name in BASIS}
 
 
 def _residual_from_derivs(coeffs: Ode4Coeffs, derivs, x: float) -> float:
@@ -159,68 +219,18 @@ def _residual_from_derivs(coeffs: Ode4Coeffs, derivs, x: float) -> float:
 
 
 def ode4_residual(f, params: OrderParams, x: float,
-                  config: EvalConfig | None = None,
                   variant: str = "corrected") -> float:
     """Normalized residual |a1 f'''' + ... + a5 f| / max_j |a_j f^(4-j)| at x.
 
-    `f` may be a callable (derivatives by 9-point central finite differences
-    at step fd_step * max(1, x), with an instability check under step
-    halving) or a PolyC (analytic derivatives).
+    `f` is either the list [f, f', f'', f''', f''''] of values at x or a
+    PolyC (differentiated exactly).
     """
-    config = config or default_config()
-    coeffs = ode4_coeffs(params, variant)
     if isinstance(f, PolyC):
-        derivs = [f]
+        polys = [f]
         for _ in range(4):
-            derivs.append(derivs[-1].differentiate())
-        vals = [p.evaluate(x) for p in derivs]
-        return _residual_from_derivs(coeffs, vals, x)
-
-    h = config.fd_step * max(1.0, x)
-    r_h = _residual_from_derivs(coeffs, fd_derivatives(f, x, h), x)
-    r_h2 = _residual_from_derivs(coeffs, fd_derivatives(f, x, h / 2), x)
-    floor = config.fd_instability_floor
-    if min(r_h, r_h2) > floor and abs(r_h - r_h2) > 0.5 * max(r_h, r_h2):
-        raise StepInstabilityError(
-            f"ode4 residual at x={x} changed from {r_h:.3e} to {r_h2:.3e} "
-            "under step halving; finite differences cannot be trusted here")
-    return r_h2
-
-
-def _kernel_cache(params: OrderParams, config: EvalConfig):
-    """Memoized point evaluators for the four basis factors."""
-    n, k = params.n, params.k
-    nu = complex(-0.5, k)
-    cache: dict[tuple[str, float], complex] = {}
-
-    def get(name: str, x: float) -> complex:
-        key = (name, x)
-        if key not in cache:
-            if name == "K":
-                cache[key] = bessel_k_quad(nu, x, config)
-            elif name == "I":
-                cache[key] = bessel_i(nu, x, config)
-            elif name == "W":
-                cache[key] = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
-            elif name == "M":
-                cache[key] = whittaker_m(n + 0.5, 1j * k, 2 * x, config)
-            else:
-                raise KeyError(name)
-        return cache[key]
-
-    return get
-
-
-def basis_products(params: OrderParams, config: EvalConfig | None = None) -> dict:
-    """The four product solutions as callables of x (kernel values memoized)."""
-    config = config or default_config()
-    get = _kernel_cache(params, config)
-    return {
-        "I*M": lambda x: get("I", x) * get("M", x),
-        "I*W": lambda x: get("I", x) * get("W", x),
-        "K*W": lambda x: get("K", x) * get("W", x),
-        "K*M": lambda x: get("K", x) * get("M", x),
-    }
+            polys.append(polys[-1].differentiate())
+        f = [p.evaluate(x) for p in polys]
+    return _residual_from_derivs(ode4_coeffs(params, variant), f, x)
 
 
 def product_solution_check(params: OrderParams,
@@ -231,12 +241,13 @@ def product_solution_check(params: OrderParams,
     config = config or default_config()
     if not params.k > 0:
         raise ValueError("product_solution_check requires k > 0")
-    products = basis_products(params, config)
+    coeffs = ode4_coeffs(params, variant)
+    at_x = [(float(x), basis_products(params, x, config)) for x in x_grid]
     grid, residuals, notes = [], [], []
-    for name, f in products.items():
-        for x in x_grid:
-            grid.append(float(x))
-            residuals.append(ode4_residual(f, params, x, config, variant))
+    for name in BASIS:
+        for x, products in at_x:
+            grid.append(x)
+            residuals.append(_residual_from_derivs(coeffs, products[name], x))
         notes.append(f"{name}: x = {list(x_grid)}")
     suffix = "" if variant == "corrected" else "-printed"
     return ResidualReport(
@@ -249,17 +260,12 @@ def product_solution_check(params: OrderParams,
     )
 
 
-def whittaker_operator_residual(y, n: int, k: float, x: float,
-                                config: EvalConfig | None = None) -> float:
-    """Normalized finite-difference residual of
-    L(y) = y'' + (-1 + (2n+1)/x + (1/4+k^2)/x^2) y at x."""
-    config = config or default_config()
-    h = config.fd_step * max(1.0, x)
-    vals = np.array([y(x + j * h) for j in range(-4, 5)], dtype=complex)
-    d2 = complex((_FD_W2 * vals).sum() / h ** 2)
-    potential = (-1.0 + (2 * n + 1) / x + (0.25 + k * k) / x ** 2) * complex(vals[4])
-    scale = max(abs(d2), abs(potential))
-    return abs(d2 + potential) / scale if scale else 0.0
+def whittaker_operator_residual(y, d2y, n: int, k: float, x: float) -> float:
+    """Normalized residual of L(y) = y'' + (-1 + (2n+1)/x + (1/4+k^2)/x^2) y
+    at x, given y(x) and y''(x)."""
+    potential = (-1.0 + (2 * n + 1) / x + (0.25 + k * k) / x ** 2) * y
+    scale = max(abs(d2y), abs(potential))
+    return abs(d2y + potential) / scale if scale else 0.0
 
 
 def trial_condition_check(params: OrderParams, x_grid,
@@ -267,7 +273,8 @@ def trial_condition_check(params: OrderParams, x_grid,
     """Check the conjugation structure and equation membership of the trial
     factors: W real (so iW is anti-self-conjugate), M_{+ik}+M_{-ik} real,
     M_{+ik}-M_{-ik} purely imaginary, and both W(2x) and the M-sum satisfy
-    the Whittaker operator to finite-difference accuracy."""
+    the Whittaker operator.  The operator check takes y'' from the kernels'
+    term-by-term second derivative, never from the equation under test."""
     config = config or default_config()
     if not params.k > 0:
         raise ValueError("trial_condition_check requires k > 0")
@@ -275,27 +282,22 @@ def trial_condition_check(params: OrderParams, x_grid,
     kap = n + 0.5
     mu = 1j * k
 
-    def m_sum(x):
-        return (whittaker_m(kap, mu, 2 * x, config)
-                + whittaker_m(kap, -mu, 2 * x, config))
-
-    def m_diff(x):
-        return (whittaker_m(kap, mu, 2 * x, config)
-                - whittaker_m(kap, -mu, 2 * x, config))
-
     w_real, sum_real, diff_imag, op_resid = [], [], [], []
     op_grid = []
     for x in x_grid:
-        w = whittaker_w(kap, mu, 2 * x, config)
+        w, _, w2 = whittaker_w(kap, mu, 2 * x, config, deriv=True)
+        m_plus, _, m_plus2 = whittaker_m(kap, mu, 2 * x, config, deriv=True)
+        m_minus, _, m_minus2 = whittaker_m(kap, -mu, 2 * x, config, deriv=True)
         w_real.append(abs(w.imag) / abs(w))
-        s = m_sum(x)
+        s = m_plus + m_minus
         sum_real.append(abs(s.imag) / abs(s))
-        d = m_diff(x)
+        d = m_plus - m_minus
         diff_imag.append(abs(d.real) / abs(d) if d != 0 else 0.0)
         op_grid.extend([float(x), float(x)])
+        # d^2/dx^2 f(2x) = 4 f''(2x)
+        op_resid.append(whittaker_operator_residual(w, 4 * w2, n, k, x))
         op_resid.append(whittaker_operator_residual(
-            lambda t: whittaker_w(kap, mu, 2 * t, config), n, k, x, config))
-        op_resid.append(whittaker_operator_residual(m_sum, n, k, x, config))
+            s, 4 * (m_plus2 + m_minus2), n, k, x))
     grid = [float(x) for x in x_grid]
     return [
         ResidualReport("trial-w-realness", params, grid, w_real,
@@ -592,13 +594,17 @@ def lambda_reconstruction(params: OrderParams, x_grid,
         constants = solution_constants(params, config)
     cv = coeffs_from_recurrence(params, config)
     poly = cv.big_lambda_poly()
-    get = _kernel_cache(params, config)
+    nu = complex(-0.5, k)
     residuals = []
     for x in x_grid:
-        recon = (c1 * get("I", x) * get("M", x)
-                 + constants.c2 * get("I", x) * get("W", x)
-                 + constants.c3 * get("K", x) * get("W", x)
-                 + constants.c4 * get("K", x) * get("M", x))
+        i_x = bessel_i(nu, x, config)
+        m_x = whittaker_m(n + 0.5, 1j * k, 2 * x, config)
+        w_x = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
+        k_x = bessel_k_quad(nu, x, config)
+        recon = (c1 * i_x * m_x
+                 + constants.c2 * i_x * w_x
+                 + constants.c3 * k_x * w_x
+                 + constants.c4 * k_x * m_x)
         want = poly.evaluate(x)
         residuals.append(abs(recon - want) / abs(want))
     return ResidualReport(

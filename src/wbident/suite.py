@@ -173,8 +173,8 @@ def run_suite(config: EvalConfig | None = None,
             cv, reps = coefficient_reports(params, config)
             reports += reps
             reports.append(coupled_residual(cv, config))
-            reports.append(check_second_order(cv, "printed"))
-            reports.append(check_second_order(cv, "derived"))
+            reports.append(check_second_order(cv, "printed", config))
+            reports.append(check_second_order(cv, "derived", config))
             reports.append(verify_identity(params, x_grid, config))
     if not ks_pos or 0.0 in k_set:
         for n in range(n_max + 1):

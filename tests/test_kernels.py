@@ -12,7 +12,6 @@ from wbident.errors import (ConvergenceError, DegenerateParameterError,
 from wbident.kernels import (OrderParams, bessel_i, bessel_i_tilde,
                              bessel_k_quad, bessel_k_via_w, kummer_m,
                              whittaker_m, whittaker_w)
-from wbident.ode import fd_derivatives
 
 # frozen 50-digit oracle values (brute-force series at dps=50)
 WHIT_M_32_05I_2 = complex(-0.25463706273047551974, 0.76557064931177284005)
@@ -226,15 +225,15 @@ class TestBesselITilde:
                 assert abs(a - b) <= 1e-12 * abs(b)
 
     def test_first_order_recurrence(self):
-        # x Itilde' - nu Itilde = x conj(Itilde), finite-difference derivative
+        # x Itilde' - nu Itilde = x conj(Itilde), analytic derivative
         for k in (0.5, 1.0):
             nu = complex(-0.5, k)
             for x in (0.5, 1.0, 2.0):
-                h = 0.01 * max(1.0, x)
-                d = fd_derivatives(lambda t: bessel_i_tilde(nu, t), x, h)
-                lhs = x * d[1] - nu * d[0]
+                i_plus, di_plus = bessel_i(nu, x, deriv=True)
+                i_minus, di_minus = bessel_i(-nu, x, deriv=True)
+                lhs = x * (di_plus + di_minus) - nu * (i_plus + i_minus)
                 rhs = x * bessel_i_tilde(nu, x).conjugate()
-                assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
+                assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
 class TestBesselDerivativeIdentity:
@@ -243,11 +242,49 @@ class TestBesselDerivativeIdentity:
         for k in (0.5, 1.0):
             nu = complex(0.5, k)
             for x in (0.5, 1.0, 2.0):
-                h = 0.01 * max(1.0, x)
-                d = fd_derivatives(lambda t: bessel_k_quad(nu, t), x, h)
-                lhs = x * d[1] + nu * d[0]
+                kv, dk = bessel_k_quad(nu, x, deriv=True)
+                lhs = x * dk + nu * kv
                 rhs = -x * bessel_k_quad(nu - 1, x)
-                assert abs(lhs - rhs) <= 1e-7 * abs(rhs)
+                assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
+
+
+class TestDerivatives:
+    """Each kernel's derivatives against mp.diff of mpmath's own whitw,
+    whitm, besseli and besselk, whose formulas the kernels do not share."""
+
+    DERIV_TOL = 1e-12
+
+    def _check(self, got, fn, at, orders):
+        import mpmath as mp
+        for order, value in zip(orders, got):
+            want = complex(mp.diff(fn, at, order))
+            assert abs(value - want) <= self.DERIV_TOL * abs(want), (at, order)
+
+    @pytest.mark.parametrize("n", [0, 3, 8])
+    def test_against_mpmath(self, n):
+        import mpmath as mp
+        with mp.workdps(30):
+            for k in (0.5, 1.0, 2.0):
+                kappa, mu, nu = n + 0.5, 1j * k, complex(-0.5, k)
+                for x in (0.5, 2.0, 4.0):
+                    self._check(whittaker_w(kappa, mu, 2 * x, deriv=True),
+                                lambda z: mp.whitw(kappa, mu, z), 2 * x, (0, 1, 2))
+                    self._check(whittaker_m(kappa, mu, 2 * x, deriv=True),
+                                lambda z: mp.whitm(kappa, mu, z), 2 * x, (0, 1, 2))
+                    self._check(bessel_i(nu, x, deriv=True),
+                                lambda t: mp.besseli(nu, t), x, (0, 1))
+                    self._check(bessel_k_quad(nu, x, deriv=True),
+                                lambda t: mp.besselk(nu, t), x, (0, 1))
+
+    def test_no_derivatives_on_laguerre_branch(self):
+        with pytest.raises(DegenerateParameterError):
+            whittaker_w(1.5, 0.0, 2.0, deriv=True)
+
+    def test_values_are_the_value_only_calls(self):
+        nu = complex(-0.5, 1.0)
+        assert whittaker_w(3.5, 1j, 3.0, deriv=True)[0] == whittaker_w(3.5, 1j, 3.0)
+        assert whittaker_m(3.5, 1j, 3.0, deriv=True)[0] == whittaker_m(3.5, 1j, 3.0)
+        assert bessel_i(nu, 1.5, deriv=True)[0] == bessel_i(nu, 1.5)
 
 
 class TestAsymptotics:

@@ -6,18 +6,23 @@ import math
 
 import pytest
 
+import wbident.ode
 from wbident.config import EvalConfig
-from wbident.errors import InvariantViolationError, StepInstabilityError
-from wbident.kernels import OrderParams, bessel_i, bessel_k_quad, whittaker_m
+from wbident.errors import InvariantViolationError
+from wbident.kernels import OrderParams, bessel_i, whittaker_w
 from wbident.lambda_poly import coeffs_from_recurrence
-from wbident.ode import (SolutionConstants, basis_products, c4_closed_form,
-                         constants_closed_form, constants_defining_system,
-                         constants_printed_system, coupled_residual,
+from wbident.ode import (SolutionConstants, basis_products, bessel_ode_coeffs,
+                         c4_closed_form, constants_closed_form,
+                         constants_defining_system, constants_printed_system,
+                         coupled_residual, factor_derivatives,
                          indicial_analysis, indicial_reports,
-                         lambda_reconstruction, ode4_coeffs, ode4_residual,
-                         printed_relation_residuals, product_solution_check,
+                         lambda_reconstruction, lift_derivatives, ode4_coeffs,
+                         ode4_residual, printed_relation_residuals,
+                         product_derivatives, product_solution_check,
                          resolve_constants, solution_constants,
-                         trial_condition_check)
+                         trial_condition_check, whittaker_operator_residual)
+
+ODE4_TOL = EvalConfig().ode4_tol
 
 
 class TestCoupledResidual:
@@ -92,27 +97,41 @@ class TestOde4Residual:
                 r = ode4_residual(poly, OrderParams(n=n, k=k), x)
                 assert r <= 1e-8, (n, k, x)
 
-    def test_kw_product_fd(self):
+    def test_kw_product(self):
         params = OrderParams(n=1, k=1.0)
-        f = basis_products(params)["K*W"]
-        assert ode4_residual(f, params, 2.0) <= 1e-4
+        derivs = basis_products(params, 2.0)["K*W"]
+        assert ode4_residual(derivs, params, 2.0) <= ODE4_TOL
 
     def test_exponential_control(self):
+        # y = e^x: every derivative is e^x
         params = OrderParams(n=1, k=1.0)
-        r = ode4_residual(cmath.exp, params, 1.5)
+        r = ode4_residual([cmath.exp(1.5)] * 5, params, 1.5)
         assert r >= 1e-1
 
-    def test_step_instability_error(self):
-        # unresolved pseudo-random noise: the residual changes wildly between
-        # the two steps while staying above the noise floor
-        params = OrderParams(n=1, k=1.0)
-        base = basis_products(params)["K*W"]
 
-        def noisy(x):
-            return base(x) + 3e-8 * math.sin(3e8 * x * x)
+class TestDerivativeLift:
+    def test_lift_matches_polynomial_solution(self):
+        # y = x^3 solves y'' = (1/x) y' + (3/x^2) y
+        x = 1.7
+        p = (1 / x, -1 / x ** 2, 2 / x ** 3)
+        q = (3 / x ** 2, -6 / x ** 3, 18 / x ** 4)
+        got = lift_derivatives(x ** 3, 3 * x ** 2, p, q)
+        want = [x ** 3, 3 * x ** 2, 6 * x, 6.0, 0.0]
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-13 * max(1.0, abs(w))
 
-        with pytest.raises(StepInstabilityError):
-            ode4_residual(noisy, params, 2.0)
+    def test_leibniz_rule(self):
+        # (e^x * e^{2x})^{(j)} = 3^j e^{3x}
+        x = 0.3
+        f = [math.exp(x)] * 5
+        g = [2 ** j * math.exp(2 * x) for j in range(5)]
+        got = product_derivatives(f, g)
+        for j in range(5):
+            assert abs(got[j] - 3 ** j * math.exp(3 * x)) <= 1e-13 * 3 ** j
+
+    def test_unknown_factor(self):
+        with pytest.raises(KeyError):
+            factor_derivatives("J", OrderParams(n=1, k=1.0), 1.0)
 
 
 class TestProductSolutions:
@@ -123,26 +142,46 @@ class TestProductSolutions:
         assert rep.passed, (n, k, rep.max_residual)
 
     def test_itilde_product_solves(self):
+        # I-tilde = I_nu + I_{-nu} solves the same Bessel equation as I_nu
         params = OrderParams(n=1, k=1.0)
-
-        def itilde_m(x):
-            nu = complex(-0.5, params.k)
-            it = bessel_i(nu, x) + bessel_i(-nu, x)
-            return it * whittaker_m(params.n + 0.5, 1j * params.k, 2 * x)
-
+        nu = complex(-0.5, params.k)
         for x in (0.5, 1.0, 2.0, 4.0):
-            assert ode4_residual(itilde_m, params, x) <= 1e-4
+            i_plus, di_plus = bessel_i(nu, x, deriv=True)
+            i_minus, di_minus = bessel_i(-nu, x, deriv=True)
+            itilde = lift_derivatives(i_plus + i_minus, di_plus + di_minus,
+                                      *bessel_ode_coeffs(nu, x))
+            derivs = product_derivatives(
+                itilde, factor_derivatives("M", params, x))
+            assert ode4_residual(derivs, params, x) <= ODE4_TOL
 
     def test_control_non_solution_fails(self):
         # K times a Whittaker M with shifted first index is not in the basis
         params = OrderParams(n=1, k=1.0)
+        shifted = OrderParams(n=params.n + 1, k=params.k)
 
         def control(x):
-            return (bessel_k_quad(complex(-0.5, 1.0), x)
-                    * whittaker_m(params.n + 1.5, 1j, 2 * x))
+            return product_derivatives(factor_derivatives("K", params, x),
+                                       factor_derivatives("M", shifted, x))
 
-        worst = max(ode4_residual(control, params, x) for x in (0.5, 1.0, 2.0))
+        worst = max(ode4_residual(control(x), params, x) for x in (0.5, 1.0, 2.0))
         assert worst >= 1e-1
+
+    def test_one_kernel_evaluation_per_factor_and_point(self, monkeypatch):
+        calls = []
+        for name in ("bessel_i", "bessel_k_quad", "whittaker_m", "whittaker_w"):
+            kernel = getattr(wbident.ode, name)
+
+            def counted(*args, _kernel=kernel, _name=name, **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(wbident.ode, name, counted)
+        rep = product_solution_check(OrderParams(n=2, k=0.5))
+        assert rep.passed
+        # four factors at each of the four default grid points
+        assert len(calls) == 16
+        assert sorted(set(calls)) == ["bessel_i", "bessel_k_quad",
+                                      "whittaker_m", "whittaker_w"]
 
     def test_printed_variant_fails_products(self):
         rep = product_solution_check(OrderParams(n=1, k=1.0), variant="printed")
@@ -161,7 +200,14 @@ class TestTrialConditions:
     def test_whittaker_equation_residual_small(self):
         reports = trial_condition_check(OrderParams(n=3, k=1.0), [1.0, 2.0])
         eq = [r for r in reports if r.check_name == "trial-whittaker-equation"][0]
-        assert eq.max_residual <= 1e-6
+        assert eq.max_residual <= EvalConfig().whittaker_eq_tol
+
+    def test_whittaker_equation_control_fails(self):
+        # W with first index n+3/2 solves a different Whittaker equation;
+        # its term-by-term second derivative must expose that
+        n, k, x = 3, 1.0, 1.0
+        w, _, w2 = whittaker_w(n + 1.5, 1j * k, 2 * x, deriv=True)
+        assert whittaker_operator_residual(w, 4 * w2, n, k, x) >= 1e-1
 
 
 class TestIndicial:

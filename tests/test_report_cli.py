@@ -136,7 +136,8 @@ class TestConfig:
         assert cfg.series_rel_tol == 1e-16
         assert cfg.series_max_terms == 1000
         assert cfg.quad_step == 1.0 / 64
-        assert cfg.fd_step == 1e-2
+        assert cfg.ode4_tol == 1e-10
+        assert cfg.second_order_tol == 1e-12
         assert cfg.k_zero_threshold == 0.0
 
     def test_invariants_enforced(self):
@@ -157,6 +158,14 @@ class TestConfig:
         p.write_text('{"no_such_field": 1}')
         with pytest.raises(ValueError):
             load_config(str(p))
+
+    def test_removed_fields_rejected(self, tmp_path):
+        for field in ("fd_step", "fd_instability_floor",
+                      "itilde_recurrence_tol", "bessel_derivative_tol"):
+            p = tmp_path / "cfg.json"
+            p.write_text(f'{{"{field}": 1e-2}}')
+            with pytest.raises(ValueError):
+                load_config(str(p))
 
     def test_env_var_override(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.json"
@@ -215,6 +224,10 @@ class TestCli:
 
     def test_coupled_tol_override_can_fail(self, capsys):
         assert main(["verify", "--check", "coupled", "--n", "5", "--k", "0.5",
+                     "--tol", "1e-300"]) == 1
+
+    def test_second_order_tol_override_can_fail(self, capsys):
+        assert main(["verify", "--check", "second-order", "--n", "4", "--k", "1.0",
                      "--tol", "1e-300"]) == 1
 
     def test_structured_error_exit_code(self, capsys, tmp_path):
