@@ -16,12 +16,25 @@ quadrature loop as the value: term by term for the series (first and second
 derivative for M and W, first for I) and by differentiating under the
 integral for K (DLMF 10.32.9).  The value they return is the value-only
 call's, bit for bit, except that K's halving test then covers both numbers.
+
+Inside a ``with kernel_table():`` block (``run_suite`` runs in one) the five
+public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
+``bessel_k_quad`` and ``bessel_k_via_w`` evaluate each distinct argument
+tuple once: a repeated call with equal positional and keyword arguments
+(``config`` and ``deriv`` included) returns the stored value.  Only returned
+values are stored; a raising call stores nothing.  The table lives in a
+``contextvars.ContextVar`` and is dropped when the block exits, so outside
+it nothing is looked up or kept.  A repeated call does not re-issue the
+``NearDegeneracyWarning`` of its first evaluation.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +44,35 @@ from .config import EvalConfig, default_config
 from .core import laguerre
 from .errors import (ConvergenceError, DegenerateParameterError,
                      NearDegeneracyWarning, PoleError)
+
+
+_TABLE: ContextVar[dict | None] = ContextVar("wbident_kernel_table", default=None)
+_MISSING = object()
+
+
+@contextlib.contextmanager
+def kernel_table():
+    """Evaluate each kernel value once while the block runs (see the module
+    docstring); the table is dropped on exit, also when the block raises."""
+    token = _TABLE.set({})
+    try:
+        yield
+    finally:
+        _TABLE.reset(token)
+
+
+def _tabled(fn):
+    @functools.wraps(fn)
+    def kernel(*args, **kwargs):
+        table = _TABLE.get()
+        if table is None:
+            return fn(*args, **kwargs)
+        key = (fn, args, tuple(kwargs.items()))
+        value = table.get(key, _MISSING)
+        if value is _MISSING:
+            value = table[key] = fn(*args, **kwargs)
+        return value
+    return kernel
 
 
 @dataclass(frozen=True)
@@ -123,6 +165,7 @@ def _whittaker_m_ld(kappa, mu, z: float, config: EvalConfig, deriv: bool = False
     return pref * ser
 
 
+@_tabled
 def whittaker_m(kappa, mu, z: float, config: EvalConfig | None = None, *,
                 deriv: bool = False):
     """Whittaker M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu} M(1/2+mu-kappa, 1+2mu, z);
@@ -143,6 +186,7 @@ def _laguerre_whittaker_w(n: int, z: float) -> float:
             * math.exp(-z / 2) * laguerre(n, z))
 
 
+@_tabled
 def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
                 deriv: bool = False):
     """Whittaker W_{kappa,mu}(z); with deriv, the tuple
@@ -172,9 +216,9 @@ def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
     if dist == 0.0:
         if two_mu == 0:
             if kappa.imag == 0.0:
-                n_real = kappa.real - 0.5
+                n_real = kappa.real - 0.5      # exact for kappa = n + 1/2
                 n = round(n_real)
-                if n >= 0 and abs(n_real - n) < 1e-12:
+                if n >= 0 and n_real == n:
                     if deriv:
                         raise DegenerateParameterError(
                             "whittaker_w: derivatives are not provided on the "
@@ -205,6 +249,7 @@ def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
     return (term_a + term_b).to_complex()
 
 
+@_tabled
 def bessel_k_quad(nu, x: float, config: EvalConfig | None = None, *,
                   deriv: bool = False):
     """K_nu(x) by trapezoid quadrature of int_0^inf e^{-x cosh t} cosh(nu t) dt.
@@ -252,6 +297,7 @@ def bessel_k_quad(nu, x: float, config: EvalConfig | None = None, *,
         f"bessel_k_quad: no convergence after {config.quad_max_halvings} halvings")
 
 
+@_tabled
 def bessel_k_via_w(nu, x: float, config: EvalConfig | None = None) -> complex:
     """K_nu(x) = sqrt(pi/(2x)) W_{0,nu}(2x); requires 2*nu not an integer
     (use bessel_k_quad for half-integer and real-integer orders)."""
@@ -261,6 +307,7 @@ def bessel_k_via_w(nu, x: float, config: EvalConfig | None = None) -> complex:
     return math.sqrt(math.pi / (2 * x)) * whittaker_w(0.0, nu, 2 * x, config)
 
 
+@_tabled
 def bessel_i(nu, x: float, config: EvalConfig | None = None, *,
              deriv: bool = False):
     """I_nu(x) by the ascending series sum_m t_m with
@@ -293,7 +340,7 @@ def bessel_i(nu, x: float, config: EvalConfig | None = None, *,
                 return s.to_complex()
         else:
             small = 0
-        t = t * x2 / (CLD(m + 1) * (CLD(m + 1) + CLD.from_complex(nu)))
+        t = t * x2 / (CLD(m + 1) * (CLD(m + 1) + nu_ld))
     raise ConvergenceError(
         f"bessel_i series did not converge within {config.series_max_terms} terms")
 

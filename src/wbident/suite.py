@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from .config import EvalConfig, default_config
 from .core import SQRT_PI
-from .kernels import OrderParams, bessel_k_quad, bessel_k_via_w, whittaker_w
+from .kernels import (OrderParams, bessel_k_quad, bessel_k_via_w, kernel_table,
+                      whittaker_w)
 from .lambda_poly import (CoeffVector, coeffs_from_recurrence,
                           collocation_oracle, check_second_order,
                           first_order_residuals, laguerre_closed_form)
@@ -152,7 +153,9 @@ def run_suite(config: EvalConfig | None = None,
 
     Individual check failures are recorded and the suite continues; kernel
     non-convergence aborts (it poisons every downstream number).  Advisory
-    failures land in the discrepancy ledger, not the exit status.
+    failures land in the discrepancy ledger, not the exit status.  The checks
+    run inside ``kernel_table()``, so each kernel value is evaluated once per
+    call.
     """
     config = config or default_config()
     if n_max > 25:
@@ -163,66 +166,67 @@ def run_suite(config: EvalConfig | None = None,
     reports: list[ResidualReport] = []
     ledger: list[str] = []
 
-    # 1. kernel cross-checks
-    reports += kernel_cross_reports(k_set, x_grid, n_max, config)
+    with kernel_table():
+        # 1. kernel cross-checks
+        reports += kernel_cross_reports(k_set, x_grid, n_max, config)
 
-    # 2 + 4 + 5. coefficients, coupled equation, identity per (n, k) cell
-    for n in range(n_max + 1):
-        for k in ks_pos:
-            params = OrderParams(n=n, k=k)
-            cv, reps = coefficient_reports(params, config)
-            reports += reps
-            reports.append(coupled_residual(cv, config))
-            reports.append(check_second_order(cv, "printed", config))
-            reports.append(check_second_order(cv, "derived", config))
-            reports.append(verify_identity(params, x_grid, config))
-    if not ks_pos or 0.0 in k_set:
+        # 2 + 4 + 5. coefficients, coupled equation, identity per (n, k) cell
         for n in range(n_max + 1):
-            params = OrderParams(n=n, k=0.0)
-            reports.append(verify_identity(params, x_grid, config))
+            for k in ks_pos:
+                params = OrderParams(n=n, k=k)
+                cv, reps = coefficient_reports(params, config)
+                reports += reps
+                reports.append(coupled_residual(cv, config))
+                reports.append(check_second_order(cv, "printed", config))
+                reports.append(check_second_order(cv, "derived", config))
+                reports.append(verify_identity(params, x_grid, config))
+        if not ks_pos or 0.0 in k_set:
+            for n in range(n_max + 1):
+                params = OrderParams(n=n, k=0.0)
+                reports.append(verify_identity(params, x_grid, config))
 
-    # 3. oracle equivalence
-    oracle_n = min(n_max, 8 if use_oracle else 2)
-    oracle_ks = [k for k in ks_pos if k >= 0.5] or ks_pos
-    precision = "auto" if use_oracle else "double"
-    for n in range(oracle_n + 1):
-        for k in oracle_ks:
-            reports.append(oracle_equivalence_report(
-                OrderParams(n=n, k=k), config, precision))
+        # 3. oracle equivalence
+        oracle_n = min(n_max, 8 if use_oracle else 2)
+        oracle_ks = [k for k in ks_pos if k >= 0.5] or ks_pos
+        precision = "auto" if use_oracle else "double"
+        for n in range(oracle_n + 1):
+            for k in oracle_ks:
+                reports.append(oracle_equivalence_report(
+                    OrderParams(n=n, k=k), config, precision))
 
-    # 6. fourth-order basis checks
-    ode_ks = [k for k in ks_pos if 0.4 <= k <= 1.5][:2] or ks_pos[:1]
-    for n in range(min(n_max, 4) + 1):
-        for k in ode_ks:
+        # 6. fourth-order basis checks
+        ode_ks = [k for k in ks_pos if 0.4 <= k <= 1.5][:2] or ks_pos[:1]
+        for n in range(min(n_max, 4) + 1):
+            for k in ode_ks:
+                reports.append(product_solution_check(
+                    OrderParams(n=n, k=k), config, variant="corrected"))
+        if ode_ks:
             reports.append(product_solution_check(
-                OrderParams(n=n, k=k), config, variant="corrected"))
-    if ode_ks:
-        reports.append(product_solution_check(
-            OrderParams(n=1, k=ode_ks[0]), config, variant="printed"))
-        reports += trial_condition_check(
-            OrderParams(n=2, k=ode_ks[0]), [x for x in x_grid if 0.5 <= x <= 6],
-            config)
+                OrderParams(n=1, k=ode_ks[0]), config, variant="printed"))
+            reports += trial_condition_check(
+                OrderParams(n=2, k=ode_ks[0]), [x for x in x_grid if 0.5 <= x <= 6],
+                config)
 
-    # 7. indicial analysis
-    for k in ks_pos:
-        reports += indicial_reports(OrderParams(n=2, k=k), config)
-
-    # 8. constants and reconstruction
-    recon_grid = [x for x in x_grid if 0.5 <= x <= 6] or [0.5, 1.0, 2.0, 4.0]
-    for n in range(min(n_max, 6) + 1):
+        # 7. indicial analysis
         for k in ks_pos:
-            params = OrderParams(n=n, k=k)
-            reports.append(lambda_reconstruction(params, recon_grid, config))
-    if ks_pos:
-        params = OrderParams(n=min(n_max, 2), k=ks_pos[-1])
-        _, _, notes = resolve_constants(params, config)
-        ledger += [f"constants n={params.n} k={params.k}: {note}" for note in notes]
+            reports += indicial_reports(OrderParams(n=2, k=k), config)
+
+        # 8. constants and reconstruction
+        recon_grid = [x for x in x_grid if 0.5 <= x <= 6] or [0.5, 1.0, 2.0, 4.0]
+        for n in range(min(n_max, 6) + 1):
+            for k in ks_pos:
+                params = OrderParams(n=n, k=k)
+                reports.append(lambda_reconstruction(params, recon_grid, config))
+        if ks_pos:
+            params = OrderParams(n=min(n_max, 2), k=ks_pos[-1])
+            _, _, notes = resolve_constants(params, config)
+            ledger += [f"constants n={params.n} k={params.k}: {note}" for note in notes]
+            reports.append(lambda_reconstruction(
+                params, recon_grid, config,
+                constants=constants_printed_system(params),
+                check_name="reconstruction-printed-constants"))
         reports.append(lambda_reconstruction(
-            params, recon_grid, config,
-            constants=constants_printed_system(params),
-            check_name="reconstruction-printed-constants"))
-    reports.append(lambda_reconstruction(
-        OrderParams(n=min(n_max, 2), k=0.0), recon_grid, config))
+            OrderParams(n=min(n_max, 2), k=0.0), recon_grid, config))
 
     for rep in reports:
         if rep.advisory and not rep.passed:

@@ -3,8 +3,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
+from wbident import kernels
 from wbident.config import EvalConfig
 from wbident.core import laguerre
 from wbident.errors import (ConvergenceError, DegenerateParameterError,
@@ -106,6 +108,11 @@ class TestWhittakerW:
     def test_mu_zero_requires_half_integer_kappa(self):
         with pytest.raises(DegenerateParameterError):
             whittaker_w(0.7, 0.0, 2.0)
+
+    def test_mu_zero_kappa_test_is_exact(self):
+        # n + 1/2 is exact in binary; a kappa 1e-13 off it is not n + 1/2
+        with pytest.raises(DegenerateParameterError):
+            whittaker_w(2.5 + 1e-13, 0.0, 2.0)
 
     def test_near_degeneracy_warning(self):
         with pytest.warns(NearDegeneracyWarning):
@@ -285,6 +292,73 @@ class TestDerivatives:
         assert whittaker_w(3.5, 1j, 3.0, deriv=True)[0] == whittaker_w(3.5, 1j, 3.0)
         assert whittaker_m(3.5, 1j, 3.0, deriv=True)[0] == whittaker_m(3.5, 1j, 3.0)
         assert bessel_i(nu, 1.5, deriv=True)[0] == bessel_i(nu, 1.5)
+
+    # (I, I') as float.hex of (Re I, Im I, Re I', Im I'), recorded with the
+    # Gamma(m+nu+1) factor of each series term rebuilt from nu on every term
+    BESSEL_I_BITS = {
+        (complex(-0.5, 1.0), 0.5): ("0x1.bf5a93d70dce8p+1", "-0x1.d2e7e12d4e614p+0",
+                                    "0x1.5101fb74d5cbdp-3", "0x1.fb7f5456f6b1dp+2"),
+        (complex(-0.5, 1.0), 1.5): ("0x1.6c027a9f9cf56p+1", "0x1.78e057ece51f2p-1",
+                                    "0x1.3d8867f4fc600p-3", "0x1.236107cdc6effp-1"),
+        (complex(-0.5, 1.0), 4.0): ("0x1.908d2f649902ep+3", "0x1.e78f8b127ae85p+0",
+                                    "0x1.4cd6d324ea575p+3", "0x1.f4d2c79e54b56p-1"),
+        (complex(0.5, -2.0), 0.5): ("-0x1.0dbd37920cf0fp+1", "-0x1.b43cd02a67048p-1",
+                                    "-0x1.64d40b0602195p+2", "0x1.d6ea09bfcf211p+2"),
+        (complex(0.5, -2.0), 1.5): ("0x1.8dba3b363d375p-2", "0x1.1cb7146a8966cp+2",
+                                    "0x1.485078ae4e56ep+2", "0x1.ec3d4aac50826p+0"),
+        (complex(0.5, -2.0), 4.0): ("0x1.2833afb6697ddp+4", "0x1.a4fc5121ff5a5p+2",
+                                    "0x1.c3d5167a68332p+3", "0x1.11f7c62ee9a1fp+1"),
+    }
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="bits recorded with the x86 80-bit long double")
+    def test_bessel_i_bits_unchanged(self):
+        for (nu, x), bits in self.BESSEL_I_BITS.items():
+            i, di = bessel_i(nu, x, deriv=True)
+            assert bessel_i(nu, x) == i
+            assert (i.real.hex(), i.imag.hex(), di.real.hex(), di.imag.hex()) == bits
+
+
+class TestKernelTable:
+    def test_equal_arguments_evaluated_once(self):
+        calls = []
+
+        def count(*args, **kwargs):
+            calls.append((args, kwargs))
+            return len(calls)
+
+        counted = kernels._tabled(count)
+        assert counted(1.0, 2.0) == 1 and counted(1.0, 2.0) == 2     # no table
+        with kernels.kernel_table():
+            assert counted(1.0, 2.0) == 3
+            assert counted(1.0, 2.0) == 3
+            assert counted(1.0, 2.0, deriv=True) == 4
+            assert counted(1.0, 2.0, deriv=True) == 4
+        assert counted(1.0, 2.0) == 5
+
+    def test_raising_call_stores_nothing(self):
+        cfg = EvalConfig(series_max_terms=10)
+        with kernels.kernel_table():
+            for _ in range(2):
+                with pytest.raises(ConvergenceError):
+                    bessel_i(0.5j, 50.0, cfg)
+            assert kernels._TABLE.get() == {}
+        with pytest.raises(ValueError):
+            with kernels.kernel_table():
+                raise ValueError
+        assert kernels._TABLE.get() is None
+
+    def test_values_match_untabled_calls(self):
+        nu = complex(0.5, 1.0)
+        plain = [whittaker_w(3.5, 1j, 3.0), whittaker_m(3.5, 1j, 3.0, deriv=True),
+                 bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5, deriv=True),
+                 bessel_k_via_w(nu, 1.5)]
+        with kernels.kernel_table():
+            for _ in range(2):
+                assert [whittaker_w(3.5, 1j, 3.0),
+                        whittaker_m(3.5, 1j, 3.0, deriv=True),
+                        bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5, deriv=True),
+                        bessel_k_via_w(nu, 1.5)] == plain
 
 
 class TestAsymptotics:

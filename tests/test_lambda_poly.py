@@ -1,6 +1,8 @@
 """Tests for coefficient construction, conventions, and the collocation oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbident.core import SQRT_PI
 from wbident.errors import IllConditionedError, InvariantViolationError
@@ -63,6 +65,13 @@ class TestRecurrence:
         for n in (3, 8, 15, 20):
             cv = coeffs_from_recurrence(OrderParams(n=n, k=k))
             assert max(first_order_residuals(cv), default=0.0) <= 1e-12
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(0, 25), k=st.floats(1e-3, 5.0))
+    def test_negative_k_is_exact_conjugate(self, n, k):
+        plus = coeffs_from_recurrence(OrderParams(n=n, k=k)).a
+        minus = coeffs_from_recurrence(OrderParams(n=n, k=-k)).a
+        assert minus == tuple(c.conjugate() for c in plus)
 
     def test_degree_structure(self):
         cv = coeffs_from_recurrence(OrderParams(n=5, k=0.7))

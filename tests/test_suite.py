@@ -1,0 +1,76 @@
+"""Tests for run_suite's kernel table: each kernel value is evaluated once
+per run, the table ends with the run, and the reports do not change."""
+
+import sys
+from collections import Counter
+
+import pytest
+
+import wbident.suite
+from wbident import kernels
+from wbident.config import EvalConfig
+from wbident.ode import constants_printed_system, lambda_reconstruction
+from wbident.suite import run_suite, verify_identity
+
+SMALL = dict(n_max=2, k_set=(0.5, 1.0), x_grid=(0.5, 1.0, 2.0))
+KERNELS = ("whittaker_m", "whittaker_w", "bessel_i", "bessel_k_quad", "bessel_k_via_w")
+
+
+def test_no_table_after_return_or_raise(monkeypatch):
+    seen = []
+    cross = wbident.suite.kernel_cross_reports
+
+    def spy(*args):
+        seen.append(kernels._TABLE.get())
+        return cross(*args)
+
+    monkeypatch.setattr(wbident.suite, "kernel_cross_reports", spy)
+    run_suite(n_max=0, k_set=(1.0,), x_grid=(0.5,))
+    assert seen[-1] is not None
+    assert kernels._TABLE.get() is None
+    with pytest.raises(ValueError, match="identity grid"):
+        run_suite(n_max=0, k_set=(1.0,), x_grid=(0.5, 9.0))
+    assert seen[-1] is not None
+    assert kernels._TABLE.get() is None
+
+
+def test_each_kernel_value_evaluated_once():
+    # count entries into the undecorated kernels' code, keyed by the
+    # arguments they were entered with
+    codes = {getattr(kernels, name).__wrapped__.__code__ for name in KERNELS}
+    evaluated = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            code = frame.f_code
+            names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+            evaluated[code.co_name, tuple(frame.f_locals[v] for v in names)] += 1
+
+    sys.setprofile(profile)
+    try:
+        run_suite(**SMALL)
+    finally:
+        sys.setprofile(None)
+    assert {name for name, _ in evaluated} == set(KERNELS)
+    assert max(evaluated.values()) == 1
+
+
+def test_reports_equal_checks_outside_the_run():
+    config = EvalConfig()
+    result = run_suite(config, **SMALL)
+    checked = 0
+    for rep in result.reports:
+        if rep.check_name == "identity":
+            outside = verify_identity(rep.params, rep.grid, config)
+        elif rep.check_name == "reconstruction-printed-constants":
+            outside = lambda_reconstruction(
+                rep.params, rep.grid, config,
+                constants=constants_printed_system(rep.params),
+                check_name=rep.check_name)
+        elif rep.check_name.startswith("lambda-reconstruction"):
+            outside = lambda_reconstruction(rep.params, rep.grid, config)
+        else:
+            continue
+        assert outside == rep
+        checked += 1
+    assert checked == 3 * 2 + 3 * 2 + 2
