@@ -2,10 +2,10 @@
 Whittaker-Bessel identity W_{n+1/2,ik}(2x) = x L(x) K_{1/2+ik}(x) + c.c."""
 
 from .config import EvalConfig, default_config, load_config
-from .core import PolyC, gamma, laguerre, log_gamma, pochhammer
-from .errors import (ConvergenceError, DegenerateParameterError,
-                     IllConditionedError, InvariantViolationError,
-                     NearDegeneracyWarning, PoleError, WbidentError)
+from .core import gamma, laguerre, log_gamma, pochhammer
+from .errors import (ConvergenceError, DegenerateParameterError, InputError,
+                     InvariantViolationError, NearDegeneracyWarning,
+                     PoleError, WbidentError)
 from .kernels import (OrderParams, bessel_i, bessel_i_tilde, bessel_k_quad,
                       bessel_k_via_w, kummer_m, whittaker_m, whittaker_w)
 from .lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS, CoeffVector,

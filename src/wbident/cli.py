@@ -6,7 +6,8 @@ Subcommands:
   verify  -- run one named check and report residuals
   suite   -- run the full verification suite
 
-Exit code 0 iff every non-advisory check passed.
+Exit code 0 iff every non-advisory check passed, 1 if one failed, and 2 on
+invalid input (an ``error:`` line on stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import sys
 
 from .config import EvalConfig, default_config, load_config
-from .errors import WbidentError
+from .errors import InputError, WbidentError
 from .kernels import (OrderParams, bessel_i, bessel_i_tilde, bessel_k_quad,
                       bessel_k_via_w, kummer_m, whittaker_m, whittaker_w)
 from .lambda_poly import (coeffs_from_recurrence, check_second_order,
@@ -69,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a kernel at given parameters")
     p.add_argument("kernel", choices=sorted(_EVAL_KERNELS))
-    p.add_argument("args", nargs="+",
+    p.add_argument("args", nargs="+", type=complex,
                    help="kernel arguments as complex literals, e.g. 1.5 1j 2.0")
 
     p = sub.add_parser("verify", help="run a single check")
@@ -110,13 +111,15 @@ def _cmd_coeffs(args, config: EvalConfig) -> int:
 
 def _cmd_eval(args, config: EvalConfig) -> int:
     fn, names, real_idx = _EVAL_KERNELS[args.kernel]
-    if len(args.args) != len(names):
-        raise SystemExit(
-            f"{args.kernel} expects {len(names)} arguments {names}, "
-            f"got {len(args.args)}")
-    values = [complex(a) for a in args.args]
-    call = [float(v.real) if i in real_idx else v
-            for i, v in enumerate(values)]
+    values = args.args
+    if len(values) != len(names):
+        build_parser().error(f"{args.kernel} expects {len(names)} arguments "
+                             f"{names}, got {len(values)}")
+    for i in real_idx:
+        if values[i].imag != 0:
+            raise InputError(f"{args.kernel}: {names[i]} must be real, "
+                             f"got {values[i]}")
+    call = [v.real if i in real_idx else v for i, v in enumerate(values)]
     result = fn(*call, config)
     print(canonical_json({
         "kernel": args.kernel,
@@ -195,7 +198,7 @@ def main(argv=None) -> int:
         if args.command == "suite":
             return _cmd_suite(args, config)
         raise SystemExit(f"unknown command {args.command}")
-    except WbidentError as exc:
+    except (WbidentError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

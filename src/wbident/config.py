@@ -12,6 +12,8 @@ import json
 import os
 from dataclasses import dataclass
 
+from .errors import InputError
+
 ENV_CONFIG_VAR = "WBIDENT_CONFIG"
 
 
@@ -33,7 +35,6 @@ class EvalConfig:
     mu_degeneracy_tol: float = 1e-6       # warn when 2*mu is this close to an integer
 
     # collocation oracle
-    collocation_cond_limit: float = 1e10
     collocation_escalate_cond: float = 1e6
     collocation_resid_tol: float = 1e-8
 
@@ -58,7 +59,7 @@ class EvalConfig:
         positive = [
             "series_rel_tol", "quad_step", "quad_rel_tol",
             "k_refuse_threshold", "mu_degeneracy_tol",
-            "collocation_cond_limit", "collocation_escalate_cond",
+            "collocation_escalate_cond",
             "collocation_resid_tol", "top_coeff_tol", "coupled_tol",
             "second_order_tol", "identity_tol", "ode4_tol", "whittaker_eq_tol",
             "kernel_cross_tol", "realness_tol", "indicial_tol",
@@ -66,31 +67,40 @@ class EvalConfig:
         ]
         for name in positive:
             if not getattr(self, name) > 0:
-                raise ValueError(f"EvalConfig.{name} must be positive")
+                raise InputError(f"EvalConfig.{name} must be positive")
         if self.series_max_terms < 10:
-            raise ValueError("EvalConfig.series_max_terms must be >= 10")
+            raise InputError("EvalConfig.series_max_terms must be >= 10")
         if self.quad_cutoff is not None and self.quad_cutoff <= 0:
-            raise ValueError("EvalConfig.quad_cutoff must be positive or None")
+            raise InputError("EvalConfig.quad_cutoff must be positive or None")
         if self.k_zero_threshold < 0:
-            raise ValueError("EvalConfig.k_zero_threshold must be >= 0")
+            raise InputError("EvalConfig.k_zero_threshold must be >= 0")
         if self.quad_max_halvings < 1:
-            raise ValueError("EvalConfig.quad_max_halvings must be >= 1")
+            raise InputError("EvalConfig.quad_max_halvings must be >= 1")
         if self.oracle_dps < 20:
-            raise ValueError("EvalConfig.oracle_dps must be >= 20")
+            raise InputError("EvalConfig.oracle_dps must be >= 20")
 
     def replace(self, **kw) -> "EvalConfig":
         return dataclasses.replace(self, **kw)
 
 
 def load_config(path: str) -> EvalConfig:
-    """Read an EvalConfig from a JSON file; missing keys keep their defaults."""
+    """Read an EvalConfig from a JSON file; missing keys keep their defaults.
+    A file that is not a JSON object of known fields raises InputError."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object of EvalConfig fields")
     known = {f.name for f in dataclasses.fields(EvalConfig)}
     unknown = set(data) - known
     if unknown:
-        raise ValueError(f"unknown EvalConfig keys in {path}: {sorted(unknown)}")
-    return EvalConfig(**data)
+        raise InputError(f"unknown EvalConfig keys in {path}: {sorted(unknown)}")
+    try:
+        return EvalConfig(**data)
+    except TypeError as exc:
+        raise InputError(f"invalid EvalConfig value in {path}: {exc}") from exc
 
 
 def default_config() -> EvalConfig:

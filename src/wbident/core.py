@@ -1,17 +1,16 @@
-"""Complex scalar utilities and dense complex-coefficient polynomials.
+"""Complex scalar utilities: log-gamma, gamma, Pochhammer symbols and
+Laguerre polynomials.
 
-Everything downstream (kernel evaluators, coefficient recurrences, ODE checks)
-is built on the operations in this module.
+Polynomials with complex coefficients (the Lambda factors and the
+fourth-order ODE coefficients) are numpy.polynomial.Polynomial objects.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
 
-from .errors import PoleError
+from .errors import InputError, PoleError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -63,7 +62,7 @@ def gamma(z) -> complex:
 def pochhammer(z, n: int) -> complex:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1); (z)_0 = 1."""
     if n < 0:
-        raise ValueError("pochhammer order must be a natural number")
+        raise InputError("pochhammer order must be a natural number")
     z = complex(z)
     out = 1.0 + 0.0j
     for j in range(n):
@@ -75,81 +74,10 @@ def laguerre(n: int, z: float) -> float:
     """Laguerre polynomial L_n(z) by the three-term recurrence
     (m+1) L_{m+1} = (2m+1-z) L_m - m L_{m-1}."""
     if n < 0:
-        raise ValueError("laguerre degree must be a natural number")
+        raise InputError("laguerre degree must be a natural number")
     if n == 0:
         return 1.0
     prev, cur = 1.0, 1.0 - z
     for m in range(1, n):
         prev, cur = cur, ((2 * m + 1 - z) * cur - m * prev) / (m + 1)
     return cur
-
-
-@dataclass(frozen=True)
-class PolyC:
-    """Dense complex polynomial, coefficients ascending in degree.
-
-    The zero polynomial is PolyC((0,)); otherwise the trailing coefficient is
-    nonzero after construction through `make`.
-    """
-
-    coeffs: tuple[complex, ...]
-
-    @staticmethod
-    def make(coeffs: Iterable[complex]) -> "PolyC":
-        cs = [complex(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [0j]
-        return PolyC(tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other: "PolyC") -> "PolyC":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return PolyC.make(out)
-
-    def scale(self, s) -> "PolyC":
-        s = complex(s)
-        return PolyC.make([s * c for c in self.coeffs])
-
-    def __mul__(self, other: "PolyC") -> "PolyC":
-        out = [0j] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyC.make(out)
-
-    def differentiate(self) -> "PolyC":
-        if len(self.coeffs) == 1:
-            return PolyC.make([0j])
-        return PolyC.make([m * c for m, c in enumerate(self.coeffs)][1:])
-
-    def conjugate_coeffs(self) -> "PolyC":
-        return PolyC.make([c.conjugate() for c in self.coeffs])
-
-    def evaluate(self, x) -> complex:
-        x = complex(x)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def max_coeff(self) -> float:
-        return max(abs(c) for c in self.coeffs)
-
-
-def poly_from_real(coeffs: Sequence[float]) -> PolyC:
-    return PolyC.make([complex(c) for c in coeffs])

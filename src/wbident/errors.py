@@ -18,12 +18,9 @@ class DegenerateParameterError(WbidentError):
     (e.g. the Whittaker connection formula with 2*mu a nonzero integer)."""
 
 
-class IllConditionedError(WbidentError):
-    """A least-squares design matrix exceeded the configured condition limit."""
-
-    def __init__(self, message, cond=None):
-        super().__init__(message)
-        self.cond = cond
+class InputError(WbidentError, ValueError):
+    """An argument lies outside the domain an operation accepts (a bad
+    order, grid, parameter or configuration); the CLI exits 2 on it."""
 
 
 class InvariantViolationError(WbidentError):

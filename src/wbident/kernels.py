@@ -19,7 +19,8 @@ call's, bit for bit, except that K's halving test then covers both numbers.
 
 Inside a ``with kernel_table():`` block (``run_suite`` runs in one) the five
 public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
-``bessel_k_quad`` and ``bessel_k_via_w`` evaluate each distinct argument
+``bessel_k_quad`` and ``bessel_k_via_w``, and the coefficient builder
+``lambda_poly.coeffs_from_recurrence``, evaluate each distinct argument
 tuple once: a repeated call with equal positional and keyword arguments
 (``config`` and ``deriv`` included) returns the stored value.  Only returned
 values are stored; a raising call stores nothing.  The table lives in a
@@ -42,7 +43,7 @@ import numpy as np
 from ._longdouble import CLD, LD, cexp, clog, log_gamma_ld
 from .config import EvalConfig, default_config
 from .core import laguerre
-from .errors import (ConvergenceError, DegenerateParameterError,
+from .errors import (ConvergenceError, DegenerateParameterError, InputError,
                      NearDegeneracyWarning, PoleError)
 
 
@@ -85,11 +86,11 @@ class OrderParams:
 
     def __post_init__(self):
         if self.n < 0:
-            raise ValueError("OrderParams.n must be a natural number")
+            raise InputError("OrderParams.n must be a natural number")
         if self.n > 25:
-            raise ValueError("OrderParams.n capped at 25 (coefficients grow like 2^n)")
+            raise InputError("OrderParams.n capped at 25 (coefficients grow like 2^n)")
         if not math.isfinite(self.k):
-            raise ValueError("OrderParams.k must be finite")
+            raise InputError("OrderParams.k must be finite")
 
     @property
     def kappa(self) -> float:
@@ -172,7 +173,7 @@ def whittaker_m(kappa, mu, z: float, config: EvalConfig | None = None, *,
     with deriv, the tuple (M, dM/dz, d^2M/dz^2)."""
     config = config or default_config()
     if not z > 0:
-        raise ValueError("whittaker_m requires z > 0")
+        raise InputError("whittaker_m requires z > 0")
     if _is_nonpositive_int(complex(1 + 2 * complex(mu))):
         raise PoleError(f"whittaker_m: 1+2*mu = {1 + 2 * complex(mu)} is a nonpositive integer")
     if deriv:
@@ -204,7 +205,7 @@ def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
     """
     config = config or default_config()
     if not z > 0:
-        raise ValueError("whittaker_w requires z > 0")
+        raise InputError("whittaker_w requires z > 0")
     kappa = complex(kappa)
     mu = complex(mu)
 
@@ -262,10 +263,10 @@ def bessel_k_quad(nu, x: float, config: EvalConfig | None = None, *,
     """
     config = config or default_config()
     if not x > 0:
-        raise ValueError("bessel_k_quad requires x > 0")
+        raise InputError("bessel_k_quad requires x > 0")
     nu = complex(nu)
     if not abs(nu.real) < 1:
-        raise ValueError("bessel_k_quad requires |Re nu| < 1")
+        raise InputError("bessel_k_quad requires |Re nu| < 1")
 
     if config.quad_cutoff is not None:
         cutoff = config.quad_cutoff
@@ -303,7 +304,7 @@ def bessel_k_via_w(nu, x: float, config: EvalConfig | None = None) -> complex:
     (use bessel_k_quad for half-integer and real-integer orders)."""
     config = config or default_config()
     if not x > 0:
-        raise ValueError("bessel_k_via_w requires x > 0")
+        raise InputError("bessel_k_via_w requires x > 0")
     return math.sqrt(math.pi / (2 * x)) * whittaker_w(0.0, nu, 2 * x, config)
 
 
@@ -316,7 +317,7 @@ def bessel_i(nu, x: float, config: EvalConfig | None = None, *,
     I' = sum_m (2m+nu)/x t_m."""
     config = config or default_config()
     if not x > 0:
-        raise ValueError("bessel_i requires x > 0")
+        raise InputError("bessel_i requires x > 0")
     nu = complex(nu)
     if nu.imag == 0.0 and nu.real < 0 and nu.real == round(nu.real):
         nu = -nu                      # integer order: I_{-n} = I_n

@@ -35,11 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from .config import EvalConfig, default_config
-from .core import SQRT_PI, PolyC
-from .errors import IllConditionedError, InvariantViolationError
-from .kernels import OrderParams, bessel_k_quad, whittaker_w
+from .core import SQRT_PI
+from .errors import InputError, InvariantViolationError
+from .kernels import OrderParams, _tabled, bessel_k_quad, whittaker_w
 
 CONVENTION_MINUS = "(1-ik)_n"       # resolved convention
 CONVENTION_PLUS = "(1+ik)_n"        # mirror convention (fails the identity)
@@ -76,7 +77,7 @@ class CoeffVector:
 
     def __post_init__(self):
         if len(self.a) != self.params.n + 1:
-            raise ValueError("CoeffVector needs exactly n+1 coefficients")
+            raise InputError("CoeffVector needs exactly n+1 coefficients")
 
     def a_m(self, m: int) -> complex:
         """a_m for 0 <= m <= n+1 (a_0 = 0)."""
@@ -88,13 +89,13 @@ class CoeffVector:
     def a_top(self) -> complex:
         return self.a[-1]
 
-    def lam_poly(self) -> PolyC:
+    def lam_poly(self) -> Polynomial:
         """lambda(x), degree n+1, zero constant term."""
-        return PolyC.make((0j,) + self.a)
+        return Polynomial((0j,) + self.a)
 
-    def big_lambda_poly(self) -> PolyC:
+    def big_lambda_poly(self) -> Polynomial:
         """Lambda(x) = lambda(x)/x, degree n."""
-        return PolyC.make(self.a)
+        return Polynomial(self.a)
 
     def as_json_dict(self) -> dict:
         return {
@@ -139,6 +140,7 @@ def _exact_a1(n: int, k_exact: Fraction, convention: str) -> _QC:
     return a1
 
 
+@_tabled
 def coeffs_from_recurrence(params: OrderParams,
                            config: EvalConfig | None = None,
                            convention: str = CONVENTION_MINUS) -> CoeffVector:
@@ -147,7 +149,9 @@ def coeffs_from_recurrence(params: OrderParams,
     Works for every real k, including k = 0 (where m(m-2ik) = m^2 never
     vanishes and all coefficients come out real).  Raises
     InvariantViolationError if the top coefficient does not come out real and
-    equal to 2^n/sqrt(pi) -- the signature of a convention mistake.
+    equal to 2^n/sqrt(pi) -- the signature of a convention mistake -- and
+    InputError if a coefficient exceeds the double range (|k|^n near 1e308).
+    Inside ``kernels.kernel_table()`` each vector is built once.
     """
     config = config or default_config()
     n = params.n
@@ -164,7 +168,11 @@ def coeffs_from_recurrence(params: OrderParams,
                 f"a_{n + 1} = {_qc_to_complex(top, 1 / SQRT_PI)} deviates from "
                 f"2^n/sqrt(pi) by {dev:.3e} (relative); convention "
                 f"'{convention}' is inconsistent with the recurrence")
-    coeffs = tuple(_qc_to_complex(scaled[m], 1 / SQRT_PI) for m in range(1, n + 2))
+    try:
+        coeffs = tuple(_qc_to_complex(scaled[m], 1 / SQRT_PI) for m in range(1, n + 2))
+    except OverflowError as exc:
+        raise InputError(f"coefficients for n = {n}, k = {params.k} exceed the "
+                         "double range") from exc
     return CoeffVector(params=params, a=coeffs, convention=convention)
 
 
@@ -231,7 +239,7 @@ def _second_order_terms(n: int, k: float, m: int, variant: str):
         c1 = 4 * (1 + 2 * n) * m * (m * m - ik)
         c0 = 4.0 * (1 + 2 * m) * (n + m) * (1 + n - m)
     else:
-        raise ValueError(f"unknown second-order variant {variant!r}")
+        raise InputError(f"unknown second-order variant {variant!r}")
     return c2, c1, c0
 
 
@@ -306,53 +314,40 @@ def _collocation_double(params: OrderParams, xs, config: EvalConfig):
 
 
 def collocation_oracle(params: OrderParams, xs=None,
-                       config: EvalConfig | None = None,
-                       precision: str = "auto") -> CoeffVector:
+                       config: EvalConfig | None = None) -> CoeffVector:
     """Independent recovery of the coefficients by least-squares fit of the
     defining identity at sample points, using the kernel evaluators only
     (no recurrence information).
 
-    precision:
-      "double" -- production kernels; raises IllConditionedError when the
-                  equilibrated design matrix condition exceeds the limit
-                  (pick more / better points, or a smaller n);
-      "high"   -- 50-digit oracle kernels and QR solve (slow path);
-      "auto"   -- double, escalating to high when conditioning would cost
-                  more digits than the fit tolerance allows.
+    The fit runs in double precision on the production kernels.  When the
+    equilibrated design matrix condition exceeds collocation_escalate_cond
+    (conditioning would cost more digits than the fit tolerance allows) it
+    is redone with the 50-digit oracle kernels and QR solve.  The returned
+    vector's convention names the path that served it.
     """
     config = config or default_config()
     n, k = params.n, params.k
     if abs(k) <= config.k_zero_threshold:
-        raise ValueError("collocation oracle requires k != 0; "
+        raise InputError("collocation oracle requires k != 0; "
                          "use laguerre_closed_form for k = 0")
     if xs is None:
         xs = default_collocation_points(n)
     xs = [float(x) for x in xs]
     lo, hi = COLLOCATION_RANGE
     if len(set(xs)) < 2 * (n + 1):
-        raise ValueError(f"need at least {2 * (n + 1)} distinct points")
+        raise InputError(f"need at least {2 * (n + 1)} distinct points")
     if min(xs) < lo or max(xs) > hi:
-        raise ValueError(f"collocation points must lie in [{lo}, {hi}]")
+        raise InputError(f"collocation points must lie in [{lo}, {hi}]")
 
-    if precision not in ("double", "high", "auto"):
-        raise ValueError(f"unknown precision mode {precision!r}")
-
-    fitted = cond = resid = None
-    if precision in ("double", "auto"):
-        fitted, cond, resid = _collocation_double(params, xs, config)
-        if cond > config.collocation_cond_limit and precision == "double":
-            raise IllConditionedError(
-                f"collocation design matrix condition {cond:.2e} exceeds "
-                f"{config.collocation_cond_limit:.0e}; choose better xs",
-                cond=cond)
-        if precision == "auto" and cond > config.collocation_escalate_cond:
-            fitted = None
-    if fitted is None:
+    fitted, cond, resid = _collocation_double(params, xs, config)
+    path = "double"
+    if cond > config.collocation_escalate_cond:
         from . import oracle
         fitted, resid = oracle.collocation_fit(params, xs, config)
-
+        path = "oracle"
     if resid > config.collocation_resid_tol:
         raise InvariantViolationError(
             f"collocation fit residual {resid:.3e} exceeds "
             f"{config.collocation_resid_tol:.0e}")
-    return CoeffVector(params=params, a=tuple(fitted), convention="collocation-fit")
+    return CoeffVector(params=params, a=tuple(fitted),
+                       convention=f"collocation-fit-{path}")

@@ -25,6 +25,10 @@ gives -2(1+2ik)(i+k)(i+4k) instead, and only the corrected variant annihilates
 the product basis (and yields the indicial exponents {0, 1, 2ik, 1-2ik} that
 the basis factors' small-x behaviour predicts).  The printed variant is kept
 for the advisory comparison.
+
+Lambda and a1..a5 are numpy.polynomial.Polynomial objects (default domain
+and window, so p(x) is plain Horner evaluation); values taken from them are
+converted to Python complex before they enter a ResidualReport.
 """
 
 from __future__ import annotations
@@ -36,10 +40,11 @@ from math import comb
 
 import numpy as np
 import numpy.polynomial.polynomial as npoly
+from numpy.polynomial import Polynomial
 
 from .config import EvalConfig, default_config
-from .core import SQRT_PI, PolyC, gamma, laguerre
-from .errors import InvariantViolationError
+from .core import SQRT_PI, gamma, laguerre
+from .errors import InputError, InvariantViolationError
 from .kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                       whittaker_w)
 from .lambda_poly import CoeffVector, coeffs_from_recurrence, laguerre_closed_form
@@ -64,14 +69,14 @@ class SolutionConstants:
 class Ode4Coeffs:
     """Polynomial coefficient functions a1..a5 of the fourth-order ODE."""
 
-    a1: PolyC
-    a2: PolyC
-    a3: PolyC
-    a4: PolyC
-    a5: PolyC
+    a1: Polynomial
+    a2: Polynomial
+    a3: Polynomial
+    a4: Polynomial
+    a5: Polynomial
     variant: str = "corrected"
 
-    def as_list(self) -> list[PolyC]:
+    def as_list(self) -> list[Polynomial]:
         return [self.a1, self.a2, self.a3, self.a4, self.a5]
 
 
@@ -81,25 +86,25 @@ def ode4_coeffs(params: OrderParams, variant: str = "corrected") -> Ode4Coeffs:
     degrees (3, 2, 3, 2, 1); a1 has a double root at x = 0.
     """
     if variant not in ODE4_VARIANTS:
-        raise ValueError(f"unknown ode4 variant {variant!r}")
+        raise InputError(f"unknown ode4 variant {variant!r}")
     n, k = params.n, params.k
     ik = 1j * k
     ipk = complex(k, 1)          # i + k
     ip4k = complex(4 * k, 1)     # i + 4k
-    a1 = PolyC.make([0, 0, 1 - 4 * ik, 4 * (1 + 2 * n)])
-    a2 = PolyC.make([0, 4 * (1 - 4 * ik), 12 * (1 + 2 * n)])
+    a1 = Polynomial([0, 0, 1 - 4 * ik, 4 * (1 + 2 * n)])
+    a2 = Polynomial([0, 4 * (1 - 4 * ik), 12 * (1 + 2 * n)])
     if variant == "printed":
         a3_const = 2j * (1 - 2 * k) * ipk * ip4k
     else:
         a3_const = -2 * (1 + 2 * ik) * ipk * ip4k
-    a3 = PolyC.make([a3_const,
+    a3 = Polynomial([a3_const,
                      4 * (1 + 4 * k * k) * (1 + 2 * n),
                      4 * (1 + 4 * ik + 8 * n * (n + 1)),
                      -16 * (1 + 2 * n)])
-    a4 = PolyC.make([-4 * ipk * ip4k * (1 + 2 * n),
+    a4 = Polynomial([-4 * ipk * ip4k * (1 + 2 * n),
                      8 * (-1 + 2 * n * (n + 1) + 6 * ik),
                      -32 * (1 + 2 * n)])
-    a5 = PolyC.make([12 * n * (n + 1) * (1 - 4 * ik),
+    a5 = Polynomial([12 * n * (n + 1) * (1 - 4 * ik),
                      16 * n * (n + 1) * (1 + 2 * n)])
     return Ode4Coeffs(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, variant=variant)
 
@@ -114,15 +119,12 @@ def coupled_residual(cv: CoeffVector,
     config = config or default_config()
     n, k = cv.params.n, cv.params.k
     big_l = cv.big_lambda_poly()
-    lc = big_l.conjugate_coeffs()
-    x = PolyC.make([0, 1])
-    resid = (x * big_l.differentiate().differentiate()
-             + big_l.differentiate().scale(1 - 2j * k)
-             + big_l.scale(1 + 2 * n)
-             + (x * lc.differentiate()).scale(-2)
-             + lc.scale(-1))
-    scale = big_l.max_coeff()
-    coeffs = list(resid.coeffs)
+    lc = Polynomial(big_l.coef.conj())
+    x = Polynomial([0, 1])
+    resid = (x * big_l.deriv(2) + (1 - 2j * k) * big_l.deriv()
+             + (1 + 2 * n) * big_l - 2 * x * lc.deriv() - lc)
+    scale = max(abs(c) for c in cv.a)
+    coeffs = [complex(c) for c in resid.coef]
     # residual polynomial degree never exceeds n; pad for a stable report shape
     coeffs += [0j] * (n + 1 - len(coeffs))
     residuals = [abs(c) / scale for c in coeffs]
@@ -211,7 +213,7 @@ def basis_products(params: OrderParams, x: float,
 
 def _residual_from_derivs(coeffs: Ode4Coeffs, derivs, x: float) -> float:
     polys = coeffs.as_list()                      # a1..a5 multiply y''''..y
-    terms = [polys[j].evaluate(x) * derivs[4 - j] for j in range(5)]
+    terms = [complex(polys[j](x)) * derivs[4 - j] for j in range(5)]
     scale = max(abs(t) for t in terms)
     if scale == 0.0:
         return 0.0
@@ -223,13 +225,10 @@ def ode4_residual(f, params: OrderParams, x: float,
     """Normalized residual |a1 f'''' + ... + a5 f| / max_j |a_j f^(4-j)| at x.
 
     `f` is either the list [f, f', f'', f''', f''''] of values at x or a
-    PolyC (differentiated exactly).
+    Polynomial (differentiated exactly).
     """
-    if isinstance(f, PolyC):
-        polys = [f]
-        for _ in range(4):
-            polys.append(polys[-1].differentiate())
-        f = [p.evaluate(x) for p in polys]
+    if isinstance(f, Polynomial):
+        f = [complex(f.deriv(j)(x)) for j in range(5)]
     return _residual_from_derivs(ode4_coeffs(params, variant), f, x)
 
 
@@ -240,7 +239,7 @@ def product_solution_check(params: OrderParams,
     """ODE residuals of all four basis products over the grid."""
     config = config or default_config()
     if not params.k > 0:
-        raise ValueError("product_solution_check requires k > 0")
+        raise InputError("product_solution_check requires k > 0")
     coeffs = ode4_coeffs(params, variant)
     at_x = [(float(x), basis_products(params, x, config)) for x in x_grid]
     grid, residuals, notes = [], [], []
@@ -277,7 +276,7 @@ def trial_condition_check(params: OrderParams, x_grid,
     term-by-term second derivative, never from the equation under test."""
     config = config or default_config()
     if not params.k > 0:
-        raise ValueError("trial_condition_check requires k > 0")
+        raise InputError("trial_condition_check requires k > 0")
     n, k = params.n, params.k
     kap = n + 0.5
     mu = 1j * k
@@ -347,14 +346,14 @@ def indicial_analysis(params: OrderParams,
     printed factorization sigma(sigma-1)[sigma^2 - sigma - 4(1-k)(i+k)]."""
     config = config or default_config()
     if not params.k > 0:
-        raise ValueError("indicial_analysis requires k > 0")
+        raise InputError("indicial_analysis requires k > 0")
     k = params.k
     coeffs = ode4_coeffs(params, variant)
     polys = coeffs.as_list()              # a1..a5 multiply y^(4)..y^(0)
     orders = []
     for j, p in enumerate(polys):
         deriv_order = 4 - j
-        lead = next(((i, c) for i, c in enumerate(p.coeffs) if c != 0), None)
+        lead = next(((i, c) for i, c in enumerate(p.coef) if c != 0), None)
         if lead is not None:
             orders.append((lead[0] - deriv_order, deriv_order, lead[1]))
     shift = min(o for o, _, _ in orders)
@@ -422,7 +421,7 @@ def constants_defining_system(params: OrderParams) -> SolutionConstants:
     c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik).
     """
     if not params.k > 0:
-        raise ValueError("constants require k > 0")
+        raise InputError("constants require k > 0")
     n, k = params.n, params.k
     ik = 1j * k
     a_coef = gamma(-2 * ik) / gamma(-n - ik)       # x^{1/2+ik} weight in W(2x)
@@ -474,7 +473,7 @@ def constants_printed_system(params: OrderParams) -> SolutionConstants:
           Gamma(-ik)Gamma(1/2+ik)Gamma(-n+ik) / (sqrt(pi)Gamma(2ik)Gamma(-n-ik))
     """
     if not params.k > 0:
-        raise ValueError("constants require k > 0")
+        raise InputError("constants require k > 0")
     n, k = params.n, params.k
     ik = 1j * k
     ch = math.cosh(math.pi * k)
@@ -493,7 +492,7 @@ def constants_printed_system(params: OrderParams) -> SolutionConstants:
 def constants_closed_form(params: OrderParams) -> SolutionConstants:
     """The historically printed closed-form gamma expressions, verbatim."""
     if not params.k > 0:
-        raise ValueError("constants require k > 0")
+        raise InputError("constants require k > 0")
     n, k = params.n, params.k
     ik = 1j * k
     ch = math.cosh(math.pi * k)
@@ -573,7 +572,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
     n, k = params.n, params.k
     x_grid = [float(x) for x in x_grid]
     if any(x < 0.5 or x > 6.0 for x in x_grid):
-        raise ValueError("reconstruction grid must lie in [0.5, 6]")
+        raise InputError("reconstruction grid must lie in [0.5, 6]")
 
     if abs(k) <= config.k_zero_threshold:
         cv = laguerre_closed_form(n)
@@ -582,7 +581,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
         residuals = []
         for x in x_grid:
             want = lead * laguerre(n, 2 * x)
-            got = poly.evaluate(x)
+            got = complex(poly(x))
             # L_n(2x) has real zeros; fall back to the coefficient scale there
             residuals.append(abs(got - want) / max(abs(want), abs(lead)))
         return ResidualReport(
@@ -605,7 +604,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
                  + constants.c2 * i_x * w_x
                  + constants.c3 * k_x * w_x
                  + constants.c4 * k_x * m_x)
-        want = poly.evaluate(x)
+        want = complex(poly(x))
         residuals.append(abs(recon - want) / abs(want))
     return ResidualReport(
         check_name=check_name, params=params, grid=x_grid,

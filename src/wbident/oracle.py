@@ -88,24 +88,6 @@ def gamma(z, config: EvalConfig | None = None):
         return mp.gamma(mp.mpc(z))
 
 
-def identity_residual(params: OrderParams, cv_coeffs, x,
-                      config: EvalConfig | None = None) -> float:
-    """Relative residual of the central identity at x, everything at oracle
-    precision except the supplied double-precision coefficients."""
-    config = config or default_config()
-    n, k = params.n, params.k
-    with _dps(config):
-        ik = mp.mpc(0, k)
-        xx = mp.mpf(x)
-        lam = mp.mpc(0)
-        for m, a in enumerate(cv_coeffs, start=1):
-            lam += mp.mpc(a) * xx ** m
-        kp = bessel_k(mp.mpf(1) / 2 + ik, xx, config)
-        rhs = lam * kp + mp.conj(lam) * mp.conj(kp)
-        lhs = whittaker_w(n + mp.mpf(1) / 2, ik, 2 * xx, config)
-        return float(abs(lhs - rhs) / abs(lhs))
-
-
 def large_x_w_ratio(params: OrderParams, x: float = 30.0,
                     config: EvalConfig | None = None) -> complex:
     """W_{n+1/2,ik}(2x) / ((2x)^{n+1/2} e^{-x}) at oracle precision."""

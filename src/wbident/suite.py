@@ -12,8 +12,11 @@ the quadrature Bessel-K evaluator, so the two sides share no code path.
 
 from __future__ import annotations
 
+import math
+
 from .config import EvalConfig, default_config
 from .core import SQRT_PI
+from .errors import InputError
 from .kernels import (OrderParams, bessel_k_quad, bessel_k_via_w, kernel_table,
                       whittaker_w)
 from .lambda_poly import (CoeffVector, coeffs_from_recurrence,
@@ -43,11 +46,11 @@ def verify_identity(params: OrderParams, x_grid,
     x_grid = [float(x) for x in x_grid]
     lo, hi = IDENTITY_X_RANGE
     if any(x < lo or x > hi for x in x_grid):
-        raise ValueError(f"identity grid must lie in [{lo}, {hi}]")
+        raise InputError(f"identity grid must lie in [{lo}, {hi}]")
     if k < 0:
-        raise ValueError("verify_identity requires k >= 0")
+        raise InputError("verify_identity requires k >= 0")
     if config.k_zero_threshold < k < config.k_refuse_threshold:
-        raise ValueError(
+        raise InputError(
             f"0 < k = {k} < {config.k_refuse_threshold} is refused in "
             "double-precision mode (cancellation regime); use the oracle")
 
@@ -58,7 +61,7 @@ def verify_identity(params: OrderParams, x_grid,
     lam = cv.lam_poly()
     residuals = []
     for x in x_grid:
-        lam_k = lam.evaluate(x) * bessel_k_quad(complex(0.5, k), x, config)
+        lam_k = complex(lam(x)) * bessel_k_quad(complex(0.5, k), x, config)
         rhs = (lam_k + lam_k.conjugate()).real
         lhs = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
         scale = max(abs(lhs), abs(lam_k))
@@ -127,11 +130,11 @@ def coefficient_reports(params: OrderParams,
     return cv, [rep]
 
 
-def oracle_equivalence_report(params: OrderParams, config: EvalConfig,
-                              precision: str) -> ResidualReport:
+def oracle_equivalence_report(params: OrderParams,
+                              config: EvalConfig) -> ResidualReport:
     """Collocation-fitted coefficients vs recurrence-generated ones."""
     cv = coeffs_from_recurrence(params, config)
-    fit = collocation_oracle(params, config=config, precision=precision)
+    fit = collocation_oracle(params, config=config)
     residuals = [abs(f - a) / abs(a) for f, a in zip(fit.a, cv.a)]
     return ResidualReport(
         check_name="oracle-equivalence",
@@ -139,7 +142,7 @@ def oracle_equivalence_report(params: OrderParams, config: EvalConfig,
         grid=[float(m) for m in range(1, params.n + 2)],
         residuals=residuals,
         threshold=config.oracle_match_tol,
-        notes=[f"collocation precision mode: {precision}"])
+        notes=[f"coefficients from {fit.convention}"])
 
 
 def run_suite(config: EvalConfig | None = None,
@@ -158,9 +161,11 @@ def run_suite(config: EvalConfig | None = None,
     call.
     """
     config = config or default_config()
-    if n_max > 25:
-        raise ValueError("n_max capped at 25")
+    if not 0 <= n_max <= 25:
+        raise InputError(f"n_max must lie in [0, 25], got {n_max}")
     k_set = tuple(float(k) for k in k_set)
+    if not all(math.isfinite(k) and k >= 0 for k in k_set):
+        raise InputError(f"run_suite requires finite k >= 0, got {list(k_set)}")
     x_grid = tuple(float(x) for x in x_grid)
     ks_pos = [k for k in k_set if k > config.k_zero_threshold]
     reports: list[ResidualReport] = []
@@ -188,11 +193,10 @@ def run_suite(config: EvalConfig | None = None,
         # 3. oracle equivalence
         oracle_n = min(n_max, 8 if use_oracle else 2)
         oracle_ks = [k for k in ks_pos if k >= 0.5] or ks_pos
-        precision = "auto" if use_oracle else "double"
         for n in range(oracle_n + 1):
             for k in oracle_ks:
                 reports.append(oracle_equivalence_report(
-                    OrderParams(n=n, k=k), config, precision))
+                    OrderParams(n=n, k=k), config))
 
         # 6. fourth-order basis checks
         ode_ks = [k for k in ks_pos if 0.4 <= k <= 1.5][:2] or ks_pos[:1]

@@ -62,7 +62,7 @@ def test_criterion_3_oracle_equivalence():
     for n in range(9):
         for k in (0.5, 1.0, 2.0):
             params = OrderParams(n=n, k=k)
-            fit = collocation_oracle(params, precision="auto")
+            fit = collocation_oracle(params)
             rec = coeffs_from_recurrence(params)
             for f, a in zip(fit.a, rec.a):
                 worst = max(worst, abs(f - a) / abs(a))

@@ -1,4 +1,4 @@
-"""Tests for complex scalar utilities and polynomial algebra."""
+"""Tests for complex scalar utilities."""
 
 import cmath
 import math
@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from wbident.core import (PolyC, gamma, laguerre, log_gamma, pochhammer,
-                          poly_from_real)
+from wbident.core import gamma, laguerre, log_gamma, pochhammer
 from wbident.errors import PoleError
 
 # 50-digit reference value for Gamma(-0.5 + 1.0i) (independent
@@ -77,49 +76,3 @@ class TestLaguerre:
                 rhs = (2 * n + 1 - z) * laguerre(n, z) - n * laguerre(n - 1, z)
                 scale = max(abs(lhs), abs(rhs), 1.0)
                 assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-class TestPolyC:
-    def test_trailing_zero_trimmed(self):
-        assert PolyC.make([1, 2, 0, 0]).degree == 1
-
-    def test_differentiate(self):
-        p = poly_from_real([0, 0, 1])          # x^2
-        assert p.differentiate().coeffs == (0j, 2 + 0j)
-
-    def test_differentiate_drops_degree(self):
-        p = PolyC.make([1, 2, 3, 4])
-        assert p.differentiate().degree == p.degree - 1
-
-    def test_conjugate_involution(self):
-        p = PolyC.make([1 + 2j, -3j, 4 - 1j])
-        assert p.conjugate_coeffs().conjugate_coeffs() == p
-
-    def test_evaluate(self):
-        p = poly_from_real([1, 2])             # 1 + 2x
-        assert p.evaluate(3.0) == 7
-
-    def test_evaluate_at_zero_is_constant_term(self):
-        p = PolyC.make([5 - 2j, 1, 1])
-        assert p.evaluate(0.0) == 5 - 2j
-
-    def test_evaluate_linearity(self):
-        rng = random.Random(7)
-        for _ in range(25):
-            p = PolyC.make([complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                            for _ in range(6)])
-            q = PolyC.make([complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-                            for _ in range(4)])
-            x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            lhs = (p + q).evaluate(x)
-            rhs = p.evaluate(x) + q.evaluate(x)
-            assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
-
-    def test_multiply(self):
-        p = poly_from_real([1, 1])
-        q = poly_from_real([-1, 1])
-        assert (p * q).coeffs == (-1 + 0j, 0j, 1 + 0j)
-
-    def test_zero_polynomial(self):
-        z = PolyC.make([0, 0])
-        assert z.is_zero() and z.degree == 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbident.core import SQRT_PI
-from wbident.errors import IllConditionedError, InvariantViolationError
+from wbident.errors import InvariantViolationError
 from wbident.kernels import OrderParams
 from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
                                  boundary_coeffs, check_second_order,
@@ -76,9 +76,19 @@ class TestRecurrence:
     def test_degree_structure(self):
         cv = coeffs_from_recurrence(OrderParams(n=5, k=0.7))
         lam = cv.lam_poly()
-        assert lam.degree == 6
-        assert lam.coeffs[0] == 0
-        assert cv.big_lambda_poly().degree == 5
+        assert lam.degree() == 6
+        assert lam.coef[0] == 0
+        assert cv.big_lambda_poly().degree() == 5
+
+    def test_polynomial_value_is_horner_loop(self):
+        # the default domain and window make p(x) the plain Horner loop
+        for n, k in [(3, 0.5), (8, 1.0), (25, 2.0)]:
+            cv = coeffs_from_recurrence(OrderParams(n=n, k=k))
+            for x in (0.25, 1.0, 3.7, 8.0):
+                acc = 0j
+                for c in reversed(cv.a):
+                    acc = acc * x + c
+                assert complex(cv.big_lambda_poly()(x)) == acc
 
     def test_wrong_convention_rejected(self):
         # the (1+ik)_n start drives a_{n+1} to -2^n/sqrt(pi)
@@ -168,6 +178,7 @@ class TestCollocationOracle:
     def test_n1_matches_recurrence(self):
         params = OrderParams(n=1, k=1.0)
         fit = collocation_oracle(params)
+        assert fit.convention == "collocation-fit-double"
         rec = coeffs_from_recurrence(params)
         for m in (1, 2):
             assert abs(fit.a_m(m) - rec.a_m(m)) <= 1e-8 * abs(rec.a_m(m))
@@ -185,22 +196,21 @@ class TestCollocationOracle:
         with pytest.raises(ValueError):
             collocation_oracle(OrderParams(n=1, k=1.0), xs=xs)
 
-    def test_double_mode_ill_conditioning_error(self):
-        # at n = 8 the monomial/phase system is intrinsically degenerate in
-        # double precision, whatever the points
-        with pytest.raises(IllConditionedError):
-            collocation_oracle(OrderParams(n=8, k=1.0), precision="double")
-
     def test_high_precision_matches_at_n8(self):
+        # at n = 8 the monomial/phase system is intrinsically degenerate in
+        # double precision, whatever the points, so the fit escalates
         params = OrderParams(n=8, k=1.0)
-        fit = collocation_oracle(params, precision="high")
+        fit = collocation_oracle(params)
+        assert fit.convention == "collocation-fit-oracle"
         rec = coeffs_from_recurrence(params)
         for m in range(1, 10):
             assert abs(fit.a_m(m) - rec.a_m(m)) <= 1e-10 * abs(rec.a_m(m))
 
     def test_auto_mode_escalates(self):
+        # the single path escalates at n = 6 (condition about 1e12)
         params = OrderParams(n=6, k=0.5)
-        fit = collocation_oracle(params, precision="auto")
+        fit = collocation_oracle(params)
+        assert fit.convention == "collocation-fit-oracle"
         rec = coeffs_from_recurrence(params)
         for m in range(1, 8):
             assert abs(fit.a_m(m) - rec.a_m(m)) <= 1e-8 * abs(rec.a_m(m))

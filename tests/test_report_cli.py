@@ -11,7 +11,7 @@ import pytest
 import wbident
 from wbident.cli import main
 from wbident.config import ENV_CONFIG_VAR, EvalConfig, default_config, load_config
-from wbident.errors import ConvergenceError
+from wbident.errors import ConvergenceError, InputError
 from wbident.kernels import OrderParams
 from wbident.report import (ADVISORY_CHECKS, ResidualReport,
                             VerificationSuiteResult, canonical_json, export)
@@ -153,6 +153,14 @@ class TestConfig:
         assert cfg.identity_tol == 1e-5
         assert cfg.series_max_terms == 500
 
+    @pytest.mark.parametrize("text", ['{"identity_tol": 1e-5', '[1e-5]',
+                                      '{"identity_tol": "small"}'])
+    def test_malformed_file_rejected(self, tmp_path, text):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        with pytest.raises(InputError):
+            load_config(str(p))
+
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text('{"no_such_field": 1}')
@@ -161,7 +169,8 @@ class TestConfig:
 
     def test_removed_fields_rejected(self, tmp_path):
         for field in ("fd_step", "fd_instability_floor",
-                      "itilde_recurrence_tol", "bessel_derivative_tol"):
+                      "itilde_recurrence_tol", "bessel_derivative_tol",
+                      "collocation_cond_limit"):
             p = tmp_path / "cfg.json"
             p.write_text(f'{{"{field}": 1e-2}}')
             with pytest.raises(ValueError):
@@ -253,6 +262,27 @@ class TestCli:
         assert main(["suite", "--n-max", "2", "--k-set", "0,1",
                      "--x-grid", "0.5,1,2"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        "coeffs --n 30 --k 1",
+        "coeffs --n 2 --k 1e300",
+        "verify --check identity --n 2 --k 1 --x-grid 9",
+        "verify --check ode4-basis --n 2 --k 0",
+        "eval whittaker-w 1.5 1j -2.0",
+        "eval bessel-k-quad 1.5 2.0",
+        "eval bessel-i 0.5 1+1j",
+        "suite --x-grid 0",
+        "suite --n-max 30",
+        "suite --n-max -1",
+        "suite --k-set -1",
+        "suite --k-set nan",
+        "--config no/such/config.json suite",
+        "suite --n-max 0 --k-set 1 --out no/such/dir/suite.json",
+    ])
+    def test_invalid_input_exits_2_without_traceback(self, argv, capsys):
+        # an exception escaping main() is what prints a traceback
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_console_entry_point(self):
         # the child imports wbident from the same place this process does
         src = str(Path(wbident.__file__).resolve().parents[1])
@@ -273,7 +303,7 @@ class TestIdentityValues:
         from wbident.lambda_poly import laguerre_closed_form
         want = math.sqrt(2) * math.exp(-1)
         lhs = whittaker_w(0.5, 0.0, 2.0)
-        lam = laguerre_closed_form(0).lam_poly().evaluate(1.0)
+        lam = complex(laguerre_closed_form(0).lam_poly()(1.0))
         kp = bessel_k_quad(0.5, 1.0)
         rhs = (lam * kp + (lam * kp).conjugate()).real
         assert abs(lhs - want) <= 1e-13 * want

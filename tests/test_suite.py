@@ -7,13 +7,15 @@ from collections import Counter
 import pytest
 
 import wbident.suite
-from wbident import kernels
+from wbident import kernels, lambda_poly
 from wbident.config import EvalConfig
 from wbident.ode import constants_printed_system, lambda_reconstruction
 from wbident.suite import run_suite, verify_identity
 
 SMALL = dict(n_max=2, k_set=(0.5, 1.0), x_grid=(0.5, 1.0, 2.0))
-KERNELS = ("whittaker_m", "whittaker_w", "bessel_i", "bessel_k_quad", "bessel_k_via_w")
+TABLED = (kernels.whittaker_m, kernels.whittaker_w, kernels.bessel_i,
+          kernels.bessel_k_quad, kernels.bessel_k_via_w,
+          lambda_poly.coeffs_from_recurrence)
 
 
 def test_no_table_after_return_or_raise(monkeypatch):
@@ -35,9 +37,9 @@ def test_no_table_after_return_or_raise(monkeypatch):
 
 
 def test_each_kernel_value_evaluated_once():
-    # count entries into the undecorated kernels' code, keyed by the
+    # count entries into the undecorated functions' code, keyed by the
     # arguments they were entered with
-    codes = {getattr(kernels, name).__wrapped__.__code__ for name in KERNELS}
+    codes = {fn.__wrapped__.__code__ for fn in TABLED}
     evaluated = Counter()
 
     def profile(frame, event, arg):
@@ -51,7 +53,7 @@ def test_each_kernel_value_evaluated_once():
         run_suite(**SMALL)
     finally:
         sys.setprofile(None)
-    assert {name for name, _ in evaluated} == set(KERNELS)
+    assert {name for name, _ in evaluated} == {fn.__name__ for fn in TABLED}
     assert max(evaluated.values()) == 1
 
 
