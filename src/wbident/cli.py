@@ -15,6 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from .config import EvalConfig, default_config, load_config
 from .errors import InputError, WbidentError
 from .kernels import (OrderParams, bessel_i, bessel_i_tilde, bessel_k_quad,
@@ -185,6 +187,8 @@ def _cmd_suite(args, config: EvalConfig) -> int:
     return 0 if result.ok() else 1
 
 
+# a non-finite value raises an error; numpy's overflow warnings only add noise
+@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

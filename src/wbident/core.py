@@ -45,7 +45,10 @@ def log_gamma(z) -> complex:
         raise PoleError(f"log_gamma pole at z = {z}")
     if z.real < 0.5:
         # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return cmath.log(cmath.pi / cmath.sin(cmath.pi * z)) - log_gamma(1.0 - z)
+        try:
+            return cmath.log(cmath.pi / cmath.sin(cmath.pi * z)) - log_gamma(1.0 - z)
+        except OverflowError as exc:
+            raise InputError(f"log_gamma({z}): sin(pi z) exceeds the double range") from exc
     zz = z - 1.0
     s = _LANCZOS[0]
     for i in range(1, len(_LANCZOS)):

@@ -7,8 +7,14 @@ cross-checked against each other in the verification suite.
 
 The connection formula for W subtracts terms that grow like e^{+x} while W
 itself decays like e^{-x}; the generic branch therefore runs its series and
-prefactors in 80-bit precision (see _longdouble) before rounding the result
-to complex128.  In double-precision mode the usable range is x <= 8.
+prefactors on ``np.clongdouble`` (80-bit on x86, plain double where
+longdouble is double) before rounding the result to complex128.  In
+double-precision mode the usable range is x <= 8.  ``kummer_m``,
+``whittaker_m`` and ``whittaker_w`` also take z as a tuple (a grid) and then
+return read-only arrays equal bit for bit to the per-point calls, because
+each point's series stops by its own rule; a scalar call is a one-element
+grid.  A value that does not round to a finite complex128 raises
+``ConvergenceError``.
 
 With ``deriv=True`` the Whittaker, Bessel-I and quadrature Bessel-K
 evaluators also return exact derivatives, summed in the same series or
@@ -22,10 +28,10 @@ public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
 ``bessel_k_quad`` and ``bessel_k_via_w``, and the coefficient builder
 ``lambda_poly.coeffs_from_recurrence``, evaluate each distinct argument
 tuple once: a repeated call with equal positional and keyword arguments
-(``config`` and ``deriv`` included) returns the stored value.  Only returned
-values are stored; a raising call stores nothing.  The table lives in a
-``contextvars.ContextVar`` and is dropped when the block exits, so outside
-it nothing is looked up or kept.  A repeated call does not re-issue the
+(``config`` and ``deriv`` included, a grid keyed by its tuple) returns the
+stored value.  Only returned values are stored; a raising call stores
+nothing.  The table lives in a ``contextvars.ContextVar`` and is dropped
+when the block exits, so outside it nothing is looked up or kept.  A repeated call does not re-issue the
 ``NearDegeneracyWarning`` of its first evaluation.
 """
 
@@ -40,9 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._longdouble import CLD, LD, cexp, clog, log_gamma_ld
 from .config import EvalConfig, default_config
-from .core import laguerre
+from .core import _is_nonpositive_integer, laguerre
 from .errors import (ConvergenceError, DegenerateParameterError, InputError,
                      NearDegeneracyWarning, PoleError)
 
@@ -76,7 +81,7 @@ def _tabled(fn):
     return kernel
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderParams:
     """Degree index n and imaginary-order parameter k of the identity
     W_{n+1/2, ik}(2x) = x L(x) K_{1/2+ik}(x) + x conj(L)(x) K_{1/2-ik}(x)."""
@@ -101,84 +106,176 @@ class OrderParams:
         return 1j * self.k
 
 
-def _is_nonpositive_int(z: complex, tol: float = 0.0) -> bool:
-    return (abs(z.imag) <= tol and z.real <= 0.5
-            and abs(z.real - round(z.real)) <= tol and round(z.real) <= 0)
+# --- np.clongdouble scalars ---------------------------------------------------
+# Division is a conj(b) / |b|^2, and exp, log and sin are built from the real
+# and imaginary parts; test_bessel_i_bits_unchanged pins the resulting bits.
+
+C = np.clongdouble
+LD = np.longdouble
+_I = C(1j)
+_PI = LD("3.14159265358979323846264338327950288419716939937510")
+_LOG_SQRT_2PI = LD("0.91893853320467274178032973640561763986139747363778")
 
 
-def _kummer_series_ld(a, b, z, config: EvalConfig, deriv: bool = False):
-    """sum_m t_m with t_m = (a)_m / (b)_m z^m / m!, stopping after three
-    consecutive terms below series_rel_tol * |partial sum| (complex-parameter
-    series can have transiently tiny terms).  With deriv, returns
-    (M, M', M'') from the term-by-term sums of m t_m / z and
-    m (m-1) t_m / z^2."""
-    a = CLD.from_complex(a)
-    b = CLD.from_complex(b)
-    z = CLD.from_complex(z)
-    s = CLD(1)
-    t = CLD(1)
-    s1 = s2 = CLD(0)
-    tol2 = LD(config.series_rel_tol) ** 2
-    small = 0
+def _parts(re, im):
+    """re + i im from longdouble parts, neither part rounded."""
+    return re + im * _I
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def _div(a, b):
+    # numpy's own complex division multiplies by a rounded reciprocal
+    num = a * np.conj(b)
+    d = _abs2(b)
+    return _parts(num.real / d, num.imag / d)
+
+
+def _exp(z):
+    er = np.exp(z.real)
+    return _parts(er * np.cos(z.imag), er * np.sin(z.imag))
+
+
+def _log(z):
+    return _parts(LD(0.5) * np.log(_abs2(z)), np.arctan2(z.imag, z.real))
+
+
+# Stirling coefficients B_{2j} / (2j (2j-1)) for the asymptotic log-gamma
+# series; with |z| >= 13 the truncation error is below 1e-22.
+_STIRLING = tuple(
+    LD(p) / LD(q) / LD((2 * j + 2) * (2 * j + 1)) for j, (p, q) in enumerate((
+        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+        (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+        (-236364091, 2730), (8553103, 6))))
+
+
+def log_gamma_ld(z):
+    """log Gamma of an np.clongdouble scalar; the imaginary part may differ
+    from the principal branch by a multiple of 2*pi (irrelevant under exp)."""
+    if z.real < 0.5:
+        p = _PI * z
+        s = _parts(np.sin(p.real) * np.cosh(p.imag), np.cos(p.real) * np.sinh(p.imag))
+        return _log(_div(_PI, s)) - log_gamma_ld(1 - z)
+    acc = C(1)
+    while _abs2(z) < 169:                 # shift until |z| >= 13
+        acc = acc * z
+        z = z + 1
+    out = (z - LD(0.5)) * _log(z) - z + _LOG_SQRT_2PI
+    inv2 = _div(C(1), z * z)
+    t = _div(C(1), z)
+    series = C(0)
+    for c in _STIRLING:
+        series = series + c * t
+        t = t * inv2
+    return out + series - _log(acc)
+
+
+# --- grid kernels ------------------------------------------------------------
+
+def _grid(z, name: str) -> np.ndarray:
+    """z (a float or a tuple of floats) as a 1-d longdouble array; z > 0."""
+    zs = np.asarray(z, dtype=LD).reshape(-1)
+    if not (zs > 0).all():
+        raise InputError(f"{name} requires z > 0")
+    return zs
+
+
+def _finish(name: str, z, values):
+    """Round each clongdouble array of `values` (the value, then any
+    derivatives) to complex128: one complex per array for a scalar z, else
+    read-only arrays; a single array is returned bare, several as a tuple."""
+    out = [np.asarray(v).astype(complex) for v in values]
+    if not all(np.isfinite(v).all() for v in out):
+        raise ConvergenceError(f"{name}: value is not a finite complex128")
+    if np.ndim(z) == 0:
+        out = [v.item() for v in out]
+    else:
+        for v in out:
+            v.flags.writeable = False
+    return tuple(out) if len(out) > 1 else out[0]
+
+
+def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False):
+    """sum_m t_m with t_m = (a)_m / (b)_m z^m / m! at each point of the
+    clongdouble grid z.  A point stops after three consecutive terms below
+    series_rel_tol * |its partial sum| (complex-parameter series can have
+    transiently tiny terms) and leaves the working arrays, so its sum does not
+    depend on the rest of the grid.  Returns [M], or with deriv [M, M', M'']
+    from the term-by-term sums of m t_m / z and m (m-1) t_m / z^2."""
+    a, b = C(a), C(b)
+    tol = LD(config.series_rel_tol)
+    out = np.empty((3 if deriv else 1, z.size), C)
+    sums = [np.ones(z.size, C)] + [np.zeros(z.size, C) for _ in out[1:]]
+    live = np.arange(z.size)
+    zl, t, small = z, np.ones(z.size, C), np.zeros(z.size, int)
     for m in range(config.series_max_terms):
-        t = t * (a + CLD(m)) / (b + CLD(m)) * z / CLD(m + 1)
-        s = s + t
+        t = t * ((a + m) / ((b + m) * (m + 1))) * zl
+        sums[0] += t
         if deriv:
-            s1 = s1 + CLD(m + 1) * t
-            s2 = s2 + CLD(m * (m + 1)) * t
-        if t.abs2() <= tol2 * s.abs2():
-            small += 1
-            if small >= 3:
-                return (s, s1 / z, s2 / (z * z)) if deriv else s
-        else:
-            small = 0
+            sums[1] += (m + 1) * t
+            sums[2] += (m * (m + 1)) * t
+        small = np.where(np.abs(t) <= tol * np.abs(sums[0]), small + 1, 0)
+        done = small >= 3
+        if done.any():
+            for row, s in zip(out, sums):
+                row[live[done]] = s[done]
+            keep = ~done
+            live, zl, t, small = live[keep], zl[keep], t[keep], small[keep]
+            sums = [s[keep] for s in sums]
+            if not live.size:
+                if deriv:
+                    out[1] /= z
+                    out[2] /= z * z
+                return list(out)
     raise ConvergenceError(
         f"Kummer series did not converge within {config.series_max_terms} terms")
 
 
-def kummer_m(a, b, z, config: EvalConfig | None = None) -> complex:
-    """Kummer's confluent hypergeometric function M(a, b, z)."""
+def kummer_m(a, b, z, config: EvalConfig | None = None):
+    """Kummer's confluent hypergeometric function M(a, b, z); z a number or a
+    tuple of numbers (then an array of values)."""
     config = config or default_config()
     b = complex(b)
-    if _is_nonpositive_int(b):
+    if _is_nonpositive_integer(b):
         raise PoleError(f"kummer_m pole: b = {b} is a nonpositive integer")
-    return _kummer_series_ld(a, b, z, config).to_complex()
+    zs = np.asarray(z, dtype=C).reshape(-1)
+    return _finish("kummer_m", z, _kummer_series(a, b, zs, config))
 
 
 def _times_prefactor(pref, c, z, f, f1, f2):
-    """(P f, (P f)', (P f)'') for P(z) = e^{-z/2} z^c, given P, c, z and
+    """[P f, (P f)', (P f)''] for P(z) = e^{-z/2} z^c, given P, c, z and
     (f, f', f''); P' = g P and P'' = (g^2 - c/z^2) P with g = c/z - 1/2."""
-    g = c / z - CLD(0.5)
-    return (pref * f,
+    g = c / z - LD(0.5)
+    return [pref * f,
             pref * (g * f + f1),
-            pref * ((g * g - c / (z * z)) * f + CLD(2) * g * f1 + f2))
+            pref * ((g * g - c / (z * z)) * f + 2 * g * f1 + f2)]
 
 
-def _whittaker_m_ld(kappa, mu, z: float, config: EvalConfig, deriv: bool = False):
+def _whittaker_m_ld(kappa, mu, z: np.ndarray, config: EvalConfig, deriv: bool = False):
+    """[M_{kappa,mu}] (with deriv [M, M', M'']) on the longdouble grid z."""
     kappa = complex(kappa)
     mu = complex(mu)
-    ser = _kummer_series_ld(0.5 + mu - kappa, 1 + 2 * mu, z, config, deriv)
-    lz = clog(CLD(z))
-    c = CLD(0.5) + CLD.from_complex(mu)
-    pref = cexp(c * lz - CLD(z) / CLD(2))
+    ser = _kummer_series(0.5 + mu - kappa, 1 + 2 * mu, z.astype(C), config, deriv)
+    c = LD(0.5) + C(mu)
+    pref = np.exp(c * np.log(z) - z / 2)
     if deriv:
-        return _times_prefactor(pref, c, CLD(z), *ser)
-    return pref * ser
+        return _times_prefactor(pref, c, z, *ser)
+    return [pref * ser[0]]
 
 
 @_tabled
-def whittaker_m(kappa, mu, z: float, config: EvalConfig | None = None, *,
+def whittaker_m(kappa, mu, z, config: EvalConfig | None = None, *,
                 deriv: bool = False):
     """Whittaker M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu} M(1/2+mu-kappa, 1+2mu, z);
-    with deriv, the tuple (M, dM/dz, d^2M/dz^2)."""
+    with deriv, the tuple (M, dM/dz, d^2M/dz^2).  z is a float or a tuple of
+    floats (then read-only arrays, one value per point)."""
     config = config or default_config()
-    if not z > 0:
-        raise InputError("whittaker_m requires z > 0")
-    if _is_nonpositive_int(complex(1 + 2 * complex(mu))):
+    zs = _grid(z, "whittaker_m")
+    if _is_nonpositive_integer(complex(1 + 2 * complex(mu))):
         raise PoleError(f"whittaker_m: 1+2*mu = {1 + 2 * complex(mu)} is a nonpositive integer")
-    if deriv:
-        return tuple(v.to_complex() for v in _whittaker_m_ld(kappa, mu, z, config, True))
-    return _whittaker_m_ld(kappa, mu, z, config).to_complex()
+    return _finish("whittaker_m", z, _whittaker_m_ld(kappa, mu, zs, config, deriv))
 
 
 def _laguerre_whittaker_w(n: int, z: float) -> float:
@@ -188,11 +285,12 @@ def _laguerre_whittaker_w(n: int, z: float) -> float:
 
 
 @_tabled
-def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
+def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
                 deriv: bool = False):
     """Whittaker W_{kappa,mu}(z); with deriv, the tuple
     (W, dW/dz, d^2W/dz^2), each term of the connection formula
-    differentiated through its M factor (generic branch only).
+    differentiated through its M factor (generic branch only).  z is a float
+    or a tuple of floats (then read-only arrays, one value per point).
 
     Generic branch (2*mu not an integer): the connection formula
 
@@ -204,8 +302,7 @@ def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
     the gamma prefactors sit on poles there.
     """
     config = config or default_config()
-    if not z > 0:
-        raise InputError("whittaker_w requires z > 0")
+    zs = _grid(z, "whittaker_w")
     kappa = complex(kappa)
     mu = complex(mu)
 
@@ -224,7 +321,8 @@ def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
                         raise DegenerateParameterError(
                             "whittaker_w: derivatives are not provided on the "
                             "mu = 0 Laguerre branch")
-                    return complex(_laguerre_whittaker_w(n, z))
+                    return _finish("whittaker_w", z, [np.array(
+                        [_laguerre_whittaker_w(n, float(x)) for x in zs])])
             raise DegenerateParameterError(
                 f"whittaker_w with mu = 0 requires kappa = n + 1/2, got {kappa}")
         raise DegenerateParameterError(
@@ -236,18 +334,11 @@ def whittaker_w(kappa, mu, z: float, config: EvalConfig | None = None, *,
             "of an integer; expect severe cancellation",
             NearDegeneracyWarning, stacklevel=2)
 
-    lg_a = log_gamma_ld(CLD.from_complex(-two_mu)) \
-        - log_gamma_ld(CLD.from_complex(0.5 - mu - kappa))
-    lg_b = log_gamma_ld(CLD.from_complex(two_mu)) \
-        - log_gamma_ld(CLD.from_complex(0.5 + mu - kappa))
-    if deriv:
-        pref_a, pref_b = cexp(lg_a), cexp(lg_b)
-        return tuple((pref_a * ma + pref_b * mb).to_complex() for ma, mb in zip(
-            _whittaker_m_ld(kappa, mu, z, config, True),
-            _whittaker_m_ld(kappa, -mu, z, config, True)))
-    term_a = cexp(lg_a) * _whittaker_m_ld(kappa, mu, z, config)
-    term_b = cexp(lg_b) * _whittaker_m_ld(kappa, -mu, z, config)
-    return (term_a + term_b).to_complex()
+    pref_a = _exp(log_gamma_ld(C(-two_mu)) - log_gamma_ld(C(0.5 - mu - kappa)))
+    pref_b = _exp(log_gamma_ld(C(two_mu)) - log_gamma_ld(C(0.5 + mu - kappa)))
+    return _finish("whittaker_w", z, [pref_a * ma + pref_b * mb for ma, mb in zip(
+        _whittaker_m_ld(kappa, mu, zs, config, deriv),
+        _whittaker_m_ld(kappa, -mu, zs, config, deriv))])
 
 
 @_tabled
@@ -321,27 +412,25 @@ def bessel_i(nu, x: float, config: EvalConfig | None = None, *,
     nu = complex(nu)
     if nu.imag == 0.0 and nu.real < 0 and nu.real == round(nu.real):
         nu = -nu                      # integer order: I_{-n} = I_n
-    lx = np.log(LD(x) / 2)
-    t = cexp(CLD.from_complex(nu) * CLD(lx)
-             - log_gamma_ld(CLD.from_complex(nu + 1)))
-    s = s1 = CLD(0)
-    nu_ld = CLD.from_complex(nu)
-    x2 = CLD((LD(x) / 2) ** 2)
+    nu_ld = C(nu)
+    half_x = LD(x) / 2
+    t = _exp(nu_ld * np.log(half_x) - log_gamma_ld(C(nu + 1)))
+    s = s1 = C(0)
+    x2 = half_x ** 2
     tol2 = LD(config.series_rel_tol) ** 2
     small = 0
     for m in range(config.series_max_terms):
         s = s + t
         if deriv:
-            s1 = s1 + (CLD(2 * m) + nu_ld) * t
-        if t.abs2() <= tol2 * s.abs2():
+            s1 = s1 + (2 * m + nu_ld) * t
+        if _abs2(t) <= tol2 * _abs2(s):
             small += 1
             if small >= 3:
-                if deriv:
-                    return s.to_complex(), (s1 / CLD(x)).to_complex()
-                return s.to_complex()
+                out = [s, _div(s1, LD(x))] if deriv else [s]
+                return _finish("bessel_i", x, out)
         else:
             small = 0
-        t = t * x2 / (CLD(m + 1) * (CLD(m + 1) + nu_ld))
+        t = _div(t * x2, (m + 1) * (m + 1 + nu_ld))
     raise ConvergenceError(
         f"bessel_i series did not converge within {config.series_max_terms} terms")
 

@@ -264,10 +264,10 @@ def check_second_order(cv: CoeffVector, variant: str = "printed",
                        config: EvalConfig | None = None):
     """ResidualReport for the five-factor recurrence (advisory for the
     printed variant; the derived variant genuinely holds)."""
-    from .report import ResidualReport
+    from .report import ResidualReport, index_grid
     config = config or default_config()
     res = second_order_residuals(cv, variant)
-    grid = [float(m) for m in range(1, cv.params.n)] if cv.params.n >= 3 else []
+    grid = index_grid(1, cv.params.n) if cv.params.n >= 3 else []
     return ResidualReport(
         check_name=f"second-order-recurrence-{variant}",
         params=cv.params,
@@ -290,17 +290,15 @@ def default_collocation_points(n: int) -> list[float]:
 def _collocation_double(params: OrderParams, xs, config: EvalConfig):
     """Design matrix and data in double precision; returns (fitted, cond, resid)."""
     n, k = params.n, params.k
+    kp = np.array([bessel_k_quad(complex(0.5, k), x, config) for x in xs])
+    rhs = whittaker_w(n + 0.5, 1j * k, tuple(2 * x for x in xs), config).real
     rows = np.zeros((len(xs), 2 * (n + 1)))
-    rhs = np.zeros(len(xs))
-    for i, x in enumerate(xs):
-        kp = bessel_k_quad(complex(0.5, k), x, config)
-        w = whittaker_w(n + 0.5, 1j * k, 2 * x, config).real
-        xm = x
-        for m in range(1, n + 2):
-            rows[i, 2 * (m - 1)] = 2 * xm * kp.real
-            rows[i, 2 * (m - 1) + 1] = -2 * xm * kp.imag
-            xm *= x
-        rhs[i] = w
+    x = np.array(xs)
+    xm = x
+    for m in range(1, n + 2):
+        rows[:, 2 * (m - 1)] = 2 * xm * kp.real
+        rows[:, 2 * (m - 1) + 1] = -2 * xm * kp.imag
+        xm = xm * x
     row_scale = np.abs(rhs)
     a_eq = rows / row_scale[:, None]
     b_eq = rhs / row_scale

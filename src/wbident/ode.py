@@ -48,7 +48,7 @@ from .errors import InputError, InvariantViolationError
 from .kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                       whittaker_w)
 from .lambda_poly import CoeffVector, coeffs_from_recurrence, laguerre_closed_form
-from .report import ResidualReport
+from .report import ResidualReport, index_grid
 
 ODE4_VARIANTS = ("corrected", "printed")
 
@@ -106,7 +106,10 @@ def ode4_coeffs(params: OrderParams, variant: str = "corrected") -> Ode4Coeffs:
                      -32 * (1 + 2 * n)])
     a5 = Polynomial([12 * n * (n + 1) * (1 - 4 * ik),
                      16 * n * (n + 1) * (1 + 2 * n)])
-    return Ode4Coeffs(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, variant=variant)
+    coeffs = Ode4Coeffs(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, variant=variant)
+    if not all(np.isfinite(p.coef).all() for p in coeffs.as_list()):
+        raise InputError(f"ODE4 coefficients for k = {k} exceed the double range")
+    return coeffs
 
 
 # --- coupled second-order equation, exact in coefficient space --------------
@@ -131,7 +134,7 @@ def coupled_residual(cv: CoeffVector,
     return ResidualReport(
         check_name="coupled-equation",
         params=cv.params,
-        grid=[float(j) for j in range(len(residuals))],
+        grid=index_grid(0, len(residuals)),
         residuals=residuals,
         threshold=config.coupled_tol,
     )
@@ -389,14 +392,14 @@ def indicial_reports(params: OrderParams,
     computed = ResidualReport(
         check_name="indicial-exponents",
         params=params,
-        grid=[float(j) for j in range(4)],
+        grid=index_grid(0, 4),
         residuals=[abs(a - b) for a, b in zip(ia.roots, ia.predicted)],
         threshold=config.indicial_tol,
         notes=[f"computed roots {list(ia.roots)} vs predicted {list(ia.predicted)}"])
     printed = ResidualReport(
         check_name="indicial-printed-quadratic",
         params=params,
-        grid=[float(j) for j in range(4)],
+        grid=index_grid(0, 4),
         residuals=[abs(a - b) for a, b in zip(ia.paper_roots, ia.predicted)],
         threshold=config.indicial_tol,
         notes=[f"printed roots {list(ia.paper_roots)} vs predicted "

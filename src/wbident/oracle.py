@@ -4,9 +4,11 @@ Kummer M and Bessel I come from mpmath's own hypergeometric evaluators
 (``mp.hyp1f1``, ``mp.besseli``), run at 50-digit working precision, so they
 share no code with the production kernels.  Whittaker M and W and Bessel K
 are built from them by the same closed formulas the kernels use (no
-quadrature).  Values from this module are the ground truth for derived
-expected values and for regimes double precision cannot reach (large x in
-the connection formula, ill-conditioned collocation fits at high degree).
+quadrature); ``whittaker_w`` also takes a list of z and then computes its
+gamma quotients once.  Values from this module are the ground truth for
+derived expected values and for regimes double precision cannot reach
+(large x in the connection formula, ill-conditioned collocation fits at high
+degree).
 """
 
 from __future__ import annotations
@@ -54,16 +56,20 @@ def whittaker_m(kappa, mu, z, config: EvalConfig | None = None):
 
 
 def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
-    """Connection-formula W at oracle precision (generic 2*mu only)."""
+    """Connection-formula W at oracle precision (generic 2*mu only).  z is a
+    number, or a list or tuple of numbers (then a list of values, with the
+    two gamma quotients computed once)."""
     config = config or default_config()
+    if not isinstance(z, (list, tuple)):
+        return whittaker_w(kappa, mu, [z], config)[0]
     with _dps(config):
         kappa = mp.mpc(kappa)
         mu = mp.mpc(mu)
         half = mp.mpf(1) / 2
-        return (mp.gamma(-2 * mu) / mp.gamma(half - mu - kappa)
-                * whittaker_m(kappa, mu, z, config)
-                + mp.gamma(2 * mu) / mp.gamma(half + mu - kappa)
-                * whittaker_m(kappa, -mu, z, config))
+        quot_a = mp.gamma(-2 * mu) / mp.gamma(half - mu - kappa)
+        quot_b = mp.gamma(2 * mu) / mp.gamma(half + mu - kappa)
+        return [quot_a * whittaker_m(kappa, mu, zz, config)
+                + quot_b * whittaker_m(kappa, -mu, zz, config) for zz in z]
 
 
 def bessel_i(nu, x, config: EvalConfig | None = None):
@@ -127,10 +133,11 @@ def collocation_fit(params: OrderParams, xs,
         half = mp.mpf(1) / 2
         rows = mp.matrix(len(xs), 2 * (n + 1))
         rhs = mp.matrix(len(xs), 1)
-        for i, x in enumerate(xs):
+        ws = whittaker_w(n + half, ik, [2 * mp.mpf(x) for x in xs], config)
+        for i, (x, w) in enumerate(zip(xs, ws)):
             xx = mp.mpf(x)
             kp = bessel_k(half + ik, xx, config)
-            w = mp.re(whittaker_w(n + half, ik, 2 * xx, config))
+            w = mp.re(w)
             scale = 1 / abs(w)
             xm = xx
             for m in range(1, n + 2):

@@ -34,7 +34,17 @@ ADVISORY_CHECKS = {
 }
 
 
-@dataclass
+# shared by the grids of reports over an index (a suite keeps hundreds of
+# them); n <= 25 keeps every index below 32
+_INDICES = tuple(map(float, range(32)))
+
+
+def index_grid(start: int, stop: int) -> list[float]:
+    """[start, ..., stop - 1] as floats, the grid of a report over an index."""
+    return list(_INDICES[start:stop])
+
+
+@dataclass(slots=True)
 class ResidualReport:
     """Grid of evaluation points with per-point relative residuals.
 
@@ -49,7 +59,7 @@ class ResidualReport:
     residuals: list[float]
     threshold: float
     advisory: bool | None = None
-    notes: list[str] = field(default_factory=list)
+    notes: list[str] | tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.grid) != len(self.residuals):

@@ -25,7 +25,7 @@ from .lambda_poly import (CoeffVector, coeffs_from_recurrence,
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, resolve_constants,
                   constants_printed_system, trial_condition_check)
-from .report import ResidualReport, VerificationSuiteResult
+from .report import ResidualReport, VerificationSuiteResult, index_grid
 
 DEFAULT_N_MAX = 8
 DEFAULT_K_SET = (0.1, 0.5, 1.0, 2.0)
@@ -120,7 +120,7 @@ def coefficient_reports(params: OrderParams,
     residuals = [abs(top - expected) / expected,
                  abs(top.imag) / abs(top)]
     residuals += first_order_residuals(cv)
-    grid = [float(j) for j in range(len(residuals))]
+    grid = index_grid(0, len(residuals))
     rep = ResidualReport(
         check_name="coefficient-invariants",
         params=params, grid=grid, residuals=residuals,
@@ -139,7 +139,7 @@ def oracle_equivalence_report(params: OrderParams,
     return ResidualReport(
         check_name="oracle-equivalence",
         params=params,
-        grid=[float(m) for m in range(1, params.n + 2)],
+        grid=index_grid(1, params.n + 2),
         residuals=residuals,
         threshold=config.oracle_match_tol,
         notes=[f"coefficients from {fit.convention}"])

@@ -319,6 +319,44 @@ class TestDerivatives:
             assert (i.real.hex(), i.imag.hex(), di.real.hex(), di.imag.hex()) == bits
 
 
+class TestGrid:
+    """A grid call sums one series per point, each stopped by its own rule,
+    so it equals the per-point calls bit for bit."""
+
+    XS = (0.5, 1.1, 2.0, 3.3, 4.0, 6.5, 8.0)
+
+    @pytest.mark.parametrize("n", [0, 3, 8, 25])
+    @pytest.mark.parametrize("k", [0.1, 2.526])
+    @pytest.mark.parametrize("kernel", [whittaker_w, whittaker_m])
+    def test_grid_equals_per_point_calls(self, kernel, n, k):
+        zs = tuple(2 * x for x in self.XS)
+        values = kernel(n + 0.5, 1j * k, zs)
+        assert values.dtype == complex and values.shape == (len(zs),)
+        assert values.tolist() == [kernel(n + 0.5, 1j * k, z) for z in zs]
+        derivs = kernel(n + 0.5, 1j * k, zs, deriv=True)
+        per_point = [kernel(n + 0.5, 1j * k, z, deriv=True) for z in zs]
+        assert [d.tolist() for d in derivs] == [list(p) for p in zip(*per_point)]
+
+    def test_laguerre_branch_and_kummer_on_a_grid(self):
+        zs = (0.5, 2.0, 7.0)
+        assert whittaker_w(2.5, 0.0, zs).tolist() == [whittaker_w(2.5, 0.0, z) for z in zs]
+        assert kummer_m(0.5, 1.5j, zs).tolist() == [kummer_m(0.5, 1.5j, z) for z in zs]
+
+    def test_any_nonpositive_point_is_refused(self):
+        with pytest.raises(ValueError):
+            whittaker_w(1.5, 1j, (1.0, 0.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: whittaker_w(1.5, 1e300j, 2.0),
+        lambda: bessel_i(0.5, 1e300),
+        lambda: kummer_m(1, 1, 1e300),
+    ])
+    def test_non_finite_value_raises(self, call):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError):
+                call()
+
+
 class TestKernelTable:
     def test_equal_arguments_evaluated_once(self):
         calls = []
@@ -347,6 +385,17 @@ class TestKernelTable:
             with kernels.kernel_table():
                 raise ValueError
         assert kernels._TABLE.get() is None
+
+    def test_grid_call_is_one_read_only_entry(self):
+        zs = (1.0, 2.0, 4.0)
+        with kernels.kernel_table():
+            values = whittaker_w(3.5, 1j, zs)
+            assert whittaker_w(3.5, 1j, zs) is values
+            derivs = whittaker_m(3.5, 1j, zs, deriv=True)
+            assert len(kernels._TABLE.get()) == 2
+            for stored in (values, *derivs):
+                with pytest.raises(ValueError):
+                    stored[0] = 0j
 
     def test_values_match_untabled_calls(self):
         nu = complex(0.5, 1.0)
@@ -400,6 +449,12 @@ class TestOracle:
                     got = oracle.whittaker_w(n + 0.5, 1j * k, 2 * x)
                     want = mp.whitw(mp.mpf(n) + 0.5, mp.mpc(0, k), 2 * mp.mpf(x))
                     assert abs(got - want) <= self.ORACLE_TOL * abs(want), (k, x)
+
+    def test_whittaker_w_on_a_list_equals_per_point_values(self):
+        from wbident import oracle
+        zs = [0.5, 2.0, 7.25]
+        values = oracle.whittaker_w(3.5, 1.3j, zs)
+        assert values == [oracle.whittaker_w(3.5, 1.3j, z) for z in zs]
 
     @pytest.mark.parametrize("k", [0.1, 1.0, 4.5])
     def test_bessel_k_matches_mpmath_besselk(self, k):

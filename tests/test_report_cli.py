@@ -277,6 +277,12 @@ class TestCli:
         "suite --k-set nan",
         "--config no/such/config.json suite",
         "suite --n-max 0 --k-set 1 --out no/such/dir/suite.json",
+        "eval whittaker-w 1.5 1e300j 2.0",
+        "eval bessel-i 0.5 1e300",
+        "eval kummer-m 1 1 1e300",
+        "verify --check trial --n 2 --k 1e300",
+        "verify --check indicial --n 2 --k 1e300",
+        "verify --check reconstruction --n 2 --k 1e300",
     ])
     def test_invalid_input_exits_2_without_traceback(self, argv, capsys):
         # an exception escaping main() is what prints a traceback
