@@ -186,7 +186,8 @@ def _finish(name: str, z, values):
     """Round each clongdouble array of `values` (the value, then any
     derivatives) to complex128: one complex per array for a scalar z, else
     read-only arrays; a single array is returned bare, several as a tuple."""
-    out = [np.asarray(v).astype(complex) for v in values]
+    with np.errstate(over="ignore"):
+        out = [np.asarray(v).astype(complex) for v in values]
     if not all(np.isfinite(v).all() for v in out):
         raise ConvergenceError(f"{name}: value is not a finite complex128")
     if np.ndim(z) == 0:
@@ -197,6 +198,7 @@ def _finish(name: str, z, values):
     return tuple(out) if len(out) > 1 else out[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False):
     """sum_m t_m with t_m = (a)_m / (b)_m z^m / m! at each point of the
     clongdouble grid z.  A point stops after three consecutive terms below
@@ -216,6 +218,9 @@ def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False)
         if deriv:
             sums[1] += (m + 1) * t
             sums[2] += (m * (m + 1)) * t
+        if m % 32 == 31 and not all(np.isfinite(s).all() for s in sums):
+            raise ConvergenceError(
+                f"Kummer series partial sum is not finite after {m + 1} terms")
         small = np.where(np.abs(t) <= tol * np.abs(sums[0]), small + 1, 0)
         done = small >= 3
         if done.any():

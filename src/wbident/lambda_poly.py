@@ -21,18 +21,19 @@ Only the (1-ik)_n convention satisfies the identity against the actual
 Whittaker function (the collocation oracle arbitrates this); it is the
 resolved convention used throughout.
 
-The recurrence is iterated in exact Gaussian-rational arithmetic: every
-float k is an exact rational, so a_m * sqrt(pi) stays in Q(i) and the only
-rounding is the final conversion to complex128.  (A plain double-precision
-upward iteration loses ~1e-6 by n = 20: the wanted solution decays by many
-orders from a_1 to a_{n+1} while rounding noise does not.)
+The recurrence is iterated exactly on Python integers: every float k is an
+exact ratio p/q, so each a_m * sqrt(pi) is a Gaussian integer R_m + i I_m
+over a positive integer d_m, and d_m divides d_{n+1}, one common denominator
+for the whole vector.  The only rounding is the final correctly rounded
+division R_m / d_m.  (A plain double-precision upward iteration loses ~1e-6
+by n = 20: the wanted solution decays by many orders from a_1 to a_{n+1}
+while rounding noise does not.)
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -46,26 +47,6 @@ CONVENTION_MINUS = "(1-ik)_n"       # resolved convention
 CONVENTION_PLUS = "(1+ik)_n"        # mirror convention (fails the identity)
 
 COLLOCATION_RANGE = (0.25, 6.0)
-
-_QC = tuple  # Gaussian rational (re: Fraction, im: Fraction)
-
-
-def _qc(re=0, im=0) -> _QC:
-    return (Fraction(re), Fraction(im))
-
-
-def _qc_mul(a: _QC, b: _QC) -> _QC:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _qc_div(a: _QC, b: _QC) -> _QC:
-    d = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
-
-
-def _qc_to_complex(a: _QC, scale: float = 1.0) -> complex:
-    return complex(float(a[0]) * scale, float(a[1]) * scale)
-
 
 @dataclass(frozen=True)
 class CoeffVector:
@@ -118,26 +99,34 @@ def boundary_coeffs(params: OrderParams,
     return a1 / SQRT_PI, complex(2 ** n / SQRT_PI)
 
 
-def _iterate_recurrence(n: int, k_exact: Fraction, a1: _QC) -> list[_QC]:
-    """Upward iteration of m(m-2ik) a_{m+1} = -(1+2n) a_m - (1-2m) conj(a_m),
-    in exact rationals, for the scaled coefficients a_m * sqrt(pi)."""
-    a = [_qc(0)] * (n + 2)
-    a[1] = a1
+def _scaled_coeffs(n: int, k: float, convention: str) -> list[tuple[int, int, int]]:
+    """a_m * sqrt(pi) = (R_m + i I_m) / d_m for m = 1..n+1, as (R_m, I_m, d_m),
+    by upward iteration of m(m-2ik) a_{m+1} = -(1+2n) a_m - (1-2m) conj(a_m).
+    With k = p/q, 1/(m(m-2ik)) = (mq + 2ip) q / (m(m^2 q^2 + 4p^2)); no step
+    reduces, so every d_m divides d_{n+1}."""
+    p, q = k.as_integer_ratio()
+    # a_1 * sqrt(pi) = (-1)^n prod_j ((1+j)q -/+ ip) / q^n
+    ip = -p if convention == CONVENTION_MINUS else p
+    re, im, d = (-1) ** n, 0, q ** n
+    for j in range(1, n + 1):
+        re, im = re * j * q - im * ip, re * ip + im * j * q
+    out = [(re, im, d)]
     for m in range(1, n + 1):
-        re, im = a[m]
-        num = ((1 + 2 * n) * re + (1 - 2 * m) * re,
-               (1 + 2 * n) * im - (1 - 2 * m) * im)
-        q = _qc_div(num, (Fraction(m * m), -2 * m * k_exact))
-        a[m + 1] = (-q[0], -q[1])
-    return a
+        num_re, num_im = (2 + 2 * n - 2 * m) * re, (2 * n + 2 * m) * im
+        u, v = m * q, 2 * p
+        re, im = -q * (num_re * u - num_im * v), -q * (num_re * v + num_im * u)
+        d *= m * (u * u + v * v)
+        out.append((re, im, d))
+    return out
 
 
-def _exact_a1(n: int, k_exact: Fraction, convention: str) -> _QC:
-    sign = Fraction(-1) if convention == CONVENTION_MINUS else Fraction(1)
-    a1 = _qc((-1) ** n)
-    for j in range(n):
-        a1 = _qc_mul(a1, (Fraction(1 + j), sign * k_exact))
-    return a1
+def _to_complex(re: int, im: int, d: int) -> complex:
+    return complex((re / d) * (1 / SQRT_PI), (im / d) * (1 / SQRT_PI))
+
+
+def _top_is_exact(scaled, n: int) -> bool:
+    re, im, d = scaled[-1]
+    return im == 0 and re == 2 ** n * d
 
 
 @_tabled
@@ -155,21 +144,18 @@ def coeffs_from_recurrence(params: OrderParams,
     """
     config = config or default_config()
     n = params.n
-    k_exact = Fraction(params.k)
-    scaled = _iterate_recurrence(n, k_exact, _exact_a1(n, k_exact, convention))
-
-    top = scaled[n + 1]
-    expected = Fraction(2 ** n)
-    if top[1] != 0 or top[0] != expected:
+    scaled = _scaled_coeffs(n, params.k, convention)
+    if not _top_is_exact(scaled, n):
         # exact equality is the norm; measure how far off for the message
-        dev = abs(_qc_to_complex(top) - complex(expected)) / float(expected)
+        re, im, d = scaled[-1]
+        dev = abs(complex(re / d, im / d) - 2 ** n) / 2 ** n
         if dev > config.top_coeff_tol:
             raise InvariantViolationError(
-                f"a_{n + 1} = {_qc_to_complex(top, 1 / SQRT_PI)} deviates from "
+                f"a_{n + 1} = {_to_complex(*scaled[-1])} deviates from "
                 f"2^n/sqrt(pi) by {dev:.3e} (relative); convention "
                 f"'{convention}' is inconsistent with the recurrence")
     try:
-        coeffs = tuple(_qc_to_complex(scaled[m], 1 / SQRT_PI) for m in range(1, n + 2))
+        coeffs = tuple(_to_complex(*c) for c in scaled)
     except OverflowError as exc:
         raise InputError(f"coefficients for n = {n}, k = {params.k} exceed the "
                          "double range") from exc
@@ -181,23 +167,18 @@ def resolve_convention(n: int = 1, k: float = 1.0) -> str:
     the valid convention reproduces a_{n+1} = +2^n/sqrt(pi) exactly."""
     if k == 0:
         return CONVENTION_MINUS        # conventions coincide at k = 0
-    k_exact = Fraction(k)
     for convention in (CONVENTION_MINUS, CONVENTION_PLUS):
-        top = _iterate_recurrence(n, k_exact, _exact_a1(n, k_exact, convention))[n + 1]
-        if top[1] == 0 and top[0] == Fraction(2 ** n):
+        if _top_is_exact(_scaled_coeffs(n, k, convention), n):
             return convention
     raise InvariantViolationError("neither convention reproduces a real 2^n top coefficient")
 
 
 def laguerre_closed_form(n: int) -> CoeffVector:
     """k = 0 closed form: lambda(x) = ((-1)^n n!/sqrt(pi)) x L_n(2x)."""
-    lead = Fraction((-1) ** n * math.factorial(n))
-    exact = []
-    for j in range(n + 1):
-        # [x^{j+1}] lambda = lead * [z^j]L_n * 2^j,  [z^j]L_n = (-1)^j C(n,j)/j!
-        c = lead * Fraction((-1) ** j * math.comb(n, j), math.factorial(j)) * 2 ** j
-        exact.append(_qc(c))
-    coeffs = tuple(_qc_to_complex(e, 1 / SQRT_PI) for e in exact)
+    # [x^{j+1}] lambda = (-1)^{n+j} C(n,j) 2^j n!/j!, an integer
+    coeffs = tuple(_to_complex((-1) ** (n + j) * math.comb(n, j) * 2 ** j
+                               * (math.factorial(n) // math.factorial(j)), 0, 1)
+                   for j in range(n + 1))
     return CoeffVector(params=OrderParams(n=n, k=0.0), a=coeffs,
                        convention=CONVENTION_MINUS)
 

@@ -579,12 +579,11 @@ def lambda_reconstruction(params: OrderParams, x_grid,
 
     if abs(k) <= config.k_zero_threshold:
         cv = laguerre_closed_form(n)
-        poly = cv.big_lambda_poly()
+        lam = cv.big_lambda_poly()(np.array(x_grid))
         lead = (-1) ** n * math.factorial(n) / SQRT_PI
         residuals = []
-        for x in x_grid:
+        for x, got in zip(x_grid, lam.tolist()):
             want = lead * laguerre(n, 2 * x)
-            got = complex(poly(x))
             # L_n(2x) has real zeros; fall back to the coefficient scale there
             residuals.append(abs(got - want) / max(abs(want), abs(lead)))
         return ResidualReport(
@@ -595,10 +594,10 @@ def lambda_reconstruction(params: OrderParams, x_grid,
     if constants is None:
         constants = solution_constants(params, config)
     cv = coeffs_from_recurrence(params, config)
-    poly = cv.big_lambda_poly()
+    lam = cv.big_lambda_poly()(np.array(x_grid))
     nu = complex(-0.5, k)
     residuals = []
-    for x in x_grid:
+    for x, want in zip(x_grid, lam.tolist()):
         i_x = bessel_i(nu, x, config)
         m_x = whittaker_m(n + 0.5, 1j * k, 2 * x, config)
         w_x = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
@@ -607,7 +606,6 @@ def lambda_reconstruction(params: OrderParams, x_grid,
                  + constants.c2 * i_x * w_x
                  + constants.c3 * k_x * w_x
                  + constants.c4 * k_x * m_x)
-        want = complex(poly(x))
         residuals.append(abs(recon - want) / abs(want))
     return ResidualReport(
         check_name=check_name, params=params, grid=x_grid,

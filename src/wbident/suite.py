@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .config import EvalConfig, default_config
 from .core import SQRT_PI
 from .errors import InputError
@@ -58,10 +60,10 @@ def verify_identity(params: OrderParams, x_grid,
         cv = laguerre_closed_form(n)
     else:
         cv = coeffs_from_recurrence(params, config)
-    lam = cv.lam_poly()
+    lam = cv.lam_poly()(np.array(x_grid))
     residuals = []
-    for x in x_grid:
-        lam_k = complex(lam(x)) * bessel_k_quad(complex(0.5, k), x, config)
+    for x, lam_x in zip(x_grid, lam.tolist()):
+        lam_k = lam_x * bessel_k_quad(complex(0.5, k), x, config)
         rhs = (lam_k + lam_k.conjugate()).real
         lhs = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
         scale = max(abs(lhs), abs(lam_k))

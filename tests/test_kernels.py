@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,6 +356,19 @@ class TestGrid:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ConvergenceError):
                 call()
+
+    @pytest.mark.parametrize("z, message", [
+        (1e300, "partial sum is not finite after 32 terms"),
+        ((1.0, 1e300), "partial sum is not finite after 32 terms"),
+        (750.0, "value is not a finite complex128"),
+    ])
+    def test_kummer_overflow_stops_without_warnings(self, z, message):
+        # a non-finite partial sum stops the series at the next check, not
+        # after series_max_terms, and numpy's overflow warnings stay inside
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=message):
+                kummer_m(1, 1, z)
 
 
 class TestKernelTable:

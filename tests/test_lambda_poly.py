@@ -1,11 +1,13 @@
 """Tests for coefficient construction, conventions, and the collocation oracle."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wbident.core import SQRT_PI
-from wbident.errors import InvariantViolationError
+from wbident.errors import InputError, InvariantViolationError
 from wbident.kernels import OrderParams
 from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
                                  boundary_coeffs, check_second_order,
@@ -15,6 +17,28 @@ from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
                                  resolve_convention, second_order_residuals)
 
 K_SET = (0.1, 0.5, 1.0, 2.0, 5.0)
+
+
+def fraction_coeffs(n, k, sign=-1):
+    """Reference: a_m * sqrt(pi) iterated on Fraction pairs from
+    a_1 = (-1)^n prod_j (1 + j + sign*ik), each rounded once at the end."""
+    k = Fraction(k)
+    re, im = Fraction((-1) ** n), Fraction(0)
+    for j in range(n):
+        re, im = re * (1 + j) - im * sign * k, re * sign * k + im * (1 + j)
+    out = [(re, im)]
+    for m in range(1, n + 1):
+        nr, ni = (2 + 2 * n - 2 * m) * re, (2 * n + 2 * m) * im
+        dr, di = Fraction(m * m), -2 * m * k          # m (m - 2ik)
+        den = dr * dr + di * di
+        re, im = -(nr * dr + ni * di) / den, -(ni * dr - nr * di) / den
+        out.append((re, im))
+    return out
+
+
+def rounded(exact):
+    return tuple(complex(float(re) * (1 / SQRT_PI), float(im) * (1 / SQRT_PI))
+                 for re, im in exact)
 
 
 class TestBoundaryCoeffs:
@@ -72,6 +96,27 @@ class TestRecurrence:
         plus = coeffs_from_recurrence(OrderParams(n=n, k=k)).a
         minus = coeffs_from_recurrence(OrderParams(n=n, k=-k)).a
         assert minus == tuple(c.conjugate() for c in plus)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(0, 25),
+           k=st.one_of(st.just(0.0), st.floats(1e-6, 5.0)))
+    def test_bit_identical_to_fraction_iteration(self, n, k):
+        exact = fraction_coeffs(n, k)
+        assert coeffs_from_recurrence(OrderParams(n=n, k=k)).a == rounded(exact)
+        if k == 0:
+            assert laguerre_closed_form(n).a == rounded(exact)
+        # the (1-ik)_n start is tried first and reproduces a real 2^n top
+        assert exact[-1] == (2 ** n, 0)
+        assert resolve_convention(n, k) == CONVENTION_MINUS
+
+    def test_smallest_subnormal_k_builds(self):
+        cv = coeffs_from_recurrence(OrderParams(n=25, k=5e-324))
+        assert cv.a == rounded(fraction_coeffs(25, 5e-324))
+
+    @pytest.mark.parametrize("n", [2, 25])
+    def test_huge_k_exceeds_double_range(self, n):
+        with pytest.raises(InputError, match="double range"):
+            coeffs_from_recurrence(OrderParams(n=n, k=1e300))
 
     def test_degree_structure(self):
         cv = coeffs_from_recurrence(OrderParams(n=5, k=0.7))

@@ -76,3 +76,30 @@ def test_reports_equal_checks_outside_the_run():
         assert outside == rep
         checked += 1
     assert checked == 3 * 2 + 3 * 2 + 2
+
+
+def per_point_identity_residuals(params, x_grid):
+    """verify_identity's residuals with lambda evaluated one x at a time."""
+    n, k = params.n, params.k
+    if k == 0:
+        lam = lambda_poly.laguerre_closed_form(n).lam_poly()
+    else:
+        lam = lambda_poly.coeffs_from_recurrence(params).lam_poly()
+    out = []
+    for x in x_grid:
+        lam_k = complex(lam(x)) * kernels.bessel_k_quad(complex(0.5, k), x)
+        rhs = (lam_k + lam_k.conjugate()).real
+        lhs = kernels.whittaker_w(n + 0.5, 1j * k, 2 * x)
+        scale = max(abs(lhs), abs(lam_k))
+        out.append(abs(lhs - rhs) / scale if scale else 0.0)
+    return out
+
+
+@pytest.mark.parametrize("n, k", [(0, 0.0), (3, 0.0), (2, 0.5), (8, 2.526),
+                                  (23, 2.526), (25, 4.9)])
+def test_identity_residuals_equal_per_point_lambda(n, k):
+    # lambda is evaluated on the whole grid in one call; numpy's Horner loop
+    # runs element by element, so every residual keeps its bits
+    params = kernels.OrderParams(n=n, k=k)
+    xs = (0.25, 0.7, 1.3, 2.0, 3.9, 6.1, 7.805, 8.0)
+    assert verify_identity(params, xs).residuals == per_point_identity_residuals(params, xs)
