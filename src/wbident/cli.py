@@ -15,15 +15,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .config import EvalConfig, default_config, load_config
 from .errors import InputError, WbidentError
 from .kernels import (OrderParams, bessel_i, bessel_i_tilde, bessel_k_quad,
                       bessel_k_via_w, kummer_m, whittaker_m, whittaker_w)
-from .lambda_poly import (coeffs_from_recurrence, check_second_order,
-                          laguerre_closed_form)
-from .ode import (indicial_reports, lambda_reconstruction,
+from .lambda_poly import coeffs_from_recurrence, check_second_order
+from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, trial_condition_check)
 from .report import VerificationSuiteResult, canonical_json, export
 from .suite import (DEFAULT_K_SET, DEFAULT_N_MAX, DEFAULT_X_GRID, run_suite,
@@ -97,11 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_coeffs(args, config: EvalConfig) -> int:
-    params = OrderParams(n=args.n, k=args.k)
-    if abs(args.k) <= config.k_zero_threshold:
-        cv = laguerre_closed_form(args.n)
-    else:
-        cv = coeffs_from_recurrence(params, config)
+    cv = coeffs_from_recurrence(OrderParams(n=args.n, k=args.k), config)
     text = canonical_json(cv.as_json_dict())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -139,7 +132,6 @@ def _cmd_verify(args, config: EvalConfig) -> int:
     if args.check == "identity":
         reports = [verify_identity(params, grid or DEFAULT_X_GRID, config)]
     elif args.check == "coupled":
-        from .ode import coupled_residual
         cv = coeffs_from_recurrence(params, config)
         reports = [coupled_residual(cv, config)]
     elif args.check == "second-order":
@@ -187,8 +179,6 @@ def _cmd_suite(args, config: EvalConfig) -> int:
     return 0 if result.ok() else 1
 
 
-# a non-finite value raises an error; numpy's overflow warnings only add noise
-@np.errstate(over="ignore", invalid="ignore")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:

@@ -25,12 +25,10 @@ class EvalConfig:
 
     # trapezoid quadrature for K_nu
     quad_step: float = 1.0 / 64
-    quad_cutoff: float | None = None      # None -> from the integrand decay bound
     quad_rel_tol: float = 1e-12
     quad_max_halvings: int = 12
 
     # parameter-degeneracy handling
-    k_zero_threshold: float = 0.0         # |k| <= this counts as the exact k=0 branch
     k_refuse_threshold: float = 1e-3      # 0 < k below this is refused in double precision
     mu_degeneracy_tol: float = 1e-6       # warn when 2*mu is this close to an integer
 
@@ -70,10 +68,6 @@ class EvalConfig:
                 raise InputError(f"EvalConfig.{name} must be positive")
         if self.series_max_terms < 10:
             raise InputError("EvalConfig.series_max_terms must be >= 10")
-        if self.quad_cutoff is not None and self.quad_cutoff <= 0:
-            raise InputError("EvalConfig.quad_cutoff must be positive or None")
-        if self.k_zero_threshold < 0:
-            raise InputError("EvalConfig.k_zero_threshold must be >= 0")
         if self.quad_max_halvings < 1:
             raise InputError("EvalConfig.quad_max_halvings must be >= 1")
         if self.oracle_dps < 20:

@@ -39,9 +39,10 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .config import EvalConfig, default_config
-from .core import SQRT_PI
+from .core import SQRT_PI, pochhammer
 from .errors import InputError, InvariantViolationError
 from .kernels import OrderParams, _tabled, bessel_k_quad, whittaker_w
+from .report import ResidualReport, index_grid
 
 CONVENTION_MINUS = "(1-ik)_n"       # resolved convention
 CONVENTION_PLUS = "(1+ik)_n"        # mirror convention (fails the identity)
@@ -93,9 +94,7 @@ def boundary_coeffs(params: OrderParams,
     a_1 = (-1)^n (1 -/+ ik)_n / sqrt(pi), a_{n+1} = 2^n / sqrt(pi)."""
     n, k = params.n, params.k
     sign = -1.0 if convention == CONVENTION_MINUS else 1.0
-    a1 = complex((-1) ** n)
-    for j in range(n):
-        a1 *= complex(1 + j, sign * k)
+    a1 = (-1) ** n * pochhammer(complex(1, sign * k), n)
     return a1 / SQRT_PI, complex(2 ** n / SQRT_PI)
 
 
@@ -174,7 +173,9 @@ def resolve_convention(n: int = 1, k: float = 1.0) -> str:
 
 
 def laguerre_closed_form(n: int) -> CoeffVector:
-    """k = 0 closed form: lambda(x) = ((-1)^n n!/sqrt(pi)) x L_n(2x)."""
+    """k = 0 closed form lambda(x) = ((-1)^n n!/sqrt(pi)) x L_n(2x): the
+    reference that coeffs_from_recurrence(OrderParams(n, 0.0)) reproduces
+    exactly (the library itself builds every k through the recurrence)."""
     # [x^{j+1}] lambda = (-1)^{n+j} C(n,j) 2^j n!/j!, an integer
     coeffs = tuple(_to_complex((-1) ** (n + j) * math.comb(n, j) * 2 ** j
                                * (math.factorial(n) // math.factorial(j)), 0, 1)
@@ -245,7 +246,6 @@ def check_second_order(cv: CoeffVector, variant: str = "printed",
                        config: EvalConfig | None = None):
     """ResidualReport for the five-factor recurrence (advisory for the
     printed variant; the derived variant genuinely holds)."""
-    from .report import ResidualReport, index_grid
     config = config or default_config()
     res = second_order_residuals(cv, variant)
     grid = index_grid(1, cv.params.n) if cv.params.n >= 3 else []
@@ -306,9 +306,9 @@ def collocation_oracle(params: OrderParams, xs=None,
     """
     config = config or default_config()
     n, k = params.n, params.k
-    if abs(k) <= config.k_zero_threshold:
-        raise InputError("collocation oracle requires k != 0; "
-                         "use laguerre_closed_form for k = 0")
+    if k == 0:
+        raise InputError("collocation oracle requires k != 0 (at k = 0 the "
+                         "conjugate terms coincide and the fit is singular)")
     if xs is None:
         xs = default_collocation_points(n)
     xs = [float(x) for x in xs]

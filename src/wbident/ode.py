@@ -47,7 +47,7 @@ from .core import SQRT_PI, gamma, laguerre
 from .errors import InputError, InvariantViolationError
 from .kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                       whittaker_w)
-from .lambda_poly import CoeffVector, coeffs_from_recurrence, laguerre_closed_form
+from .lambda_poly import CoeffVector, boundary_coeffs, coeffs_from_recurrence
 from .report import ResidualReport, index_grid
 
 ODE4_VARIANTS = ("corrected", "printed")
@@ -435,7 +435,6 @@ def constants_defining_system(params: OrderParams) -> SolutionConstants:
     delta_kw = 0.5 * gamma(-0.5 + ik) * ac_coef
     gamma_km = gamma(0.5 - ik)
 
-    from .lambda_poly import boundary_coeffs
     a1, _ = boundary_coeffs(params)
     mat = np.array([[beta_iw, 0, 0],
                     [alpha_iw, alpha_kw, gamma_km],
@@ -565,11 +564,12 @@ def lambda_reconstruction(params: OrderParams, x_grid,
                           constants: SolutionConstants | None = None,
                           c1: complex = 0j,
                           check_name: str = "lambda-reconstruction") -> ResidualReport:
-    """Compare Lambda(x) evaluated from its coefficients against the kernel
-    product combination c1 I*M + c2 I*W + c3 K*W + c4 K*M on the grid.
+    """Compare Lambda(x) evaluated from its recurrence coefficients against
+    the kernel product combination c1 I*M + c2 I*W + c3 K*W + c4 K*M on the
+    grid.
 
-    k = 0 bypasses to the Laguerre equality
-    Lambda(x) = ((-1)^n n!/sqrt(pi)) L_n(2x).
+    At k = 0 the comparison is against the Laguerre form
+    Lambda(x) = ((-1)^n n!/sqrt(pi)) L_n(2x) instead.
     """
     config = config or default_config()
     n, k = params.n, params.k
@@ -577,9 +577,8 @@ def lambda_reconstruction(params: OrderParams, x_grid,
     if any(x < 0.5 or x > 6.0 for x in x_grid):
         raise InputError("reconstruction grid must lie in [0.5, 6]")
 
-    if abs(k) <= config.k_zero_threshold:
-        cv = laguerre_closed_form(n)
-        lam = cv.big_lambda_poly()(np.array(x_grid))
+    lam = coeffs_from_recurrence(params, config).big_lambda_poly()(np.array(x_grid))
+    if k == 0:
         lead = (-1) ** n * math.factorial(n) / SQRT_PI
         residuals = []
         for x, got in zip(x_grid, lam.tolist()):
@@ -593,8 +592,6 @@ def lambda_reconstruction(params: OrderParams, x_grid,
 
     if constants is None:
         constants = solution_constants(params, config)
-    cv = coeffs_from_recurrence(params, config)
-    lam = cv.big_lambda_poly()(np.array(x_grid))
     nu = complex(-0.5, k)
     residuals = []
     for x, want in zip(x_grid, lam.tolist()):

@@ -88,12 +88,6 @@ def bessel_k(nu, x, config: EvalConfig | None = None):
                 / mp.sin(mp.pi * nu))
 
 
-def gamma(z, config: EvalConfig | None = None):
-    config = config or default_config()
-    with _dps(config):
-        return mp.gamma(mp.mpc(z))
-
-
 def large_x_w_ratio(params: OrderParams, x: float = 30.0,
                     config: EvalConfig | None = None) -> complex:
     """W_{n+1/2,ik}(2x) / ((2x)^{n+1/2} e^{-x}) at oracle precision."""

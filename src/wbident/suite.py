@@ -23,7 +23,7 @@ from .kernels import (OrderParams, bessel_k_quad, bessel_k_via_w, kernel_table,
                       whittaker_w)
 from .lambda_poly import (CoeffVector, coeffs_from_recurrence,
                           collocation_oracle, check_second_order,
-                          first_order_residuals, laguerre_closed_form)
+                          first_order_residuals)
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, resolve_constants,
                   constants_printed_system, trial_condition_check)
@@ -39,10 +39,10 @@ def verify_identity(params: OrderParams, x_grid,
                     config: EvalConfig | None = None) -> ResidualReport:
     """Relative residual |LHS - RHS| / max(|LHS|, |lambda(x) K(x)|) of the
     central identity at each grid point; 0 where both scales vanish (a common
-    zero of W and Lambda on the k = 0 branch).  k = 0 is routed through the
-    closed Laguerre forms; small nonzero k is refused in double-precision
-    mode (gamma-prefactor cancellation makes the connection formula
-    meaningless there)."""
+    zero of W and Lambda on the k = 0 branch).  Lambda comes from the
+    recurrence at every k, k = 0 included (there it is the Laguerre form);
+    small nonzero k is refused in double-precision mode (gamma-prefactor
+    cancellation makes the connection formula meaningless there)."""
     config = config or default_config()
     n, k = params.n, params.k
     x_grid = [float(x) for x in x_grid]
@@ -51,16 +51,12 @@ def verify_identity(params: OrderParams, x_grid,
         raise InputError(f"identity grid must lie in [{lo}, {hi}]")
     if k < 0:
         raise InputError("verify_identity requires k >= 0")
-    if config.k_zero_threshold < k < config.k_refuse_threshold:
+    if 0 < k < config.k_refuse_threshold:
         raise InputError(
             f"0 < k = {k} < {config.k_refuse_threshold} is refused in "
             "double-precision mode (cancellation regime); use the oracle")
 
-    if k <= config.k_zero_threshold:
-        cv = laguerre_closed_form(n)
-    else:
-        cv = coeffs_from_recurrence(params, config)
-    lam = cv.lam_poly()(np.array(x_grid))
+    lam = coeffs_from_recurrence(params, config).lam_poly()(np.array(x_grid))
     residuals = []
     for x, lam_x in zip(x_grid, lam.tolist()):
         lam_k = lam_x * bessel_k_quad(complex(0.5, k), x, config)
@@ -82,7 +78,7 @@ def kernel_cross_reports(k_set, x_grid, n_max,
     """Cross-check the two K evaluators and the realness of W on the grid."""
     reports = []
     for k in k_set:
-        if k <= config.k_zero_threshold:
+        if k == 0:
             continue
         nu = complex(0.5, k)
         cross = []
@@ -169,7 +165,7 @@ def run_suite(config: EvalConfig | None = None,
     if not all(math.isfinite(k) and k >= 0 for k in k_set):
         raise InputError(f"run_suite requires finite k >= 0, got {list(k_set)}")
     x_grid = tuple(float(x) for x in x_grid)
-    ks_pos = [k for k in k_set if k > config.k_zero_threshold]
+    ks_pos = [k for k in k_set if k > 0]
     reports: list[ResidualReport] = []
     ledger: list[str] = []
 

@@ -10,7 +10,7 @@ import wbident.ode
 from wbident.config import EvalConfig
 from wbident.errors import InvariantViolationError
 from wbident.kernels import OrderParams, bessel_i, whittaker_w
-from wbident.lambda_poly import coeffs_from_recurrence
+from wbident.lambda_poly import coeffs_from_recurrence, laguerre_closed_form
 from wbident.ode import (SolutionConstants, basis_products, bessel_ode_coeffs,
                          c4_closed_form, constants_closed_form,
                          constants_defining_system, constants_printed_system,
@@ -306,6 +306,14 @@ class TestReconstruction:
         rep = lambda_reconstruction(OrderParams(n=3, k=0.0), [0.5, 1.0, 2.0])
         assert rep.check_name == "lambda-reconstruction-laguerre"
         assert rep.passed
+
+    @pytest.mark.parametrize("n", [0, 3, 25])
+    def test_k0_lambda_from_recurrence_equals_closed_form(self, n, monkeypatch):
+        grid = [0.5, 1.0, 2.0, 4.0, 6.0]
+        got = lambda_reconstruction(OrderParams(n=n, k=0.0), grid)
+        monkeypatch.setattr(wbident.ode, "coeffs_from_recurrence",
+                            lambda params, config: laguerre_closed_form(params.n))
+        assert got == lambda_reconstruction(OrderParams(n=n, k=0.0), grid)
 
     def test_perturbed_constants_fail(self):
         params = OrderParams(n=1, k=1.0)

@@ -13,6 +13,7 @@ from wbident.cli import main
 from wbident.config import ENV_CONFIG_VAR, EvalConfig, default_config, load_config
 from wbident.errors import ConvergenceError, InputError
 from wbident.kernels import OrderParams
+from wbident.lambda_poly import laguerre_closed_form
 from wbident.report import (ADVISORY_CHECKS, ResidualReport,
                             VerificationSuiteResult, canonical_json, export)
 from wbident.suite import run_suite, verify_identity
@@ -138,7 +139,6 @@ class TestConfig:
         assert cfg.quad_step == 1.0 / 64
         assert cfg.ode4_tol == 1e-10
         assert cfg.second_order_tol == 1e-12
-        assert cfg.k_zero_threshold == 0.0
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -170,7 +170,8 @@ class TestConfig:
     def test_removed_fields_rejected(self, tmp_path):
         for field in ("fd_step", "fd_instability_floor",
                       "itilde_recurrence_tol", "bessel_derivative_tol",
-                      "collocation_cond_limit"):
+                      "collocation_cond_limit", "k_zero_threshold",
+                      "quad_cutoff"):
             p = tmp_path / "cfg.json"
             p.write_text(f'{{"{field}": 1e-2}}')
             with pytest.raises(ValueError):
@@ -199,6 +200,12 @@ class TestCli:
         assert main(["coeffs", "--n", "2", "--k", "0"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(im == 0 for _, im in doc["a"])
+
+    @pytest.mark.parametrize("n", [0, 3, 25])
+    def test_coeffs_k0_prints_laguerre_closed_form(self, n, capsys):
+        assert main(["coeffs", "--n", str(n), "--k", "0"]) == 0
+        want = canonical_json(laguerre_closed_form(n).as_json_dict())
+        assert capsys.readouterr().out == want + "\n"
 
     def test_eval_kernel(self, capsys):
         assert main(["eval", "bessel-k-quad", "0.5", "1.0"]) == 0
@@ -284,6 +291,7 @@ class TestCli:
         "verify --check indicial --n 2 --k 1e300",
         "verify --check reconstruction --n 2 --k 1e300",
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_input_exits_2_without_traceback(self, argv, capsys):
         # an exception escaping main() is what prints a traceback
         assert main(argv.split()) == 2
