@@ -14,7 +14,9 @@ double-precision mode the usable range is x <= 8.  ``kummer_m``,
 return read-only arrays equal bit for bit to the per-point calls, because
 each point's series stops by its own rule; a scalar call is a one-element
 grid.  A value that does not round to a finite complex128 raises
-``ConvergenceError``.
+``ConvergenceError``, and so does a nonzero value that rounds to a modulus
+below the smallest normal double: there the double holds noise or zero (W
+reaches it near k = 470), and a residual divided by it means nothing.
 
 With ``deriv=True`` the Whittaker, Bessel-I and quadrature Bessel-K
 evaluators also return exact derivatives, summed in the same series or
@@ -97,49 +99,15 @@ class OrderParams:
         if not math.isfinite(self.k):
             raise InputError("OrderParams.k must be finite")
 
-    @property
-    def kappa(self) -> float:
-        return self.n + 0.5
-
-    @property
-    def mu(self) -> complex:
-        return 1j * self.k
-
 
 # --- np.clongdouble scalars ---------------------------------------------------
-# Division is a conj(b) / |b|^2, and exp, log and sin are built from the real
-# and imaginary parts; test_bessel_i_bits_unchanged pins the resulting bits.
+# np.pi is only a double, so pi and log sqrt(2 pi) are parsed in longdouble.
 
 C = np.clongdouble
 LD = np.longdouble
-_I = C(1j)
 _PI = LD("3.14159265358979323846264338327950288419716939937510")
 _LOG_SQRT_2PI = LD("0.91893853320467274178032973640561763986139747363778")
-
-
-def _parts(re, im):
-    """re + i im from longdouble parts, neither part rounded."""
-    return re + im * _I
-
-
-def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
-
-
-def _div(a, b):
-    # numpy's own complex division multiplies by a rounded reciprocal
-    num = a * np.conj(b)
-    d = _abs2(b)
-    return _parts(num.real / d, num.imag / d)
-
-
-def _exp(z):
-    er = np.exp(z.real)
-    return _parts(er * np.cos(z.imag), er * np.sin(z.imag))
-
-
-def _log(z):
-    return _parts(LD(0.5) * np.log(_abs2(z)), np.arctan2(z.imag, z.real))
+_TINY = np.finfo(float).tiny
 
 
 # Stirling coefficients B_{2j} / (2j (2j-1)) for the asymptotic log-gamma
@@ -155,21 +123,19 @@ def log_gamma_ld(z):
     """log Gamma of an np.clongdouble scalar; the imaginary part may differ
     from the principal branch by a multiple of 2*pi (irrelevant under exp)."""
     if z.real < 0.5:
-        p = _PI * z
-        s = _parts(np.sin(p.real) * np.cosh(p.imag), np.cos(p.real) * np.sinh(p.imag))
-        return _log(_div(_PI, s)) - log_gamma_ld(1 - z)
+        return np.log(_PI / np.sin(_PI * z)) - log_gamma_ld(1 - z)
     acc = C(1)
-    while _abs2(z) < 169:                 # shift until |z| >= 13
+    while abs(z) < 13:
         acc = acc * z
         z = z + 1
-    out = (z - LD(0.5)) * _log(z) - z + _LOG_SQRT_2PI
-    inv2 = _div(C(1), z * z)
-    t = _div(C(1), z)
+    out = (z - LD(0.5)) * np.log(z) - z + _LOG_SQRT_2PI
+    inv2 = 1 / (z * z)
+    t = 1 / z
     series = C(0)
     for c in _STIRLING:
         series = series + c * t
         t = t * inv2
-    return out + series - _log(acc)
+    return out + series - np.log(acc)
 
 
 # --- grid kernels ------------------------------------------------------------
@@ -190,6 +156,8 @@ def _finish(name: str, z, values):
         out = [np.asarray(v).astype(complex) for v in values]
     if not all(np.isfinite(v).all() for v in out):
         raise ConvergenceError(f"{name}: value is not a finite complex128")
+    if any(((abs(o) < _TINY) & (np.asarray(v) != 0)).any() for o, v in zip(out, values)):
+        raise ConvergenceError(f"{name}: value underflows complex128")
     if np.ndim(z) == 0:
         out = [v.item() for v in out]
     else:
@@ -338,9 +306,9 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
             NearDegeneracyWarning, stacklevel=2)
 
     # a non-finite prefactor raises in _finish; numpy's warnings only add noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        pref_a = _exp(log_gamma_ld(C(-two_mu)) - log_gamma_ld(C(0.5 - mu - kappa)))
-        pref_b = _exp(log_gamma_ld(C(two_mu)) - log_gamma_ld(C(0.5 + mu - kappa)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        pref_a = np.exp(log_gamma_ld(C(-two_mu)) - log_gamma_ld(C(0.5 - mu - kappa)))
+        pref_b = np.exp(log_gamma_ld(C(two_mu)) - log_gamma_ld(C(0.5 + mu - kappa)))
     return _finish("whittaker_w", z, [pref_a * ma + pref_b * mb for ma, mb in zip(
         _whittaker_m_ld(kappa, mu, zs, config, deriv),
         _whittaker_m_ld(kappa, -mu, zs, config, deriv))])
@@ -417,24 +385,24 @@ def bessel_i(nu, x: float, config: EvalConfig | None = None, *,
     nu_ld = C(nu)
     half_x = LD(x) / 2
     x2 = half_x ** 2
-    tol2 = LD(config.series_rel_tol) ** 2
+    tol = LD(config.series_rel_tol)
     small = 0
     # a non-finite sum raises ConvergenceError; numpy's warnings only add noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        t = _exp(nu_ld * np.log(half_x) - log_gamma_ld(C(nu + 1)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = np.exp(nu_ld * np.log(half_x) - log_gamma_ld(C(nu + 1)))
         s = s1 = C(0)
         for m in range(config.series_max_terms):
             s = s + t
             if deriv:
                 s1 = s1 + (2 * m + nu_ld) * t
-            if _abs2(t) <= tol2 * _abs2(s):
+            if abs(t) <= tol * abs(s):
                 small += 1
                 if small >= 3:
-                    out = [s, _div(s1, LD(x))] if deriv else [s]
+                    out = [s, s1 / LD(x)] if deriv else [s]
                     return _finish("bessel_i", x, out)
             else:
                 small = 0
-            t = _div(t * x2, (m + 1) * (m + 1 + nu_ld))
+            t = t * x2 / ((m + 1) * (m + 1 + nu_ld))
     raise ConvergenceError(
         f"bessel_i series did not converge within {config.series_max_terms} terms")
 

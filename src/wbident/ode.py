@@ -74,7 +74,6 @@ class Ode4Coeffs:
     a3: Polynomial
     a4: Polynomial
     a5: Polynomial
-    variant: str = "corrected"
 
     def as_list(self) -> list[Polynomial]:
         return [self.a1, self.a2, self.a3, self.a4, self.a5]
@@ -106,7 +105,7 @@ def ode4_coeffs(params: OrderParams, variant: str = "corrected") -> Ode4Coeffs:
                      -32 * (1 + 2 * n)])
     a5 = Polynomial([12 * n * (n + 1) * (1 - 4 * ik),
                      16 * n * (n + 1) * (1 + 2 * n)])
-    coeffs = Ode4Coeffs(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5, variant=variant)
+    coeffs = Ode4Coeffs(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5)
     if not all(np.isfinite(p.coef).all() for p in coeffs.as_list()):
         raise InputError(f"ODE4 coefficients for k = {k} exceed the double range")
     return coeffs

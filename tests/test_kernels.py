@@ -41,6 +41,27 @@ class TestOrderParams:
             OrderParams(n=0, k=math.inf)
 
 
+class TestLogGammaLd:
+    @pytest.mark.parametrize("z", [
+        # reflection branch; core.log_gamma refuses -400i (sin overflows double)
+        -2.5 + 0.3j, 0.2 + 1j, -10.3 + 5j, -400j,
+        1 + 1j, 0.7 + 0.1j, 5 + 2j, 12.0,          # shift loop
+        20 + 3j, 0.5 + 50j, 100.0, 3 + 1000j,      # Stirling series directly
+    ])
+    def test_matches_mpmath_modulo_2pi_i(self, z):
+        from mpmath import mp
+        with mp.workdps(40):
+            got = kernels.log_gamma_ld(np.clongdouble(z))
+            # the longdouble parts, exactly
+            re, im = (mp.mpf(p) / q for p, q in (
+                got.real.as_integer_ratio(), got.imag.as_integer_ratio()))
+            want = mp.loggamma(mp.mpc(z.real, z.imag))
+            turns = mp.nint((im - want.imag) / (2 * mp.pi))
+            err = abs(mp.mpc(re, im - 2 * mp.pi * turns) - want)
+            bound = 64 * np.finfo(np.longdouble).eps * max(1.0, float(abs(want)))
+        assert float(err) <= bound
+
+
 class TestKummerM:
     def test_at_zero(self):
         assert kummer_m(1.5 + 2j, 0.5 - 1j, 0.0) == 1.0
@@ -371,6 +392,13 @@ class TestGrid:
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match=message):
                 kummer_m(1, 1, z)
+
+    def test_underflowed_value_raises(self):
+        # W_{5/2,500i}(2) is nonzero in 80-bit but below the double range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ConvergenceError, match="underflows complex128"):
+                whittaker_w(2.5, 500j, 2.0)
 
 
 class TestKernelTable:

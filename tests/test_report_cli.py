@@ -288,6 +288,8 @@ class TestCli:
         "eval bessel-i 0.5 1e300",
         "eval kummer-m 1 1 1e300",
         "verify --check trial --n 2 --k 1e300",
+        "verify --check trial --n 2 --k 470",
+        "verify --check trial --n 2 --k 500",
         "verify --check indicial --n 2 --k 1e300",
         "verify --check reconstruction --n 2 --k 1e300",
     ])
