@@ -1,5 +1,10 @@
-"""Complex scalar utilities: log-gamma, gamma, Pochhammer symbols and
-Laguerre polynomials.
+"""Complex scalar utilities: log-gamma, gamma and gamma quotients, Pochhammer
+symbols and Laguerre polynomials.
+
+``log_gamma_ld`` is the one log-gamma (Stirling series on ``np.clongdouble``);
+it and ``log_gamma`` equal log Gamma up to a multiple of 2*pi*i, not always
+the principal branch.  ``gamma_ratio`` takes one ``exp`` of a longdouble sum
+of its values.
 
 Polynomials with complex coefficients (the Lambda factors and the
 fourth-order ODE coefficients) are numpy.polynomial.Polynomial objects.
@@ -10,56 +15,84 @@ from __future__ import annotations
 import cmath
 import math
 
+import numpy as np
+
 from .errors import InputError, PoleError
 
 SQRT_PI = math.sqrt(math.pi)
 
-# Lanczos rational kernel, g = 607/128, 15 terms.  Relative accuracy is about
-# 1e-14 over the arguments used here; the reflection formula covers Re z < 1/2,
-# which the gamma ratios with negative real part (e.g. 1/Gamma(-n-ik)) need.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS = (
-    0.99999999999999709182,
-    57.156235665862923517, -59.597960355475491248, 14.136097974741747174,
-    -0.49191381609762019978, 0.33994649984811888699e-4,
-    0.46523628927048575665e-4, -0.98374475304879564677e-4,
-    0.15808870322491248884e-3, -0.21026444172410488319e-3,
-    0.21743961811521264320e-3, -0.16431810653676389022e-3,
-    0.84418223983852743293e-4, -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-_LOG_SQRT_2PI = 0.9189385332046727418
+# np.pi is only a double, so pi and log sqrt(2 pi) are parsed in longdouble.
+C = np.clongdouble
+LD = np.longdouble
+_PI = LD("3.14159265358979323846264338327950288419716939937510")
+_LOG_SQRT_2PI = LD("0.91893853320467274178032973640561763986139747363778")
+_TINY = np.finfo(float).tiny
+
+# Stirling coefficients B_{2j} / (2j (2j-1)) for the asymptotic log-gamma
+# series; with |z| >= 13 the truncation error is below 1e-22.
+_STIRLING = tuple(
+    LD(p) / LD(q) / LD((2 * j + 2) * (2 * j + 1)) for j, (p, q) in enumerate((
+        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+        (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+        (-236364091, 2730), (8553103, 6))))
 
 
 def _is_nonpositive_integer(z: complex) -> bool:
     return z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real)
 
 
-def log_gamma(z) -> complex:
-    """Principal-branch log Gamma for complex z.
+def log_gamma_ld(z):
+    """log Gamma of an np.clongdouble scalar; the imaginary part may differ
+    from the principal branch by a multiple of 2*pi (irrelevant under exp)."""
+    if z.real < 0.5:
+        return np.log(_PI / np.sin(_PI * z)) - log_gamma_ld(1 - z)
+    acc = C(1)
+    while abs(z) < 13:
+        acc = acc * z
+        z = z + 1
+    out = (z - LD(0.5)) * np.log(z) - z + _LOG_SQRT_2PI
+    inv2 = 1 / (z * z)
+    t = 1 / z
+    series = C(0)
+    for c in _STIRLING:
+        series = series + c * t
+        t = t * inv2
+    return out + series - np.log(acc)
 
-    Raises PoleError at the poles z = 0, -1, -2, ...
-    """
+
+def log_gamma(z) -> complex:
+    """log Gamma(z) for complex z, up to a multiple of 2*pi*i (not always the
+    principal branch).  Raises PoleError at the poles z = 0, -1, -2, ... and
+    InputError where the value is not a finite complex128."""
     z = complex(z)
     if _is_nonpositive_integer(z):
         raise PoleError(f"log_gamma pole at z = {z}")
-    if z.real < 0.5:
-        # reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        try:
-            return cmath.log(cmath.pi / cmath.sin(cmath.pi * z)) - log_gamma(1.0 - z)
-        except OverflowError as exc:
-            raise InputError(f"log_gamma({z}): sin(pi z) exceeds the double range") from exc
-    zz = z - 1.0
-    s = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        s += _LANCZOS[i] / (zz + i)
-    t = zz + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + (zz + 0.5) * cmath.log(t) - t + cmath.log(s)
+    with np.errstate(all="ignore"):
+        out = complex(log_gamma_ld(C(z)))
+    if not cmath.isfinite(out):
+        raise InputError(f"log_gamma({z}) is not a finite complex128")
+    return out
+
+
+def gamma_ratio(num, den) -> complex:
+    """prod Gamma(num) / prod Gamma(den) as one exp of the longdouble sum of
+    log_gamma_ld values, rounded to complex128 once.  Raises PoleError if an
+    argument is a pole, and InputError unless the modulus is a finite double
+    of at least the smallest normal (the rule of the kernels' rounding)."""
+    args = [complex(z) for z in (*num, *den)]
+    if any(map(_is_nonpositive_integer, args)):
+        raise PoleError(f"gamma_ratio({num}, {den}): an argument is a pole")
+    with np.errstate(all="ignore"):
+        logs = [log_gamma_ld(C(z)) for z in args]
+        out = complex(np.exp(sum(logs[:len(num)]) - sum(logs[len(num):])))
+    if not _TINY <= np.abs(out) < np.inf:
+        raise InputError(f"gamma_ratio({num}, {den}) is not a finite normal complex128")
+    return out
 
 
 def gamma(z) -> complex:
-    """Gamma(z) = exp(log_gamma(z))."""
-    return cmath.exp(log_gamma(z))
+    """Gamma(z), rounded once from exp(log_gamma_ld(z))."""
+    return gamma_ratio((z,), ())
 
 
 def pochhammer(z, n: int) -> complex:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EvalConfig, default_config
-from .core import _is_nonpositive_integer, laguerre
+from .core import C, LD, _TINY, _is_nonpositive_integer, laguerre, log_gamma_ld
 from .errors import (ConvergenceError, DegenerateParameterError, InputError,
                      NearDegeneracyWarning, PoleError)
 
@@ -98,44 +98,6 @@ class OrderParams:
             raise InputError("OrderParams.n capped at 25 (coefficients grow like 2^n)")
         if not math.isfinite(self.k):
             raise InputError("OrderParams.k must be finite")
-
-
-# --- np.clongdouble scalars ---------------------------------------------------
-# np.pi is only a double, so pi and log sqrt(2 pi) are parsed in longdouble.
-
-C = np.clongdouble
-LD = np.longdouble
-_PI = LD("3.14159265358979323846264338327950288419716939937510")
-_LOG_SQRT_2PI = LD("0.91893853320467274178032973640561763986139747363778")
-_TINY = np.finfo(float).tiny
-
-
-# Stirling coefficients B_{2j} / (2j (2j-1)) for the asymptotic log-gamma
-# series; with |z| >= 13 the truncation error is below 1e-22.
-_STIRLING = tuple(
-    LD(p) / LD(q) / LD((2 * j + 2) * (2 * j + 1)) for j, (p, q) in enumerate((
-        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-        (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
-        (-236364091, 2730), (8553103, 6))))
-
-
-def log_gamma_ld(z):
-    """log Gamma of an np.clongdouble scalar; the imaginary part may differ
-    from the principal branch by a multiple of 2*pi (irrelevant under exp)."""
-    if z.real < 0.5:
-        return np.log(_PI / np.sin(_PI * z)) - log_gamma_ld(1 - z)
-    acc = C(1)
-    while abs(z) < 13:
-        acc = acc * z
-        z = z + 1
-    out = (z - LD(0.5)) * np.log(z) - z + _LOG_SQRT_2PI
-    inv2 = 1 / (z * z)
-    t = 1 / z
-    series = C(0)
-    for c in _STIRLING:
-        series = series + c * t
-        t = t * inv2
-    return out + series - np.log(acc)
 
 
 # --- grid kernels ------------------------------------------------------------

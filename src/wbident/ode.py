@@ -43,7 +43,7 @@ import numpy.polynomial.polynomial as npoly
 from numpy.polynomial import Polynomial
 
 from .config import EvalConfig, default_config
-from .core import SQRT_PI, gamma, laguerre
+from .core import SQRT_PI, gamma, gamma_ratio, laguerre
 from .errors import InputError, InvariantViolationError
 from .kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                       whittaker_w)
@@ -60,6 +60,10 @@ class SolutionConstants:
     c2: complex
     c3: complex
     c4: complex
+
+    def __post_init__(self):
+        if not all(math.hypot(c.real, c.imag) < math.inf for c in self.as_tuple()):
+            raise InputError("connection constants exceed the double range")
 
     def as_tuple(self) -> tuple[complex, complex, complex]:
         return (self.c2, self.c3, self.c4)
@@ -408,6 +412,16 @@ def indicial_reports(params: OrderParams,
 
 # --- connection constants ----------------------------------------------------
 
+def _constants_order(params: OrderParams) -> tuple[int, complex, float]:
+    """(n, ik, cosh(pi k)); InputError unless k > 0 and cosh(pi k) is finite."""
+    if not params.k > 0:
+        raise InputError("constants require k > 0")
+    try:
+        return params.n, 1j * params.k, math.cosh(math.pi * params.k)
+    except OverflowError as exc:
+        raise InputError(f"constants: cosh(pi k) overflows at k = {params.k}") from exc
+
+
 def constants_defining_system(params: OrderParams) -> SolutionConstants:
     """Solve the defining 3x3 linear system from asymptotic mode matching.
 
@@ -422,16 +436,11 @@ def constants_defining_system(params: OrderParams) -> SolutionConstants:
     Their solution is c2 = 1, c3 = 0 (by the gamma duplication formula) and
     c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik).
     """
-    if not params.k > 0:
-        raise InputError("constants require k > 0")
-    n, k = params.n, params.k
-    ik = 1j * k
-    a_coef = gamma(-2 * ik) / gamma(-n - ik)       # x^{1/2+ik} weight in W(2x)
-    ac_coef = gamma(2 * ik) / gamma(-n + ik)
-    beta_iw = 2.0 ** (1 - 2 * ik) * gamma(2 * ik) / (gamma(0.5 + ik) * gamma(-n + ik))
-    alpha_iw = 2.0 * a_coef / gamma(0.5 + ik)
-    alpha_kw = gamma(0.5 - ik) * a_coef
-    delta_kw = 0.5 * gamma(-0.5 + ik) * ac_coef
+    n, ik, _ = _constants_order(params)
+    beta_iw = 2.0 ** (1 - 2 * ik) * gamma_ratio((2 * ik,), (0.5 + ik, -n + ik))
+    alpha_iw = 2.0 * gamma_ratio((-2 * ik,), (-n - ik, 0.5 + ik))
+    alpha_kw = gamma_ratio((0.5 - ik, -2 * ik), (-n - ik,))
+    delta_kw = 0.5 * gamma_ratio((-0.5 + ik, 2 * ik), (-n + ik,))
     gamma_km = gamma(0.5 - ik)
 
     a1, _ = boundary_coeffs(params)
@@ -445,9 +454,8 @@ def constants_defining_system(params: OrderParams) -> SolutionConstants:
 
 def c4_closed_form(params: OrderParams) -> complex:
     """c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik)."""
-    n, k = params.n, params.k
-    ik = 1j * k
-    return -2 * math.cosh(math.pi * k) / math.pi * gamma(-2 * ik) / gamma(-n - ik)
+    n, ik, ch = _constants_order(params)
+    return -2 / math.pi * ch * gamma_ratio((-2 * ik,), (-n - ik,))
 
 
 def solution_constants(params: OrderParams,
@@ -465,6 +473,16 @@ def solution_constants(params: OrderParams,
     return consts
 
 
+def _printed_relation_factors(params: OrderParams):
+    """The factors of the printed relations: cosh(pi k), pi Gamma(1+2ik)/Gamma(-n+ik),
+    Gamma(-n-ik)/Gamma(-2ik) and the right-hand side of relation 3."""
+    n, ik, ch = _constants_order(params)
+    return (ch,
+            math.pi * gamma_ratio((1 + 2 * ik,), (-n + ik,)),
+            gamma_ratio((-n - ik,), (-2 * ik,)),
+            gamma_ratio((-ik, 0.5 + ik, -n + ik), (2 * ik, -n - ik)) / SQRT_PI)
+
+
 def constants_printed_system(params: OrderParams) -> SolutionConstants:
     """Solve the three historically printed linear relations verbatim:
 
@@ -473,18 +491,12 @@ def constants_printed_system(params: OrderParams) -> SolutionConstants:
       2 c2 + pi c3/cosh(pi k) =
           Gamma(-ik)Gamma(1/2+ik)Gamma(-n+ik) / (sqrt(pi)Gamma(2ik)Gamma(-n-ik))
     """
-    if not params.k > 0:
-        raise InputError("constants require k > 0")
-    n, k = params.n, params.k
-    ik = 1j * k
-    ch = math.cosh(math.pi * k)
+    ch, g1, g2, rhs3 = _printed_relation_factors(params)
     mat = np.array([
-        [1.0, 0.0, -math.pi * gamma(1 + 2 * ik) / gamma(-n + ik)],
-        [2 * ch / math.pi, 1.0, gamma(-n - ik) / gamma(-2 * ik)],
+        [1.0, 0.0, -g1],
+        [2 * ch / math.pi, 1.0, g2],
         [2.0, math.pi / ch, 0.0],
     ], dtype=complex)
-    rhs3 = (gamma(-ik) * gamma(0.5 + ik) * gamma(-n + ik)
-            / (SQRT_PI * gamma(2 * ik) * gamma(-n - ik)))
     rhs = np.array([1.0, 0.0, rhs3], dtype=complex)
     c2, c3, c4 = np.linalg.solve(mat, rhs)
     return SolutionConstants(c2=complex(c2), c3=complex(c3), c4=complex(c4))
@@ -492,40 +504,30 @@ def constants_printed_system(params: OrderParams) -> SolutionConstants:
 
 def constants_closed_form(params: OrderParams) -> SolutionConstants:
     """The historically printed closed-form gamma expressions, verbatim."""
-    if not params.k > 0:
-        raise InputError("constants require k > 0")
-    n, k = params.n, params.k
-    ik = 1j * k
-    ch = math.cosh(math.pi * k)
-    g = gamma
+    n, ik, ch = _constants_order(params)
     pow2 = cmath.exp(2 * ik * math.log(2))          # 2^{2ik}
-    c2 = 1 - ik * g(-ik) ** 2 / (pow2 * g(2 * ik) * g(-n - ik) ** 2)
+    sq = gamma_ratio((-ik, -ik), (2 * ik, -n - ik, -n - ik))
+    c2 = 1 - ik * sq / pow2
     c3 = (-2 / math.pi * ch
-          + 2 * ik * g(-ik) ** 2 * ch / (pow2 * math.pi * g(-n - ik) ** 2)
-          + g(-ik) * g(-n + ik) / (SQRT_PI * g(2 * ik) * g(0.5 - ik) * g(-n - ik)))
-    c4 = -g(-ik) ** 2 * g(-n + ik) / (2 * math.pi * pow2 * g(2 * ik) * g(-n - ik) ** 2)
+          + 2 * ik * sq * ch / (pow2 * math.pi)
+          + gamma_ratio((-ik, -n + ik), (2 * ik, 0.5 - ik, -n - ik)) / SQRT_PI)
+    c4 = -gamma_ratio((-ik, -ik, -n + ik), (2 * ik, -n - ik, -n - ik)) / (2 * math.pi * pow2)
     return SolutionConstants(c2=c2, c3=c3, c4=c4)
 
 
 def printed_relation_residuals(consts: SolutionConstants,
                                params: OrderParams) -> list[float]:
     """Relative residuals of the three printed relations for given constants."""
-    n, k = params.n, params.k
-    ik = 1j * k
-    ch = math.cosh(math.pi * k)
+    ch, g1, g2, rhs3 = _printed_relation_factors(params)
     c2, c3, c4 = consts.as_tuple()
-
-    t = c4 * math.pi * gamma(1 + 2 * ik) / gamma(-n + ik)
-    r1_terms = [c2, -1.0, -t]
-    t2 = [c3, 2 / math.pi * c2 * ch, c4 * gamma(-n - ik) / gamma(-2 * ik)]
-    rhs3 = (gamma(-ik) * gamma(0.5 + ik) * gamma(-n + ik)
-            / (SQRT_PI * gamma(2 * ik) * gamma(-n - ik)))
-    t3 = [2 * c2, math.pi * c3 / ch, -rhs3]
-
     out = []
-    for terms in (r1_terms, t2, t3):
-        scale = max(abs(v) for v in terms)
-        out.append(abs(sum(terms)) / scale if scale else 0.0)
+    for terms in ([c2, -1.0, -c4 * g1],
+                  [c3, 2 / math.pi * c2 * ch, c4 * g2],
+                  [2 * c2, math.pi * c3 / ch, -rhs3]):
+        top = max(math.hypot(v.real, v.imag) for v in terms)
+        if not top < math.inf:
+            raise InputError("printed relation terms exceed the double range")
+        out.append(abs(sum(v / top for v in terms)) if top else 0.0)
     return out
 
 

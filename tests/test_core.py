@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from wbident.core import gamma, laguerre, log_gamma, pochhammer
-from wbident.errors import PoleError
+from wbident.core import gamma, gamma_ratio, laguerre, log_gamma, pochhammer
+from wbident.errors import InputError, PoleError
 
 # 50-digit reference value for Gamma(-0.5 + 1.0i) (independent
 # high-precision evaluation via the reflection formula)
@@ -43,6 +43,37 @@ class TestLogGamma:
             lhs = cmath.exp(log_gamma(z + n) - log_gamma(z))
             rhs = pochhammer(z, n)
             assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+    def test_reflection_far_from_real_axis(self):
+        # sin(pi z) exceeds the double range here; log Gamma does not
+        from mpmath import mp
+        with mp.workdps(40):
+            want = mp.loggamma(mp.mpc(0, -400))
+            got = log_gamma(-400j)
+            turns = mp.nint((got.imag - want.imag) / (2 * mp.pi))
+            err = abs(mp.mpc(got.real, got.imag - 2 * mp.pi * turns) - want)
+        assert float(err) <= 1e-15 * float(abs(want))
+
+
+class TestGammaRatio:
+    def test_factors_beyond_double_range_cancel(self):
+        # the numerator, about e^{-942}, underflows alone; the quotient does not
+        from mpmath import mp
+        num, den = (0.5 - 200j, -400j), (-2 - 200j,)
+        with mp.workdps(40):
+            want = complex(mp.gamma(mp.mpc(0.5, -200)) * mp.gamma(mp.mpc(0, -400))
+                           / mp.gamma(mp.mpc(-2, -200)))
+        assert abs(gamma_ratio(num, den) - want) <= 1e-15 * abs(want)
+
+    @pytest.mark.parametrize("num,den", [((-500j,), ()), ((), (-500j,)),
+                                         ((200.0,), ())])
+    def test_out_of_range_is_input_error(self, num, den):
+        with pytest.raises(InputError):
+            gamma_ratio(num, den)
+
+    def test_pole_in_denominator(self):
+        with pytest.raises(PoleError):
+            gamma_ratio((1.5,), (-3.0,))
 
 
 class TestPochhammer:

@@ -43,7 +43,7 @@ class TestOrderParams:
 
 class TestLogGammaLd:
     @pytest.mark.parametrize("z", [
-        # reflection branch; core.log_gamma refuses -400i (sin overflows double)
+        # reflection branch; at -400i sin(pi z) exceeds double, not longdouble
         -2.5 + 0.3j, 0.2 + 1j, -10.3 + 5j, -400j,
         1 + 1j, 0.7 + 0.1j, 5 + 2j, 12.0,          # shift loop
         20 + 3j, 0.5 + 50j, 100.0, 3 + 1000j,      # Stirling series directly

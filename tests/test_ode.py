@@ -5,10 +5,12 @@ import cmath
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import wbident.ode
 from wbident.config import EvalConfig
-from wbident.errors import InvariantViolationError
+from wbident.errors import InvariantViolationError, WbidentError
 from wbident.kernels import OrderParams, bessel_i, whittaker_w
 from wbident.lambda_poly import coeffs_from_recurrence, laguerre_closed_form
 from wbident.ode import (SolutionConstants, basis_products, bessel_ode_coeffs,
@@ -293,6 +295,40 @@ class TestConstants:
             d2 = abs(c4_closed_form(OrderParams(n=n, k=2e-3)) - ref) / abs(ref)
             assert d1 <= 1e-2
             assert 1.5 <= d2 / d1 <= 2.5      # deviation is O(k)
+
+    @pytest.mark.parametrize("n", [0, 5, 13, 24])
+    @pytest.mark.parametrize("k", [0.1, 2.0, 50.0, 150.0, 200.0])
+    def test_c4_matches_mpmath(self, n, k):
+        from mpmath import mp
+        with mp.workdps(40):
+            ik = mp.mpc(0, k)
+            want = complex(-2 * mp.cosh(mp.pi * k) / mp.pi
+                           * mp.gamma(-2 * ik) / mp.gamma(-n - ik))
+        params = OrderParams(n=n, k=k)
+        for got in (constants_defining_system(params).c4, c4_closed_form(params)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(n=st.integers(0, 25), k=st.floats(1e-300, 1e4))
+    @example(n=24, k=85.0)        # a gamma product underflowed to 0 here
+    @example(n=0, k=230.0)        # cosh(pi k) overflows
+    @example(n=2, k=216.5)        # finite terms whose modulus overflows
+    def test_constants_finite_or_wbident_error(self, n, k):
+        params = OrderParams(n=n, k=k)
+        calls = [
+            lambda: constants_defining_system(params).as_tuple(),
+            lambda: [c4_closed_form(params)],
+            lambda: constants_printed_system(params).as_tuple(),
+            lambda: constants_closed_form(params).as_tuple(),
+            lambda: printed_relation_residuals(constants_defining_system(params), params),
+            lambda: [c for cs in resolve_constants(params)[:2] for c in cs.as_tuple()],
+        ]
+        for call in calls:
+            try:
+                values = call()
+            except WbidentError:
+                continue
+            assert all(math.hypot(v.real, v.imag) < math.inf for v in values)
 
 
 class TestReconstruction:

@@ -292,6 +292,8 @@ class TestCli:
         "verify --check trial --n 2 --k 500",
         "verify --check indicial --n 2 --k 1e300",
         "verify --check reconstruction --n 2 --k 1e300",
+        "verify --check reconstruction --n 2 --k 200",
+        "verify --check reconstruction --n 2 --k 230",
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_input_exits_2_without_traceback(self, argv, capsys):
