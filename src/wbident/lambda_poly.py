@@ -42,7 +42,7 @@ from .config import EvalConfig, default_config
 from .core import SQRT_PI, pochhammer
 from .errors import InputError, InvariantViolationError
 from .kernels import OrderParams, _tabled, bessel_k_quad, whittaker_w
-from .report import ResidualReport, index_grid
+from .report import ResidualReport, index_grid, relative_residual
 
 CONVENTION_MINUS = "(1-ik)_n"       # resolved convention
 CONVENTION_PLUS = "(1+ik)_n"        # mirror convention (fails the identity)
@@ -188,14 +188,10 @@ def first_order_residuals(cv: CoeffVector) -> list[float]:
     """Relative residuals of the first-order recurrence at m = 1..n on the
     float-rounded coefficients (the exact path satisfies it identically)."""
     n, k = cv.params.n, cv.params.k
-    out = []
-    for m in range(1, n + 1):
-        t1 = m * complex(m, -2 * k) * cv.a_m(m + 1)
-        t2 = (1 + 2 * n) * cv.a_m(m)
-        t3 = (1 - 2 * m) * cv.a_m(m).conjugate()
-        scale = max(abs(t1), abs(t2), abs(t3))
-        out.append(abs(t1 + t2 + t3) / scale if scale else 0.0)
-    return out
+    return [relative_residual([m * complex(m, -2 * k) * cv.a_m(m + 1),
+                               (1 + 2 * n) * cv.a_m(m),
+                               (1 - 2 * m) * cv.a_m(m).conjugate()])
+            for m in range(1, n + 1)]
 
 
 # --- five-factor second-order recurrence (advisory) ------------------------
@@ -234,11 +230,8 @@ def second_order_residuals(cv: CoeffVector, variant: str = "printed") -> list[fl
     out = []
     for m in range(1, n):
         c2, c1, c0 = _second_order_terms(n, k, m, variant)
-        t2 = c2 * cv.a_m(m + 2)
-        t1 = c1 * cv.a_m(m + 1)
-        t0 = c0 * cv.a_m(m)
-        scale = max(abs(t2), abs(t1), abs(t0))
-        out.append(abs(t2 + t1 + t0) / scale if scale else 0.0)
+        out.append(relative_residual(
+            [c2 * cv.a_m(m + 2), c1 * cv.a_m(m + 1), c0 * cv.a_m(m)]))
     return out
 
 

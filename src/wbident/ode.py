@@ -26,6 +26,13 @@ the product basis (and yields the indicial exponents {0, 1, 2ik, 1-2ik} that
 the basis factors' small-x behaviour predicts).  The printed variant is kept
 for the advisory comparison.
 
+Statements with a known solution are checked by substituting it: the
+indicial polynomial is evaluated at the predicted exponents, and the
+defining system of the connection constants is solved by back-substitution.
+Every relation whose terms must cancel (the ODE, the Whittaker operator, the
+printed constant relations, the reconstruction of Lambda) is scored by
+report.relative_residual, |sum of terms| / max |term|.
+
 Lambda and a1..a5 are numpy.polynomial.Polynomial objects (default domain
 and window, so p(x) is plain Horner evaluation); values taken from them are
 converted to Python complex before they enter a ResidualReport.
@@ -39,7 +46,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 from numpy.polynomial import Polynomial
 
 from .config import EvalConfig, default_config
@@ -48,7 +54,7 @@ from .errors import InputError, InvariantViolationError
 from .kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                       whittaker_w)
 from .lambda_poly import CoeffVector, boundary_coeffs, coeffs_from_recurrence
-from .report import ResidualReport, index_grid
+from .report import ResidualReport, index_grid, relative_residual
 
 ODE4_VARIANTS = ("corrected", "printed")
 
@@ -219,11 +225,7 @@ def basis_products(params: OrderParams, x: float,
 
 def _residual_from_derivs(coeffs: Ode4Coeffs, derivs, x: float) -> float:
     polys = coeffs.as_list()                      # a1..a5 multiply y''''..y
-    terms = [complex(polys[j](x)) * derivs[4 - j] for j in range(5)]
-    scale = max(abs(t) for t in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(sum(terms)) / scale
+    return relative_residual([complex(polys[j](x)) * derivs[4 - j] for j in range(5)])
 
 
 def ode4_residual(f, params: OrderParams, x: float,
@@ -269,8 +271,7 @@ def whittaker_operator_residual(y, d2y, n: int, k: float, x: float) -> float:
     """Normalized residual of L(y) = y'' + (-1 + (2n+1)/x + (1/4+k^2)/x^2) y
     at x, given y(x) and y''(x)."""
     potential = (-1.0 + (2 * n + 1) / x + (0.25 + k * k) / x ** 2) * y
-    scale = max(abs(d2y), abs(potential))
-    return abs(d2y + potential) / scale if scale else 0.0
+    return relative_residual([d2y, potential])
 
 
 def trial_condition_check(params: OrderParams, x_grid,
@@ -321,91 +322,75 @@ def trial_condition_check(params: OrderParams, x_grid,
 
 @dataclass(frozen=True)
 class IndicialAnalysis:
-    roots: tuple[complex, ...]           # from the ODE's own leading balance
-    paper_roots: tuple[complex, ...]     # from the printed factorization
     predicted: tuple[complex, ...]       # exponent sums of the basis factors
-    match: bool                          # roots vs predicted at tolerance
+    defects: tuple[float, ...]           # leading balance at each predicted exponent
+    printed_defects: tuple[float, ...]   # printed factorization at each of them
+    match: bool                          # every defect within tolerance
     max_deviation: float
-    printed_deviation: float             # paper_roots vs predicted
+    printed_deviation: float
 
 
-def _root_sort(roots) -> tuple[complex, ...]:
-    return tuple(sorted((complex(r) for r in roots),
-                        key=lambda z: (round(z.real, 9), round(z.imag, 9))))
-
-
-def _set_deviation(got, want) -> float:
-    got = list(got)
-    worst = 0.0
-    for w in want:
-        best_i = min(range(len(got)), key=lambda i: abs(got[i] - w))
-        worst = max(worst, abs(got.pop(best_i) - w))
-    return worst
+def _falling(s: complex, j: int) -> complex:
+    """s (s-1) ... (s-j+1)."""
+    return math.prod((s - i for i in range(j)), start=1 + 0j)
 
 
 def indicial_analysis(params: OrderParams,
                       config: EvalConfig | None = None,
                       variant: str = "corrected") -> IndicialAnalysis:
-    """Indicial polynomial at the regular singular point x = 0, computed from
-    the ODE coefficients themselves (Frobenius leading balance), compared
-    against the predicted exponent set {0, 1, 2ik, 1-2ik} and against the
-    printed factorization sigma(sigma-1)[sigma^2 - sigma - 4(1-k)(i+k)]."""
+    """Indicial polynomial at the regular singular point x = 0 from the ODE
+    coefficients themselves (Frobenius leading balance), evaluated at the
+    predicted exponents {0, 1, 2ik, 1-2ik}, and the printed factorization
+    sigma(sigma-1)[sigma^2 - sigma - 4(1-k)(i+k)] evaluated there too.
+
+    The leading coefficient of a1, 1-4ik, never vanishes, so the indicial
+    polynomial has degree 4; vanishing at four distinct exponents fixes all
+    of its roots, with no root finding."""
     config = config or default_config()
     if not params.k > 0:
         raise InputError("indicial_analysis requires k > 0")
     k = params.k
-    coeffs = ode4_coeffs(params, variant)
-    polys = coeffs.as_list()              # a1..a5 multiply y^(4)..y^(0)
-    orders = []
-    for j, p in enumerate(polys):
-        deriv_order = 4 - j
+    # a_j's lowest term c x^i on y^(d), y ~ x^s: c s(s-1)...(s-d+1) x^(s+i-d)
+    leading = []
+    for j, p in enumerate(ode4_coeffs(params, variant).as_list()):
         lead = next(((i, c) for i, c in enumerate(p.coef) if c != 0), None)
         if lead is not None:
-            orders.append((lead[0] - deriv_order, deriv_order, lead[1]))
-    shift = min(o for o, _, _ in orders)
-    indicial = np.zeros(5, dtype=complex)
-    for o, deriv_order, c in orders:
-        if o != shift:
-            continue
-        falling = np.array([1.0 + 0j])    # sigma (sigma-1) ... (sigma-j+1)
-        for i in range(deriv_order):
-            falling = npoly.polymul(falling, [-i, 1])
-        indicial[:len(falling)] += c * falling
-    deg = max(i for i in range(5) if abs(indicial[i]) > 0)
-    roots = _root_sort(np.roots(indicial[deg::-1]))
+            leading.append((lead[0] - (4 - j), 4 - j, complex(lead[1])))
+    shift = min(o for o, _, _ in leading)
+    leading = [(d, c) for o, d, c in leading if o == shift]
 
-    predicted = _root_sort([0.0, 1.0, 2j * k, 1 - 2j * k])
-    quad = np.roots([1.0, -1.0, -4 * (1 - k) * complex(k, 1)])
-    paper_roots = _root_sort([0.0, 1.0, quad[0], quad[1]])
-
-    dev = _set_deviation(roots, predicted)
-    printed_dev = _set_deviation(paper_roots, predicted)
+    predicted = (0j, 1 + 0j, 2j * k, 1 - 2j * k)
+    defects = tuple(relative_residual([c * _falling(s, d) for d, c in leading])
+                    for s in predicted)
+    q = -4 * (1 - k) * complex(k, 1)
+    printed = tuple(relative_residual([_falling(s, 2) * t for t in (s * s, -s, q)])
+                    for s in predicted)
     return IndicialAnalysis(
-        roots=roots, paper_roots=paper_roots, predicted=predicted,
-        match=dev <= config.indicial_tol,
-        max_deviation=dev, printed_deviation=printed_dev)
+        predicted=predicted, defects=defects, printed_defects=printed,
+        match=max(defects) <= config.indicial_tol,
+        max_deviation=max(defects), printed_deviation=max(printed))
 
 
 def indicial_reports(params: OrderParams,
                      config: EvalConfig | None = None) -> list[ResidualReport]:
-    """Load-bearing report for the computed roots, advisory one for the
-    printed quadratic."""
+    """Load-bearing report for the ODE's own leading balance, advisory one
+    for the printed factorization, each at the predicted exponents."""
     config = config or default_config()
     ia = indicial_analysis(params, config)
     computed = ResidualReport(
         check_name="indicial-exponents",
         params=params,
         grid=index_grid(0, 4),
-        residuals=[abs(a - b) for a, b in zip(ia.roots, ia.predicted)],
+        residuals=list(ia.defects),
         threshold=config.indicial_tol,
-        notes=[f"computed roots {list(ia.roots)} vs predicted {list(ia.predicted)}"])
+        notes=[f"leading balance at predicted exponents {list(ia.predicted)}"])
     printed = ResidualReport(
         check_name="indicial-printed-quadratic",
         params=params,
         grid=index_grid(0, 4),
-        residuals=[abs(a - b) for a, b in zip(ia.paper_roots, ia.predicted)],
+        residuals=list(ia.printed_defects),
         threshold=config.indicial_tol,
-        notes=[f"printed roots {list(ia.paper_roots)} vs predicted "
+        notes=[f"printed factorization at predicted exponents "
                f"{list(ia.predicted)}; deviation {ia.printed_deviation:.3e}"])
     return [computed, printed]
 
@@ -433,23 +418,18 @@ def constants_defining_system(params: OrderParams) -> SolutionConstants:
       x^{2ik} mode:  alpha_IW c2 + alpha_KW c3 + gamma_KM c4 = 0
       x^{1-2ik} mode:             delta_KW c3                = 0
 
-    Their solution is c2 = 1, c3 = 0 (by the gamma duplication formula) and
+    delta_KW = Gamma(-1/2+ik) Gamma(2ik) / (2 Gamma(-n+ik)) is a nonzero
+    Gamma quotient, so back-substitution in row order gives c2 = a_1/beta_IW,
+    exactly c3 = 0 and c4 = -alpha_IW c2/gamma_KM with gamma_KM =
+    Gamma(1/2-ik).  That is c2 = 1 (by the gamma duplication formula) and
     c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik).
     """
     n, ik, _ = _constants_order(params)
     beta_iw = 2.0 ** (1 - 2 * ik) * gamma_ratio((2 * ik,), (0.5 + ik, -n + ik))
     alpha_iw = 2.0 * gamma_ratio((-2 * ik,), (-n - ik, 0.5 + ik))
-    alpha_kw = gamma_ratio((0.5 - ik, -2 * ik), (-n - ik,))
-    delta_kw = 0.5 * gamma_ratio((-0.5 + ik, 2 * ik), (-n + ik,))
-    gamma_km = gamma(0.5 - ik)
-
     a1, _ = boundary_coeffs(params)
-    mat = np.array([[beta_iw, 0, 0],
-                    [alpha_iw, alpha_kw, gamma_km],
-                    [0, delta_kw, 0]], dtype=complex)
-    rhs = np.array([a1, 0, 0], dtype=complex)
-    c2, c3, c4 = np.linalg.solve(mat, rhs)
-    return SolutionConstants(c2=complex(c2), c3=complex(c3), c4=complex(c4))
+    c2 = a1 / beta_iw
+    return SolutionConstants(c2=c2, c3=0j, c4=-alpha_iw * c2 / gamma(0.5 - ik))
 
 
 def c4_closed_form(params: OrderParams) -> complex:
@@ -520,34 +500,33 @@ def printed_relation_residuals(consts: SolutionConstants,
     """Relative residuals of the three printed relations for given constants."""
     ch, g1, g2, rhs3 = _printed_relation_factors(params)
     c2, c3, c4 = consts.as_tuple()
-    out = []
-    for terms in ([c2, -1.0, -c4 * g1],
-                  [c3, 2 / math.pi * c2 * ch, c4 * g2],
-                  [2 * c2, math.pi * c3 / ch, -rhs3]):
-        top = max(math.hypot(v.real, v.imag) for v in terms)
-        if not top < math.inf:
-            raise InputError("printed relation terms exceed the double range")
-        out.append(abs(sum(v / top for v in terms)) if top else 0.0)
-    return out
+    relations = ([c2, -1.0, -c4 * g1],
+                 [c3, 2 / math.pi * c2 * ch, c4 * g2],
+                 [2 * c2, math.pi * c3 / ch, -rhs3])
+    return [relative_residual(terms) for terms in relations]
 
 
 def resolve_constants(params: OrderParams,
                       config: EvalConfig | None = None):
     """Evaluate the printed closed forms, test them against the printed
-    relations, fall back to the printed-system solution on failure, and
-    report every discrepancy (including against the defining system)."""
+    relations, fall back to the printed-system solution on failure (a closed
+    form that leaves the double range fails too), and report every
+    discrepancy (including against the defining system)."""
     config = config or default_config()
     tol = config.constants_relation_tol
     notes = []
-    closed = constants_closed_form(params)
-    closed_resid = printed_relation_residuals(closed, params)
-    chosen = closed
+    try:
+        chosen = constants_closed_form(params)
+        closed_resid = printed_relation_residuals(chosen, params)
+        failure = None
+        if max(closed_resid) > tol:
+            failure = (f"printed closed forms violate the printed relations "
+                       f"(residuals {[f'{r:.2e}' for r in closed_resid]})")
+    except InputError as exc:
+        failure = f"printed closed forms fail ({exc})"
     source = "printed-closed-form"
-    if max(closed_resid) > tol:
-        notes.append(
-            f"printed closed forms violate the printed relations "
-            f"(residuals {[f'{r:.2e}' for r in closed_resid]}); "
-            "falling back to the printed-system solution")
+    if failure:
+        notes.append(f"{failure}; falling back to the printed-system solution")
         chosen = constants_printed_system(params)
         source = "printed-system"
     defining = constants_defining_system(params)
@@ -595,16 +574,16 @@ def lambda_reconstruction(params: OrderParams, x_grid,
         constants = solution_constants(params, config)
     nu = complex(-0.5, k)
     residuals = []
-    for x, want in zip(x_grid, lam.tolist()):
+    for x, lam_x in zip(x_grid, lam.tolist()):
         i_x = bessel_i(nu, x, config)
         m_x = whittaker_m(n + 0.5, 1j * k, 2 * x, config)
         w_x = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
         k_x = bessel_k_quad(nu, x, config)
-        recon = (c1 * i_x * m_x
-                 + constants.c2 * i_x * w_x
-                 + constants.c3 * k_x * w_x
-                 + constants.c4 * k_x * m_x)
-        residuals.append(abs(recon - want) / abs(want))
+        residuals.append(relative_residual([c1 * i_x * m_x,
+                                            constants.c2 * i_x * w_x,
+                                            constants.c3 * k_x * w_x,
+                                            constants.c4 * k_x * m_x,
+                                            -lam_x]))
     return ResidualReport(
         check_name=check_name, params=params, grid=x_grid,
         residuals=residuals, threshold=config.reconstruction_tol)

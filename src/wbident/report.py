@@ -1,4 +1,9 @@
-"""Residual reports and deterministic JSON/CSV export.
+"""Residual reports, the residual rule, and deterministic JSON/CSV export.
+
+A relation whose terms must cancel is checked by one rule,
+`relative_residual`: |sum of the terms| / max |term|, with 0.0 when every
+term vanishes.  Comparisons of two values and realness checks keep their own
+scales.
 
 All numbers are printed with 17 significant digits and all JSON keys are
 sorted, so two runs over the same inputs produce byte-identical documents
@@ -10,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .errors import InputError
 from .kernels import OrderParams
 
 # Checks that verify a formula suspected of misprint: their failure is
@@ -32,6 +38,20 @@ ADVISORY_CHECKS = {
     "reconstruction-printed-constants":
         "product-basis reconstruction using the printed-system constants",
 }
+
+
+def relative_residual(terms) -> float:
+    """|sum(terms)| / max |t| of terms that must cancel; 0.0 when every term
+    vanishes.  Each term is divided by the largest modulus before summing, so
+    nothing overflows; InputError when that modulus is not finite."""
+    terms = list(terms)
+    mods = [math.hypot(t.real, t.imag) for t in terms]
+    top = max(mods)
+    if not all(m < math.inf for m in mods):
+        raise InputError("residual terms exceed the double range")
+    if top == 0.0:
+        return 0.0
+    return float(abs(sum(t / top for t in terms)))
 
 
 # shared by the grids of reports over an index (a suite keeps hundreds of

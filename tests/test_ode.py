@@ -221,8 +221,22 @@ class TestIndicial:
 
     def test_roots_always_include_zero_and_one(self):
         ia = indicial_analysis(OrderParams(n=3, k=0.7))
-        assert any(abs(r) < 1e-10 for r in ia.roots)
-        assert any(abs(r - 1) < 1e-10 for r in ia.roots)
+        assert ia.predicted[:2] == (0, 1)
+        assert ia.defects[:2] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 2.0])
+    def test_perturbed_a3_constant_fails(self, k, monkeypatch):
+        # substituting the exponents is not vacuous: a 1e-9 relative change
+        # of a3's constant term moves two of the four roots off them
+        def mutant(params, variant="corrected"):
+            c = ode4_coeffs(params, variant)
+            a3 = c.a3.copy()
+            a3.coef[0] *= 1 + 1e-9
+            return type(c)(c.a1, c.a2, a3, c.a4, c.a5)
+
+        assert indicial_analysis(OrderParams(n=2, k=k)).match
+        monkeypatch.setattr(wbident.ode, "ode4_coeffs", mutant)
+        assert not indicial_analysis(OrderParams(n=2, k=k)).match
 
     def test_predicted_set_k1(self):
         ia = indicial_analysis(OrderParams(n=1, k=1.0))
@@ -250,11 +264,12 @@ class TestIndicial:
 
 
 class TestConstants:
-    @pytest.mark.parametrize("n,k", [(0, 1.0), (1, 1.0), (2, 0.5), (3, 2.0)])
+    @pytest.mark.parametrize("n,k", [(0, 1.0), (1, 1.0), (2, 0.5), (3, 2.0),
+                                     (2, 20.0), (2, 50.0), (2, 200.0)])
     def test_defining_system_structure(self, n, k):
         c = constants_defining_system(OrderParams(n=n, k=k))
         assert abs(c.c2 - 1) <= 1e-10
-        assert abs(c.c3) <= 1e-10
+        assert c.c3 == 0
         assert abs(c.c4 - c4_closed_form(OrderParams(n=n, k=k))) <= 1e-10 * abs(c.c4)
 
     def test_second_printed_relation_holds(self):
@@ -287,6 +302,18 @@ class TestConstants:
         printed = constants_printed_system(params)
         assert abs(chosen.c4 - printed.c4) <= 1e-10 * abs(printed.c4)
         assert abs(defining.c2 - 1) <= 1e-10
+
+    @pytest.mark.parametrize("n,k", [(0, 112.0), (2, 150.0), (25, 100.0)])
+    def test_resolve_constants_notes_closed_forms_out_of_range(self, n, k):
+        # the printed closed-form c3 grows like e^{2 pi k}: an advisory
+        # failure that falls back to the printed system
+        params = OrderParams(n=n, k=k)
+        with pytest.raises(WbidentError):
+            constants_closed_form(params)
+        chosen, defining, notes = resolve_constants(params)
+        assert "printed closed forms fail" in notes[0]
+        assert chosen == constants_printed_system(params)
+        assert defining == constants_defining_system(params)
 
     def test_k_limit_of_c4(self):
         for n in range(4):

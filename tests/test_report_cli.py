@@ -1,6 +1,7 @@
 """Tests for report serialization, determinism, and the CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,8 @@ from wbident.errors import ConvergenceError, InputError
 from wbident.kernels import OrderParams
 from wbident.lambda_poly import laguerre_closed_form
 from wbident.report import (ADVISORY_CHECKS, ResidualReport,
-                            VerificationSuiteResult, canonical_json, export)
+                            VerificationSuiteResult, canonical_json, export,
+                            relative_residual)
 from wbident.suite import run_suite, verify_identity
 
 
@@ -55,6 +57,26 @@ class TestResidualReport:
         assert set(d) == {"check", "params", "grid", "residuals", "threshold",
                           "pass", "advisory", "notes"}
         assert d["params"] == {"n": 1, "k": 1.0}
+
+
+class TestRelativeResidual:
+    def test_all_zero_terms_give_zero(self):
+        assert relative_residual([0j, 0.0, 0j]) == 0.0
+
+    def test_sum_over_largest_term(self):
+        assert relative_residual([3.0, -4.0, 1 + 0j]) == 0.0
+        assert relative_residual([2.0, -1.0]) == 0.5
+        assert relative_residual([3 + 4j, 1.0]) == pytest.approx(abs(4 + 4j) / 5)
+
+    def test_terms_near_double_max_do_not_overflow(self):
+        r = relative_residual([1.5e308, 1.5e308j, -1.0e308])
+        assert math.isfinite(r)
+        assert r == pytest.approx(abs(0.5e308 + 1.5e308j) / 1.5e308)
+
+    @pytest.mark.parametrize("bad", [math.inf, complex(0, -math.inf), math.nan])
+    def test_non_finite_term_raises(self, bad):
+        with pytest.raises(InputError):
+            relative_residual([1.0, bad])
 
 
 class TestSuiteResult:
@@ -291,6 +313,7 @@ class TestCli:
         "verify --check trial --n 2 --k 470",
         "verify --check trial --n 2 --k 500",
         "verify --check indicial --n 2 --k 1e300",
+        "verify --check indicial --n 2 --k 1e100",
         "verify --check reconstruction --n 2 --k 1e300",
         "verify --check reconstruction --n 2 --k 200",
         "verify --check reconstruction --n 2 --k 230",
