@@ -53,8 +53,9 @@ def verify_identity(params: OrderParams, x_grid,
         raise InputError("verify_identity requires k >= 0")
     if 0 < k < config.k_refuse_threshold:
         raise InputError(
-            f"0 < k = {k} < {config.k_refuse_threshold} is refused in "
-            "double-precision mode (cancellation regime); use the oracle")
+            f"0 < k = {k} < {config.k_refuse_threshold} "
+            "(EvalConfig.k_refuse_threshold) is refused: the connection "
+            "formula cancels there and no route checks the identity")
 
     lam = coeffs_from_recurrence(params, config).lam_poly()(np.array(x_grid))
     residuals = []

@@ -11,7 +11,7 @@ from wbident import kernels
 from wbident.config import EvalConfig
 from wbident.core import laguerre
 from wbident.errors import (ConvergenceError, DegenerateParameterError,
-                            NearDegeneracyWarning, PoleError)
+                            InputError, NearDegeneracyWarning, PoleError)
 from wbident.kernels import (OrderParams, bessel_i, bessel_i_tilde,
                              bessel_k_quad, bessel_k_via_w, kummer_m,
                              whittaker_m, whittaker_w)
@@ -500,6 +500,19 @@ class TestOracle:
         values = oracle.whittaker_w(3.5, 1.3j, zs)
         assert values == [oracle.whittaker_w(3.5, 1.3j, z) for z in zs]
 
+    def test_bessel_k_on_a_list_equals_per_point_values(self):
+        from wbident import oracle
+        xs = [0.25, 2.0, 7.25]
+        values = oracle.bessel_k(complex(0.5, 1.3), xs)
+        assert values == [oracle.bessel_k(complex(0.5, 1.3), x) for x in xs]
+
+    @pytest.mark.parametrize("kappa,mu", [(3.5 + 1j, 1.3j), (3.5, 0.2 + 1.3j),
+                                          (3.5, 0.0)])
+    def test_whittaker_w_outside_its_orders_is_input_error(self, kappa, mu):
+        from wbident import oracle
+        with pytest.raises(InputError):
+            oracle.whittaker_w(kappa, mu, 2.0)
+
     @pytest.mark.parametrize("k", [0.1, 1.0, 4.5])
     def test_bessel_k_matches_mpmath_besselk(self, k):
         import mpmath as mp
@@ -510,13 +523,56 @@ class TestOracle:
                 want = mp.besselk(mp.mpf(0.5) + mp.mpc(0, k), mp.mpf(x))
                 assert abs(got - want) <= self.ORACLE_TOL * abs(want), x
 
-    def test_mpmath_non_convergence_is_structured_error(self, monkeypatch):
+    @pytest.mark.parametrize("evaluator", ["hyp0f1", "hyp1f1"])
+    def test_mpmath_non_convergence_is_structured_error(self, monkeypatch,
+                                                        evaluator):
+        # hyp0f1 serves I inside oracle.bessel_k, hyp1f1 serves M inside
+        # oracle.whittaker_w; both run in every escalated collocation fit
         import mpmath as mp
         from mpmath.libmp import NoConvergence
-        from wbident import oracle
+        from wbident import lambda_poly, oracle
 
         def stuck(*args, **kwargs):
             raise NoConvergence("stuck")
-        monkeypatch.setattr(mp, "besseli", stuck)
+        monkeypatch.setattr(mp, evaluator, stuck)
+        if evaluator == "hyp0f1":
+            with pytest.raises(ConvergenceError):
+                oracle.bessel_k(complex(0.5, 1.0), 2.0)
         with pytest.raises(ConvergenceError):
-            oracle.bessel_k(complex(0.5, 1.0), 2.0)
+            oracle.collocation_fit(OrderParams(n=3, k=0.5),
+                                   lambda_poly.default_collocation_points(3))
+
+    @pytest.mark.parametrize("n,k", [(3, 0.5), (8, 0.5), (8, 2.0)])
+    def test_integer_householder_matches_mpmath_qr_solve(self, n, k):
+        # the escalated design matrices; at n = 8 the condition is ~1e16
+        import mpmath as mp
+        from wbident import lambda_poly, oracle
+        config = EvalConfig()
+        with mp.workdps(config.oracle_dps):
+            rows, rhs = oracle._design_system(
+                OrderParams(n=n, k=k), lambda_poly.default_collocation_points(n),
+                config)
+            self.assert_matches_qr_solve(rows, rhs, 1e-30)
+
+    def test_integer_householder_on_a_well_conditioned_system(self):
+        import random
+
+        import mpmath as mp
+        from wbident import oracle
+        rng = random.Random(12)
+        with mp.workdps(EvalConfig().oracle_dps):
+            rows = [[mp.mpf(rng.uniform(-1, 1)) for _ in range(6)]
+                    for _ in range(12)]
+            rhs = [mp.mpf(rng.uniform(-1, 1)) for _ in range(12)]
+            self.assert_matches_qr_solve(rows, rhs, 1e-45)
+
+    @staticmethod
+    def assert_matches_qr_solve(rows, rhs, tol):
+        """The integer solve agrees with mpmath's qr_solve to tol of the
+        largest unknown."""
+        import mpmath as mp
+        from wbident import oracle
+        got = oracle._householder_lstsq(rows, rhs)
+        want = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))[0]
+        big = max(abs(w) for w in want)
+        assert max(abs(g - w) for g, w in zip(got, want)) <= tol * big
