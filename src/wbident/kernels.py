@@ -139,6 +139,8 @@ def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False)
     a, b = C(a), C(b)
     tol = LD(config.series_rel_tol)
     out = np.empty((3 if deriv else 1, z.size), C)
+    if not z.size:
+        return list(out)
     sums = [np.ones(z.size, C)] + [np.zeros(z.size, C) for _ in out[1:]]
     live = np.arange(z.size)
     zl, t, small = z, np.ones(z.size, C), np.zeros(z.size, int)

@@ -19,6 +19,14 @@ a second-order equation y'' = p y' + q y: the modified Bessel equation
 W.  One kernel call gives the exact (y, y'), the equation gives y'' to
 y'''', and the Leibniz rule gives the derivatives of the product.
 
+The basis, trial and reconstruction checks take M and W on the whole grid
+in one kernel call, at z = tuple(2 * x for x in grid), and I and K per
+point; everything after the kernel calls runs per point, so each residual
+equals the one-point check's bit for bit.  The trial check uses the basis
+check's z tuple, so inside ``kernels.kernel_table()`` it reuses that check's
+W and M_{n+1/2,ik} grids.  The reconstruction's W stays per point: the
+suite's W realness check has already tabled those values.
+
 Two variants of the ODE coefficients are provided.  The historically printed
 a3 has constant term 2i(1-2k)(i+k)(i+4k); eliminating conj(L) symbolically
 gives -2(1+2ik)(i+k)(i+4k) instead, and only the corrected variant annihilates
@@ -190,37 +198,45 @@ def product_derivatives(f, g) -> list[complex]:
             for j in range(5)]
 
 
-def factor_derivatives(factor: str, params: OrderParams, x: float,
-                       config: EvalConfig | None = None) -> list[complex]:
+def factor_derivatives(factor: str, params: OrderParams, x,
+                       config: EvalConfig | None = None):
     """Derivatives 0..4 at x of one basis factor: "I" or "K" of order
     -1/2+ik at x, or "M" or "W" of indices (n+1/2, ik) at 2x.  One kernel
     call gives the exact value and first derivative; the factor's own
-    equation gives the rest."""
+    equation gives the rest.  x is a float or a tuple of floats (then one
+    list per point); M and W take the whole grid in one call."""
     config = config or default_config()
     n, k = params.n, params.k
+    xs = tuple(x) if np.ndim(x) else (x,)
     if factor in ("I", "K"):
         nu = complex(-0.5, k)
         kernel = bessel_i if factor == "I" else bessel_k_quad
-        y, dy = kernel(nu, x, config, deriv=True)
-        p, q = bessel_ode_coeffs(nu, x)
+        lifted = [lift_derivatives(*kernel(nu, xi, config, deriv=True),
+                                   *bessel_ode_coeffs(nu, xi)) for xi in xs]
     elif factor in ("M", "W"):
         kernel = whittaker_m if factor == "M" else whittaker_w
-        y, dz, _ = kernel(n + 0.5, 1j * k, 2 * x, config, deriv=True)
-        dy = 2 * dz                               # d/dx f(2x) = 2 f'(2x)
-        p, q = whittaker_ode_coeffs(n + 0.5, 1j * k, x)
+        y, dz, _ = kernel(n + 0.5, 1j * k, tuple(2 * xi for xi in xs), config,
+                          deriv=True)
+        # d/dx f(2x) = 2 f'(2x)
+        lifted = [lift_derivatives(yi, 2 * di,
+                                   *whittaker_ode_coeffs(n + 0.5, 1j * k, xi))
+                  for xi, yi, di in zip(xs, y.tolist(), dz.tolist())]
     else:
         raise KeyError(factor)
-    return lift_derivatives(y, dy, p, q)
+    return lifted if np.ndim(x) else lifted[0]
 
 
-def basis_products(params: OrderParams, x: float,
-                   config: EvalConfig | None = None) -> dict[str, list[complex]]:
+def basis_products(params: OrderParams, x,
+                   config: EvalConfig | None = None):
     """Derivatives 0..4 at x of the four product solutions, from one kernel
-    call per factor."""
+    call per factor; x is a float or a tuple of floats (then one dict per
+    point)."""
     config = config or default_config()
-    factors = {f: factor_derivatives(f, params, x, config) for f in "IKMW"}
-    return {name: product_derivatives(factors[name[0]], factors[name[2]])
-            for name in BASIS}
+    xs = tuple(x) if np.ndim(x) else (x,)
+    factors = {f: factor_derivatives(f, params, xs, config) for f in "IKMW"}
+    products = [{name: product_derivatives(factors[name[0]][i], factors[name[2]][i])
+                 for name in BASIS} for i in range(len(xs))]
+    return products if np.ndim(x) else products[0]
 
 
 def _residual_from_derivs(coeffs: Ode4Coeffs, derivs, x: float) -> float:
@@ -249,7 +265,7 @@ def product_solution_check(params: OrderParams,
     if not params.k > 0:
         raise InputError("product_solution_check requires k > 0")
     coeffs = ode4_coeffs(params, variant)
-    at_x = [(float(x), basis_products(params, x, config)) for x in x_grid]
+    at_x = list(zip(map(float, x_grid), basis_products(params, tuple(x_grid), config)))
     grid, residuals, notes = [], [], []
     for name in BASIS:
         for x, products in at_x:
@@ -288,12 +304,16 @@ def trial_condition_check(params: OrderParams, x_grid,
     kap = n + 0.5
     mu = 1j * k
 
+    # the ODE-basis check's z grid, so that in a kernel table W and M(+ik)
+    # are that check's entries
+    z = tuple(2 * x for x in x_grid)
+    grids = []                                    # (value, second derivative)
+    for kernel, order in ((whittaker_w, mu), (whittaker_m, mu), (whittaker_m, -mu)):
+        f, _, f2 = kernel(kap, order, z, config, deriv=True)
+        grids += [f.tolist(), f2.tolist()]
     w_real, sum_real, diff_imag, op_resid = [], [], [], []
     op_grid = []
-    for x in x_grid:
-        w, _, w2 = whittaker_w(kap, mu, 2 * x, config, deriv=True)
-        m_plus, _, m_plus2 = whittaker_m(kap, mu, 2 * x, config, deriv=True)
-        m_minus, _, m_minus2 = whittaker_m(kap, -mu, 2 * x, config, deriv=True)
+    for x, w, w2, m_plus, m_plus2, m_minus, m_minus2 in zip(x_grid, *grids):
         w_real.append(abs(w.imag) / abs(w))
         s = m_plus + m_minus
         sum_real.append(abs(s.imag) / abs(s))
@@ -573,10 +593,11 @@ def lambda_reconstruction(params: OrderParams, x_grid,
     if constants is None:
         constants = solution_constants(params, config)
     nu = complex(-0.5, k)
+    m = whittaker_m(n + 0.5, 1j * k, tuple(2 * x for x in x_grid), config)
     residuals = []
-    for x, lam_x in zip(x_grid, lam.tolist()):
+    # W per point: those values are already tabled by the suite's realness check
+    for x, lam_x, m_x in zip(x_grid, lam.tolist(), m.tolist()):
         i_x = bessel_i(nu, x, config)
-        m_x = whittaker_m(n + 0.5, 1j * k, 2 * x, config)
         w_x = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
         k_x = bessel_k_quad(nu, x, config)
         residuals.append(relative_residual([c1 * i_x * m_x,

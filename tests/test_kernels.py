@@ -364,6 +364,20 @@ class TestGrid:
         assert whittaker_w(2.5, 0.0, zs).tolist() == [whittaker_w(2.5, 0.0, z) for z in zs]
         assert kummer_m(0.5, 1.5j, zs).tolist() == [kummer_m(0.5, 1.5j, z) for z in zs]
 
+    @pytest.mark.parametrize("call", [
+        lambda: [kummer_m(1, 1, ())],
+        lambda: [whittaker_w(2.5, 1j, ())],
+        lambda: [whittaker_w(2.5, 0.0, ())],
+        lambda: whittaker_m(2.5, 1j, (), deriv=True),
+        lambda: whittaker_w(2.5, 1j, (), deriv=True),
+    ])
+    def test_empty_grid_gives_empty_read_only_arrays(self, call):
+        # the Kummer series used to wait for a finished point and raise
+        # ConvergenceError after series_max_terms
+        for values in call():
+            assert values.dtype == complex and values.shape == (0,)
+            assert not values.flags.writeable
+
     def test_any_nonpositive_point_is_refused(self):
         with pytest.raises(ValueError):
             whittaker_w(1.5, 1j, (1.0, 0.0))

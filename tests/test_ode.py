@@ -3,17 +3,22 @@ connection constants."""
 
 import cmath
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wbident.ode
+from wbident import kernels
 from wbident.config import EvalConfig
+from wbident.core import SQRT_PI, laguerre
 from wbident.errors import InvariantViolationError, WbidentError
-from wbident.kernels import OrderParams, bessel_i, whittaker_w
+from wbident.kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
+                             whittaker_w)
 from wbident.lambda_poly import coeffs_from_recurrence, laguerre_closed_form
-from wbident.ode import (SolutionConstants, basis_products, bessel_ode_coeffs,
+from wbident.ode import (BASIS, SolutionConstants, basis_products,
+                         bessel_ode_coeffs,
                          c4_closed_form, constants_closed_form,
                          constants_defining_system, constants_printed_system,
                          coupled_residual, factor_derivatives,
@@ -22,7 +27,8 @@ from wbident.ode import (SolutionConstants, basis_products, bessel_ode_coeffs,
                          ode4_residual, printed_relation_residuals,
                          product_derivatives, product_solution_check,
                          resolve_constants, solution_constants,
-                         trial_condition_check, whittaker_operator_residual)
+                         trial_condition_check, whittaker_ode_coeffs,
+                         whittaker_operator_residual)
 
 ODE4_TOL = EvalConfig().ode4_tol
 
@@ -180,10 +186,10 @@ class TestProductSolutions:
             monkeypatch.setattr(wbident.ode, name, counted)
         rep = product_solution_check(OrderParams(n=2, k=0.5))
         assert rep.passed
-        # four factors at each of the four default grid points
-        assert len(calls) == 16
-        assert sorted(set(calls)) == ["bessel_i", "bessel_k_quad",
-                                      "whittaker_m", "whittaker_w"]
+        # I and K at each of the four default grid points, M and W once each
+        # on the whole grid
+        assert Counter(calls) == {"bessel_i": 4, "bessel_k_quad": 4,
+                                  "whittaker_m": 1, "whittaker_w": 1}
 
     def test_printed_variant_fails_products(self):
         rep = product_solution_check(OrderParams(n=1, k=1.0), variant="printed")
@@ -210,6 +216,122 @@ class TestTrialConditions:
         n, k, x = 3, 1.0, 1.0
         w, _, w2 = whittaker_w(n + 1.5, 1j * k, 2 * x, deriv=True)
         assert whittaker_operator_residual(w, 4 * w2, n, k, x) >= 1e-1
+
+
+    def test_trial_check_reuses_the_basis_check_grids(self):
+        # at the basis check's grid, the trial check finds W and M_{+ik} in
+        # the kernel table and evaluates only M_{-ik}
+        params = OrderParams(n=2, k=0.5)
+        with kernels.kernel_table():
+            product_solution_check(params)
+            before = set(kernels._TABLE.get())
+            trial_condition_check(params, [0.5, 1.0, 2.0, 4.0])
+            added = [key[0] for key in set(kernels._TABLE.get()) - before]
+        assert added == [kernels.whittaker_m.__wrapped__]
+
+    def test_empty_grid_gives_empty_reports(self):
+        # suite --x-grid 8 leaves the trial check no point in [0.5, 6]
+        reports = trial_condition_check(OrderParams(n=2, k=0.5), [])
+        assert [r.grid for r in reports] == [[]] * 4
+        assert all(r.passed for r in reports)
+
+
+def factor_at(factor, params, x):
+    """factor_derivatives at one x from scalar kernel calls."""
+    n, k = params.n, params.k
+    if factor in ("I", "K"):
+        nu = complex(-0.5, k)
+        kernel = bessel_i if factor == "I" else bessel_k_quad
+        return lift_derivatives(*kernel(nu, x, deriv=True), *bessel_ode_coeffs(nu, x))
+    kernel = whittaker_m if factor == "M" else whittaker_w
+    y, dz, _ = kernel(n + 0.5, 1j * k, 2 * x, deriv=True)
+    return lift_derivatives(y, 2 * dz, *whittaker_ode_coeffs(n + 0.5, 1j * k, x))
+
+
+def per_point_basis_residuals(params, x_grid, variant):
+    residuals = []
+    for name in BASIS:
+        for x in x_grid:
+            derivs = product_derivatives(factor_at(name[0], params, x),
+                                         factor_at(name[2], params, x))
+            residuals.append(ode4_residual(derivs, params, x, variant))
+    return residuals
+
+
+def per_point_trial_residuals(params, x_grid):
+    n, k = params.n, params.k
+    out = [[], [], [], []]
+    for x in x_grid:
+        w, _, w2 = whittaker_w(n + 0.5, 1j * k, 2 * x, deriv=True)
+        mp, _, mp2 = whittaker_m(n + 0.5, 1j * k, 2 * x, deriv=True)
+        mm, _, mm2 = whittaker_m(n + 0.5, -1j * k, 2 * x, deriv=True)
+        s, d = mp + mm, mp - mm
+        out[0].append(abs(w.imag) / abs(w))
+        out[1].append(abs(s.imag) / abs(s))
+        out[2].append(abs(d.real) / abs(d) if d != 0 else 0.0)
+        out[3] += [whittaker_operator_residual(w, 4 * w2, n, k, x),
+                   whittaker_operator_residual(s, 4 * (mp2 + mm2), n, k, x)]
+    return out
+
+
+def per_point_reconstruction_residuals(params, x_grid):
+    n, k = params.n, params.k
+    lam = coeffs_from_recurrence(params).big_lambda_poly()
+    if k == 0:
+        lead = (-1) ** n * math.factorial(n) / SQRT_PI
+        return [abs(complex(lam(x)) - lead * laguerre(n, 2 * x))
+                / max(abs(lead * laguerre(n, 2 * x)), abs(lead)) for x in x_grid]
+    c = solution_constants(params)
+    nu = complex(-0.5, k)
+    out = []
+    for x in x_grid:
+        i_x, k_x = bessel_i(nu, x), bessel_k_quad(nu, x)
+        m_x = whittaker_m(n + 0.5, 1j * k, 2 * x)
+        w_x = whittaker_w(n + 0.5, 1j * k, 2 * x)
+        out.append(wbident.ode.relative_residual(
+            [0j * i_x * m_x, c.c2 * i_x * w_x, c.c3 * k_x * w_x,
+             c.c4 * k_x * m_x, -complex(lam(x))]))
+    return out
+
+
+class TestGridEqualsPerPoint:
+    """The checks take M and W on the whole grid in one call; the arithmetic
+    after the kernel calls is per point, so every residual keeps its bits."""
+
+    XS = (0.5, 1.0, 1.7, 2.0, 4.0, 5.3)
+    ORDERS = [(0, 0.5), (2, 0.5), (4, 1.0), (7, 2.526), (12, 0.1)]
+
+    @pytest.mark.parametrize("n, k", ORDERS)
+    def test_factor_and_basis_derivatives(self, n, k):
+        params = OrderParams(n=n, k=k)
+        for f in "IKMW":
+            want = [factor_at(f, params, x) for x in self.XS]
+            assert factor_derivatives(f, params, self.XS) == want
+            assert [factor_derivatives(f, params, x) for x in self.XS] == want
+        products = basis_products(params, self.XS)
+        assert products == [basis_products(params, x) for x in self.XS]
+        assert products[2]["K*W"] == product_derivatives(
+            factor_at("K", params, self.XS[2]), factor_at("W", params, self.XS[2]))
+
+    @pytest.mark.parametrize("variant", ["corrected", "printed"])
+    @pytest.mark.parametrize("n, k", ORDERS)
+    def test_basis_check(self, n, k, variant):
+        params = OrderParams(n=n, k=k)
+        rep = product_solution_check(params, x_grid=self.XS, variant=variant)
+        assert rep.residuals == per_point_basis_residuals(params, self.XS, variant)
+
+    @pytest.mark.parametrize("n, k", ORDERS)
+    def test_trial_check(self, n, k):
+        params = OrderParams(n=n, k=k)
+        got = [r.residuals for r in trial_condition_check(params, self.XS)]
+        assert got == per_point_trial_residuals(params, self.XS)
+
+    @pytest.mark.parametrize("n, k", ORDERS + [(0, 0.0), (3, 0.0), (6, 2.0)])
+    def test_reconstruction(self, n, k):
+        params = OrderParams(n=n, k=k)
+        rep = lambda_reconstruction(params, self.XS + (6.0,))
+        assert rep.residuals == per_point_reconstruction_residuals(
+            params, self.XS + (6.0,))
 
 
 class TestIndicial:
