@@ -37,15 +37,27 @@ _EVAL_KERNELS = {
     "bessel-k-via-w": (bessel_k_via_w, ("nu", "x"), (1,)),
 }
 
-# verify --tol overrides the threshold the named check reads from EvalConfig
-_CHECK_TOL_FIELD = {
-    "identity": "identity_tol",
-    "coupled": "coupled_tol",
-    "ode4-basis": "ode4_tol",
-    "indicial": "indicial_tol",
-    "trial": "whittaker_eq_tol",
-    "reconstruction": "reconstruction_tol",
-    "second-order": "second_order_tol",
+
+def _second_order(params, grid, config):
+    cv = coeffs_from_recurrence(params, config)
+    return [check_second_order(cv, variant, config)
+            for variant in ("printed", "derived")]
+
+
+# verify --check name -> (EvalConfig threshold that --tol overrides, default
+# x grid, runner(params, x grid, config) returning the check's reports)
+_CHECKS = {
+    "identity": ("identity_tol", DEFAULT_X_GRID,
+                 lambda p, grid, c: [verify_identity(p, grid, c)]),
+    "coupled": ("coupled_tol", None,
+                lambda p, grid, c: [coupled_residual(coeffs_from_recurrence(p, c), c)]),
+    "second-order": ("second_order_tol", None, _second_order),
+    "ode4-basis": ("ode4_tol", (0.5, 1.0, 2.0, 4.0),
+                   lambda p, grid, c: [product_solution_check(p, c, x_grid=grid)]),
+    "indicial": ("indicial_tol", None, lambda p, grid, c: indicial_reports(p, c)),
+    "trial": ("whittaker_eq_tol", (0.5, 1.0, 2.0), trial_condition_check),
+    "reconstruction": ("reconstruction_tol", (0.5, 1.0, 2.0, 4.0),
+                       lambda p, grid, c: [lambda_reconstruction(p, grid, c)]),
 }
 
 
@@ -73,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kernel arguments as complex literals, e.g. 1.5 1j 2.0")
 
     p = sub.add_parser("verify", help="run a single check")
-    p.add_argument("--check", required=True, choices=sorted(_CHECK_TOL_FIELD))
+    p.add_argument("--check", required=True, choices=sorted(_CHECKS))
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--x-grid", type=_csv_floats, default=None)
@@ -124,40 +136,24 @@ def _cmd_eval(args, config: EvalConfig) -> int:
     return 0
 
 
+def _print_report(rep, label: str) -> None:
+    status = "PASS" if rep.passed else ("ADVISORY-FAIL" if rep.advisory else "FAIL")
+    print(f"{status:14s} {label}: max residual "
+          f"{rep.max_residual:.3e} (threshold {rep.threshold:.1e})")
+
+
 def _cmd_verify(args, config: EvalConfig) -> int:
+    tol_field, default_grid, run = _CHECKS[args.check]
     if args.tol is not None:
-        config = config.replace(**{_CHECK_TOL_FIELD[args.check]: args.tol})
+        config = config.replace(**{tol_field: args.tol})
     params = OrderParams(n=args.n, k=args.k)
-    grid = args.x_grid
-    if args.check == "identity":
-        reports = [verify_identity(params, grid or DEFAULT_X_GRID, config)]
-    elif args.check == "coupled":
-        cv = coeffs_from_recurrence(params, config)
-        reports = [coupled_residual(cv, config)]
-    elif args.check == "second-order":
-        cv = coeffs_from_recurrence(params, config)
-        reports = [check_second_order(cv, "printed", config),
-                   check_second_order(cv, "derived", config)]
-    elif args.check == "ode4-basis":
-        reports = [product_solution_check(params, config,
-                                          x_grid=grid or (0.5, 1.0, 2.0, 4.0))]
-    elif args.check == "indicial":
-        reports = indicial_reports(params, config)
-    elif args.check == "trial":
-        reports = trial_condition_check(params, grid or (0.5, 1.0, 2.0), config)
-    elif args.check == "reconstruction":
-        reports = [lambda_reconstruction(params, grid or (0.5, 1.0, 2.0, 4.0),
-                                         config)]
-    else:
-        raise SystemExit(f"unknown check {args.check}")
+    reports = run(params, args.x_grid or default_grid, config)
 
     result = VerificationSuiteResult(reports=reports)
     if args.out:
         export(result if len(reports) > 1 else reports[0], args.format, args.out)
     for rep in result.sorted_reports():
-        status = "PASS" if rep.passed else ("ADVISORY-FAIL" if rep.advisory else "FAIL")
-        print(f"{status:14s} {rep.check_name}: max residual "
-              f"{rep.max_residual:.3e} (threshold {rep.threshold:.1e})")
+        _print_report(rep, rep.check_name)
     return 0 if result.ok() else 1
 
 
@@ -167,11 +163,9 @@ def _cmd_suite(args, config: EvalConfig) -> int:
     if args.out:
         export(result, args.format, args.out)
     for rep in result.sorted_reports():
-        status = "PASS" if rep.passed else ("ADVISORY-FAIL" if rep.advisory else "FAIL")
         p = rep.params
         where = f"n={p.n} k={p.k}" if p else ""
-        print(f"{status:14s} {rep.check_name} {where}: max residual "
-              f"{rep.max_residual:.3e} (threshold {rep.threshold:.1e})")
+        _print_report(rep, f"{rep.check_name} {where}")
     print(f"\n{result.n_passed}/{len(result.reports)} checks passed; "
           f"{len(result.ledger)} ledger entries")
     for entry in result.ledger:

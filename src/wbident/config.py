@@ -54,18 +54,11 @@ class EvalConfig:
     oracle_dps: int = 50
 
     def __post_init__(self):
-        positive = [
-            "series_rel_tol", "quad_step", "quad_rel_tol",
-            "k_refuse_threshold", "mu_degeneracy_tol",
-            "collocation_escalate_cond",
-            "collocation_resid_tol", "top_coeff_tol", "coupled_tol",
-            "second_order_tol", "identity_tol", "ode4_tol", "whittaker_eq_tol",
-            "kernel_cross_tol", "realness_tol", "indicial_tol",
-            "constants_relation_tol", "reconstruction_tol", "oracle_match_tol",
-        ]
-        for name in positive:
-            if not getattr(self, name) > 0:
-                raise InputError(f"EvalConfig.{name} must be positive")
+        # every float field is a tolerance, step or threshold; the annotations
+        # are strings (from __future__ import annotations)
+        for field in dataclasses.fields(self):
+            if field.type == "float" and not getattr(self, field.name) > 0:
+                raise InputError(f"EvalConfig.{field.name} must be positive")
         if self.series_max_terms < 10:
             raise InputError("EvalConfig.series_max_terms must be >= 10")
         if self.quad_max_halvings < 1:

@@ -18,12 +18,11 @@ grid.  A value that does not round to a finite complex128 raises
 below the smallest normal double: there the double holds noise or zero (W
 reaches it near k = 470), and a residual divided by it means nothing.
 
-With ``deriv=True`` the Whittaker, Bessel-I and quadrature Bessel-K
-evaluators also return exact derivatives, summed in the same series or
-quadrature loop as the value: term by term for the series (first and second
-derivative for M and W, first for I) and by differentiating under the
-integral for K (DLMF 10.32.9).  The value they return is the value-only
-call's, bit for bit, except that K's halving test then covers both numbers.
+With ``deriv=True`` the Whittaker evaluators also return the first and
+second derivative, summed term by term in the same series loop as the value,
+which is the value-only call's bit for bit.  The Bessel evaluators return
+values only; their derivatives follow from values at order nu+1
+(DLMF 10.29.2, see ``ode.factor_derivatives``).
 
 Inside a ``with kernel_table():`` block (``run_suite`` runs in one) the five
 public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
@@ -279,15 +278,12 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
 
 
 @_tabled
-def bessel_k_quad(nu, x: float, config: EvalConfig | None = None, *,
-                  deriv: bool = False):
+def bessel_k_quad(nu, x: float, config: EvalConfig | None = None) -> complex:
     """K_nu(x) by trapezoid quadrature of int_0^inf e^{-x cosh t} cosh(nu t) dt.
 
     The integrand decays double-exponentially, so the trapezoid rule is
     spectrally accurate; the step is halved until two successive values agree
-    to quad_rel_tol.  With deriv, returns (K, K') with
-    K' = -int_0^inf cosh t e^{-x cosh t} cosh(nu t) dt on the same nodes, and
-    the halving test applies to both.
+    to quad_rel_tol.
     """
     config = config or default_config()
     if not x > 0:
@@ -301,23 +297,18 @@ def bessel_k_quad(nu, x: float, config: EvalConfig | None = None, *,
     while x * math.cosh(cutoff) - a * cutoff <= 45.0:
         cutoff += 0.5
 
-    def trapezoid(h: float) -> tuple[complex, ...]:
+    def trapezoid(h: float) -> complex:
         ts = np.arange(int(math.ceil(cutoff / h)) + 1) * h
-        cosh_t = np.cosh(ts)
-        vals = np.exp(-x * cosh_t) * np.cosh(nu * ts)
-        value = complex(h * (vals[0] / 2 + vals[1:].sum()))
-        if not deriv:
-            return (value,)
-        dvals = -cosh_t * vals
-        return value, complex(h * (dvals[0] / 2 + dvals[1:].sum()))
+        vals = np.exp(-x * np.cosh(ts)) * np.cosh(nu * ts)
+        return complex(h * (vals[0] / 2 + vals[1:].sum()))
 
     h = config.quad_step
     prev = trapezoid(h)
     for _ in range(config.quad_max_halvings):
         h /= 2
         cur = trapezoid(h)
-        if all(abs(c - p) <= config.quad_rel_tol * abs(c) for c, p in zip(cur, prev)):
-            return cur if deriv else cur[0]
+        if abs(cur - prev) <= config.quad_rel_tol * abs(cur):
+            return cur
         prev = cur
     raise ConvergenceError(
         f"bessel_k_quad: no convergence after {config.quad_max_halvings} halvings")
@@ -334,12 +325,10 @@ def bessel_k_via_w(nu, x: float, config: EvalConfig | None = None) -> complex:
 
 
 @_tabled
-def bessel_i(nu, x: float, config: EvalConfig | None = None, *,
-             deriv: bool = False):
+def bessel_i(nu, x: float, config: EvalConfig | None = None) -> complex:
     """I_nu(x) by the ascending series sum_m t_m with
     t_m = (x/2)^{2m+nu} / (m! Gamma(m+nu+1)), with the same three-small-terms
-    stopping rule as the Kummer series.  With deriv, returns (I, I') with
-    I' = sum_m (2m+nu)/x t_m."""
+    stopping rule as the Kummer series."""
     config = config or default_config()
     if not x > 0:
         raise InputError("bessel_i requires x > 0")
@@ -354,16 +343,13 @@ def bessel_i(nu, x: float, config: EvalConfig | None = None, *,
     # a non-finite sum raises ConvergenceError; numpy's warnings only add noise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = np.exp(nu_ld * np.log(half_x) - log_gamma_ld(C(nu + 1)))
-        s = s1 = C(0)
+        s = C(0)
         for m in range(config.series_max_terms):
             s = s + t
-            if deriv:
-                s1 = s1 + (2 * m + nu_ld) * t
             if abs(t) <= tol * abs(s):
                 small += 1
                 if small >= 3:
-                    out = [s, s1 / LD(x)] if deriv else [s]
-                    return _finish("bessel_i", x, out)
+                    return _finish("bessel_i", x, [s])
             else:
                 small = 0
             t = t * x2 / ((m + 1) * (m + 1 + nu_ld))

@@ -16,8 +16,10 @@ spanned by the four products
 The basis check needs four derivatives of each product.  Each factor solves
 a second-order equation y'' = p y' + q y: the modified Bessel equation
 (DLMF 10.25.1) for I and K, the Whittaker equation (DLMF 13.14.1) for M and
-W.  One kernel call gives the exact (y, y'), the equation gives y'' to
-y'''', and the Leibniz rule gives the derivatives of the product.
+W.  For I and K the exact (y, y') comes from value calls at orders nu and
+nu+1 (DLMF 10.29.2; K_{1/2+ik} is the identity's own K), for M and W from
+one derivative call; the equation gives y'' to y'''', and the Leibniz rule
+gives the derivatives of the product.
 
 The basis, trial and reconstruction checks take M and W on the whole grid
 in one kernel call, at z = tuple(2 * x for x in grid), and I and K per
@@ -201,8 +203,9 @@ def product_derivatives(f, g) -> list[complex]:
 def factor_derivatives(factor: str, params: OrderParams, x,
                        config: EvalConfig | None = None):
     """Derivatives 0..4 at x of one basis factor: "I" or "K" of order
-    -1/2+ik at x, or "M" or "W" of indices (n+1/2, ik) at 2x.  One kernel
-    call gives the exact value and first derivative; the factor's own
+    -1/2+ik at x, or "M" or "W" of indices (n+1/2, ik) at 2x.  The exact
+    value and first derivative come from value calls at orders nu and nu+1
+    for I and K, and from one derivative call for M and W; the factor's own
     equation gives the rest.  x is a float or a tuple of floats (then one
     list per point); M and W take the whole grid in one call."""
     config = config or default_config()
@@ -210,9 +213,13 @@ def factor_derivatives(factor: str, params: OrderParams, x,
     xs = tuple(x) if np.ndim(x) else (x,)
     if factor in ("I", "K"):
         nu = complex(-0.5, k)
-        kernel = bessel_i if factor == "I" else bessel_k_quad
-        lifted = [lift_derivatives(*kernel(nu, xi, config, deriv=True),
-                                   *bessel_ode_coeffs(nu, xi)) for xi in xs]
+        # DLMF 10.29.2: I' = I_{nu+1} + (nu/x) I, K' = -K_{nu+1} + (nu/x) K
+        kernel, sign = (bessel_i, 1) if factor == "I" else (bessel_k_quad, -1)
+        lifted = []
+        for xi in xs:
+            y = kernel(nu, xi, config)
+            dy = sign * kernel(nu + 1, xi, config) + nu / xi * y
+            lifted.append(lift_derivatives(y, dy, *bessel_ode_coeffs(nu, xi)))
     elif factor in ("M", "W"):
         kernel = whittaker_m if factor == "M" else whittaker_w
         y, dz, _ = kernel(n + 0.5, 1j * k, tuple(2 * xi for xi in xs), config,

@@ -197,6 +197,9 @@ def run_suite(config: EvalConfig | None = None,
                 reports.append(oracle_equivalence_report(
                     OrderParams(n=n, k=k), config))
 
+        # stages 6 and 8 take the x inside [0.5, 6], or a fixed grid if none is
+        inner_grid = [x for x in x_grid if 0.5 <= x <= 6] or [0.5, 1.0, 2.0, 4.0]
+
         # 6. fourth-order basis checks
         ode_ks = [k for k in ks_pos if 0.4 <= k <= 1.5][:2] or ks_pos[:1]
         for n in range(min(n_max, 4) + 1):
@@ -207,29 +210,27 @@ def run_suite(config: EvalConfig | None = None,
             reports.append(product_solution_check(
                 OrderParams(n=1, k=ode_ks[0]), config, variant="printed"))
             reports += trial_condition_check(
-                OrderParams(n=2, k=ode_ks[0]), [x for x in x_grid if 0.5 <= x <= 6],
-                config)
+                OrderParams(n=2, k=ode_ks[0]), inner_grid, config)
 
         # 7. indicial analysis
         for k in ks_pos:
             reports += indicial_reports(OrderParams(n=2, k=k), config)
 
         # 8. constants and reconstruction
-        recon_grid = [x for x in x_grid if 0.5 <= x <= 6] or [0.5, 1.0, 2.0, 4.0]
         for n in range(min(n_max, 6) + 1):
             for k in ks_pos:
                 params = OrderParams(n=n, k=k)
-                reports.append(lambda_reconstruction(params, recon_grid, config))
+                reports.append(lambda_reconstruction(params, inner_grid, config))
         if ks_pos:
             params = OrderParams(n=min(n_max, 2), k=ks_pos[-1])
             _, _, notes = resolve_constants(params, config)
             ledger += [f"constants n={params.n} k={params.k}: {note}" for note in notes]
             reports.append(lambda_reconstruction(
-                params, recon_grid, config,
+                params, inner_grid, config,
                 constants=constants_printed_system(params),
                 check_name="reconstruction-printed-constants"))
         reports.append(lambda_reconstruction(
-            OrderParams(n=min(n_max, 2), k=0.0), recon_grid, config))
+            OrderParams(n=min(n_max, 2), k=0.0), inner_grid, config))
 
     for rep in reports:
         if rep.advisory and not rep.passed:

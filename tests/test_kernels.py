@@ -15,6 +15,7 @@ from wbident.errors import (ConvergenceError, DegenerateParameterError,
 from wbident.kernels import (OrderParams, bessel_i, bessel_i_tilde,
                              bessel_k_quad, bessel_k_via_w, kummer_m,
                              whittaker_m, whittaker_w)
+from wbident.ode import factor_derivatives
 
 # frozen 50-digit oracle values (brute-force series at dps=50)
 WHIT_M_32_05I_2 = complex(-0.25463706273047551974, 0.76557064931177284005)
@@ -25,6 +26,11 @@ BES_K_03I_1 = complex(0.40736963776655561391, 0.0)
 
 GRID_K = (0.1, 0.5, 1.0, 2.0)
 GRID_X = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+
+def bessel_i_prime(nu, x):
+    """I'_nu(x) = I_{nu+1}(x) + (nu/x) I_nu(x) (DLMF 10.29.2)."""
+    return bessel_i(nu + 1, x) + nu / x * bessel_i(nu, x)
 
 
 class TestOrderParams:
@@ -254,12 +260,12 @@ class TestBesselITilde:
                 assert abs(a - b) <= 1e-12 * abs(b)
 
     def test_first_order_recurrence(self):
-        # x Itilde' - nu Itilde = x conj(Itilde), analytic derivative
+        # x Itilde' - nu Itilde = x conj(Itilde), I' from DLMF 10.29.2
         for k in (0.5, 1.0):
             nu = complex(-0.5, k)
             for x in (0.5, 1.0, 2.0):
-                i_plus, di_plus = bessel_i(nu, x, deriv=True)
-                i_minus, di_minus = bessel_i(-nu, x, deriv=True)
+                i_plus, di_plus = bessel_i(nu, x), bessel_i_prime(nu, x)
+                i_minus, di_minus = bessel_i(-nu, x), bessel_i_prime(-nu, x)
                 lhs = x * (di_plus + di_minus) - nu * (i_plus + i_minus)
                 rhs = x * bessel_i_tilde(nu, x).conjugate()
                 assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
@@ -267,19 +273,22 @@ class TestBesselITilde:
 
 class TestBesselDerivativeIdentity:
     def test_k_lowering(self):
-        # x K'_nu + nu K_nu = -x K_{nu-1}
+        # x K'_nu + nu K_nu = -x K_{nu-1}, with K'_nu = -K_{nu+1} + (nu/x) K_nu
+        # (DLMF 10.29.2) and K_{nu+1} from the W route (|Re nu+1| > 1)
         for k in (0.5, 1.0):
             nu = complex(0.5, k)
             for x in (0.5, 1.0, 2.0):
-                kv, dk = bessel_k_quad(nu, x, deriv=True)
+                kv = bessel_k_quad(nu, x)
+                dk = -bessel_k_via_w(nu + 1, x) + nu / x * kv
                 lhs = x * dk + nu * kv
                 rhs = -x * bessel_k_quad(nu - 1, x)
                 assert abs(lhs - rhs) <= 1e-11 * abs(rhs)
 
 
 class TestDerivatives:
-    """Each kernel's derivatives against mp.diff of mpmath's own whitw,
-    whitm, besseli and besselk, whose formulas the kernels do not share."""
+    """The Whittaker kernels' derivatives and the I and K rows of
+    factor_derivatives against mp.diff of mpmath's own whitw, whitm, besseli
+    and besselk, whose formulas the kernels do not share."""
 
     DERIV_TOL = 1e-12
 
@@ -300,45 +309,37 @@ class TestDerivatives:
                                 lambda z: mp.whitw(kappa, mu, z), 2 * x, (0, 1, 2))
                     self._check(whittaker_m(kappa, mu, 2 * x, deriv=True),
                                 lambda z: mp.whitm(kappa, mu, z), 2 * x, (0, 1, 2))
-                    self._check(bessel_i(nu, x, deriv=True),
-                                lambda t: mp.besseli(nu, t), x, (0, 1))
-                    self._check(bessel_k_quad(nu, x, deriv=True),
-                                lambda t: mp.besselk(nu, t), x, (0, 1))
+                    params = OrderParams(n=n, k=k)
+                    self._check(factor_derivatives("I", params, x),
+                                lambda t: mp.besseli(nu, t), x, (0, 1, 2))
+                    self._check(factor_derivatives("K", params, x),
+                                lambda t: mp.besselk(nu, t), x, (0, 1, 2))
 
     def test_no_derivatives_on_laguerre_branch(self):
         with pytest.raises(DegenerateParameterError):
             whittaker_w(1.5, 0.0, 2.0, deriv=True)
 
     def test_values_are_the_value_only_calls(self):
-        nu = complex(-0.5, 1.0)
         assert whittaker_w(3.5, 1j, 3.0, deriv=True)[0] == whittaker_w(3.5, 1j, 3.0)
         assert whittaker_m(3.5, 1j, 3.0, deriv=True)[0] == whittaker_m(3.5, 1j, 3.0)
-        assert bessel_i(nu, 1.5, deriv=True)[0] == bessel_i(nu, 1.5)
 
-    # (I, I') as float.hex of (Re I, Im I, Re I', Im I'), recorded with the
-    # Gamma(m+nu+1) factor of each series term rebuilt from nu on every term
+    # I as float.hex of (Re I, Im I), recorded with the Gamma(m+nu+1) factor
+    # of each series term rebuilt from nu on every term
     BESSEL_I_BITS = {
-        (complex(-0.5, 1.0), 0.5): ("0x1.bf5a93d70dce8p+1", "-0x1.d2e7e12d4e614p+0",
-                                    "0x1.5101fb74d5cbdp-3", "0x1.fb7f5456f6b1dp+2"),
-        (complex(-0.5, 1.0), 1.5): ("0x1.6c027a9f9cf56p+1", "0x1.78e057ece51f2p-1",
-                                    "0x1.3d8867f4fc600p-3", "0x1.236107cdc6effp-1"),
-        (complex(-0.5, 1.0), 4.0): ("0x1.908d2f649902ep+3", "0x1.e78f8b127ae85p+0",
-                                    "0x1.4cd6d324ea575p+3", "0x1.f4d2c79e54b56p-1"),
-        (complex(0.5, -2.0), 0.5): ("-0x1.0dbd37920cf0fp+1", "-0x1.b43cd02a67048p-1",
-                                    "-0x1.64d40b0602195p+2", "0x1.d6ea09bfcf211p+2"),
-        (complex(0.5, -2.0), 1.5): ("0x1.8dba3b363d375p-2", "0x1.1cb7146a8966cp+2",
-                                    "0x1.485078ae4e56ep+2", "0x1.ec3d4aac50826p+0"),
-        (complex(0.5, -2.0), 4.0): ("0x1.2833afb6697ddp+4", "0x1.a4fc5121ff5a5p+2",
-                                    "0x1.c3d5167a68332p+3", "0x1.11f7c62ee9a1fp+1"),
+        (complex(-0.5, 1.0), 0.5): ("0x1.bf5a93d70dce8p+1", "-0x1.d2e7e12d4e614p+0"),
+        (complex(-0.5, 1.0), 1.5): ("0x1.6c027a9f9cf56p+1", "0x1.78e057ece51f2p-1"),
+        (complex(-0.5, 1.0), 4.0): ("0x1.908d2f649902ep+3", "0x1.e78f8b127ae85p+0"),
+        (complex(0.5, -2.0), 0.5): ("-0x1.0dbd37920cf0fp+1", "-0x1.b43cd02a67048p-1"),
+        (complex(0.5, -2.0), 1.5): ("0x1.8dba3b363d375p-2", "0x1.1cb7146a8966cp+2"),
+        (complex(0.5, -2.0), 4.0): ("0x1.2833afb6697ddp+4", "0x1.a4fc5121ff5a5p+2"),
     }
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                         reason="bits recorded with the x86 80-bit long double")
     def test_bessel_i_bits_unchanged(self):
         for (nu, x), bits in self.BESSEL_I_BITS.items():
-            i, di = bessel_i(nu, x, deriv=True)
-            assert bessel_i(nu, x) == i
-            assert (i.real.hex(), i.imag.hex(), di.real.hex(), di.imag.hex()) == bits
+            i = bessel_i(nu, x)
+            assert (i.real.hex(), i.imag.hex()) == bits
 
 
 class TestGrid:
@@ -458,13 +459,13 @@ class TestKernelTable:
     def test_values_match_untabled_calls(self):
         nu = complex(0.5, 1.0)
         plain = [whittaker_w(3.5, 1j, 3.0), whittaker_m(3.5, 1j, 3.0, deriv=True),
-                 bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5, deriv=True),
+                 bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5),
                  bessel_k_via_w(nu, 1.5)]
         with kernels.kernel_table():
             for _ in range(2):
                 assert [whittaker_w(3.5, 1j, 3.0),
                         whittaker_m(3.5, 1j, 3.0, deriv=True),
-                        bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5, deriv=True),
+                        bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5),
                         bessel_k_via_w(nu, 1.5)] == plain
 
 

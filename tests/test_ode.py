@@ -154,10 +154,10 @@ class TestProductSolutions:
         params = OrderParams(n=1, k=1.0)
         nu = complex(-0.5, params.k)
         for x in (0.5, 1.0, 2.0, 4.0):
-            i_plus, di_plus = bessel_i(nu, x, deriv=True)
-            i_minus, di_minus = bessel_i(-nu, x, deriv=True)
-            itilde = lift_derivatives(i_plus + i_minus, di_plus + di_minus,
-                                      *bessel_ode_coeffs(nu, x))
+            # I'_{+-nu} = I_{1+-nu} +- (nu/x) I_{+-nu} (DLMF 10.29.2)
+            i_plus, i_minus = bessel_i(nu, x), bessel_i(-nu, x)
+            di = bessel_i(nu + 1, x) + bessel_i(1 - nu, x) + nu / x * (i_plus - i_minus)
+            itilde = lift_derivatives(i_plus + i_minus, di, *bessel_ode_coeffs(nu, x))
             derivs = product_derivatives(
                 itilde, factor_derivatives("M", params, x))
             assert ode4_residual(derivs, params, x) <= ODE4_TOL
@@ -186,9 +186,9 @@ class TestProductSolutions:
             monkeypatch.setattr(wbident.ode, name, counted)
         rep = product_solution_check(OrderParams(n=2, k=0.5))
         assert rep.passed
-        # I and K at each of the four default grid points, M and W once each
-        # on the whole grid
-        assert Counter(calls) == {"bessel_i": 4, "bessel_k_quad": 4,
+        # I and K at orders nu and nu+1 at each of the four default grid
+        # points, M and W once each on the whole grid
+        assert Counter(calls) == {"bessel_i": 8, "bessel_k_quad": 8,
                                   "whittaker_m": 1, "whittaker_w": 1}
 
     def test_printed_variant_fails_products(self):
@@ -230,7 +230,7 @@ class TestTrialConditions:
         assert added == [kernels.whittaker_m.__wrapped__]
 
     def test_empty_grid_gives_empty_reports(self):
-        # suite --x-grid 8 leaves the trial check no point in [0.5, 6]
+        # an empty grid gives empty reports (run_suite never passes one)
         reports = trial_condition_check(OrderParams(n=2, k=0.5), [])
         assert [r.grid for r in reports] == [[]] * 4
         assert all(r.passed for r in reports)
@@ -241,8 +241,9 @@ def factor_at(factor, params, x):
     n, k = params.n, params.k
     if factor in ("I", "K"):
         nu = complex(-0.5, k)
-        kernel = bessel_i if factor == "I" else bessel_k_quad
-        return lift_derivatives(*kernel(nu, x, deriv=True), *bessel_ode_coeffs(nu, x))
+        y = (bessel_i if factor == "I" else bessel_k_quad)(nu, x)
+        dy = (bessel_i(nu + 1, x) if factor == "I" else -bessel_k_quad(nu + 1, x))
+        return lift_derivatives(y, dy + nu / x * y, *bessel_ode_coeffs(nu, x))
     kernel = whittaker_m if factor == "M" else whittaker_w
     y, dz, _ = kernel(n + 0.5, 1j * k, 2 * x, deriv=True)
     return lift_derivatives(y, 2 * dz, *whittaker_ode_coeffs(n + 0.5, 1j * k, x))

@@ -1,5 +1,6 @@
 """Tests for report serialization, determinism, and the CLI."""
 
+import dataclasses
 import json
 import math
 import os
@@ -167,6 +168,14 @@ class TestConfig:
             EvalConfig(series_max_terms=5)
         with pytest.raises(ValueError):
             EvalConfig(series_rel_tol=-1.0)
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(EvalConfig)
+                                      if f.type == "float"])
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_float_fields_must_be_positive(self, name, value):
+        assert isinstance(getattr(EvalConfig(), name), float)
+        with pytest.raises(InputError, match=f"EvalConfig.{name} must be positive"):
+            EvalConfig(**{name: value})
 
     def test_load_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"

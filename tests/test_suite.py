@@ -103,3 +103,12 @@ def test_identity_residuals_equal_per_point_lambda(n, k):
     params = kernels.OrderParams(n=n, k=k)
     xs = (0.25, 0.7, 1.3, 2.0, 3.9, 6.1, 7.805, 8.0)
     assert verify_identity(params, xs).residuals == per_point_identity_residuals(params, xs)
+
+
+def test_trial_check_never_runs_on_an_empty_grid():
+    # x = 8 lies outside [0.5, 6]; the trial and reconstruction checks both
+    # fall back to [0.5, 1, 2, 4] instead of passing on no point
+    result = run_suite(x_grid=(8.0,))
+    trial = [r for r in result.reports if r.check_name.startswith("trial-")]
+    assert len(trial) == 4
+    assert all(r.grid for r in trial)
