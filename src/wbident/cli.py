@@ -144,6 +144,8 @@ def _print_report(rep, label: str) -> None:
 
 def _cmd_verify(args, config: EvalConfig) -> int:
     tol_field, default_grid, run = _CHECKS[args.check]
+    if default_grid is None and args.x_grid is not None:
+        raise InputError(f"verify --check {args.check} takes no --x-grid")
     if args.tol is not None:
         config = config.replace(**{tol_field: args.tol})
     params = OrderParams(n=args.n, k=args.k)

@@ -1,10 +1,12 @@
 """High-precision reference evaluators (the slow path).
 
-Kummer M comes from mpmath's own ``mp.hyp1f1`` and Bessel I from its
-``mp.hyp0f1``, run at 50-digit working precision, so they share no code with
-the production kernels.  Whittaker W and Bessel K are built from them by
-closed formulas (no quadrature): W for real kappa and imaginary mu as twice
-the real part of one connection-formula term (DLMF 13.14.33), K as the
+Kummer M and Bessel I come from their power series (DLMF 13.2.2, 10.25.2),
+summed at 50-digit working precision on a whole list of points at once, in
+fixed point on Python integers, so they share no code with the production
+kernels: the coefficients are formed once per list, and each point runs
+Horner on them.  Whittaker W and Bessel K are built from them by closed
+formulas (no quadrature): W for real kappa and imaginary mu as twice the
+real part of one connection-formula term (DLMF 13.14.33), K as the
 I-difference with I_{+-nu} = (x/2)^{+-nu} / Gamma(1 +- nu) 0F1(; 1 +- nu;
 x^2/4) (DLMF 10.25.2).  Both take a list of points and then compute their
 point-independent factors once.  The collocation fit solves its least-squares
@@ -20,7 +22,8 @@ import math
 from contextlib import contextmanager
 
 import mpmath as mp
-from mpmath.libmp import NoConvergence
+import numpy as np
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .config import EvalConfig, default_config
 from .errors import ConvergenceError, InputError
@@ -33,12 +36,89 @@ def _dps(config: EvalConfig):
         yield
 
 
-@contextmanager
-def _converging(what: str):
-    try:
-        yield
-    except NoConvergence as exc:
-        raise ConvergenceError(f"oracle {what} did not converge: {exc}") from exc
+def _round_complex(re: int, im: int, frac: int):
+    """The fixed-point value (re + i im) / 2**frac as an mpc, rounded to
+    the working precision relative to its larger part."""
+    prec = mp.mp.prec
+    shift = max(abs(re).bit_length(), abs(im).bit_length()) - prec
+    if shift > 0:
+        half = 1 << (shift - 1)
+        re, im = (re + half) >> shift, (im + half) >> shift
+        frac -= shift
+    return mp.make_mpc((from_man_exp(re, -frac, prec, "n"),
+                        from_man_exp(im, -frac, prec, "n")))
+
+
+def _hyp_series(a, b, zs, max_terms: int, guard: int = 64):
+    """1F1(a; b; z) = sum_m (a)_m / ((b)_m m!) z^m (DLMF 13.2.2), or
+    0F1(; b; z) = sum_m z^m / ((b)_m m!) when a is None, at every z > 0 of
+    the list zs; returns a list of mpc rounded to the working precision.
+
+    The coefficients are computed once per call, as Gaussian integers in
+    fixed point with `guard` bits beyond the working precision, pre-scaled
+    by z_max^m; each point then runs Horner in u = z / z_max <= 1, so no
+    coefficient's rounding is multiplied by z^m.  A point's error is bounded
+    by its largest term, measured against the smallest coefficient before
+    it (the rounding of a small coefficient grows with its successors); when
+    that bound leaves fewer than 32 guard bits of the sum, by cancellation,
+    the call repeats with enough guard bits to restore 64."""
+    frac = mp.mp.prec + guard
+    one = 1 << frac
+    zmax = max(zs)
+    zfix = to_fixed(zmax._mpf_, frac)
+    b = mp.mpc(b)
+    bre, bim = to_fixed(b.real._mpf_, frac), to_fixed(b.imag._mpf_, frac)
+    bc, zf = complex(b), float(zmax)
+    if a is not None:
+        a = mp.mpc(a)
+        are, aim = to_fixed(a.real._mpf_, frac), to_fixed(a.imag._mpf_, frac)
+        spread = abs(complex(a) - bc)
+    cre, cim = one, 0
+    coeffs, bits = [(cre, cim)], [frac + 1]
+    for m in range(max_terms):
+        # c_{m+1} = c_m (a + m) z_max / ((b + m)(m + 1)), rounded
+        qre, qim = bre + m * one, bim
+        den = (qre * qre + qim * qim) * (m + 1)
+        if a is not None:
+            pre, pim = are + m * one, aim
+            cre, cim = cre * pre - cim * pim, cre * pim + cim * pre
+            den <<= frac
+        nre, nim = (cre * qre + cim * qim) * zfix, (cim * qre - cre * qim) * zfix
+        cre, cim = (2 * nre + den) // (2 * den), (2 * nim + den) // (2 * den)
+        coeffs.append((cre, cim))
+        size = abs(cre) | abs(cim)
+        bits.append(size.bit_length())
+        # stop at a term below one unit once every later ratio is <= 1/2,
+        # which bounds the whole tail by that unit
+        lead = m + 1 + bc.real
+        if size <= 1 and lead > 0:
+            growth = 1 + spread / lead if a is not None else 1 / lead
+            if growth * zf / (m + 2) <= 0.5:
+                break
+    else:
+        raise ConvergenceError(
+            f"oracle {'1F1' if a is not None else '0F1'} series at z = "
+            f"{mp.nstr(zmax, 6)} did not converge in {max_terms} terms")
+
+    # per point (row) and coefficient (column): log2 of the term in units
+    # of 2**-frac, and of its error bound
+    bits = np.array(bits, dtype=float)
+    steps = np.arange(len(coeffs)) * np.log2([float(z / zmax) for z in zs])[:, None]
+    err_bits = (bits - np.minimum.accumulate(bits) + steps).max(axis=1)
+    # Horner starts at each point's last term of one unit or more
+    tops = len(coeffs) - 1 - np.argmax((bits + steps >= 0)[:, ::-1], axis=1)
+    sums, kept_min = [], math.inf
+    for z, top, err in zip(zs, tops.tolist(), err_bits.tolist()):
+        u = (to_fixed(z._mpf_, frac) << frac) // zfix
+        sre, sim = coeffs[top]
+        for cre, cim in reversed(coeffs[:top]):
+            sre, sim = (sre * u >> frac) + cre, (sim * u >> frac) + cim
+        kept_min = min(kept_min, (abs(sre) | abs(sim)).bit_length() - err)
+        sums.append((sre, sim))
+    if kept_min < mp.mp.prec + 32:
+        return _hyp_series(a, b, zs, max_terms,
+                           guard + math.ceil(mp.mp.prec + 64 - kept_min))
+    return [_round_complex(re, im, frac) for re, im in sums]
 
 
 def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
@@ -47,45 +127,45 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
     terms are complex conjugates, so W = 2 Re(Gamma(-2mu) / Gamma(1/2 - mu -
     kappa) M_{kappa,mu}(z)) with M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu}
     M(1/2 + mu - kappa, 1 + 2mu, z) (DLMF 13.14.2).  z is a number, or a list
-    or tuple of numbers (then a list of values, with the gamma quotient
-    computed once)."""
+    or tuple of numbers (then a list of values, with the gamma quotient and
+    the series coefficients computed once)."""
     config = config or default_config()
     if not isinstance(z, (list, tuple)):
         return whittaker_w(kappa, mu, [z], config)[0]
-    with _dps(config), _converging("Kummer M"):
+    with _dps(config):
         kappa, mu = mp.mpc(kappa), mp.mpc(mu)
         if kappa.imag or mu.real or not mu.imag or any(zz <= 0 for zz in z):
             raise InputError("oracle W takes real kappa, nonzero imaginary "
                              "mu and z > 0")
         half = mp.mpf(1) / 2
         quot = mp.gamma(-2 * mu) / mp.gamma(half - mu - kappa)
-        a, b = half + mu - kappa, 1 + 2 * mu
-        out = []
-        for zz in map(mp.mpf, z):
-            m = mp.exp(-zz / 2) * zz ** (half + mu) * mp.hyp1f1(a, b, zz)
-            out.append(2 * mp.re(quot * m))
-        return out
+        z = [mp.mpf(zz) for zz in z]
+        kummer = _hyp_series(half + mu - kappa, 1 + 2 * mu, z,
+                             config.series_max_terms)
+        return [2 * mp.re(quot * (mp.exp(-zz / 2) * zz ** (half + mu) * m))
+                for zz, m in zip(z, kummer)]
 
 
 def bessel_k(nu, x, config: EvalConfig | None = None):
     """K_nu = (pi/2) (I_{-nu} - I_nu) / sin(pi nu), independent of quadrature.
     x is a number, or a list or tuple of numbers (then a list of values, with
-    the prefactor and both gamma factors computed once)."""
+    the prefactor, both gamma factors and both series' coefficients computed
+    once)."""
     config = config or default_config()
     if not isinstance(x, (list, tuple)):
         return bessel_k(nu, [x], config)[0]
-    with _dps(config), _converging("Bessel I"):
+    with _dps(config):
         nu = mp.mpc(nu)
         pref = mp.pi / (2 * mp.sin(mp.pi * nu))
         rg_minus, rg_plus = mp.rgamma(1 - nu), mp.rgamma(1 + nu)
+        half_x = [mp.mpf(xx) / 2 for xx in x]
+        quarter_x2 = [h ** 2 for h in half_x]
+        minus = _hyp_series(None, 1 - nu, quarter_x2, config.series_max_terms)
+        plus = _hyp_series(None, 1 + nu, quarter_x2, config.series_max_terms)
         out = []
-        for xx in x:
-            half_x = mp.mpf(xx) / 2
-            quarter_x2 = half_x ** 2
-            power = half_x ** nu
-            i_minus = rg_minus * mp.hyp0f1(1 - nu, quarter_x2) / power
-            i_plus = power * rg_plus * mp.hyp0f1(1 + nu, quarter_x2)
-            out.append(pref * (i_minus - i_plus))
+        for h, f_minus, f_plus in zip(half_x, minus, plus):
+            power = h ** nu
+            out.append(pref * (rg_minus * f_minus / power - power * rg_plus * f_plus))
         return out
 
 

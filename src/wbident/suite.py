@@ -205,10 +205,10 @@ def run_suite(config: EvalConfig | None = None,
         for n in range(min(n_max, 4) + 1):
             for k in ode_ks:
                 reports.append(product_solution_check(
-                    OrderParams(n=n, k=k), config, variant="corrected"))
+                    OrderParams(n=n, k=k), config, inner_grid, variant="corrected"))
         if ode_ks:
             reports.append(product_solution_check(
-                OrderParams(n=1, k=ode_ks[0]), config, variant="printed"))
+                OrderParams(n=1, k=ode_ks[0]), config, inner_grid, variant="printed"))
             reports += trial_condition_check(
                 OrderParams(n=2, k=ode_ks[0]), inner_grid, config)
 

@@ -469,24 +469,51 @@ class TestKernelTable:
                         bessel_k_via_w(nu, 1.5)] == plain
 
 
+def large_x_w_ratio(params: OrderParams, x: float = 30.0) -> complex:
+    """W_{n+1/2,ik}(2x) / ((2x)^{n+1/2} e^{-x}) from the 50-digit oracle."""
+    import mpmath as mp
+    from wbident import oracle
+    n, k = params.n, params.k
+    with mp.workdps(EvalConfig().oracle_dps):
+        xx = mp.mpf(x)
+        w = oracle.whittaker_w(n + mp.mpf(1) / 2, mp.mpc(0, k), 2 * xx)
+        return complex(w / ((2 * xx) ** (n + mp.mpf(1) / 2) * mp.e ** (-xx)))
+
+
+def small_x_w_defect(params: OrderParams, x: float) -> float:
+    """|W(2x) - leading two-term small-x form| / x^{1/2} from the 50-digit
+    oracle; tends to 0 like x as x -> 0."""
+    import mpmath as mp
+    from wbident import oracle
+    n, k = params.n, params.k
+    with mp.workdps(EvalConfig().oracle_dps):
+        ik = mp.mpc(0, k)
+        xx = mp.mpf(x)
+        w = oracle.whittaker_w(n + mp.mpf(1) / 2, ik, 2 * xx)
+        lead = mp.gamma(-2 * ik) / mp.gamma(-ik - n) * (2 * xx) ** (mp.mpf(1) / 2 + ik)
+        lead = lead + mp.conj(lead)
+        return float(abs(w - lead) / mp.sqrt(xx))
+
+
 class TestAsymptotics:
+    """The oracle's Kummer series at the largest and smallest arguments any
+    caller passes, z = 60 and z = 2e-6."""
+
     def test_large_x_ratio_in_oracle_precision(self):
         # W_{n+1/2,ik}(2x) / ((2x)^{n+1/2} e^{-x}) -> 1; the 1/x correction is
         # -(n^2+k^2)/(2x), so stay at small n for the +-10% window at x = 30
-        from wbident import oracle
         for n in (0, 1, 2):
             for k in (0.5, 1.0):
-                ratio = oracle.large_x_w_ratio(OrderParams(n=n, k=k), 30.0)
+                ratio = large_x_w_ratio(OrderParams(n=n, k=k), 30.0)
                 assert 0.9 <= ratio.real <= 1.1
                 assert abs(ratio.imag) <= 1e-10
 
     def test_small_x_two_term_defect_vanishes(self):
         # W(2x) minus its two-term small-x form is o(x^{1/2})
-        from wbident import oracle
         params = OrderParams(n=1, k=1.0)
-        d2 = oracle.small_x_w_defect(params, 1e-2)
-        d4 = oracle.small_x_w_defect(params, 1e-4)
-        d6 = oracle.small_x_w_defect(params, 1e-6)
+        d2 = small_x_w_defect(params, 1e-2)
+        d4 = small_x_w_defect(params, 1e-4)
+        d6 = small_x_w_defect(params, 1e-6)
         assert d2 < 0.05
         assert d4 < 5e-3
         assert d6 < 5e-5
@@ -539,23 +566,72 @@ class TestOracle:
                 assert abs(got - want) <= self.ORACLE_TOL * abs(want), x
 
     @pytest.mark.parametrize("evaluator", ["hyp0f1", "hyp1f1"])
-    def test_mpmath_non_convergence_is_structured_error(self, monkeypatch,
-                                                        evaluator):
-        # hyp0f1 serves I inside oracle.bessel_k, hyp1f1 serves M inside
-        # oracle.whittaker_w; both run in every escalated collocation fit
-        import mpmath as mp
-        from mpmath.libmp import NoConvergence
+    def test_mpmath_non_convergence_is_structured_error(self, evaluator):
+        # the 0F1 series serves I inside oracle.bessel_k, the 1F1 series M
+        # inside oracle.whittaker_w; both run in every escalated collocation
+        # fit, and neither converges in 10 terms at these arguments
         from wbident import lambda_poly, oracle
-
-        def stuck(*args, **kwargs):
-            raise NoConvergence("stuck")
-        monkeypatch.setattr(mp, evaluator, stuck)
-        if evaluator == "hyp0f1":
-            with pytest.raises(ConvergenceError):
-                oracle.bessel_k(complex(0.5, 1.0), 2.0)
+        config = EvalConfig(series_max_terms=10)
+        with pytest.raises(ConvergenceError):
+            if evaluator == "hyp0f1":
+                oracle.bessel_k(complex(0.5, 1.0), 2.0, config)
+            else:
+                oracle.whittaker_w(3.5, 1j, 4.0, config)
         with pytest.raises(ConvergenceError):
             oracle.collocation_fit(OrderParams(n=3, k=0.5),
-                                   lambda_poly.default_collocation_points(3))
+                                   lambda_poly.default_collocation_points(3),
+                                   config)
+
+    SERIES_Z = (2e-6, 1e-3, 0.5, 3.0, 12.0, 30.0, 60.0)
+
+    @pytest.mark.parametrize("n", [0, 3, 8, 25])
+    def test_kummer_series_matches_mpmath_hyp1f1(self, n, monkeypatch):
+        # the parameters of W_{n+1/2,ik}; at n = 25 and small k the terms up
+        # to m = n cancel by more than 32 bits at z = 60, which re-runs the
+        # sum with more guard bits
+        import mpmath as mp
+        from wbident import oracle
+        guards = []
+        series = oracle._hyp_series
+
+        def spy(*args):
+            guards.append(args[4] if len(args) > 4 else 64)
+            return series(*args)
+        monkeypatch.setattr(oracle, "_hyp_series", spy)
+        with mp.workdps(70):
+            zs = [mp.mpf(z) for z in self.SERIES_Z]
+            for k in (1e-3, 0.1, 1.0, 4.5):
+                a, b = mp.mpc(-n, k), mp.mpc(1, 2 * k)
+                for z, got in zip(zs, oracle._hyp_series(a, b, zs, 1000)):
+                    want = mp.hyp1f1(a, b, z)
+                    assert abs(got - want) <= 1e-45 * abs(want), (k, z)
+        assert (max(guards) > 64) == (n == 25)
+
+    def test_kummer_series_keeps_a_tail_grown_from_a_small_coefficient(self):
+        # at a = -5 + 1e-60 i the coefficient of z^6 carries the factor a + 5
+        # and holds few bits of the fixed point; Im 1F1 comes from the tail
+        # that grows out of it, and only bounding the tail's error by that
+        # coefficient re-runs the sum with the bits it needs
+        import mpmath as mp
+        from wbident import oracle
+        a, b, z = mp.mpc(-5, 1e-60), mp.mpc(1, 2e-60), mp.mpf(150)
+        with mp.workdps(100):
+            want = mp.hyp1f1(a, b, z)
+        with mp.workdps(50):
+            got = oracle._hyp_series(a, b, [z], 1000)[0]
+        assert abs(got - want) <= 1e-45 * abs(want)
+
+    @pytest.mark.parametrize("k", [1e-3, 0.1, 1.0, 4.5])
+    def test_bessel_series_matches_mpmath_hyp0f1(self, k):
+        # 0F1(; 1 -+ nu; z) at nu = 1/2 + ik, the orders of oracle.bessel_k
+        import mpmath as mp
+        from wbident import oracle
+        with mp.workdps(70):
+            zs = [mp.mpf(z) for z in self.SERIES_Z]
+            for b in (mp.mpc(0.5, -k), mp.mpc(1.5, k)):
+                for z, got in zip(zs, oracle._hyp_series(None, b, zs, 1000)):
+                    want = mp.hyp0f1(b, z)
+                    assert abs(got - want) <= 1e-45 * abs(want), (b, z)
 
     @pytest.mark.parametrize("n,k", [(3, 0.5), (8, 0.5), (8, 2.0)])
     def test_integer_householder_matches_mpmath_qr_solve(self, n, k):

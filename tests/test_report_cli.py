@@ -326,6 +326,9 @@ class TestCli:
         "verify --check reconstruction --n 2 --k 1e300",
         "verify --check reconstruction --n 2 --k 200",
         "verify --check reconstruction --n 2 --k 230",
+        "verify --check indicial --n 2 --k 1 --x-grid 99,-3",
+        "verify --check coupled --n 2 --k 1 --x-grid 99,-3",
+        "verify --check second-order --n 2 --k 1 --x-grid 99,-3",
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_input_exits_2_without_traceback(self, argv, capsys):

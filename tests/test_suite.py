@@ -112,3 +112,12 @@ def test_trial_check_never_runs_on_an_empty_grid():
     trial = [r for r in result.reports if r.check_name.startswith("trial-")]
     assert len(trial) == 4
     assert all(r.grid for r in trial)
+
+
+def test_ode4_basis_checks_follow_the_x_grid():
+    # each report repeats the grid once per basis product
+    result = run_suite(x_grid=(0.5, 3.0))
+    basis = [r for r in result.reports if r.check_name.startswith("ode4-basis")]
+    assert len(basis) == 11
+    assert all(r.grid == [0.5, 3.0] * 4 for r in basis)
+    assert all(r.passed for r in basis if not r.advisory)
