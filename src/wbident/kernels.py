@@ -10,10 +10,11 @@ itself decays like e^{-x}; the generic branch therefore runs its series and
 prefactors on ``np.clongdouble`` (80-bit on x86, plain double where
 longdouble is double) before rounding the result to complex128.  In
 double-precision mode the usable range is x <= 8.  ``kummer_m``,
-``whittaker_m`` and ``whittaker_w`` also take z as a tuple (a grid) and then
-return read-only arrays equal bit for bit to the per-point calls, because
-each point's series stops by its own rule; a scalar call is a one-element
-grid.  A value that does not round to a finite complex128 raises
+``whittaker_m``, ``whittaker_w``, ``bessel_k_quad`` and ``bessel_k_via_w``
+also take their argument as a tuple (a grid) and then return read-only
+arrays equal bit for bit to the per-point calls, because each point's series
+or step halving stops by its own rule; a scalar call is a one-element grid.
+A Kummer or Whittaker value that does not round to a finite complex128 raises
 ``ConvergenceError``, and so does a nonzero value that rounds to a modulus
 below the smallest normal double: there the double holds noise or zero (W
 reaches it near k = 470), and a residual divided by it means nothing.
@@ -101,11 +102,12 @@ class OrderParams:
 
 # --- grid kernels ------------------------------------------------------------
 
-def _grid(z, name: str) -> np.ndarray:
-    """z (a float or a tuple of floats) as a 1-d longdouble array; z > 0."""
-    zs = np.asarray(z, dtype=LD).reshape(-1)
+def _grid(z, refusal: str, dtype=LD) -> np.ndarray:
+    """z (a float or a tuple of floats) as a 1-d array of dtype; z > 0, else
+    InputError(refusal)."""
+    zs = np.asarray(z, dtype=dtype).reshape(-1)
     if not (zs > 0).all():
-        raise InputError(f"{name} requires z > 0")
+        raise InputError(refusal)
     return zs
 
 
@@ -208,7 +210,7 @@ def whittaker_m(kappa, mu, z, config: EvalConfig | None = None, *,
     with deriv, the tuple (M, dM/dz, d^2M/dz^2).  z is a float or a tuple of
     floats (then read-only arrays, one value per point)."""
     config = config or default_config()
-    zs = _grid(z, "whittaker_m")
+    zs = _grid(z, "whittaker_m requires z > 0")
     if _is_nonpositive_integer(complex(1 + 2 * complex(mu))):
         raise PoleError(f"whittaker_m: 1+2*mu = {1 + 2 * complex(mu)} is a nonpositive integer")
     return _finish("whittaker_m", z, _whittaker_m_ld(kappa, mu, zs, config, deriv))
@@ -238,7 +240,7 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
     the gamma prefactors sit on poles there.
     """
     config = config or default_config()
-    zs = _grid(z, "whittaker_w")
+    zs = _grid(z, "whittaker_w requires z > 0")
     kappa = complex(kappa)
     mu = complex(mu)
 
@@ -277,51 +279,77 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
         _whittaker_m_ld(kappa, -mu, zs, config, deriv))])
 
 
+def _as_grid(x, values):
+    """values (one complex per point) for the float-or-tuple argument x: one
+    complex for a scalar x, else a read-only complex array."""
+    if np.ndim(x) == 0:
+        return complex(values[0])
+    values = np.array(values, dtype=complex)
+    values.flags.writeable = False
+    return values
+
+
 @_tabled
-def bessel_k_quad(nu, x: float, config: EvalConfig | None = None) -> complex:
+def bessel_k_quad(nu, x, config: EvalConfig | None = None):
     """K_nu(x) by trapezoid quadrature of int_0^inf e^{-x cosh t} cosh(nu t) dt.
 
     The integrand decays double-exponentially, so the trapezoid rule is
     spectrally accurate; the step is halved until two successive values agree
-    to quad_rel_tol.
+    to quad_rel_tol.  x is a float or a tuple of floats (then a read-only
+    array): the points that share a cutoff run one trapezoid per step, and
+    each point stops halving by its own test, so a grid call equals the
+    per-point calls bit for bit.
     """
     config = config or default_config()
-    if not x > 0:
-        raise InputError("bessel_k_quad requires x > 0")
+    xs = _grid(x, "bessel_k_quad requires x > 0", float)
     nu = complex(nu)
     if not abs(nu.real) < 1:
         raise InputError("bessel_k_quad requires |Re nu| < 1")
 
     a = abs(nu.real)
-    cutoff = 1.0
-    while x * math.cosh(cutoff) - a * cutoff <= 45.0:
-        cutoff += 0.5
+    groups: dict[float, list[int]] = {}
+    for i, xx in enumerate(xs.tolist()):
+        cutoff = 1.0
+        while xx * math.cosh(cutoff) - a * cutoff <= 45.0:
+            cutoff += 0.5
+        groups.setdefault(cutoff, []).append(i)
 
-    def trapezoid(h: float) -> complex:
+    def trapezoid(live, cutoff: float, h: float) -> list[complex]:
         ts = np.arange(int(math.ceil(cutoff / h)) + 1) * h
-        vals = np.exp(-x * np.cosh(ts)) * np.cosh(nu * ts)
-        return complex(h * (vals[0] / 2 + vals[1:].sum()))
+        vals = np.exp(-xs[live, None] * np.cosh(ts)) * np.cosh(nu * ts)
+        return (h * (vals[:, 0] / 2 + vals[:, 1:].sum(axis=1))).tolist()
 
-    h = config.quad_step
-    prev = trapezoid(h)
-    for _ in range(config.quad_max_halvings):
-        h /= 2
-        cur = trapezoid(h)
-        if abs(cur - prev) <= config.quad_rel_tol * abs(cur):
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"bessel_k_quad: no convergence after {config.quad_max_halvings} halvings")
+    out = [0j] * xs.size
+    for cutoff, live in groups.items():
+        h = config.quad_step
+        prev = trapezoid(live, cutoff, h)
+        for _ in range(config.quad_max_halvings):
+            h /= 2
+            cur, pending = trapezoid(live, cutoff, h), []
+            for i, c, p in zip(live, cur, prev):
+                if abs(c - p) <= config.quad_rel_tol * abs(c):
+                    out[i] = c
+                else:
+                    pending.append((i, c))
+            if not pending:
+                break
+            live, prev = [i for i, _ in pending], [c for _, c in pending]
+        else:
+            raise ConvergenceError(
+                f"bessel_k_quad: no convergence after {config.quad_max_halvings} halvings")
+    return _as_grid(x, out)
 
 
 @_tabled
-def bessel_k_via_w(nu, x: float, config: EvalConfig | None = None) -> complex:
+def bessel_k_via_w(nu, x, config: EvalConfig | None = None):
     """K_nu(x) = sqrt(pi/(2x)) W_{0,nu}(2x); requires 2*nu not an integer
-    (use bessel_k_quad for half-integer and real-integer orders)."""
+    (use bessel_k_quad for half-integer and real-integer orders).  x is a
+    float or a tuple of floats (then a read-only array, from one W grid
+    call)."""
     config = config or default_config()
-    if not x > 0:
-        raise InputError("bessel_k_via_w requires x > 0")
-    return math.sqrt(math.pi / (2 * x)) * whittaker_w(0.0, nu, 2 * x, config)
+    xs = _grid(x, "bessel_k_via_w requires x > 0", float)
+    w = whittaker_w(0.0, nu, tuple((2 * xs).tolist()), config)
+    return _as_grid(x, np.sqrt(np.pi / (2 * xs)) * w)
 
 
 @_tabled

@@ -264,7 +264,7 @@ def default_collocation_points(n: int) -> list[float]:
 def _collocation_double(params: OrderParams, xs, config: EvalConfig):
     """Design matrix and data in double precision; returns (fitted, cond, resid)."""
     n, k = params.n, params.k
-    kp = np.array([bessel_k_quad(complex(0.5, k), x, config) for x in xs])
+    kp = bessel_k_quad(complex(0.5, k), tuple(xs), config)
     rhs = whittaker_w(n + 0.5, 1j * k, tuple(2 * x for x in xs), config).real
     rows = np.zeros((len(xs), 2 * (n + 1)))
     x = np.array(xs)

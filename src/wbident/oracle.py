@@ -8,26 +8,40 @@ Horner on them.  Whittaker W and Bessel K are built from them by closed
 formulas (no quadrature): W for real kappa and imaginary mu as twice the
 real part of one connection-formula term (DLMF 13.14.33), K as the
 I-difference with I_{+-nu} = (x/2)^{+-nu} / Gamma(1 +- nu) 0F1(; 1 +- nu;
-x^2/4) (DLMF 10.25.2).  Both take a list of points and then compute their
-point-independent factors once.  The collocation fit solves its least-squares
-system by Householder QR on Python integers in fixed point.  Values from this
-module are the ground truth for derived expected values and for regimes
-double precision cannot reach (large x in the connection formula,
-ill-conditioned collocation fits at high degree).
+x^2/4) (DLMF 10.25.2).
+
+Both take a list of points and compute their point-independent factors
+once, 64 bits beyond the working precision.  At each point x the powers
+x^{+-c} = x^{+-sigma} e^{+-i tau ln x} (c = sigma + i tau) come from one real
+log, one root (a power when sigma != 1/2), one cos/sin pair and, for W, one
+exponential; the constant powers of 2 of (2x)^{1/2+mu} and (x/2)^{+-nu} sit
+in the gamma factors.  Series sums, prefactors and their products stay
+Python integers, each value a Gaussian integer with a binary exponent
+carrying 64 guard bits, and the public evaluators round once at the end.
+The collocation fit builds its least-squares rows from the same integers,
+solves them by Householder QR on Python integers in fixed point and measures
+its misfit on them.  Values from this module are the ground truth for
+derived expected values and for regimes double precision cannot reach
+(large x in the connection formula, ill-conditioned collocation fits at high
+degree).
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from operator import mul
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import (fhalf, from_man_exp, mpf_cos_sin, mpf_exp, mpf_log,
+                          mpf_mul, mpf_neg, mpf_sqrt, to_fixed)
 
 from .config import EvalConfig, default_config
 from .errors import ConvergenceError, InputError
 from .kernels import OrderParams
+
+_GUARD = 64     # bits carried beyond the working precision
 
 
 @contextmanager
@@ -36,23 +50,41 @@ def _dps(config: EvalConfig):
         yield
 
 
-def _round_complex(re: int, im: int, frac: int):
-    """The fixed-point value (re + i im) / 2**frac as an mpc, rounded to
-    the working precision relative to its larger part."""
-    prec = mp.mp.prec
-    shift = max(abs(re).bit_length(), abs(im).bit_length()) - prec
+# A Gaussian float is a tuple (re, im, e) of Python integers standing for
+# (re + i im) 2**e.
+
+def _gauss(v, bits):
+    """The mpc v as a Gaussian float of `bits` bits."""
+    e = mp.mag(v) - bits
+    return to_fixed(v.real._mpf_, -e), to_fixed(v.imag._mpf_, -e), e
+
+
+def _trim(re, im, e, bits):
+    """(re + i im) 2**e cut to `bits` bits of its larger part."""
+    shift = max(abs(re).bit_length(), abs(im).bit_length()) - bits
     if shift > 0:
-        half = 1 << (shift - 1)
-        re, im = (re + half) >> shift, (im + half) >> shift
-        frac -= shift
-    return mp.make_mpc((from_man_exp(re, -frac, prec, "n"),
-                        from_man_exp(im, -frac, prec, "n")))
+        return re >> shift, im >> shift, e + shift
+    return re, im, e
 
 
-def _hyp_series(a, b, zs, max_terms: int, guard: int = 64):
+def _mul(a, b, bits):
+    """The product of two Gaussian floats, cut to `bits` bits."""
+    return _trim(a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0],
+                 a[2] + b[2], bits)
+
+
+def _to_mpc(g):
+    """The Gaussian float g with each part rounded once to the working
+    precision."""
+    re, im, e = g
+    return mp.make_mpc((from_man_exp(re, e, mp.mp.prec, "n"),
+                        from_man_exp(im, e, mp.mp.prec, "n")))
+
+
+def _hyp_series(a, b, zs, max_terms: int, guard: int = _GUARD):
     """1F1(a; b; z) = sum_m (a)_m / ((b)_m m!) z^m (DLMF 13.2.2), or
     0F1(; b; z) = sum_m z^m / ((b)_m m!) when a is None, at every z > 0 of
-    the list zs; returns a list of mpc rounded to the working precision.
+    the list zs; returns a list of Gaussian floats.
 
     The coefficients are computed once per call, as Gaussian integers in
     fixed point with `guard` bits beyond the working precision, pre-scaled
@@ -62,6 +94,8 @@ def _hyp_series(a, b, zs, max_terms: int, guard: int = 64):
     it (the rounding of a small coefficient grows with its successors); when
     that bound leaves fewer than 32 guard bits of the sum, by cancellation,
     the call repeats with enough guard bits to restore 64."""
+    if not zs:
+        return []
     frac = mp.mp.prec + guard
     one = 1 << frac
     zmax = max(zs)
@@ -114,11 +148,74 @@ def _hyp_series(a, b, zs, max_terms: int, guard: int = 64):
         for cre, cim in reversed(coeffs[:top]):
             sre, sim = (sre * u >> frac) + cre, (sim * u >> frac) + cim
         kept_min = min(kept_min, (abs(sre) | abs(sim)).bit_length() - err)
-        sums.append((sre, sim))
+        sums.append((sre, sim, -frac))
     if kept_min < mp.mp.prec + 32:
         return _hyp_series(a, b, zs, max_terms,
                            guard + math.ceil(mp.mp.prec + 64 - kept_min))
-    return [_round_complex(re, im, frac) for re, im in sums]
+    return sums
+
+
+def _powers(xs, c):
+    """(x^c, x^-c) at each mpf x > 0 of xs, as Gaussian floats: x^{+-c} =
+    x^{+-sigma} (cos +- i sin)(tau ln x) for c = sigma + i tau, with x^sigma
+    a square root at sigma = 1/2 and x^-sigma its reciprocal."""
+    bits = mp.mp.prec + _GUARD
+    sigma, tau = c.real._mpf_, c.imag._mpf_
+    out = []
+    for x in xs:
+        log_x = mpf_log(x._mpf_, bits + 16)
+        amp = (mpf_sqrt(x._mpf_, bits) if sigma == fhalf
+               else mpf_exp(mpf_mul(sigma, log_x), bits))
+        cos, sin = (to_fixed(v, bits) for v in mpf_cos_sin(mpf_mul(tau, log_x), bits))
+        _, man, exp, _ = amp
+        inv = (1 << 2 * bits) // man
+        out.append((_trim(man * cos, man * sin, exp - bits, bits),
+                    _trim(inv * cos, -inv * sin, -exp - 3 * bits, bits)))
+    return out
+
+
+def _w_terms(kappa, mu, xs, powers, config: EvalConfig):
+    """W_{kappa,mu}(2x) at each x of xs as Gaussian floats with im = 0,
+    given powers[i][0] = x^{1/2+mu} from `_powers`:
+    2 Re(Gamma(-2mu) 2^{1/2+mu} / Gamma(1/2 - mu - kappa) e^{-x} x^{1/2+mu}
+    M(1/2 + mu - kappa, 1 + 2mu, 2x))."""
+    bits = mp.mp.prec + _GUARD
+    half = mp.mpf(1) / 2
+    with mp.workprec(bits):
+        const = _gauss(2 * mp.gamma(-2 * mu) / mp.gamma(half - mu - kappa)
+                       * 2 ** (half + mu), bits)
+    kummer = _hyp_series(half + mu - kappa, 1 + 2 * mu, [2 * x for x in xs],
+                         config.series_max_terms)
+    out = []
+    for x, (power, _), m in zip(xs, powers, kummer):
+        _, man, exp, _ = mpf_exp(mpf_neg(x._mpf_), bits)
+        re, _, e = _mul(_mul(const, (man * power[0], man * power[1],
+                                     exp + power[2]), bits), m, bits)
+        out.append((re, 0, e))
+    return out
+
+
+def _k_terms(nu, xs, powers, config: EvalConfig):
+    """K_nu(x) at each x of xs as Gaussian floats, given powers[i] =
+    (x^nu, x^-nu) from `_powers`: (Gamma(nu) 2^{nu-1} x^-nu 0F1(; 1 - nu;
+    x^2/4) + Gamma(-nu) 2^{-nu-1} x^nu 0F1(; 1 + nu; x^2/4)), which is
+    (pi/2) (I_{-nu} - I_nu) / sin(pi nu) by the reflection formula
+    Gamma(z) Gamma(1 - z) = pi / sin(pi z) (DLMF 5.5.3)."""
+    bits = mp.mp.prec + _GUARD
+    with mp.workprec(bits):
+        c_minus = _gauss(mp.gamma(nu) * 2 ** (nu - 1), bits)
+        c_plus = _gauss(mp.gamma(-nu) * 2 ** (-nu - 1), bits)
+    quarter_x2 = [x * x / 4 for x in xs]
+    minus = _hyp_series(None, 1 - nu, quarter_x2, config.series_max_terms)
+    plus = _hyp_series(None, 1 + nu, quarter_x2, config.series_max_terms)
+    out = []
+    for (power, inverse), f_minus, f_plus in zip(powers, minus, plus):
+        re1, im1, e1 = _mul(_mul(c_minus, inverse, bits), f_minus, bits)
+        re2, im2, e2 = _mul(_mul(c_plus, power, bits), f_plus, bits)
+        e = min(e1, e2)
+        out.append(_trim((re1 << (e1 - e)) + (re2 << (e2 - e)),
+                         (im1 << (e1 - e)) + (im2 << (e2 - e)), e, bits))
+    return out
 
 
 def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
@@ -128,144 +225,116 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
     kappa) M_{kappa,mu}(z)) with M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu}
     M(1/2 + mu - kappa, 1 + 2mu, z) (DLMF 13.14.2).  z is a number, or a list
     or tuple of numbers (then a list of values, with the gamma quotient and
-    the series coefficients computed once)."""
+    the series coefficients computed once; [] for an empty list)."""
     config = config or default_config()
     if not isinstance(z, (list, tuple)):
         return whittaker_w(kappa, mu, [z], config)[0]
     with _dps(config):
         kappa, mu = mp.mpc(kappa), mp.mpc(mu)
-        if kappa.imag or mu.real or not mu.imag or any(zz <= 0 for zz in z):
+        if kappa.imag or mu.real or not mu.imag or not all(zz > 0 for zz in z):
             raise InputError("oracle W takes real kappa, nonzero imaginary "
                              "mu and z > 0")
-        half = mp.mpf(1) / 2
-        quot = mp.gamma(-2 * mu) / mp.gamma(half - mu - kappa)
-        z = [mp.mpf(zz) for zz in z]
-        kummer = _hyp_series(half + mu - kappa, 1 + 2 * mu, z,
-                             config.series_max_terms)
-        return [2 * mp.re(quot * (mp.exp(-zz / 2) * zz ** (half + mu) * m))
-                for zz, m in zip(z, kummer)]
+        xs = [mp.mpf(zz) / 2 for zz in z]
+        powers = _powers(xs, mp.mpf(1) / 2 + mu)
+        return [mp.make_mpf(from_man_exp(re, e, mp.mp.prec, "n"))
+                for re, _, e in _w_terms(kappa.real, mu, xs, powers, config)]
 
 
 def bessel_k(nu, x, config: EvalConfig | None = None):
-    """K_nu = (pi/2) (I_{-nu} - I_nu) / sin(pi nu), independent of quadrature.
-    x is a number, or a list or tuple of numbers (then a list of values, with
-    the prefactor, both gamma factors and both series' coefficients computed
-    once)."""
+    """K_nu(x) = (pi/2) (I_{-nu} - I_nu) / sin(pi nu) at oracle precision,
+    independent of quadrature, for non-integer nu and x > 0.  x is a number,
+    or a list or tuple of numbers (then a list of values, with the prefactor,
+    both gamma factors and both series' coefficients computed once; [] for an
+    empty list)."""
     config = config or default_config()
     if not isinstance(x, (list, tuple)):
         return bessel_k(nu, [x], config)[0]
     with _dps(config):
         nu = mp.mpc(nu)
-        pref = mp.pi / (2 * mp.sin(mp.pi * nu))
-        rg_minus, rg_plus = mp.rgamma(1 - nu), mp.rgamma(1 + nu)
-        half_x = [mp.mpf(xx) / 2 for xx in x]
-        quarter_x2 = [h ** 2 for h in half_x]
-        minus = _hyp_series(None, 1 - nu, quarter_x2, config.series_max_terms)
-        plus = _hyp_series(None, 1 + nu, quarter_x2, config.series_max_terms)
-        out = []
-        for h, f_minus, f_plus in zip(half_x, minus, plus):
-            power = h ** nu
-            out.append(pref * (rg_minus * f_minus / power - power * rg_plus * f_plus))
-        return out
+        if (not nu.imag and mp.isint(nu.real)) or not all(xx > 0 for xx in x):
+            raise InputError("oracle K takes non-integer nu and x > 0")
+        xs = [mp.mpf(xx) for xx in x]
+        powers = _powers(xs, nu)
+        return [_to_mpc(v) for v in _k_terms(nu, xs, powers, config)]
 
 
-def large_x_w_ratio(params: OrderParams, x: float = 30.0,
-                    config: EvalConfig | None = None) -> complex:
-    """W_{n+1/2,ik}(2x) / ((2x)^{n+1/2} e^{-x}) at oracle precision."""
-    config = config or default_config()
-    n, k = params.n, params.k
-    with _dps(config):
-        xx = mp.mpf(x)
-        w = whittaker_w(n + mp.mpf(1) / 2, mp.mpc(0, k), 2 * xx, config)
-        return complex(w / ((2 * xx) ** (n + mp.mpf(1) / 2) * mp.e ** (-xx)))
-
-
-def small_x_w_defect(params: OrderParams, x: float,
-                     config: EvalConfig | None = None) -> float:
-    """|W(2x) - leading two-term small-x form| / x^{1/2} at oracle precision;
-    tends to 0 like x as x -> 0."""
-    config = config or default_config()
-    n, k = params.n, params.k
-    with _dps(config):
-        ik = mp.mpc(0, k)
-        xx = mp.mpf(x)
-        w = whittaker_w(n + mp.mpf(1) / 2, ik, 2 * xx, config)
-        lead = mp.gamma(-2 * ik) / mp.gamma(-ik - n) * (2 * xx) ** (mp.mpf(1) / 2 + ik)
-        lead = lead + mp.conj(lead)
-        return float(abs(w - lead) / mp.sqrt(xx))
-
-
-def _householder_lstsq(rows, rhs):
-    """Least-squares solution of rows @ sol = rhs by Householder QR (Golub &
-    Van Loan, Matrix Computations, sec. 5.3) on Python integers in fixed
-    point: each column is equilibrated by a power of two and every entry
-    scaled by 2**(working precision + 64), so the solve keeps 64 guard bits.
-    rows is a list of equal-length lists of mpf; returns the solution as a
-    list of mpf."""
-    frac = mp.mp.prec + 64
-    exps = [mp.frexp(max(abs(row[j]) for row in rows))[1]
-            for j in range(len(rows[0]))]
-    cols = [[int(mp.ldexp(row[j], frac - e)) for row in rows]
-            for j, e in enumerate(exps)]
-    b = [int(mp.ldexp(v, frac)) for v in rhs]
-    p = len(cols)
-    for j, col in enumerate(cols):
+def _householder_lstsq(cols, rhs, frac: int):
+    """Least-squares solution of the fixed-point system sum_j cols[j][i]
+    sol_j / 2**frac = rhs[i] by Householder QR (Golub & Van Loan, Matrix
+    Computations, sec. 5.3) on Python integers; with entries and data near
+    2**frac the solve keeps frac bits.  Returns sol (integers, in units of
+    2**-frac); the arguments are left as they are."""
+    cols = [list(col) for col in cols] + [list(rhs)]
+    p = len(cols) - 1
+    for j, col in enumerate(cols[:p]):
         # reflect col[j:] onto alpha e_1, with the sign of alpha chosen
-        # against col[j] so that v[0] does not cancel
-        alpha = math.isqrt(sum(c * c for c in col[j:]))
-        if col[j] >= 0:
-            alpha = -alpha
+        # against col[j] so that v[0] does not cancel; each other column
+        # takes one division, for its multiple 2 v.other / v.v of v
         v = col[j:]
+        norm2 = sum(map(mul, v, v))
+        alpha = math.isqrt(norm2)
+        if v[0] >= 0:
+            alpha = -alpha
+        vtv = norm2 - 2 * alpha * v[0] + alpha * alpha
         v[0] -= alpha
-        vtv = sum(c * c for c in v)
-        for other in cols[j + 1:] + [b]:
-            t = 2 * sum(vi * oi for vi, oi in zip(v, other[j:]))
-            for i, vi in enumerate(v, start=j):
-                other[i] -= vi * t // vtv
+        for other in cols[j + 1:]:
+            t = (sum(map(mul, v, other[j:])) << (frac + 1)) // vtv
+            other[j:] = [o - (vi * t >> frac) for o, vi in zip(other[j:], v)]
         col[j] = alpha
-    sol = [0] * p
+    b, sol = cols[p], [0] * p
     for j in reversed(range(p)):
         acc = (b[j] << frac) - sum(cols[i][j] * sol[i] for i in range(j + 1, p))
         sol[j] = acc // cols[j][j]
-    return [mp.ldexp(s, -(frac + e)) for s, e in zip(sol, exps)]
+    return sol
 
 
 def _design_system(params: OrderParams, xs, config: EvalConfig):
-    """Rows and data of the collocation least-squares system at oracle
-    precision, each row divided by |W| at its point; unknowns are the real
-    and imaginary parts of a_1..a_{n+1} in turn."""
+    """The collocation least-squares system at oracle precision, on
+    integers.  Point x gives the row x^m (2 Re K, -2 Im K) / |W| for
+    m = 1..n+1 (unknowns Re a_m, Im a_m in turn) and the datum sign W, with
+    W = W_{n+1/2,ik}(2x) and K = K_{1/2+ik}(x).  Returns (cols, data, exps,
+    frac): column j holds each entry times 2**(frac - exps[j]), rounded, with
+    2**exps[j] bounding the column, and data[i] = sign W * 2**frac."""
     n, k = params.n, params.k
     with _dps(config):
-        ik = mp.mpc(0, k)
-        half = mp.mpf(1) / 2
+        frac = mp.mp.prec + _GUARD
         xs = [mp.mpf(x) for x in xs]
-        ws = whittaker_w(n + half, ik, [2 * x for x in xs], config)
-        kps = bessel_k(half + ik, xs, config)
-        rows, rhs = [], []
-        for x, w, kp in zip(xs, ws, kps):
-            scale = 1 / abs(w)
-            re_k, im_k = 2 * mp.re(kp) * scale, -2 * mp.im(kp) * scale
-            row, xm = [], x
+        nu = mp.mpc(0.5, k)
+        powers = _powers(xs, nu)
+        rows, data = [], []
+        for x, (w, _, we), (kre, kim, e) in zip(
+                xs, _w_terms(n + 0.5, mp.mpc(0, k), xs, powers, config),
+                _k_terms(nu, xs, powers, config)):
+            inv = (1 << 2 * frac) // abs(w)
+            kre, kim, e = _trim(kre * inv, -kim * inv, e + 1 - 2 * frac - we, frac)
+            _, xman, xexp, _ = x._mpf_
+            row = []
             for _ in range(n + 1):
-                row += [xm * re_k, xm * im_k]
-                xm *= x
+                kre, kim, e = kre * xman, kim * xman, e + xexp
+                row += [(kre, e), (kim, e)]
             rows.append(row)
-            rhs.append(w * scale)
-        return rows, rhs
+            data.append(1 << frac if w > 0 else -1 << frac)
+    cols, exps = [], []
+    for col in zip(*rows):
+        top = max(abs(man).bit_length() + e for man, e in col)
+        cols.append([man << s if s >= 0 else man >> -s
+                     for man, e in col for s in (frac + e - top,)])
+        exps.append(top)
+    return cols, data, exps, frac
 
 
 def collocation_fit(params: OrderParams, xs,
                     config: EvalConfig | None = None):
     """Least-squares fit of the identity at the given points, entirely at
     oracle precision.  Returns (coefficients a_1..a_{n+1}, max relative
-    misfit).  Conditioning that would sink a double-precision solve is
-    harmless at 50 digits."""
+    misfit), the misfit measured exactly on the fixed-point system.
+    Conditioning that would sink a double-precision solve is harmless at 50
+    digits."""
     config = config or default_config()
-    with _dps(config):
-        rows, rhs = _design_system(params, xs, config)
-        sol = _householder_lstsq(rows, rhs)
-        fitted = [complex(float(sol[2 * j]), float(sol[2 * j + 1]))
-                  for j in range(params.n + 1)]
-        worst = max(abs(mp.fdot(row, sol) - r) / abs(r)
-                    for row, r in zip(rows, rhs))
-        return fitted, float(worst)
+    cols, data, exps, frac = _design_system(params, xs, config)
+    sol = _householder_lstsq(cols, data, frac)
+    a = [math.ldexp(float(s), -frac - e) for s, e in zip(sol, exps)]
+    worst = max(abs(sum(map(mul, row, sol)) - (d << frac))
+                for row, d in zip(zip(*cols), data))
+    return ([complex(a[2 * j], a[2 * j + 1]) for j in range(params.n + 1)],
+            worst / (1 << 2 * frac))

@@ -6,12 +6,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbident import kernels
 from wbident.config import EvalConfig
 from wbident.core import laguerre
 from wbident.errors import (ConvergenceError, DegenerateParameterError,
-                            InputError, NearDegeneracyWarning, PoleError)
+                            InputError, NearDegeneracyWarning, PoleError,
+                            WbidentError)
 from wbident.kernels import (OrderParams, bessel_i, bessel_i_tilde,
                              bessel_k_quad, bessel_k_via_w, kummer_m,
                              whittaker_m, whittaker_w)
@@ -360,6 +363,27 @@ class TestGrid:
         per_point = [kernel(n + 0.5, 1j * k, z, deriv=True) for z in zs]
         assert [d.tolist() for d in derivs] == [list(p) for p in zip(*per_point)]
 
+    @pytest.mark.parametrize("k", [0.1, 0.5, 2.526, 4.9])
+    @pytest.mark.parametrize("kernel", [bessel_k_quad, bessel_k_via_w])
+    def test_k_grid_equals_per_point_calls(self, kernel, k):
+        # the n = 8 collocation points span several quadrature cutoffs, and
+        # each point stops halving by its own test
+        from wbident.lambda_poly import default_collocation_points
+        xs = self.XS + tuple(default_collocation_points(8))
+        nu = complex(0.5, k)
+        values = kernel(nu, xs)
+        assert values.dtype == complex and values.shape == (len(xs),)
+        assert not values.flags.writeable
+        assert values.tolist() == [kernel(nu, x) for x in xs]
+
+    def test_k_grid_fails_when_one_point_fails(self):
+        # with this budget x = 8 converges on its own and x = 16 does not
+        cfg = EvalConfig(quad_max_halvings=3, quad_step=1.0)
+        nu = complex(0.5, 2.0)
+        bessel_k_quad(nu, 8.0, cfg)
+        with pytest.raises(ConvergenceError):
+            bessel_k_quad(nu, (8.0, 16.0), cfg)
+
     def test_laguerre_branch_and_kummer_on_a_grid(self):
         zs = (0.5, 2.0, 7.0)
         assert whittaker_w(2.5, 0.0, zs).tolist() == [whittaker_w(2.5, 0.0, z) for z in zs]
@@ -371,6 +395,8 @@ class TestGrid:
         lambda: [whittaker_w(2.5, 0.0, ())],
         lambda: whittaker_m(2.5, 1j, (), deriv=True),
         lambda: whittaker_w(2.5, 1j, (), deriv=True),
+        lambda: [bessel_k_quad(0.5 + 1j, ())],
+        lambda: [bessel_k_via_w(0.5 + 1j, ())],
     ])
     def test_empty_grid_gives_empty_read_only_arrays(self, call):
         # the Kummer series used to wait for a finished point and raise
@@ -382,6 +408,14 @@ class TestGrid:
     def test_any_nonpositive_point_is_refused(self):
         with pytest.raises(ValueError):
             whittaker_w(1.5, 1j, (1.0, 0.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: bessel_k_quad(0.5 + 1j, (1.0, -2.0)),
+        lambda: bessel_k_via_w(0.5 + 1j, (1.0, float("nan"))),
+    ])
+    def test_any_nonpositive_k_point_is_refused(self, call):
+        with pytest.raises(InputError):
+            call()
 
     @pytest.mark.parametrize("call", [
         lambda: whittaker_w(1.5, 1e300j, 2.0),
@@ -565,6 +599,33 @@ class TestOracle:
                 want = mp.besselk(mp.mpf(0.5) + mp.mpc(0, k), mp.mpf(x))
                 assert abs(got - want) <= self.ORACLE_TOL * abs(want), x
 
+    @pytest.mark.parametrize("nu", [complex(-0.5, 1.0), complex(0.3, -0.7), 0.5])
+    def test_bessel_k_at_other_orders_matches_mpmath_besselk(self, nu):
+        # Re nu = 1/2 takes x^{1/2} as a square root, any other Re nu as a
+        # power
+        import mpmath as mp
+        from wbident import oracle
+        with mp.workdps(EvalConfig().oracle_dps):
+            for x in (0.25, 2.0, 8.0):
+                got = oracle.bessel_k(nu, x)
+                want = mp.besselk(mp.mpc(nu), mp.mpf(x))
+                assert abs(got - want) <= self.ORACLE_TOL * abs(want), x
+
+    @pytest.mark.parametrize("nu,x", [(0.5 + 1j, -1.0), (0.5 + 1j, 0.0),
+                                      (0.5 + 1j, [2.0, -1.0]), (1.0, 1.0),
+                                      (-2.0, 1.0), (0.5 + 1j, float("nan"))])
+    def test_bessel_k_outside_its_domain_is_input_error(self, nu, x):
+        # x <= 0 used to give a finite number or ZeroDivisionError, and so
+        # did integer nu, where sin(pi nu) = 0
+        from wbident import oracle
+        with pytest.raises(InputError):
+            oracle.bessel_k(nu, x)
+
+    def test_empty_lists_give_empty_lists(self):
+        from wbident import oracle
+        assert oracle.bessel_k(0.5 + 1j, []) == []
+        assert oracle.whittaker_w(3.5, 1j, ()) == []
+
     @pytest.mark.parametrize("evaluator", ["hyp0f1", "hyp1f1"])
     def test_mpmath_non_convergence_is_structured_error(self, evaluator):
         # the 0F1 series serves I inside oracle.bessel_k, the 1F1 series M
@@ -603,7 +664,7 @@ class TestOracle:
             for k in (1e-3, 0.1, 1.0, 4.5):
                 a, b = mp.mpc(-n, k), mp.mpc(1, 2 * k)
                 for z, got in zip(zs, oracle._hyp_series(a, b, zs, 1000)):
-                    want = mp.hyp1f1(a, b, z)
+                    got, want = oracle._to_mpc(got), mp.hyp1f1(a, b, z)
                     assert abs(got - want) <= 1e-45 * abs(want), (k, z)
         assert (max(guards) > 64) == (n == 25)
 
@@ -618,7 +679,7 @@ class TestOracle:
         with mp.workdps(100):
             want = mp.hyp1f1(a, b, z)
         with mp.workdps(50):
-            got = oracle._hyp_series(a, b, [z], 1000)[0]
+            got = oracle._to_mpc(oracle._hyp_series(a, b, [z], 1000)[0])
         assert abs(got - want) <= 1e-45 * abs(want)
 
     @pytest.mark.parametrize("k", [1e-3, 0.1, 1.0, 4.5])
@@ -630,40 +691,147 @@ class TestOracle:
             zs = [mp.mpf(z) for z in self.SERIES_Z]
             for b in (mp.mpc(0.5, -k), mp.mpc(1.5, k)):
                 for z, got in zip(zs, oracle._hyp_series(None, b, zs, 1000)):
-                    want = mp.hyp0f1(b, z)
+                    got, want = oracle._to_mpc(got), mp.hyp0f1(b, z)
                     assert abs(got - want) <= 1e-45 * abs(want), (b, z)
 
     @pytest.mark.parametrize("n,k", [(3, 0.5), (8, 0.5), (8, 2.0)])
     def test_integer_householder_matches_mpmath_qr_solve(self, n, k):
-        # the escalated design matrices; at n = 8 the condition is ~1e16
-        import mpmath as mp
+        # the escalated design matrices, as the integer rows the fit solves;
+        # at n = 8 the condition is ~1e16
         from wbident import lambda_poly, oracle
-        config = EvalConfig()
-        with mp.workdps(config.oracle_dps):
-            rows, rhs = oracle._design_system(
-                OrderParams(n=n, k=k), lambda_poly.default_collocation_points(n),
-                config)
-            self.assert_matches_qr_solve(rows, rhs, 1e-30)
+        cols, data, _, frac = oracle._design_system(
+            OrderParams(n=n, k=k), lambda_poly.default_collocation_points(n),
+            EvalConfig())
+        self.assert_matches_qr_solve(cols, data, frac, 1e-30)
 
     def test_integer_householder_on_a_well_conditioned_system(self):
         import random
-
-        import mpmath as mp
-        from wbident import oracle
         rng = random.Random(12)
-        with mp.workdps(EvalConfig().oracle_dps):
-            rows = [[mp.mpf(rng.uniform(-1, 1)) for _ in range(6)]
-                    for _ in range(12)]
-            rhs = [mp.mpf(rng.uniform(-1, 1)) for _ in range(12)]
-            self.assert_matches_qr_solve(rows, rhs, 1e-45)
+        frac = 233
+        cols = [[rng.randrange(-1 << frac, 1 << frac) for _ in range(12)]
+                for _ in range(6)]
+        data = [rng.randrange(-1 << frac, 1 << frac) for _ in range(12)]
+        self.assert_matches_qr_solve(cols, data, frac, 1e-45)
 
     @staticmethod
-    def assert_matches_qr_solve(rows, rhs, tol):
-        """The integer solve agrees with mpmath's qr_solve to tol of the
-        largest unknown."""
+    def assert_matches_qr_solve(cols, data, frac, tol):
+        """The integer solve of the fixed-point system (columns cols, data
+        data, both in units of 2**-frac) agrees with mpmath's qr_solve of
+        the same system to tol of the largest unknown."""
         import mpmath as mp
         from wbident import oracle
-        got = oracle._householder_lstsq(rows, rhs)
-        want = mp.qr_solve(mp.matrix(rows), mp.matrix(rhs))[0]
-        big = max(abs(w) for w in want)
-        assert max(abs(g - w) for g, w in zip(got, want)) <= tol * big
+        got = oracle._householder_lstsq(cols, data, frac)
+        with mp.workdps(EvalConfig().oracle_dps):
+            rows = mp.matrix([[mp.ldexp(c[i], -frac) for c in cols]
+                              for i in range(len(data))])
+            want = mp.qr_solve(rows, mp.matrix([mp.ldexp(d, -frac) for d in data]))[0]
+            big = max(abs(w) for w in want)
+            assert max(abs(mp.ldexp(g, -frac) - w)
+                       for g, w in zip(got, want)) <= tol * big
+
+
+def mutant_oracle(old: str = "", new: str = ""):
+    """A copy of wbident.oracle with the source text `old` (which must occur
+    exactly once) replaced by `new`, loaded as a module of the package; an
+    unchanged copy without arguments."""
+    import importlib.util
+    import inspect
+
+    from wbident import oracle
+    source = inspect.getsource(oracle)
+    assert not old or source.count(old) == 1, old
+    spec = importlib.util.spec_from_loader("wbident._oracle_mutant", loader=None)
+    module = importlib.util.module_from_spec(spec)
+    exec(compile(source.replace(old, new), oracle.__file__, "exec"), module.__dict__)
+    return module
+
+
+class TestOracleMutants:
+    """Mutants of the fixed-point W and K pipeline that the escalated
+    collocation fit shares with the public evaluators, each applied to a
+    copy of the module source, and the guard that catches each.
+
+    The fit cannot see a conjugated shared phase e^{ik ln x}: with both W and
+    K conjugated, the identity holds for the conjugated coefficients of the
+    other mode (the two modes x^{1/2 +- ik} are symmetric), which the fit then
+    returns to within rounding.  Only the comparisons of the public
+    evaluators with mpmath's whitw and besselk catch it, which is why those
+    evaluators run through the same internals as the fit."""
+
+    MUTANTS = {
+        # name: (source text, mutated text, guard)
+        "W without its sqrt(x)": (
+            "_, man, exp, _ = mpf_exp(mpf_neg(x._mpf_), bits)",
+            "_, man, exp, _ = (mp.exp(-x) / mp.sqrt(x))._mpf_",
+            "misfit"),
+        "K with its phase conjugated": (
+            "in zip(powers, minus, plus):",
+            "in zip([((p[0], -p[1], p[2]), (q[0], -q[1], q[2])) "
+            "for p, q in powers], minus, plus):",
+            "misfit"),
+        "the shared phase conjugated in W and K": (
+            "mpf_cos_sin(mpf_mul(tau, log_x), bits)",
+            "mpf_cos_sin(mpf_neg(mpf_mul(tau, log_x)), bits)",
+            "mpmath"),
+    }
+    CELLS = [(1, 0.5), (4, 1.0), (8, 2.0)]
+
+    @staticmethod
+    def fit_report(oracle, n, k):
+        """(misfit, largest relative deviation from the recurrence)."""
+        from wbident.lambda_poly import (coeffs_from_recurrence,
+                                         default_collocation_points)
+        params = OrderParams(n=n, k=k)
+        fitted, misfit = oracle.collocation_fit(params, default_collocation_points(n))
+        want = coeffs_from_recurrence(params).a
+        return misfit, max(abs(f - w) / abs(w) for f, w in zip(fitted, want))
+
+    def test_unmutated_copy_passes_every_guard(self):
+        import mpmath as mp
+        config = EvalConfig()
+        oracle = mutant_oracle()
+        for n, k in self.CELLS:
+            misfit, dev = self.fit_report(oracle, n, k)
+            assert misfit <= config.collocation_resid_tol
+            assert dev <= config.oracle_match_tol
+        with mp.workdps(config.oracle_dps):
+            w = oracle.whittaker_w(4.5, 1j, 4.0)
+            assert abs(w - mp.whitw(4.5, 1j, 4)) <= TestOracle.ORACLE_TOL * abs(w)
+
+    @pytest.mark.parametrize("name", [n for n, m in MUTANTS.items() if m[2] == "misfit"])
+    def test_misfit_guard_catches(self, name):
+        old, new, _ = self.MUTANTS[name]
+        oracle = mutant_oracle(old, new)
+        for n, k in self.CELLS:
+            misfit, _ = self.fit_report(oracle, n, k)
+            assert misfit > EvalConfig().collocation_resid_tol, (n, k)
+
+    @pytest.mark.parametrize("name", [n for n, m in MUTANTS.items() if m[2] == "mpmath"])
+    def test_fit_is_blind_and_mpmath_comparison_catches(self, name):
+        import mpmath as mp
+        config = EvalConfig()
+        old, new, _ = self.MUTANTS[name]
+        oracle = mutant_oracle(old, new)
+        for n, k in self.CELLS:
+            misfit, dev = self.fit_report(oracle, n, k)
+            assert misfit <= config.collocation_resid_tol
+            assert dev <= config.oracle_match_tol
+        with mp.workdps(config.oracle_dps):
+            w = oracle.whittaker_w(4.5, 1j, 4.0)
+            assert abs(w - mp.whitw(4.5, 1j, 4)) > TestOracle.ORACLE_TOL * abs(w)
+            kv = oracle.bessel_k(0.5 + 1j, 2.0)
+            want = mp.besselk(mp.mpc(0.5, 1), 2)
+            assert abs(kv - want) > TestOracle.ORACLE_TOL * abs(want)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(n=st.integers(0, 8), k=st.floats(0.05, 5.0))
+def test_collocation_fit_matches_recurrence_or_raises_wbident_error(n, k):
+    from wbident import oracle
+    config = EvalConfig()
+    try:
+        misfit, dev = TestOracleMutants.fit_report(oracle, n, k)
+    except WbidentError:
+        return
+    assert misfit <= config.collocation_resid_tol
+    assert dev <= config.oracle_match_tol

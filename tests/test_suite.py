@@ -1,6 +1,8 @@
 """Tests for run_suite's kernel table: each kernel value is evaluated once
 per run, the table ends with the run, and the reports do not change."""
 
+import os
+import subprocess
 import sys
 from collections import Counter
 
@@ -121,3 +123,12 @@ def test_ode4_basis_checks_follow_the_x_grid():
     assert len(basis) == 11
     assert all(r.grid == [0.5, 3.0] * 4 for r in basis)
     assert all(r.passed for r in basis if not r.advisory)
+
+
+def test_default_suite_never_imports_mpmath():
+    # the 50-digit oracle is the only user of mpmath, and only --oracle
+    # escalates a collocation fit to it
+    code = ("import sys, wbident; wbident.run_suite(); "
+            "assert 'mpmath' not in sys.modules, 'mpmath imported'")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
