@@ -6,14 +6,23 @@ integral representation, and the Whittaker-W connection route.  They are
 cross-checked against each other in the verification suite.
 
 The connection formula for W subtracts terms that grow like e^{+x} while W
-itself decays like e^{-x}; the generic branch therefore runs its series and
-prefactors on ``np.clongdouble`` (80-bit on x86, plain double where
-longdouble is double) before rounding the result to complex128.  In
-double-precision mode the usable range is x <= 8.  ``kummer_m``,
-``whittaker_m``, ``whittaker_w``, ``bessel_k_quad`` and ``bessel_k_via_w``
-also take their argument as a tuple (a grid) and then return read-only
-arrays equal bit for bit to the per-point calls, because each point's series
-or step halving stops by its own rule; a scalar call is a one-element grid.
+itself decays like e^{-x}; it therefore runs its series and prefactors on
+``np.clongdouble`` (80-bit on x86, plain double where longdouble is double)
+before rounding the result to complex128.  In double-precision mode the
+usable range is x <= 8.  For real kappa and imaginary mu (the identity's
+orders) the formula's two terms are complex conjugates, bit for bit in this
+arithmetic, so ``whittaker_w`` sums only the first and returns twice its
+real part: one Kummer series and two log gammas instead of two and four.
+The two-term formula has one implementation, ``_whittaker_w_two_term``: it
+is ``whittaker_w``'s branch for every other non-integer 2*mu, and the
+realness checks (``whittaker-w-realness``, ``trial-w-realness``) read it as
+their own route, since the one-term value is real by construction.
+
+``kummer_m``, ``whittaker_m``, ``whittaker_w``, ``bessel_k_quad`` and
+``bessel_k_via_w`` also take their argument as a tuple (a grid) and then
+return read-only arrays equal bit for bit to the per-point calls, because
+each point's series or step halving stops by its own rule; a scalar call is
+a one-element grid.
 A Kummer or Whittaker value that does not round to a finite complex128 raises
 ``ConvergenceError``, and so does a nonzero value that rounds to a modulus
 below the smallest normal double: there the double holds noise or zero (W
@@ -27,14 +36,16 @@ values only; their derivatives follow from values at order nu+1
 
 Inside a ``with kernel_table():`` block (``run_suite`` runs in one) the five
 public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
-``bessel_k_quad`` and ``bessel_k_via_w``, and the coefficient builder
-``lambda_poly.coeffs_from_recurrence``, evaluate each distinct argument
+``bessel_k_quad`` and ``bessel_k_via_w``, the private
+``_whittaker_w_two_term``, and the coefficient builder
+``lambda_poly.coeffs_from_recurrence`` evaluate each distinct argument
 tuple once: a repeated call with equal positional and keyword arguments
 (``config`` and ``deriv`` included, a grid keyed by its tuple) returns the
 stored value.  Only returned values are stored; a raising call stores
 nothing.  The table lives in a ``contextvars.ContextVar`` and is dropped
-when the block exits, so outside it nothing is looked up or kept.  A repeated call does not re-issue the
-``NearDegeneracyWarning`` of its first evaluation.
+when the block exits, so outside it nothing is looked up or kept.  A
+repeated call does not re-issue the ``NearDegeneracyWarning`` of its first
+evaluation.
 """
 
 from __future__ import annotations
@@ -222,20 +233,46 @@ def _laguerre_whittaker_w(n: int, z: float) -> float:
             * math.exp(-z / 2) * laguerre(n, z))
 
 
+def _gamma_quotient(a, b):
+    """Gamma(a) / Gamma(b) in clongdouble; a non-finite quotient raises in
+    _finish, so numpy's warnings only add noise."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.exp(log_gamma_ld(C(a)) - log_gamma_ld(C(b)))
+
+
+def _refuse_integer_two_mu(mu: complex, config: EvalConfig) -> None:
+    """Refuse 2*mu an integer, where the connection formula's gamma factors
+    sit on poles, and warn within mu_degeneracy_tol of one."""
+    two_mu = 2 * mu
+    dist = abs(two_mu - complex(round(two_mu.real), 0.0))
+    if dist == 0.0:
+        raise DegenerateParameterError(
+            f"whittaker_w: 2*mu = {two_mu} is an integer; "
+            "the connection formula is invalid there")
+    if dist < config.mu_degeneracy_tol:
+        warnings.warn(
+            f"whittaker_w: 2*mu = {two_mu} is within {config.mu_degeneracy_tol} "
+            "of an integer; expect severe cancellation",
+            NearDegeneracyWarning, stacklevel=3)
+
+
 @_tabled
 def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
                 deriv: bool = False):
     """Whittaker W_{kappa,mu}(z); with deriv, the tuple
-    (W, dW/dz, d^2W/dz^2), each term of the connection formula
-    differentiated through its M factor (generic branch only).  z is a float
-    or a tuple of floats (then read-only arrays, one value per point).
+    (W, dW/dz, d^2W/dz^2), each connection term differentiated through its
+    M factor (not on the Laguerre branch).  z is a float or a tuple of floats
+    (then read-only arrays, one value per point).
 
-    Generic branch (2*mu not an integer): the connection formula
+    Real kappa, imaginary mu != 0 (the identity's orders): the two terms of
+    the connection formula are complex conjugates, so W = 2 Re(Gamma(-2mu) /
+    Gamma(1/2-mu-kappa) M_{kappa,mu}), from one Kummer series and two log
+    gammas; this equals ``_whittaker_w_two_term`` bit for bit, imaginary
+    part +0.0 included.
 
-        W = Gamma(-2mu)/Gamma(1/2-mu-kappa) M_{kappa,mu}
-          + Gamma(2mu)/Gamma(1/2+mu-kappa) M_{kappa,-mu}.
+    Any other order with 2*mu not an integer: ``_whittaker_w_two_term``.
 
-    Special branch mu = 0 with kappa = n+1/2: the closed Laguerre form
+    mu = 0 with kappa = n+1/2: the closed Laguerre form
     (-1)^n n! z^{1/2} e^{-z/2} L_n(z).  Any other integer 2*mu is refused:
     the gamma prefactors sit on poles there.
     """
@@ -243,37 +280,47 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
     zs = _grid(z, "whittaker_w requires z > 0")
     kappa = complex(kappa)
     mu = complex(mu)
-
-    two_mu = 2 * mu
-    nearest = complex(round(two_mu.real), 0.0)
-    dist = abs(two_mu - nearest)
-    if dist == 0.0:
-        if two_mu == 0:
-            if kappa.imag == 0.0:
-                n_real = kappa.real - 0.5      # exact for kappa = n + 1/2
-                n = round(n_real)
-                if n >= 0 and n_real == n:
-                    if deriv:
-                        raise DegenerateParameterError(
-                            "whittaker_w: derivatives are not provided on the "
-                            "mu = 0 Laguerre branch")
-                    return _finish("whittaker_w", z, [np.array(
-                        [_laguerre_whittaker_w(n, float(x)) for x in zs])])
-            raise DegenerateParameterError(
-                f"whittaker_w with mu = 0 requires kappa = n + 1/2, got {kappa}")
+    if mu == 0:
+        if kappa.imag == 0.0:
+            n_real = kappa.real - 0.5      # exact for kappa = n + 1/2
+            n = round(n_real)
+            if n >= 0 and n_real == n:
+                if deriv:
+                    raise DegenerateParameterError(
+                        "whittaker_w: derivatives are not provided on the "
+                        "mu = 0 Laguerre branch")
+                return _finish("whittaker_w", z, [np.array(
+                    [_laguerre_whittaker_w(n, float(x)) for x in zs])])
         raise DegenerateParameterError(
-            f"whittaker_w: 2*mu = {two_mu} is a nonzero integer; "
-            "the connection formula is invalid there")
-    if dist < config.mu_degeneracy_tol:
-        warnings.warn(
-            f"whittaker_w: 2*mu = {two_mu} is within {config.mu_degeneracy_tol} "
-            "of an integer; expect severe cancellation",
-            NearDegeneracyWarning, stacklevel=2)
+            f"whittaker_w with mu = 0 requires kappa = n + 1/2, got {kappa}")
+    if kappa.imag != 0.0 or mu.real != 0.0:
+        return _whittaker_w_two_term(kappa, mu, z, config, deriv=deriv)
+    _refuse_integer_two_mu(mu, config)
+    pref = _gamma_quotient(-(2 * mu), 0.5 - mu - kappa)
+    return _finish("whittaker_w", z, [2 * (pref * m).real for m in
+                                      _whittaker_m_ld(kappa, mu, zs, config, deriv)])
 
-    # a non-finite prefactor raises in _finish; numpy's warnings only add noise
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        pref_a = np.exp(log_gamma_ld(C(-two_mu)) - log_gamma_ld(C(0.5 - mu - kappa)))
-        pref_b = np.exp(log_gamma_ld(C(two_mu)) - log_gamma_ld(C(0.5 + mu - kappa)))
+
+@_tabled
+def _whittaker_w_two_term(kappa, mu, z, config: EvalConfig | None = None, *,
+                          deriv: bool = False):
+    """W_{kappa,mu}(z) for 2*mu not an integer from both terms of the
+    connection formula (DLMF 13.14.33)
+
+        W = Gamma(-2mu)/Gamma(1/2-mu-kappa) M_{kappa,mu}
+          + Gamma(2mu)/Gamma(1/2+mu-kappa) M_{kappa,-mu},
+
+    with deriv and z as in ``whittaker_w``, whose generic branch this is.
+    For real kappa and imaginary mu it is the second route that the realness
+    checks compare ``whittaker_w``'s one-term value with."""
+    config = config or default_config()
+    zs = _grid(z, "whittaker_w requires z > 0")
+    kappa = complex(kappa)
+    mu = complex(mu)
+    _refuse_integer_two_mu(mu, config)
+    two_mu = 2 * mu
+    pref_a = _gamma_quotient(-two_mu, 0.5 - mu - kappa)
+    pref_b = _gamma_quotient(two_mu, 0.5 + mu - kappa)
     return _finish("whittaker_w", z, [pref_a * ma + pref_b * mb for ma, mb in zip(
         _whittaker_m_ld(kappa, mu, zs, config, deriv),
         _whittaker_m_ld(kappa, -mu, zs, config, deriv))])

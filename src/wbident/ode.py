@@ -26,8 +26,11 @@ in one kernel call, at z = tuple(2 * x for x in grid), and I and K per
 point; everything after the kernel calls runs per point, so each residual
 equals the one-point check's bit for bit.  The trial check uses the basis
 check's z tuple, so inside ``kernels.kernel_table()`` it reuses that check's
-W and M_{n+1/2,ik} grids.  The reconstruction's W stays per point: the
-suite's W realness check has already tabled those values.
+M_{n+1/2,ik} grid; its W comes from the two-term connection formula
+(``kernels._whittaker_w_two_term``), because ``whittaker_w`` returns the
+identity's W as the doubled real part of one term, real by construction.
+The reconstruction's W stays per point: the suite's W realness check has
+already tabled those values.
 
 Two variants of the ODE coefficients are provided.  The historically printed
 a3 has constant term 2i(1-2k)(i+k)(i+4k); eliminating conj(L) symbolically
@@ -61,8 +64,8 @@ from numpy.polynomial import Polynomial
 from .config import EvalConfig, default_config
 from .core import SQRT_PI, gamma, gamma_ratio, laguerre
 from .errors import InputError, InvariantViolationError
-from .kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
-                      whittaker_w)
+from .kernels import (OrderParams, _whittaker_w_two_term, bessel_i,
+                      bessel_k_quad, whittaker_m, whittaker_w)
 from .lambda_poly import CoeffVector, boundary_coeffs, coeffs_from_recurrence
 from .report import ResidualReport, index_grid, relative_residual
 
@@ -311,11 +314,13 @@ def trial_condition_check(params: OrderParams, x_grid,
     kap = n + 0.5
     mu = 1j * k
 
-    # the ODE-basis check's z grid, so that in a kernel table W and M(+ik)
-    # are that check's entries
+    # the ODE-basis check's z grid, so that in a kernel table M(+ik) is that
+    # check's entry; W comes from the two-term route, since whittaker_w's
+    # one-term value is real by construction
     z = tuple(2 * x for x in x_grid)
     grids = []                                    # (value, second derivative)
-    for kernel, order in ((whittaker_w, mu), (whittaker_m, mu), (whittaker_m, -mu)):
+    for kernel, order in ((_whittaker_w_two_term, mu), (whittaker_m, mu),
+                          (whittaker_m, -mu)):
         f, _, f2 = kernel(kap, order, z, config, deriv=True)
         grids += [f.tolist(), f2.tolist()]
     w_real, sum_real, diff_imag, op_resid = [], [], [], []

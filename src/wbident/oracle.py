@@ -11,13 +11,16 @@ I-difference with I_{+-nu} = (x/2)^{+-nu} / Gamma(1 +- nu) 0F1(; 1 +- nu;
 x^2/4) (DLMF 10.25.2).
 
 Both take a list of points and compute their point-independent factors
-once, 64 bits beyond the working precision.  At each point x the powers
-x^{+-c} = x^{+-sigma} e^{+-i tau ln x} (c = sigma + i tau) come from one real
-log, one root (a power when sigma != 1/2), one cos/sin pair and, for W, one
-exponential; the constant powers of 2 of (2x)^{1/2+mu} and (x/2)^{+-nu} sit
-in the gamma factors.  Series sums, prefactors and their products stay
-Python integers, each value a Gaussian integer with a binary exponent
-carrying 64 guard bits, and the public evaluators round once at the end.
+once, 64 bits beyond the working precision; both end in terms of size e^x
+that cancel to e^-x, about 2x/ln 2 bits, so where that would leave fewer
+than 32 guard bits (x > 11) the guard grows by it.  At each point x the
+powers x^{+-c} = x^{+-sigma} e^{+-i tau ln x} (c = sigma + i tau) come from
+one real log, one root (a power when sigma != 1/2), one cos/sin pair and,
+for W, one exponential; the constant powers of 2 of (2x)^{1/2+mu} and
+(x/2)^{+-nu} sit in the gamma factors.  Series sums, prefactors and their
+products stay Python integers, each value a Gaussian integer with a binary
+exponent carrying the guard bits, and the public evaluators round once at
+the end.
 The collocation fit builds its least-squares rows from the same integers,
 solves them by Householder QR on Python integers in fixed point and measures
 its misfit on them.  Values from this module are the ground truth for
@@ -155,11 +158,19 @@ def _hyp_series(a, b, zs, max_terms: int, guard: int = _GUARD):
     return sums
 
 
+def _guard(xs) -> int:
+    """Guard bits for W(2x) and K(x) at the mpf points xs: both end as terms
+    of size e^x that cancel to e^-x, which costs about 2x/ln 2 bits; _GUARD,
+    raised by that estimate where it would leave fewer than 32."""
+    lost = math.ceil(2 * float(max(xs, default=0)) / math.log(2))
+    return _GUARD + lost if _GUARD - lost < 32 else _GUARD
+
+
 def _powers(xs, c):
     """(x^c, x^-c) at each mpf x > 0 of xs, as Gaussian floats: x^{+-c} =
     x^{+-sigma} (cos +- i sin)(tau ln x) for c = sigma + i tau, with x^sigma
     a square root at sigma = 1/2 and x^-sigma its reciprocal."""
-    bits = mp.mp.prec + _GUARD
+    bits = mp.mp.prec + _guard(xs)
     sigma, tau = c.real._mpf_, c.imag._mpf_
     out = []
     for x in xs:
@@ -179,13 +190,14 @@ def _w_terms(kappa, mu, xs, powers, config: EvalConfig):
     given powers[i][0] = x^{1/2+mu} from `_powers`:
     2 Re(Gamma(-2mu) 2^{1/2+mu} / Gamma(1/2 - mu - kappa) e^{-x} x^{1/2+mu}
     M(1/2 + mu - kappa, 1 + 2mu, 2x))."""
-    bits = mp.mp.prec + _GUARD
+    guard = _guard(xs)
+    bits = mp.mp.prec + guard
     half = mp.mpf(1) / 2
     with mp.workprec(bits):
         const = _gauss(2 * mp.gamma(-2 * mu) / mp.gamma(half - mu - kappa)
                        * 2 ** (half + mu), bits)
     kummer = _hyp_series(half + mu - kappa, 1 + 2 * mu, [2 * x for x in xs],
-                         config.series_max_terms)
+                         config.series_max_terms, guard)
     out = []
     for x, (power, _), m in zip(xs, powers, kummer):
         _, man, exp, _ = mpf_exp(mpf_neg(x._mpf_), bits)
@@ -201,13 +213,14 @@ def _k_terms(nu, xs, powers, config: EvalConfig):
     x^2/4) + Gamma(-nu) 2^{-nu-1} x^nu 0F1(; 1 + nu; x^2/4)), which is
     (pi/2) (I_{-nu} - I_nu) / sin(pi nu) by the reflection formula
     Gamma(z) Gamma(1 - z) = pi / sin(pi z) (DLMF 5.5.3)."""
-    bits = mp.mp.prec + _GUARD
+    guard = _guard(xs)
+    bits = mp.mp.prec + guard
     with mp.workprec(bits):
         c_minus = _gauss(mp.gamma(nu) * 2 ** (nu - 1), bits)
         c_plus = _gauss(mp.gamma(-nu) * 2 ** (-nu - 1), bits)
     quarter_x2 = [x * x / 4 for x in xs]
-    minus = _hyp_series(None, 1 - nu, quarter_x2, config.series_max_terms)
-    plus = _hyp_series(None, 1 + nu, quarter_x2, config.series_max_terms)
+    minus = _hyp_series(None, 1 - nu, quarter_x2, config.series_max_terms, guard)
+    plus = _hyp_series(None, 1 + nu, quarter_x2, config.series_max_terms, guard)
     out = []
     for (power, inverse), f_minus, f_plus in zip(powers, minus, plus):
         re1, im1, e1 = _mul(_mul(c_minus, inverse, bits), f_minus, bits)

@@ -6,8 +6,13 @@ The central identity under test:
     W_{n+1/2, ik}(2x) = x Lambda(x) K_{1/2+ik}(x) + x conj(Lambda)(x) K_{1/2-ik}(x)
 
 with Lambda built from the coefficient recurrence.  The left side is
-evaluated through the Whittaker connection formula, the right side through
-the quadrature Bessel-K evaluator, so the two sides share no code path.
+evaluated through the Whittaker connection formula (one term, doubled real
+part, at these orders), the right side through the quadrature Bessel-K
+evaluator, so the two sides share no code path.  ``verify_identity`` reads K
+from one quadrature grid call per (n, k), the table entry that
+``kernel_cross_reports`` makes per k, and W per point, the values that the
+``whittaker-w-realness`` check compares with the two-term connection
+formula.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ import numpy as np
 from .config import EvalConfig, default_config
 from .core import SQRT_PI
 from .errors import InputError
-from .kernels import (OrderParams, bessel_k_quad, bessel_k_via_w, kernel_table,
-                      whittaker_w)
+from .kernels import (OrderParams, _whittaker_w_two_term, bessel_k_quad,
+                      bessel_k_via_w, kernel_table, whittaker_w)
 from .lambda_poly import (CoeffVector, coeffs_from_recurrence,
                           collocation_oracle, check_second_order,
                           first_order_residuals)
@@ -58,9 +63,11 @@ def verify_identity(params: OrderParams, x_grid,
             "formula cancels there and no route checks the identity")
 
     lam = coeffs_from_recurrence(params, config).lam_poly()(np.array(x_grid))
+    # the K grid is kernel_cross_reports' table entry
+    kq = bessel_k_quad(complex(0.5, k), tuple(x_grid), config)
     residuals = []
-    for x, lam_x in zip(x_grid, lam.tolist()):
-        lam_k = lam_x * bessel_k_quad(complex(0.5, k), x, config)
+    for x, lam_x, k_x in zip(x_grid, lam.tolist(), kq.tolist()):
+        lam_k = lam_x * k_x
         rhs = (lam_k + lam_k.conjugate()).real
         lhs = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
         scale = max(abs(lhs), abs(lam_k))
@@ -82,22 +89,26 @@ def kernel_cross_reports(k_set, x_grid, n_max,
         if k == 0:
             continue
         nu = complex(0.5, k)
-        # quadrature per point: verify_identity looks up these table entries
-        cross = []
-        for x, kw in zip(x_grid, bessel_k_via_w(nu, tuple(x_grid), config).tolist()):
-            kq = bessel_k_quad(nu, x, config)
-            cross.append(abs(kq - kw) / abs(kq))
+        # one quadrature grid: verify_identity looks up this table entry
+        kq = bessel_k_quad(nu, tuple(x_grid), config)
+        kw = bessel_k_via_w(nu, tuple(x_grid), config)
         reports.append(ResidualReport(
             check_name="kernel-cross-bessel-k",
             params=OrderParams(n=0, k=k),
-            grid=list(x_grid), residuals=cross,
+            grid=list(x_grid),
+            residuals=[abs(q - w) / abs(q) for q, w in zip(kq.tolist(), kw.tolist())],
             threshold=config.kernel_cross_tol))
+        # the two-term route on the grid against whittaker_w's one-term value
+        # per point, which verify_identity and the reconstruction look up
         grid, realness = [], []
         for n in range(n_max + 1):
-            for x in x_grid:
-                w = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
+            w2 = _whittaker_w_two_term(n + 0.5, 1j * k,
+                                       tuple(2 * x for x in x_grid), config)
+            for x, two in zip(x_grid, w2.tolist()):
+                one = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
+                scale = max(abs(one), abs(two))
                 grid.append(float(x))
-                realness.append(abs(w.imag) / abs(w))
+                realness.append(abs(two - one) / scale if scale else 0.0)
         reports.append(ResidualReport(
             check_name="whittaker-w-realness",
             params=OrderParams(n=n_max, k=k),

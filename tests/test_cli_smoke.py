@@ -4,11 +4,15 @@ process through ``cli.main``, with its exit code and the files it writes.
 Each distinct command runs once per session in one shared directory, so a
 row that compares its output with another row's file reuses that run."""
 
+import contextlib
+import io
 import json
 import os
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbident.cli import main
 
@@ -46,6 +50,7 @@ ROWS = [
     ("eval kummer-m 1 1 1e300", 2, None, False),
     ("--config old-config.json coeffs --n 1 --k 1", 2, None, False),
     ("eval whittaker-w 1.5 1e300j 2.0", 2, None, True),
+    ("eval whittaker-w 25.5 600j 2.0", 2, None, False),
 ]
 
 
@@ -96,3 +101,18 @@ def test_smoke_command(smoke, argv, code, match, strict, capsys):
         assert written.read_bytes() == (smoke.where / match).read_bytes()
     elif match is not None:
         match(json.loads(written.read_text())["reports"])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(0, 25), k=st.floats(0.0, 6.0),
+       xs=st.lists(st.floats(0.2, 8.05), min_size=1, max_size=5))
+def test_verify_identity_exits_with_a_code(n, k, xs):
+    # grids inside and just outside [0.25, 8]; exit 2 always with an error
+    # line, and nothing raised
+    argv = ["verify", "--check", "identity", "--n", str(n), "--k", repr(k),
+            "--x-grid", ",".join(map(repr, xs))]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")

@@ -1,8 +1,10 @@
 """Tests for the special-function kernels."""
 
 import cmath
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,11 +152,80 @@ class TestWhittakerW:
             whittaker_w(1.5, 1e-8j, 2.0)
 
     def test_realness_on_grid(self):
+        # the two-term route: whittaker_w's one-term value is real by
+        # construction at these orders
         for n in range(9):
             for k in GRID_K:
                 for x in GRID_X:
-                    w = whittaker_w(n + 0.5, 1j * k, 2 * x)
+                    w = kernels._whittaker_w_two_term(n + 0.5, 1j * k, 2 * x)
                     assert abs(w.imag) <= 1e-10 * abs(w)
+
+
+def ieee_bits(values) -> list[int]:
+    """The bit patterns of a complex or a complex array, so that equality
+    also compares the signs of zeros."""
+    return np.asarray(values, dtype=complex).reshape(-1).view(np.int64).tolist()
+
+
+SWEEP_POOL = json.loads((Path(__file__).resolve().parents[1] / "wbbench" / "reference"
+                         / "sweep-pool.json").read_text())
+
+
+def _stratum_ks(m: int = 5) -> list[float]:
+    """The first k of each of the sweep pool's m equal-count strata."""
+    ks = sorted(SWEEP_POOL["k_pool"])
+    return [ks[j * len(ks) // m] for j in range(m)]
+
+
+class TestOneTermW:
+    """For real kappa and imaginary mu, whittaker_w returns twice the real
+    part of the first connection term; the second term is its conjugate bit
+    for bit, so the value equals the two-term route's exactly."""
+
+    KS = _stratum_ks() + [1e-3, 0.1, 2.526, 4.9]
+    ZS = tuple(2 * x for x in SWEEP_POOL["x_pool"])
+
+    @pytest.mark.parametrize("n", [0, 5, 12, 25])
+    @pytest.mark.parametrize("k", KS)
+    def test_equals_two_term_route_on_the_pool(self, n, k):
+        for deriv in (False, True):
+            one = whittaker_w(n + 0.5, 1j * k, self.ZS, deriv=deriv)
+            two = kernels._whittaker_w_two_term(n + 0.5, 1j * k, self.ZS, deriv=deriv)
+            assert ieee_bits(one) == ieee_bits(two)
+        # per point, at every eighth pool x
+        for z in self.ZS[::8]:
+            assert ieee_bits(whittaker_w(n + 0.5, 1j * k, z)) == ieee_bits(
+                kernels._whittaker_w_two_term(n + 0.5, 1j * k, z))
+            assert ieee_bits(whittaker_w(n + 0.5, 1j * k, z, deriv=True)) == ieee_bits(
+                kernels._whittaker_w_two_term(n + 0.5, 1j * k, z, deriv=True))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(0, 25), k=st.floats(1e-3, 5.0), x=st.floats(0.25, 8.0))
+    def test_equals_two_term_route_with_positive_zero_imaginary_part(self, n, k, x):
+        values = whittaker_w(n + 0.5, 1j * k, 2 * x, deriv=True)
+        assert ieee_bits(values) == ieee_bits(
+            kernels._whittaker_w_two_term(n + 0.5, 1j * k, 2 * x, deriv=True))
+        assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in values)
+
+    @pytest.mark.parametrize("route", [whittaker_w, kernels._whittaker_w_two_term])
+    def test_near_degeneracy_warns_on_both_routes(self, route):
+        with pytest.warns(NearDegeneracyWarning):
+            route(1.5, 1e-8j, 2.0)
+
+    def test_extreme_k_fails_alike(self):
+        errors = []
+        for route in (whittaker_w, kernels._whittaker_w_two_term):
+            with pytest.raises(ConvergenceError) as info:
+                route(25.5, 600j, 2.0)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+
+    def test_other_orders_take_the_two_term_route(self):
+        # complex kappa, and mu off the imaginary axis (bessel_k_via_w's
+        # W_{0,1/2+ik}), have no conjugate pair
+        for kappa, mu in ((1.5 + 0.5j, 1j), (0.0, 0.5 + 1j)):
+            assert ieee_bits(whittaker_w(kappa, mu, (1.0, 3.0))) == ieee_bits(
+                kernels._whittaker_w_two_term(kappa, mu, (1.0, 3.0)))
 
 
 class TestBesselKQuad:
@@ -620,6 +691,31 @@ class TestOracle:
         from wbident import oracle
         with pytest.raises(InputError):
             oracle.bessel_k(nu, x)
+
+    @pytest.mark.parametrize("kind", ["K", "W"])
+    def test_large_x_raises_the_guard_by_the_cancellation(self, kind):
+        # K_{1/2+i}(60) and W_{5/2,i}(120) end in terms near e^60 that cancel
+        # to e^-60, about 173 bits, more than the 64 guard bits: they were off
+        # by 1.7e-19 and 2.3e-29 when the guard stayed at 64
+        import mpmath as mp
+        from wbident import oracle
+        with mp.workdps(120):
+            want = (mp.besselk(mp.mpc(0.5, 1), 60) if kind == "K"
+                    else mp.whitw(mp.mpf(2.5), mp.mpc(0, 1), 120))
+        with mp.workdps(EvalConfig().oracle_dps):
+            got = (oracle.bessel_k(complex(0.5, 1.0), 60.0) if kind == "K"
+                   else oracle.whittaker_w(2.5, 1j, 120.0))
+        with mp.workdps(120):
+            assert abs(got - want) <= 1e-45 * abs(want)
+
+    def test_guard_stays_where_the_fit_evaluates(self):
+        # up to x = 11 the cancellation leaves at least 32 of the 64 guard
+        # bits, so every collocation value (x <= 6) keeps its bits
+        import mpmath as mp
+        from wbident import oracle
+        assert oracle._guard([mp.mpf(6), mp.mpf(11)]) == 64
+        assert oracle._guard([mp.mpf(1), mp.mpf(12)]) == 64 + 35
+        assert oracle._guard([]) == 64
 
     def test_empty_lists_give_empty_lists(self):
         from wbident import oracle

@@ -15,8 +15,8 @@ from wbident.ode import constants_printed_system, lambda_reconstruction
 from wbident.suite import run_suite, verify_identity
 
 SMALL = dict(n_max=2, k_set=(0.5, 1.0), x_grid=(0.5, 1.0, 2.0))
-TABLED = (kernels.whittaker_m, kernels.whittaker_w, kernels.bessel_i,
-          kernels.bessel_k_quad, kernels.bessel_k_via_w,
+TABLED = (kernels.whittaker_m, kernels.whittaker_w, kernels._whittaker_w_two_term,
+          kernels.bessel_i, kernels.bessel_k_quad, kernels.bessel_k_via_w,
           lambda_poly.coeffs_from_recurrence)
 
 
@@ -132,3 +132,53 @@ def test_default_suite_never_imports_mpmath():
             "assert 'mpmath' not in sys.modules, 'mpmath imported'")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def mutant_kernels(old: str = "", new: str = ""):
+    """A copy of wbident.kernels with the source text `old` (which must occur
+    exactly once) replaced by `new`; its tabled kernels use the kernel table
+    of wbident.kernels, so run_suite's table serves them too."""
+    import importlib.util
+    import inspect
+    source = inspect.getsource(kernels)
+    assert not old or source.count(old) == 1, old
+    spec = importlib.util.spec_from_loader("wbident._kernels_mutant", loader=None)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module          # dataclasses look the module up
+    try:
+        exec(compile(source.replace(old, new), kernels.__file__, "exec"), module.__dict__)
+    finally:
+        del sys.modules[spec.name]
+    module._TABLE = kernels._TABLE
+    return module
+
+
+ONE_TERM = "[2 * (pref * m).real for m in"
+QUOTIENT = "pref = _gamma_quotient(-(2 * mu), 0.5 - mu - kappa)"
+ONE_TERM_MUTANTS = {
+    "the factor 2 dropped": (ONE_TERM, ONE_TERM.replace("2 * ", "")),
+    "Re replaced by Im": (ONE_TERM, ONE_TERM.replace(".real", ".imag")),
+    "the gamma quotient conjugated": (
+        QUOTIENT, QUOTIENT.replace("pref = ", "pref = np.conj(") + ")"),
+}
+
+
+def failing_checks(whittaker_w, monkeypatch) -> set[str]:
+    """The names of the failing reports of a small run_suite whose identity
+    and realness checks read W from `whittaker_w`."""
+    monkeypatch.setattr(wbident.suite, "whittaker_w", whittaker_w)
+    return {r.check_name for r in run_suite(**SMALL).reports if not r.passed}
+
+
+def test_unmutated_kernels_copy_passes(monkeypatch):
+    failed = failing_checks(mutant_kernels().whittaker_w, monkeypatch)
+    assert not failed & {"whittaker-w-realness", "identity"}
+
+
+@pytest.mark.parametrize("name", ONE_TERM_MUTANTS)
+def test_one_term_mutant_fails_realness_and_identity(name, monkeypatch):
+    # the realness check compares the one-term W with the two-term route,
+    # so it reads exactly 0 on the real kernel and catches any change
+    mutant = mutant_kernels(*ONE_TERM_MUTANTS[name])
+    failed = failing_checks(mutant.whittaker_w, monkeypatch)
+    assert {"whittaker-w-realness", "identity"} <= failed
