@@ -82,7 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a kernel at given parameters")
     p.add_argument("kernel", choices=sorted(_EVAL_KERNELS))
     p.add_argument("args", nargs="+", type=complex,
-                   help="kernel arguments as complex literals, e.g. 1.5 1j 2.0")
+                   help="kernel arguments as complex literals, e.g. 1.5 1j 2.0; "
+                        "put -- before them when the first is negative: "
+                        "eval bessel-i -- -0.5+1j 1.5")
 
     p = sub.add_parser("verify", help="run a single check")
     p.add_argument("--check", required=True, choices=sorted(_CHECKS))

@@ -15,24 +15,28 @@ arithmetic, so ``whittaker_w`` sums only the first and returns twice its
 real part: one Kummer series and two log gammas instead of two and four.
 The two-term formula has one implementation, ``_whittaker_w_two_term``: it
 is ``whittaker_w``'s branch for every other non-integer 2*mu, and the
-realness checks (``whittaker-w-realness``, ``trial-w-realness``) read it as
-their own route, since the one-term value is real by construction.
+realness checks (``whittaker-w-realness``, ``trial-w-realness``) read it.
+Those are code-consistency checks: at these orders the two-term value equals
+the one-term value bit for bit, so their residuals read exactly 0.0, and
+they catch an edit that breaks one of the two code paths, not an error that
+both share.
 
 ``kummer_m``, ``whittaker_m``, ``whittaker_w``, ``bessel_k_quad`` and
 ``bessel_k_via_w`` also take their argument as a tuple (a grid) and then
 return read-only arrays equal bit for bit to the per-point calls, because
 each point's series or step halving stops by its own rule; a scalar call is
 a one-element grid.
-A Kummer or Whittaker value that does not round to a finite complex128 raises
+A kernel value that does not round to a finite complex128 raises
 ``ConvergenceError``, and so does a nonzero value that rounds to a modulus
 below the smallest normal double: there the double holds noise or zero (W
-reaches it near k = 470), and a residual divided by it means nothing.
+reaches it near k = 470, quadrature K near x = 740), and a residual divided
+by it means nothing.  A quadrature K whose integrand underflows to 0 at
+every node raises too.
 
 With ``deriv=True`` the Whittaker evaluators also return the first and
 second derivative, summed term by term in the same series loop as the value,
 which is the value-only call's bit for bit.  The Bessel evaluators return
-values only; their derivatives follow from values at order nu+1
-(DLMF 10.29.2, see ``ode.factor_derivatives``).
+values only.
 
 Inside a ``with kernel_table():`` block (``run_suite`` runs in one) the five
 public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
@@ -311,8 +315,8 @@ def _whittaker_w_two_term(kappa, mu, z, config: EvalConfig | None = None, *,
           + Gamma(2mu)/Gamma(1/2+mu-kappa) M_{kappa,-mu},
 
     with deriv and z as in ``whittaker_w``, whose generic branch this is.
-    For real kappa and imaginary mu it is the second route that the realness
-    checks compare ``whittaker_w``'s one-term value with."""
+    For real kappa and imaginary mu the realness checks compare it with
+    ``whittaker_w``'s one-term value, which it equals bit for bit."""
     config = config or default_config()
     zs = _grid(z, "whittaker_w requires z > 0")
     kappa = complex(kappa)
@@ -324,16 +328,6 @@ def _whittaker_w_two_term(kappa, mu, z, config: EvalConfig | None = None, *,
     return _finish("whittaker_w", z, [pref_a * ma + pref_b * mb for ma, mb in zip(
         _whittaker_m_ld(kappa, mu, zs, config, deriv),
         _whittaker_m_ld(kappa, -mu, zs, config, deriv))])
-
-
-def _as_grid(x, values):
-    """values (one complex per point) for the float-or-tuple argument x: one
-    complex for a scalar x, else a read-only complex array."""
-    if np.ndim(x) == 0:
-        return complex(values[0])
-    values = np.array(values, dtype=complex)
-    values.flags.writeable = False
-    return values
 
 
 @_tabled
@@ -384,7 +378,9 @@ def bessel_k_quad(nu, x, config: EvalConfig | None = None):
         else:
             raise ConvergenceError(
                 f"bessel_k_quad: no convergence after {config.quad_max_halvings} halvings")
-    return _as_grid(x, out)
+    if 0 in out:
+        raise ConvergenceError("bessel_k_quad: the integrand underflows to 0")
+    return _finish("bessel_k_quad", x, [np.array(out)])
 
 
 @_tabled
@@ -396,7 +392,7 @@ def bessel_k_via_w(nu, x, config: EvalConfig | None = None):
     config = config or default_config()
     xs = _grid(x, "bessel_k_via_w requires x > 0", float)
     w = whittaker_w(0.0, nu, tuple((2 * xs).tolist()), config)
-    return _as_grid(x, np.sqrt(np.pi / (2 * xs)) * w)
+    return _finish("bessel_k_via_w", x, [np.sqrt(np.pi / (2 * xs)) * w])
 
 
 @_tabled

@@ -13,24 +13,25 @@ spanned by the four products
     I_{-1/2+ik}(x) M_{n+1/2,ik}(2x),   I_{-1/2+ik}(x) W_{n+1/2,ik}(2x),
     K_{-1/2+ik}(x) W_{n+1/2,ik}(2x),   K_{-1/2+ik}(x) M_{n+1/2,ik}(2x).
 
-The basis check needs four derivatives of each product.  Each factor solves
-a second-order equation y'' = p y' + q y: the modified Bessel equation
-(DLMF 10.25.1) for I and K, the Whittaker equation (DLMF 13.14.1) for M and
-W.  For I and K the exact (y, y') comes from value calls at orders nu and
-nu+1 (DLMF 10.29.2; K_{1/2+ik} is the identity's own K), for M and W from
-one derivative call; the equation gives y'' to y'''', and the Leibniz rule
-gives the derivatives of the product.
+Each factor solves a second-order equation y'' = p y' + q y: the modified
+Bessel equation (DLMF 10.25.1) at order -1/2+ik for I and K, the Whittaker
+equation (DLMF 13.14.1) at kappa = n+1/2, mu = ik for M(2x) and W(2x).  At
+each x the basis check takes the canonical solutions of both equations, u0,
+u1 and v0, v1 with (y, y') = (1, 0) and (0, 1) there; the equation gives
+y'' to y'''', and the Leibniz rule gives four derivatives of the products
+u_i v_j.  I = I(x) u0 + I'(x) u1, and likewise K in u and M, W in v, so the
+canonical products span the same solutions as the four products above.  The
+check calls no kernel: its equations lift any (y, y') to a solution, so a
+kernel's values could not change its verdict.
 
-The basis, trial and reconstruction checks take M and W on the whole grid
-in one kernel call, at z = tuple(2 * x for x in grid), and I and K per
-point; everything after the kernel calls runs per point, so each residual
-equals the one-point check's bit for bit.  The trial check uses the basis
-check's z tuple, so inside ``kernels.kernel_table()`` it reuses that check's
-M_{n+1/2,ik} grid; its W comes from the two-term connection formula
-(``kernels._whittaker_w_two_term``), because ``whittaker_w`` returns the
-identity's W as the doubled real part of one term, real by construction.
-The reconstruction's W stays per point: the suite's W realness check has
-already tabled those values.
+The trial and reconstruction checks take M, and the trial check W, on the
+whole grid in one kernel call, at z = tuple(2 * x for x in grid), and I and
+K per point; everything after the kernel calls runs per point, so each
+residual equals the one-point check's bit for bit.  The trial check's W comes
+from the two-term connection formula (``kernels._whittaker_w_two_term``),
+because ``whittaker_w`` returns the identity's W as the doubled real part of
+one term, real by construction.  The reconstruction's W stays per point: the
+suite's W realness check has already tabled those values.
 
 Two variants of the ODE coefficients are provided.  The historically printed
 a3 has constant term 2i(1-2k)(i+k)(i+4k); eliminating conj(L) symbolically
@@ -44,7 +45,8 @@ indicial polynomial is evaluated at the predicted exponents, and the
 defining system of the connection constants is solved by back-substitution.
 Every relation whose terms must cancel (the ODE, the Whittaker operator, the
 printed constant relations, the reconstruction of Lambda) is scored by
-report.relative_residual, |sum of terms| / max |term|.
+report.relative_residual, |sum of terms| / max |term|; the basis check takes
+the max over the four products at each x.
 
 Lambda and a1..a5 are numpy.polynomial.Polynomial objects (default domain
 and window, so p(x) is plain Horner evaluation); values taken from them are
@@ -164,7 +166,9 @@ def coupled_residual(cv: CoeffVector,
 
 # --- derivatives from the factors' second-order equations -----------------
 
-BASIS = ("I*M", "I*W", "K*W", "K*M")
+# (y, y') at x of the canonical solutions u0, u1 and v0, v1
+CANONICAL = ((1.0, 0.0), (0.0, 1.0))
+BASIS = ("u0*v0", "u0*v1", "u1*v0", "u1*v1")
 
 
 def bessel_ode_coeffs(nu, x: float):
@@ -203,55 +207,22 @@ def product_derivatives(f, g) -> list[complex]:
             for j in range(5)]
 
 
-def factor_derivatives(factor: str, params: OrderParams, x,
-                       config: EvalConfig | None = None):
-    """Derivatives 0..4 at x of one basis factor: "I" or "K" of order
-    -1/2+ik at x, or "M" or "W" of indices (n+1/2, ik) at 2x.  The exact
-    value and first derivative come from value calls at orders nu and nu+1
-    for I and K, and from one derivative call for M and W; the factor's own
-    equation gives the rest.  x is a float or a tuple of floats (then one
-    list per point); M and W take the whole grid in one call."""
-    config = config or default_config()
+def basis_products(params: OrderParams, x: float) -> dict[str, list[complex]]:
+    """Derivatives 0..4 at x of the four products u_i v_j, keyed by BASIS, of
+    the canonical solutions at x of the modified Bessel equation at order
+    -1/2+ik (u) and the Whittaker equation at (n+1/2, ik) in x (v)."""
     n, k = params.n, params.k
-    xs = tuple(x) if np.ndim(x) else (x,)
-    if factor in ("I", "K"):
-        nu = complex(-0.5, k)
-        # DLMF 10.29.2: I' = I_{nu+1} + (nu/x) I, K' = -K_{nu+1} + (nu/x) K
-        kernel, sign = (bessel_i, 1) if factor == "I" else (bessel_k_quad, -1)
-        lifted = []
-        for xi in xs:
-            y = kernel(nu, xi, config)
-            dy = sign * kernel(nu + 1, xi, config) + nu / xi * y
-            lifted.append(lift_derivatives(y, dy, *bessel_ode_coeffs(nu, xi)))
-    elif factor in ("M", "W"):
-        kernel = whittaker_m if factor == "M" else whittaker_w
-        y, dz, _ = kernel(n + 0.5, 1j * k, tuple(2 * xi for xi in xs), config,
-                          deriv=True)
-        # d/dx f(2x) = 2 f'(2x)
-        lifted = [lift_derivatives(yi, 2 * di,
-                                   *whittaker_ode_coeffs(n + 0.5, 1j * k, xi))
-                  for xi, yi, di in zip(xs, y.tolist(), dz.tolist())]
-    else:
-        raise KeyError(factor)
-    return lifted if np.ndim(x) else lifted[0]
+    bessel = bessel_ode_coeffs(complex(-0.5, k), x)
+    whittaker = whittaker_ode_coeffs(n + 0.5, 1j * k, x)
+    u = [lift_derivatives(y, dy, *bessel) for y, dy in CANONICAL]
+    v = [lift_derivatives(y, dy, *whittaker) for y, dy in CANONICAL]
+    return {f"u{i}*v{j}": product_derivatives(u[i], v[j])
+            for i in range(2) for j in range(2)}
 
 
-def basis_products(params: OrderParams, x,
-                   config: EvalConfig | None = None):
-    """Derivatives 0..4 at x of the four product solutions, from one kernel
-    call per factor; x is a float or a tuple of floats (then one dict per
-    point)."""
-    config = config or default_config()
-    xs = tuple(x) if np.ndim(x) else (x,)
-    factors = {f: factor_derivatives(f, params, xs, config) for f in "IKMW"}
-    products = [{name: product_derivatives(factors[name[0]][i], factors[name[2]][i])
-                 for name in BASIS} for i in range(len(xs))]
-    return products if np.ndim(x) else products[0]
-
-
-def _residual_from_derivs(coeffs: Ode4Coeffs, derivs, x: float) -> float:
-    polys = coeffs.as_list()                      # a1..a5 multiply y''''..y
-    return relative_residual([complex(polys[j](x)) * derivs[4 - j] for j in range(5)])
+def _ode4_terms(coeffs: Ode4Coeffs, derivs, x: float) -> list[complex]:
+    """[a1 y'''', a2 y''', a3 y'', a4 y', a5 y] at x."""
+    return [complex(p(x)) * d for p, d in zip(coeffs.as_list(), derivs[::-1])]
 
 
 def ode4_residual(f, params: OrderParams, x: float,
@@ -263,31 +234,45 @@ def ode4_residual(f, params: OrderParams, x: float,
     """
     if isinstance(f, Polynomial):
         f = [complex(f.deriv(j)(x)) for j in range(5)]
-    return _residual_from_derivs(ode4_coeffs(params, variant), f, x)
+    return relative_residual(_ode4_terms(ode4_coeffs(params, variant), f, x))
 
 
 def product_solution_check(params: OrderParams,
                            config: EvalConfig | None = None,
                            x_grid=(0.5, 1.0, 2.0, 4.0),
                            variant: str = "corrected") -> ResidualReport:
-    """ODE residuals of all four basis products over the grid."""
+    """ODE residuals of the four canonical products (see basis_products)
+    over the grid, product by product, each against the largest term of the
+    four at its x."""
     config = config or default_config()
     if not params.k > 0:
         raise InputError("product_solution_check requires k > 0")
+    xs = [float(x) for x in x_grid]
+    if not all(0 < x < math.inf for x in xs):
+        raise InputError("product_solution_check requires 0 < x < inf")
     coeffs = ode4_coeffs(params, variant)
-    at_x = list(zip(map(float, x_grid), basis_products(params, tuple(x_grid), config)))
-    grid, residuals, notes = [], [], []
-    for name in BASIS:
-        for x, products in at_x:
-            grid.append(x)
-            residuals.append(_residual_from_derivs(coeffs, products[name], x))
-        notes.append(f"{name}: x = {list(x_grid)}")
+    at_x = []                                     # residuals of BASIS at each x
+    for x in xs:
+        try:
+            products = basis_products(params, x)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise InputError(f"product_solution_check: x = {x} leaves the "
+                             f"double range ({exc})") from exc
+        terms = [_ode4_terms(coeffs, products[name], x) for name in BASIS]
+        # a product's terms can cancel to O(k) while their rounding errors
+        # stay the size of the O(1) factor coefficients (u0*v1 at n = 1,
+        # x = 1/2: y''' = -12ik - 16k^2); the basis' largest term has that size
+        scale = max(abs(t) for ts in terms for t in ts)
+        at_x.append([relative_residual(ts, scale) for ts in terms])
+    notes = ["u0, u1 (Bessel, order -1/2+ik) and v0, v1 (Whittaker, (n+1/2, ik)): "
+             "(y, y') = (1, 0), (0, 1) at each x"]
+    notes += [f"{name}: x = {xs}" for name in BASIS]
     suffix = "" if variant == "corrected" else "-printed"
     return ResidualReport(
         check_name=f"ode4-basis{suffix}",
         params=params,
-        grid=grid,
-        residuals=residuals,
+        grid=xs * len(BASIS),
+        residuals=[r for product in zip(*at_x) for r in product],
         threshold=config.ode4_tol,
         notes=notes,
     )
@@ -306,7 +291,11 @@ def trial_condition_check(params: OrderParams, x_grid,
     factors: W real (so iW is anti-self-conjugate), M_{+ik}+M_{-ik} real,
     M_{+ik}-M_{-ik} purely imaginary, and both W(2x) and the M-sum satisfy
     the Whittaker operator.  The operator check takes y'' from the kernels'
-    term-by-term second derivative, never from the equation under test."""
+    term-by-term second derivative, never from the equation under test.
+
+    The three conjugation reports are code-consistency checks: the kernels
+    return M_{kappa,-ik} = conj M_{kappa,ik} and the two-term W real bit for
+    bit, so their residuals read 0.0 unless an edit breaks that symmetry."""
     config = config or default_config()
     if not params.k > 0:
         raise InputError("trial_condition_check requires k > 0")
@@ -314,9 +303,8 @@ def trial_condition_check(params: OrderParams, x_grid,
     kap = n + 0.5
     mu = 1j * k
 
-    # the ODE-basis check's z grid, so that in a kernel table M(+ik) is that
-    # check's entry; W comes from the two-term route, since whittaker_w's
-    # one-term value is real by construction
+    # W from the two-term route, since whittaker_w's one-term value is real
+    # by construction
     z = tuple(2 * x for x in x_grid)
     grids = []                                    # (value, second derivative)
     for kernel, order in ((_whittaker_w_two_term, mu), (whittaker_m, mu),
@@ -337,13 +325,15 @@ def trial_condition_check(params: OrderParams, x_grid,
         op_resid.append(whittaker_operator_residual(
             s, 4 * (m_plus2 + m_minus2), n, k, x))
     grid = [float(x) for x in x_grid]
+    consistency = ["code consistency: exact 0.0 when the kernels' conjugation "
+                   "symmetry is intact"]
     return [
         ResidualReport("trial-w-realness", params, grid, w_real,
-                       config.realness_tol),
+                       config.realness_tol, notes=consistency),
         ResidualReport("trial-m-sum-realness", params, grid, sum_real,
-                       config.realness_tol),
+                       config.realness_tol, notes=consistency),
         ResidualReport("trial-m-diff-imaginary", params, grid, diff_imag,
-                       config.realness_tol),
+                       config.realness_tol, notes=consistency),
         ResidualReport("trial-whittaker-equation", params, op_grid, op_resid,
                        config.whittaker_eq_tol,
                        notes=["residual pairs per x: W then M_{+}+M_{-}"]),

@@ -40,13 +40,14 @@ ADVISORY_CHECKS = {
 }
 
 
-def relative_residual(terms) -> float:
-    """|sum(terms)| / max |t| of terms that must cancel; 0.0 when every term
-    vanishes.  Each term is divided by the largest modulus before summing, so
-    nothing overflows; InputError when that modulus is not finite."""
+def relative_residual(terms, scale: float | None = None) -> float:
+    """|sum(terms)| / max |t| of terms that must cancel, or / scale when one
+    is given (at least max |t|); 0.0 when every term vanishes.  Each term is
+    divided by that modulus before summing, so nothing overflows; InputError
+    when a term's modulus is not finite."""
     terms = list(terms)
     mods = [math.hypot(t.real, t.imag) for t in terms]
-    top = max(mods)
+    top = max(mods) if scale is None else scale
     if not all(m < math.inf for m in mods):
         raise InputError("residual terms exceed the double range")
     if top == 0.0:

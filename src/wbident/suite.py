@@ -83,7 +83,10 @@ def verify_identity(params: OrderParams, x_grid,
 
 def kernel_cross_reports(k_set, x_grid, n_max,
                          config: EvalConfig) -> list[ResidualReport]:
-    """Cross-check the two K evaluators and the realness of W on the grid."""
+    """Cross-check the two K evaluators, and compare whittaker_w's one-term
+    W with the two-term connection formula on the grid.  The second is a
+    code-consistency check: at these orders both routes give the same bits,
+    so its residuals read 0.0 unless an edit breaks one route."""
     reports = []
     for k in k_set:
         if k == 0:
@@ -114,7 +117,9 @@ def kernel_cross_reports(k_set, x_grid, n_max,
             params=OrderParams(n=n_max, k=k),
             grid=grid, residuals=realness,
             threshold=config.realness_tol,
-            notes=[f"x grid repeated for n = 0..{n_max}"]))
+            notes=[f"x grid repeated for n = 0..{n_max}",
+                   "code consistency: one-term W against the two-term "
+                   "formula, equal bit for bit when the code is intact"]))
     return reports
 
 

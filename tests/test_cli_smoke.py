@@ -51,6 +51,9 @@ ROWS = [
     ("--config old-config.json coeffs --n 1 --k 1", 2, None, False),
     ("eval whittaker-w 1.5 1e300j 2.0", 2, None, True),
     ("eval whittaker-w 25.5 600j 2.0", 2, None, False),
+    ("eval bessel-k-quad 0.5+1j 740", 2, None, False),
+    ("eval bessel-k-quad 0.5+1j 800", 2, None, False),
+    ("eval bessel-i -- -0.5+1j 1.5", 0, None, False),
 ]
 
 

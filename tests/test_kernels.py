@@ -20,7 +20,6 @@ from wbident.errors import (ConvergenceError, DegenerateParameterError,
 from wbident.kernels import (OrderParams, bessel_i, bessel_i_tilde,
                              bessel_k_quad, bessel_k_via_w, kummer_m,
                              whittaker_m, whittaker_w)
-from wbident.ode import factor_derivatives
 
 # frozen 50-digit oracle values (brute-force series at dps=50)
 WHIT_M_32_05I_2 = complex(-0.25463706273047551974, 0.76557064931177284005)
@@ -257,6 +256,15 @@ class TestBesselKQuad:
         with pytest.raises(ConvergenceError):
             bessel_k_quad(0.5j, 0.25, cfg)
 
+    @pytest.mark.parametrize("x", [740.0, 800.0, (1.0, 800.0)])
+    def test_underflow_raises(self, x):
+        # K below the smallest normal double (x = 740), or an integrand
+        # that is 0 at every node (x = 800), as the Whittaker kernels do
+        nu = complex(0.5, 1.0)
+        with pytest.raises(ConvergenceError):
+            bessel_k_quad(nu, x)
+        assert abs(bessel_k_quad(nu, 700.0)) >= np.finfo(float).tiny
+
 
 class TestBesselKViaW:
     def test_cross_evaluator_agreement(self):
@@ -360,9 +368,8 @@ class TestBesselDerivativeIdentity:
 
 
 class TestDerivatives:
-    """The Whittaker kernels' derivatives and the I and K rows of
-    factor_derivatives against mp.diff of mpmath's own whitw, whitm, besseli
-    and besselk, whose formulas the kernels do not share."""
+    """The Whittaker kernels' derivatives against mp.diff of mpmath's own
+    whitw and whitm, whose formulas the kernels do not share."""
 
     DERIV_TOL = 1e-12
 
@@ -377,17 +384,12 @@ class TestDerivatives:
         import mpmath as mp
         with mp.workdps(30):
             for k in (0.5, 1.0, 2.0):
-                kappa, mu, nu = n + 0.5, 1j * k, complex(-0.5, k)
+                kappa, mu = n + 0.5, 1j * k
                 for x in (0.5, 2.0, 4.0):
                     self._check(whittaker_w(kappa, mu, 2 * x, deriv=True),
                                 lambda z: mp.whitw(kappa, mu, z), 2 * x, (0, 1, 2))
                     self._check(whittaker_m(kappa, mu, 2 * x, deriv=True),
                                 lambda z: mp.whitm(kappa, mu, z), 2 * x, (0, 1, 2))
-                    params = OrderParams(n=n, k=k)
-                    self._check(factor_derivatives("I", params, x),
-                                lambda t: mp.besseli(nu, t), x, (0, 1, 2))
-                    self._check(factor_derivatives("K", params, x),
-                                lambda t: mp.besselk(nu, t), x, (0, 1, 2))
 
     def test_no_derivatives_on_laguerre_branch(self):
         with pytest.raises(DegenerateParameterError):

@@ -3,7 +3,6 @@ connection constants."""
 
 import cmath
 import math
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,8 +20,7 @@ from wbident.ode import (BASIS, SolutionConstants, basis_products,
                          bessel_ode_coeffs,
                          c4_closed_form, constants_closed_form,
                          constants_defining_system, constants_printed_system,
-                         coupled_residual, factor_derivatives,
-                         indicial_analysis, indicial_reports,
+                         coupled_residual, indicial_analysis, indicial_reports,
                          lambda_reconstruction, lift_derivatives, ode4_coeffs,
                          ode4_residual, printed_relation_residuals,
                          product_derivatives, product_solution_check,
@@ -106,8 +104,10 @@ class TestOde4Residual:
                 assert r <= 1e-8, (n, k, x)
 
     def test_kw_product(self):
+        # K*W from the kernels' values and slopes, lifted by the factor equations
         params = OrderParams(n=1, k=1.0)
-        derivs = basis_products(params, 2.0)["K*W"]
+        derivs = product_derivatives(factor_at("K", params, 2.0),
+                                     factor_at("W", params, 2.0))
         assert ode4_residual(derivs, params, 2.0) <= ODE4_TOL
 
     def test_exponential_control(self):
@@ -137,10 +137,6 @@ class TestDerivativeLift:
         for j in range(5):
             assert abs(got[j] - 3 ** j * math.exp(3 * x)) <= 1e-13 * 3 ** j
 
-    def test_unknown_factor(self):
-        with pytest.raises(KeyError):
-            factor_derivatives("J", OrderParams(n=1, k=1.0), 1.0)
-
 
 class TestProductSolutions:
     @pytest.mark.parametrize("k", [0.5, 1.0])
@@ -149,47 +145,93 @@ class TestProductSolutions:
         rep = product_solution_check(OrderParams(n=n, k=k))
         assert rep.passed, (n, k, rep.max_residual)
 
-    def test_itilde_product_solves(self):
-        # I-tilde = I_nu + I_{-nu} solves the same Bessel equation as I_nu
-        params = OrderParams(n=1, k=1.0)
-        nu = complex(-0.5, params.k)
-        for x in (0.5, 1.0, 2.0, 4.0):
-            # I'_{+-nu} = I_{1+-nu} +- (nu/x) I_{+-nu} (DLMF 10.29.2)
-            i_plus, i_minus = bessel_i(nu, x), bessel_i(-nu, x)
-            di = bessel_i(nu + 1, x) + bessel_i(1 - nu, x) + nu / x * (i_plus - i_minus)
-            itilde = lift_derivatives(i_plus + i_minus, di, *bessel_ode_coeffs(nu, x))
-            derivs = product_derivatives(
-                itilde, factor_derivatives("M", params, x))
-            assert ode4_residual(derivs, params, x) <= ODE4_TOL
-
     def test_control_non_solution_fails(self):
-        # K times a Whittaker M with shifted first index is not in the basis
+        # the canonical products of the n+1 Whittaker equation are not in
+        # the basis of n's ODE
         params = OrderParams(n=1, k=1.0)
         shifted = OrderParams(n=params.n + 1, k=params.k)
-
-        def control(x):
-            return product_derivatives(factor_derivatives("K", params, x),
-                                       factor_derivatives("M", shifted, x))
-
-        worst = max(ode4_residual(control(x), params, x) for x in (0.5, 1.0, 2.0))
+        worst = max(ode4_residual(derivs, params, x) for x in (0.5, 1.0, 2.0)
+                    for derivs in basis_products(shifted, x).values())
         assert worst >= 1e-1
 
-    def test_one_kernel_evaluation_per_factor_and_point(self, monkeypatch):
-        calls = []
+    def test_calls_no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("product_solution_check called a kernel")
+
         for name in ("bessel_i", "bessel_k_quad", "whittaker_m", "whittaker_w"):
-            kernel = getattr(wbident.ode, name)
+            monkeypatch.setattr(wbident.ode, name, refuse)
+        # the default suite's basis checks and their verdicts
+        for n in range(5):
+            for k in (0.5, 1.0):
+                assert product_solution_check(OrderParams(n=n, k=k)).passed
+        assert not product_solution_check(OrderParams(n=1, k=0.5),
+                                          variant="printed").passed
 
-            def counted(*args, _kernel=kernel, _name=name, **kwargs):
-                calls.append(_name)
-                return _kernel(*args, **kwargs)
+    # (y, y') of I, K at x and of M(2x), W(2x) in x: any values will do
+    RANDOM_FACTORS = {"I": (0.001 + 0.299j, -0.274 - 0.891j),
+                      "K": (-0.455 - 0.992j, 0.06 + 1.34j),
+                      "M": (-0.492 - 0.62j, 0.49 + 0.357j),
+                      "W": (0.105 - 0.93j, -0.029 + 0.695j)}
 
-            monkeypatch.setattr(wbident.ode, name, counted)
-        rep = product_solution_check(OrderParams(n=2, k=0.5))
-        assert rep.passed
-        # I and K at orders nu and nu+1 at each of the four default grid
-        # points, M and W once each on the whole grid
-        assert Counter(calls) == {"bessel_i": 8, "bessel_k_quad": 8,
-                                  "whittaker_m": 1, "whittaker_w": 1}
+    def test_factor_equations_make_any_values_a_solution(self):
+        # the check is blind to the kernels: products of arbitrary (y, y')
+        # lifted by the factor equations solve the corrected ODE to rounding
+        # and fail the printed one as the kernels' products do
+        corrected, printed = 0.0, 0.0
+        for n in range(6):
+            for k in (0.1, 0.5, 1.0, 2.0):
+                params = OrderParams(n=n, k=k)
+                worst_printed = 0.0
+                for x in (0.5, 1.0, 2.0, 4.0):
+                    eqs = {"I": bessel_ode_coeffs(complex(-0.5, k), x),
+                           "M": whittaker_ode_coeffs(n + 0.5, 1j * k, x)}
+                    eqs["K"], eqs["W"] = eqs["I"], eqs["M"]
+                    f = {name: lift_derivatives(*yy, *eqs[name])
+                         for name, yy in self.RANDOM_FACTORS.items()}
+                    for a, b in ("IM", "IW", "KW", "KM"):
+                        derivs = product_derivatives(f[a], f[b])
+                        corrected = max(corrected, ode4_residual(derivs, params, x))
+                        worst_printed = max(worst_printed, ode4_residual(
+                            derivs, params, x, "printed"))
+                assert worst_printed > ODE4_TOL, (n, k)
+                printed = max(printed, worst_printed)
+        assert corrected <= 1e-14
+        assert printed >= 1e-1
+
+    # a3's constant term (the one the printed variant changes), a1 and a5
+    # whole; at n = 4, k = 0.5 they read 3.8e-10, 1e-9 and 1e-9
+    @pytest.mark.parametrize("name, factor, constant_only", [
+        ("a3", 1 + 1e-8, True), ("a1", 1 + 1e-9, False), ("a5", 1 + 1e-9, False)])
+    def test_perturbed_coefficient_fails(self, name, factor, constant_only,
+                                         monkeypatch):
+        ode4 = wbident.ode.ode4_coeffs
+
+        def mutant(params, variant="corrected"):
+            c = ode4(params, variant)
+            poly = getattr(c, name).copy()
+            if constant_only:
+                poly.coef[0] *= factor
+            else:
+                poly.coef *= factor
+            return type(c)(**{**c.__dict__, name: poly})
+
+        params = OrderParams(n=4, k=0.5)
+        assert product_solution_check(params).passed
+        monkeypatch.setattr(wbident.ode, "ode4_coeffs", mutant)
+        assert not product_solution_check(params).passed
+
+    @pytest.mark.parametrize("n, k", [(1, 1e-6), (1, 1e-8), (0, 5.6e-9), (1, 1e-12)])
+    def test_small_k_stays_at_rounding_level(self, n, k):
+        # u0*v1's terms cancel to O(k) at n = 1, x = 1/2 (and others at
+        # n = 0); scored against its own largest term it would read 3.7e-9
+        # at k = 1e-8, against the basis' largest term it reads rounding
+        rep = product_solution_check(OrderParams(n=n, k=k))
+        assert rep.max_residual <= 1e-14
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan, 1e-300, 1e100])
+    def test_grid_outside_the_double_range_is_input_error(self, x):
+        with pytest.raises(WbidentError):
+            product_solution_check(OrderParams(n=1, k=1.0), x_grid=(1.0, x))
 
     def test_printed_variant_fails_products(self):
         rep = product_solution_check(OrderParams(n=1, k=1.0), variant="printed")
@@ -218,19 +260,18 @@ class TestTrialConditions:
         assert whittaker_operator_residual(w, 4 * w2, n, k, x) >= 1e-1
 
 
-    def test_trial_check_reuses_the_basis_check_grids(self):
-        # at the basis check's grid, the trial check finds M_{+ik} in the
-        # kernel table and evaluates only M_{-ik} and the two-term W, its
-        # second route to W
+    def test_trial_check_tables_three_grids(self):
+        # the basis check adds nothing to the kernel table; the trial check
+        # adds the two-term W and M at +ik and -ik, one grid each
         params = OrderParams(n=2, k=0.5)
         with kernels.kernel_table():
             product_solution_check(params)
-            before = set(kernels._TABLE.get())
+            assert not kernels._TABLE.get()
             trial_condition_check(params, [0.5, 1.0, 2.0, 4.0])
-            added = [key[0] for key in set(kernels._TABLE.get()) - before]
+            added = [key[0] for key in kernels._TABLE.get()]
         assert sorted(added, key=lambda fn: fn.__name__) == [
             kernels._whittaker_w_two_term.__wrapped__,
-            kernels.whittaker_m.__wrapped__]
+            kernels.whittaker_m.__wrapped__, kernels.whittaker_m.__wrapped__]
 
     def test_empty_grid_gives_empty_reports(self):
         # an empty grid gives empty reports (run_suite never passes one)
@@ -240,7 +281,9 @@ class TestTrialConditions:
 
 
 def factor_at(factor, params, x):
-    """factor_derivatives at one x from scalar kernel calls."""
+    """Derivatives 0..4 at x of a basis factor, I or K of order -1/2+ik at x
+    or M or W of indices (n+1/2, ik) at 2x, from the kernels' value and first
+    derivative (for I and K by DLMF 10.29.2) and the factor's equation."""
     n, k = params.n, params.k
     if factor in ("I", "K"):
         nu = complex(-0.5, k)
@@ -253,13 +296,9 @@ def factor_at(factor, params, x):
 
 
 def per_point_basis_residuals(params, x_grid, variant):
-    residuals = []
-    for name in BASIS:
-        for x in x_grid:
-            derivs = product_derivatives(factor_at(name[0], params, x),
-                                         factor_at(name[2], params, x))
-            residuals.append(ode4_residual(derivs, params, x, variant))
-    return residuals
+    at_x = [product_solution_check(params, x_grid=(x,), variant=variant).residuals
+            for x in x_grid]
+    return [residuals[i] for i in range(len(BASIS)) for residuals in at_x]
 
 
 def per_point_trial_residuals(params, x_grid):
@@ -299,23 +338,28 @@ def per_point_reconstruction_residuals(params, x_grid):
 
 
 class TestGridEqualsPerPoint:
-    """The checks take M and W on the whole grid in one call; the arithmetic
-    after the kernel calls is per point, so every residual keeps its bits."""
+    """The trial and reconstruction checks take M and W on the whole grid in
+    one call; the arithmetic after the kernel calls is per point, so every
+    residual keeps its bits.  The basis check is per point throughout."""
 
     XS = (0.5, 1.0, 1.7, 2.0, 4.0, 5.3)
     ORDERS = [(0, 0.5), (2, 0.5), (4, 1.0), (7, 2.526), (12, 0.1)]
 
     @pytest.mark.parametrize("n, k", ORDERS)
     def test_factor_and_basis_derivatives(self, n, k):
+        # the kernels' products are the canonical products combined with
+        # the factors' values and slopes: I*M = sum I^(i) M^(j) u_i v_j
         params = OrderParams(n=n, k=k)
-        for f in "IKMW":
-            want = [factor_at(f, params, x) for x in self.XS]
-            assert factor_derivatives(f, params, self.XS) == want
-            assert [factor_derivatives(f, params, x) for x in self.XS] == want
-        products = basis_products(params, self.XS)
-        assert products == [basis_products(params, x) for x in self.XS]
-        assert products[2]["K*W"] == product_derivatives(
-            factor_at("K", params, self.XS[2]), factor_at("W", params, self.XS[2]))
+        for x in self.XS:
+            canonical = basis_products(params, x)
+            f = {name: factor_at(name, params, x) for name in "IKMW"}
+            for a, b in ("IM", "IW", "KW", "KM"):
+                terms = [[f[a][i] * f[b][j] * d for d in canonical[f"u{i}*v{j}"]]
+                         for i in range(2) for j in range(2)]
+                want = product_derivatives(f[a], f[b])
+                for m in range(5):
+                    scale = max(abs(t[m]) for t in terms)
+                    assert abs(sum(t[m] for t in terms) - want[m]) <= 1e-13 * scale
 
     @pytest.mark.parametrize("variant", ["corrected", "printed"])
     @pytest.mark.parametrize("n, k", ORDERS)
