@@ -26,6 +26,19 @@ both share.
 return read-only arrays equal bit for bit to the per-point calls, because
 each point's series or step halving stops by its own rule; a scalar call is
 a one-element grid.
+
+The Kummer series advances the points still summing ``_BLOCK`` = 32 terms
+per numpy step: the block's ratios (a+m)/((b+m)(m+1)) as one array, the
+terms t <- (t r_m) z as one running product, the partial sums as one
+sequential cumulative sum seeded with the carried sum.  These are the
+floating-point operations of a term-by-term loop in its order, so every sum
+equals that loop's bit for bit.  The stopping rule is unchanged (three
+consecutive terms below series_rel_tol * |partial sum|): it is applied to
+the whole block, with the run of small terms carried in from the last
+block, and each point keeps the sum at its own stop term, so a grid call
+still equals the per-point calls.  The block is 32 terms because the series
+checks its partial sums for non-finite values every 32 terms; a block ends
+where that check runs.
 A kernel value that does not round to a finite complex128 raises
 ``ConvergenceError``, and so does a nonzero value that rounds to a modulus
 below the smallest normal double: there the double holds noise or zero (W
@@ -144,6 +157,11 @@ def _finish(name: str, z, values):
     return tuple(out) if len(out) > 1 else out[0]
 
 
+# terms per numpy step of the Kummer series: the cadence of its non-finite
+# check, so a block ends exactly where the term-by-term loop checked
+_BLOCK = 32
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False):
     """sum_m t_m with t_m = (a)_m / (b)_m z^m / m! at each point of the
@@ -151,7 +169,19 @@ def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False)
     series_rel_tol * |its partial sum| (complex-parameter series can have
     transiently tiny terms) and leaves the working arrays, so its sum does not
     depend on the rest of the grid.  Returns [M], or with deriv [M, M', M'']
-    from the term-by-term sums of m t_m / z and m (m-1) t_m / z^2."""
+    from the term-by-term sums of m t_m / z and m (m-1) t_m / z^2.
+
+    The points still summing advance _BLOCK = 32 terms per step (the
+    cadence of the non-finite check), with the floating-point operations of
+    a term-by-term loop in its order: each point's row t, r_m, z, r_{m+1},
+    z, ... multiplied up left to right forms t <- (t r_m) z, and np.cumsum,
+    seeded with the carried sum, adds the terms one after the other.  The
+    stopping rule runs on the whole block, its run of small terms carried in
+    from the last block, and each point keeps the sum at its own stop term,
+    so the result equals the term-by-term sum bit for bit.  The last block
+    is clipped to series_max_terms, so that budget is exact; each full block
+    ends with the non-finite check on the points still summing at its last
+    term."""
     a, b = C(a), C(b)
     tol = LD(config.series_rel_tol)
     out = np.empty((3 if deriv else 1, z.size), C)
@@ -159,29 +189,41 @@ def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False)
         return list(out)
     sums = [np.ones(z.size, C)] + [np.zeros(z.size, C) for _ in out[1:]]
     live = np.arange(z.size)
-    zl, t, small = z, np.ones(z.size, C), np.zeros(z.size, int)
-    for m in range(config.series_max_terms):
-        t = t * ((a + m) / ((b + m) * (m + 1))) * zl
-        sums[0] += t
-        if deriv:
-            sums[1] += (m + 1) * t
-            sums[2] += (m * (m + 1)) * t
-        if m % 32 == 31 and not all(np.isfinite(s).all() for s in sums):
-            raise ConvergenceError(
-                f"Kummer series partial sum is not finite after {m + 1} terms")
-        small = np.where(np.abs(t) <= tol * np.abs(sums[0]), small + 1, 0)
-        done = small >= 3
-        if done.any():
-            for row, s in zip(out, sums):
-                row[live[done]] = s[done]
-            keep = ~done
-            live, zl, t, small = live[keep], zl[keep], t[keep], small[keep]
-            sums = [s[keep] for s in sums]
-            if not live.size:
-                if deriv:
-                    out[1] /= z
-                    out[2] /= z * z
-                return list(out)
+    t, small = np.ones(z.size, C), np.zeros(z.size, int)
+    for m0 in range(0, config.series_max_terms, _BLOCK):
+        ms = np.arange(m0, min(m0 + _BLOCK, config.series_max_terms))
+        # a point's row t, r_m0, z, r_m0+1, z, ...: its running product is
+        # t <- (t r_m) z, one term after the other
+        chain = np.empty((live.size, 2 * ms.size + 1), C)
+        chain[:, 0] = t
+        chain[:, 1::2] = (a + ms) / ((b + ms) * (ms + 1))
+        chain[:, 2::2] = z[live, None]
+        terms = np.multiply.accumulate(chain, axis=1, out=chain)[:, 2::2]
+        addends = [terms] + ([(ms + 1) * terms, (ms * (ms + 1)) * terms] if deriv else [])
+        partial = [np.cumsum(np.concatenate((s[:, None], d), axis=1), axis=1)[:, 1:]
+                   for s, d in zip(sums, addends)]
+        # run[i, j]: the small terms in a row that end at point i's term j
+        steps = np.arange(ms.size)
+        last_big = np.maximum.accumulate(
+            np.where(np.abs(terms) <= tol * np.abs(partial[0]), -1, steps), axis=1)
+        run = np.where(last_big < 0, steps + 1 + small[:, None], steps - last_big)
+        hit = run >= 3
+        done, stop = hit.any(axis=1), hit.argmax(axis=1)
+        if ms.size == _BLOCK:
+            summing = ~done | (stop == _BLOCK - 1)
+            if not all(np.isfinite(p[summing, -1]).all() for p in partial):
+                raise ConvergenceError(
+                    f"Kummer series partial sum is not finite after {m0 + _BLOCK} terms")
+        for row, p in zip(out, partial):
+            row[live[done]] = p[done, stop[done]]
+        keep = ~done
+        live, t, small = live[keep], terms[keep, -1], run[keep, -1]
+        sums = [p[keep, -1] for p in partial]
+        if not live.size:
+            if deriv:
+                out[1] /= z
+                out[2] /= z * z
+            return list(out)
     raise ConvergenceError(
         f"Kummer series did not converge within {config.series_max_terms} terms")
 

@@ -33,6 +33,7 @@ while rounding noise does not.)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +50,7 @@ CONVENTION_PLUS = "(1+ik)_n"        # mirror convention (fails the identity)
 
 COLLOCATION_RANGE = (0.25, 6.0)
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoeffVector:
     """Coefficients a_1 ... a_{n+1} of lambda(x); a_0 = 0 is implicit."""
 
@@ -241,9 +242,10 @@ def check_second_order(cv: CoeffVector, variant: str = "printed",
     printed variant; the derived variant genuinely holds)."""
     config = config or default_config()
     res = second_order_residuals(cv, variant)
-    grid = index_grid(1, cv.params.n) if cv.params.n >= 3 else []
+    grid = index_grid(1, cv.params.n) if cv.params.n >= 3 else ()
     return ResidualReport(
-        check_name=f"second-order-recurrence-{variant}",
+        # one name string per variant, however many reports a caller keeps
+        check_name=sys.intern(f"second-order-recurrence-{variant}"),
         params=cv.params,
         grid=grid,
         residuals=res,

@@ -69,7 +69,7 @@ from .errors import InputError, InvariantViolationError
 from .kernels import (OrderParams, _whittaker_w_two_term, bessel_i,
                       bessel_k_quad, whittaker_m, whittaker_w)
 from .lambda_poly import CoeffVector, boundary_coeffs, coeffs_from_recurrence
-from .report import ResidualReport, index_grid, relative_residual
+from .report import ResidualReport, float_grid, index_grid, relative_residual
 
 ODE4_VARIANTS = ("corrected", "printed")
 
@@ -324,9 +324,9 @@ def trial_condition_check(params: OrderParams, x_grid,
         op_resid.append(whittaker_operator_residual(w, 4 * w2, n, k, x))
         op_resid.append(whittaker_operator_residual(
             s, 4 * (m_plus2 + m_minus2), n, k, x))
-    grid = [float(x) for x in x_grid]
-    consistency = ["code consistency: exact 0.0 when the kernels' conjugation "
-                   "symmetry is intact"]
+    grid = float_grid(x_grid)
+    consistency = ("code consistency: exact 0.0 when the kernels' conjugation "
+                   "symmetry is intact",)
     return [
         ResidualReport("trial-w-realness", params, grid, w_real,
                        config.realness_tol, notes=consistency),
@@ -575,7 +575,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
     """
     config = config or default_config()
     n, k = params.n, params.k
-    x_grid = [float(x) for x in x_grid]
+    x_grid = float_grid(x_grid)
     if any(x < 0.5 or x > 6.0 for x in x_grid):
         raise InputError("reconstruction grid must lie in [0.5, 6]")
 

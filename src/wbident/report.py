@@ -12,6 +12,7 @@ sorted, so two runs over the same inputs produce byte-identical documents
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -55,34 +56,46 @@ def relative_residual(terms, scale: float | None = None) -> float:
     return float(abs(sum(t / top for t in terms)))
 
 
-# shared by the grids of reports over an index (a suite keeps hundreds of
-# them); n <= 25 keeps every index below 32
-_INDICES = tuple(map(float, range(32)))
+def float_grid(xs) -> tuple[float, ...]:
+    """xs as a tuple of floats; a tuple of floats is returned as it is, so
+    the reports over one grid share the caller's tuple."""
+    if type(xs) is tuple and all(type(x) is float for x in xs):
+        return xs
+    return tuple(float(x) for x in xs)
 
 
-def index_grid(start: int, stop: int) -> list[float]:
-    """[start, ..., stop - 1] as floats, the grid of a report over an index."""
-    return list(_INDICES[start:stop])
+@functools.cache
+def index_grid(start: int, stop: int) -> tuple[float, ...]:
+    """(start, ..., stop - 1) as floats, the grid of a report over an index;
+    one tuple per (start, stop), shared by every report over it (a suite
+    keeps hundreds of them)."""
+    return tuple(map(float, range(start, stop)))
 
 
 @dataclass(slots=True)
 class ResidualReport:
     """Grid of evaluation points with per-point relative residuals.
 
-    `passed` is derived: max(residuals) <= threshold (an empty grid counts
-    as passing).  Advisory reports never fail a suite; their outcome goes to
-    the discrepancy ledger instead.
+    `grid`, `residuals` and `notes` are stored as tuples (a list passed in is
+    copied into one, a tuple is kept as it is), so reports over one grid
+    share it and a kept report holds no spare list capacity.  `passed` is
+    derived: max(residuals) <= threshold (an empty grid counts as passing).
+    Advisory reports never fail a suite; their outcome goes to the
+    discrepancy ledger instead.
     """
 
     check_name: str
     params: OrderParams | None
-    grid: list[float]
-    residuals: list[float]
+    grid: tuple[float, ...]
+    residuals: tuple[float, ...]
     threshold: float
     advisory: bool | None = None
-    notes: list[str] | tuple[str, ...] = ()
+    notes: tuple[str, ...] = ()
 
     def __post_init__(self):
+        self.grid = tuple(self.grid)
+        self.residuals = tuple(self.residuals)
+        self.notes = tuple(self.notes)
         if len(self.grid) != len(self.residuals):
             raise ValueError("grid and residuals must have equal length")
         if any(r < 0 or math.isnan(r) for r in self.residuals):

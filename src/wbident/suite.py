@@ -32,7 +32,7 @@ from .lambda_poly import (CoeffVector, coeffs_from_recurrence,
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, resolve_constants,
                   constants_printed_system, trial_condition_check)
-from .report import ResidualReport, VerificationSuiteResult, index_grid
+from .report import ResidualReport, VerificationSuiteResult, float_grid, index_grid
 
 DEFAULT_N_MAX = 8
 DEFAULT_K_SET = (0.1, 0.5, 1.0, 2.0)
@@ -50,7 +50,7 @@ def verify_identity(params: OrderParams, x_grid,
     cancellation makes the connection formula meaningless there)."""
     config = config or default_config()
     n, k = params.n, params.k
-    x_grid = [float(x) for x in x_grid]
+    x_grid = float_grid(x_grid)
     lo, hi = IDENTITY_X_RANGE
     if any(x < lo or x > hi for x in x_grid):
         raise InputError(f"identity grid must lie in [{lo}, {hi}]")
@@ -64,7 +64,7 @@ def verify_identity(params: OrderParams, x_grid,
 
     lam = coeffs_from_recurrence(params, config).lam_poly()(np.array(x_grid))
     # the K grid is kernel_cross_reports' table entry
-    kq = bessel_k_quad(complex(0.5, k), tuple(x_grid), config)
+    kq = bessel_k_quad(complex(0.5, k), x_grid, config)
     residuals = []
     for x, lam_x, k_x in zip(x_grid, lam.tolist(), kq.tolist()):
         lam_k = lam_x * k_x
@@ -87,35 +87,35 @@ def kernel_cross_reports(k_set, x_grid, n_max,
     W with the two-term connection formula on the grid.  The second is a
     code-consistency check: at these orders both routes give the same bits,
     so its residuals read 0.0 unless an edit breaks one route."""
+    x_grid = float_grid(x_grid)
     reports = []
     for k in k_set:
         if k == 0:
             continue
         nu = complex(0.5, k)
         # one quadrature grid: verify_identity looks up this table entry
-        kq = bessel_k_quad(nu, tuple(x_grid), config)
-        kw = bessel_k_via_w(nu, tuple(x_grid), config)
+        kq = bessel_k_quad(nu, x_grid, config)
+        kw = bessel_k_via_w(nu, x_grid, config)
         reports.append(ResidualReport(
             check_name="kernel-cross-bessel-k",
             params=OrderParams(n=0, k=k),
-            grid=list(x_grid),
+            grid=x_grid,
             residuals=[abs(q - w) / abs(q) for q, w in zip(kq.tolist(), kw.tolist())],
             threshold=config.kernel_cross_tol))
         # the two-term route on the grid against whittaker_w's one-term value
         # per point, which verify_identity and the reconstruction look up
-        grid, realness = [], []
+        realness = []
         for n in range(n_max + 1):
             w2 = _whittaker_w_two_term(n + 0.5, 1j * k,
                                        tuple(2 * x for x in x_grid), config)
             for x, two in zip(x_grid, w2.tolist()):
                 one = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
                 scale = max(abs(one), abs(two))
-                grid.append(float(x))
                 realness.append(abs(two - one) / scale if scale else 0.0)
         reports.append(ResidualReport(
             check_name="whittaker-w-realness",
             params=OrderParams(n=n_max, k=k),
-            grid=grid, residuals=realness,
+            grid=x_grid * (n_max + 1), residuals=realness,
             threshold=config.realness_tol,
             notes=[f"x grid repeated for n = 0..{n_max}",
                    "code consistency: one-term W against the two-term "
@@ -140,8 +140,8 @@ def coefficient_reports(params: OrderParams,
         check_name="coefficient-invariants",
         params=params, grid=grid, residuals=residuals,
         threshold=config.top_coeff_tol,
-        notes=["entries: top-coeff deviation, top-coeff imaginary part, "
-               "then first-order recurrence residuals m=1..n"])
+        notes=("entries: top-coeff deviation, top-coeff imaginary part, "
+               "then first-order recurrence residuals m=1..n",))
     return cv, [rep]
 
 
@@ -181,7 +181,7 @@ def run_suite(config: EvalConfig | None = None,
     k_set = tuple(float(k) for k in k_set)
     if not all(math.isfinite(k) and k >= 0 for k in k_set):
         raise InputError(f"run_suite requires finite k >= 0, got {list(k_set)}")
-    x_grid = tuple(float(x) for x in x_grid)
+    x_grid = float_grid(x_grid)
     ks_pos = [k for k in k_set if k > 0]
     reports: list[ResidualReport] = []
     ledger: list[str] = []
@@ -214,7 +214,7 @@ def run_suite(config: EvalConfig | None = None,
                     OrderParams(n=n, k=k), config))
 
         # stages 6 and 8 take the x inside [0.5, 6], or a fixed grid if none is
-        inner_grid = [x for x in x_grid if 0.5 <= x <= 6] or [0.5, 1.0, 2.0, 4.0]
+        inner_grid = tuple(x for x in x_grid if 0.5 <= x <= 6) or (0.5, 1.0, 2.0, 4.0)
 
         # 6. fourth-order basis checks
         ode_ks = [k for k in ks_pos if 0.4 <= k <= 1.5][:2] or ks_pos[:1]

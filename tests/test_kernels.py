@@ -93,6 +93,157 @@ class TestKummerM:
         with pytest.raises(ConvergenceError):
             kummer_m(-3 + 1j, 1 + 2j, 40.0, cfg)
 
+    def test_term_budget_is_exact(self):
+        # e = M(1, 1, 1) stops on term 20: 10 terms are too few, 25 enough
+        with pytest.raises(ConvergenceError, match="did not converge within 10 terms"):
+            kummer_m(1, 1, 1.0, EvalConfig(series_max_terms=10))
+        assert kummer_m(1, 1, 1.0, EvalConfig(series_max_terms=25)) == math.e
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def kummer_series_term_by_term(a, b, z, config, deriv=False):
+    """The Kummer series one term per numpy step, as ``kernels._kummer_series``
+    summed it before it advanced in blocks: the reference that the block loop
+    must equal bit for bit.  Also returns the term at which each point
+    stopped."""
+    C, LD = np.clongdouble, np.longdouble
+    a, b = C(a), C(b)
+    tol = LD(config.series_rel_tol)
+    out = np.empty((3 if deriv else 1, z.size), C)
+    stops = np.zeros(z.size, int)
+    if not z.size:
+        return list(out), stops
+    sums = [np.ones(z.size, C)] + [np.zeros(z.size, C) for _ in out[1:]]
+    live = np.arange(z.size)
+    zl, t, small = z, np.ones(z.size, C), np.zeros(z.size, int)
+    for m in range(config.series_max_terms):
+        t = t * ((a + m) / ((b + m) * (m + 1))) * zl
+        sums[0] += t
+        if deriv:
+            sums[1] += (m + 1) * t
+            sums[2] += (m * (m + 1)) * t
+        if m % 32 == 31 and not all(np.isfinite(s).all() for s in sums):
+            raise ConvergenceError(
+                f"Kummer series partial sum is not finite after {m + 1} terms")
+        small = np.where(np.abs(t) <= tol * np.abs(sums[0]), small + 1, 0)
+        done = small >= 3
+        if done.any():
+            for row, s in zip(out, sums):
+                row[live[done]] = s[done]
+            stops[live[done]] = m + 1
+            keep = ~done
+            live, zl, t, small = live[keep], zl[keep], t[keep], small[keep]
+            sums = [s[keep] for s in sums]
+            if not live.size:
+                if deriv:
+                    out[1] /= z
+                    out[2] /= z * z
+                return list(out), stops
+    raise ConvergenceError(
+        f"Kummer series did not converge within {config.series_max_terms} terms")
+
+
+def same_ld_bits(x, y) -> bool:
+    """Equal clongdouble arrays, signs of zeros and NaNs included (their byte
+    images hold padding, so the parts are compared)."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and all(
+        np.array_equal(p, q, equal_nan=True) and np.array_equal(np.signbit(p), np.signbit(q))
+        for p, q in ((x.real, y.real), (x.imag, y.imag)))
+
+
+def _series_table(rows: int = 300) -> list:
+    """(a, b, z grid, deriv) from a fixed seed: every other row at the orders
+    of W_{n+1/2,ik} (a = -n + ik, b = 1 + 2ik), the others at complex a and
+    b off the poles; 1 to 13 points in (0, 16]; deriv on every other pair."""
+    rng = np.random.default_rng(20231019)
+    table = []
+    for i in range(rows):
+        if i % 2:
+            n, k = int(rng.integers(0, 26)), float(rng.uniform(0, 5))
+            a, b = complex(-n, k), complex(1, 2 * k)
+        else:
+            a, b = complex(*rng.normal(0, 6, 2)), complex(*rng.normal(0, 6, 2))
+        z = tuple((16 * (1 - rng.random(int(rng.integers(1, 14))))).tolist())
+        table.append((a, b, z, i % 4 < 2))
+    return table
+
+
+class TestBlockSeries:
+    """``_kummer_series`` advances kernels._BLOCK terms per numpy step; the
+    term-by-term loop above is its reference, on values and on errors."""
+
+    EDGE_ORDERS = [(1, 1), (-3 + 1j, 1 + 2j), (0.5 + 2j, 1 + 4j), (-10 + 0.5j, 1 + 1j)]
+
+    @staticmethod
+    def outcome(series, a, b, z, config, deriv):
+        """The series' values, or the message of its ConvergenceError."""
+        try:
+            values = series(a, b, np.asarray(z, np.clongdouble), config, deriv)
+        except ConvergenceError as exc:
+            return None, str(exc)
+        return (values[0] if series is kummer_series_term_by_term else values), None
+
+    def assert_equal_to_reference(self, a, b, z, deriv, config=None):
+        config = config or EvalConfig()
+        want, want_err = self.outcome(kummer_series_term_by_term, a, b, z, config, deriv)
+        got, got_err = self.outcome(kernels._kummer_series, a, b, z, config, deriv)
+        assert got_err == want_err, (a, b, z, deriv)
+        if want is not None:
+            assert len(got) == len(want)
+            assert all(same_ld_bits(g, w) for g, w in zip(got, want)), (a, b, z, deriv)
+
+    def test_seeded_table(self):
+        table = _series_table()
+        stops = set()
+        for a, b, z, deriv in table:
+            self.assert_equal_to_reference(a, b, z, deriv)
+            _, s = kummer_series_term_by_term(a, b, np.asarray(z, np.clongdouble),
+                                              EvalConfig())
+            stops.add(len({(t - 1) // 32 for t in s.tolist()}))
+        # some grids have points that stop in different blocks
+        assert max(stops) >= 2
+
+    @pytest.mark.parametrize("stop", [31, 32, 33])
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_third_small_term_at_block_edge(self, stop, deriv):
+        lattice = np.linspace(0.05, 16, 320).astype(np.clongdouble)
+        for a, b in self.EDGE_ORDERS:
+            _, stops = kummer_series_term_by_term(a, b, lattice, EvalConfig())
+            zs = tuple(lattice[stops == stop].real.tolist())
+            assert zs, (a, b, stop)
+            self.assert_equal_to_reference(a, b, zs, deriv)
+            self.assert_equal_to_reference(a, b, zs[:1], deriv)
+            # with the point that stops a block later or earlier
+            self.assert_equal_to_reference(a, b, zs[:1] + (0.01, 16.0), deriv)
+
+    @pytest.mark.parametrize("cap", [10, 20, 21, 22, 31, 32, 33, 40, 63, 64, 65, 100])
+    def test_term_budget(self, cap):
+        # the exp series stops on term 20 at z = 1 and on term 31 at z = 3.7
+        config = EvalConfig(series_max_terms=cap)
+        for z in [(1.0,), (3.7,), (1.0, 3.7, 9.0), (16.0,)]:
+            for deriv in (False, True):
+                self.assert_equal_to_reference(1, 1, z, deriv, config)
+                self.assert_equal_to_reference(-3 + 1j, 1 + 2j, z, deriv, config)
+
+    @pytest.mark.parametrize("z", [
+        (1e300,), (1.0, 1e300), (1e150,), (1.0, 1e150, 2.0), (1e100,), (1e200,),
+        (1e300j,), (-1e300,), (750.0,), (1e4,), (0.5, 1e4),
+    ])
+    @pytest.mark.parametrize("deriv", [False, True])
+    def test_overflow_and_divergence(self, z, deriv):
+        # the reference raises at the first check (term 32, 64, ...) that sees
+        # a non-finite partial sum, or after series_max_terms
+        for cap in (1000, 40):
+            self.assert_equal_to_reference(1, 1, z, deriv, EvalConfig(series_max_terms=cap))
+            self.assert_equal_to_reference(-3 + 1j, 1 + 2j, z, deriv,
+                                           EvalConfig(series_max_terms=cap))
+
+    def test_raises_past_the_first_block(self):
+        # z^m / m! at z = 1e150 leaves the longdouble range after term 32
+        with pytest.raises(ConvergenceError, match="not finite after 64 terms"):
+            kummer_m(1, 1, 1e150)
+
 
 class TestWhittakerM:
     @pytest.mark.parametrize("n", range(6))

@@ -204,7 +204,7 @@ class TestSecondOrderRecurrence:
         for n in (0, 1, 2):
             cv = coeffs_from_recurrence(OrderParams(n=n, k=1.0))
             rep = check_second_order(cv)
-            assert rep.grid == [] and rep.passed
+            assert rep.grid == () and rep.passed
 
     def test_laguerre_comparison_at_k0(self):
         cv = laguerre_closed_form(6)

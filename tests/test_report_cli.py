@@ -18,7 +18,7 @@ from wbident.kernels import OrderParams
 from wbident.lambda_poly import laguerre_closed_form
 from wbident.report import (ADVISORY_CHECKS, ResidualReport,
                             VerificationSuiteResult, canonical_json, export,
-                            relative_residual)
+                            index_grid, relative_residual)
 from wbident.suite import run_suite, verify_identity
 
 
@@ -52,6 +52,16 @@ class TestResidualReport:
         rep = small_report(name="indicial-printed-quadratic")
         assert rep.advisory
         assert "indicial-printed-quadratic" in ADVISORY_CHECKS
+
+    def test_fields_are_tuples(self):
+        rep = ResidualReport("x", None, [1.0, 2.0], [0.1, 0.2], 1e-6, notes=["a"])
+        assert (rep.grid, rep.residuals, rep.notes) == ((1.0, 2.0), (0.1, 0.2), ("a",))
+        grid = (1.0, 2.0)
+        assert ResidualReport("x", None, grid, (0.1, 0.2), 1e-6).grid is grid
+
+    def test_index_grid_is_shared(self):
+        assert index_grid(0, 4) == (0.0, 1.0, 2.0, 3.0)
+        assert index_grid(0, 4) is index_grid(0, 4)
 
     def test_json_fields(self):
         d = small_report().as_json_dict()

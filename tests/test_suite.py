@@ -104,7 +104,27 @@ def test_identity_residuals_equal_per_point_lambda(n, k):
     # runs element by element, so every residual keeps its bits
     params = kernels.OrderParams(n=n, k=k)
     xs = (0.25, 0.7, 1.3, 2.0, 3.9, 6.1, 7.805, 8.0)
-    assert verify_identity(params, xs).residuals == per_point_identity_residuals(params, xs)
+    assert verify_identity(params, xs).residuals == tuple(
+        per_point_identity_residuals(params, xs))
+
+
+def test_identity_grid_is_the_callers_tuple():
+    params = kernels.OrderParams(n=2, k=0.5)
+    xs = (0.5, 1.0, 2.0)
+    assert verify_identity(params, xs).grid is xs
+    assert verify_identity(params, [0.5, 1, 2]).grid == xs
+
+
+def test_suite_reports_share_the_x_grid():
+    xs = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    result = run_suite(x_grid=xs, n_max=2)
+    shared = [r for r in result.reports
+              if r.check_name in ("identity", "kernel-cross-bessel-k")]
+    assert len(shared) == 3 * 4 + 4
+    assert all(r.grid is xs for r in shared)
+    inner = [r.grid for r in result.reports if r.check_name == "lambda-reconstruction"]
+    assert inner and all(g is inner[0] for g in inner)
+    assert inner[0] == (0.5, 1.0, 2.0, 4.0)
 
 
 def test_trial_check_never_runs_on_an_empty_grid():
@@ -121,7 +141,7 @@ def test_ode4_basis_checks_follow_the_x_grid():
     result = run_suite(x_grid=(0.5, 3.0))
     basis = [r for r in result.reports if r.check_name.startswith("ode4-basis")]
     assert len(basis) == 11
-    assert all(r.grid == [0.5, 3.0] * 4 for r in basis)
+    assert all(r.grid == (0.5, 3.0) * 4 for r in basis)
     assert all(r.passed for r in basis if not r.advisory)
 
 
