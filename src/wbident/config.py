@@ -90,9 +90,11 @@ def load_config(path: str) -> EvalConfig:
         raise InputError(f"invalid EvalConfig value in {path}: {exc}") from exc
 
 
+_DEFAULT = EvalConfig()                 # frozen, so every caller can share it
+
+
 def default_config() -> EvalConfig:
-    """Built-in defaults, unless WBIDENT_CONFIG points at a JSON override."""
+    """Built-in defaults (one shared instance), unless WBIDENT_CONFIG points
+    at a JSON override, which is read on every call."""
     path = os.environ.get(ENV_CONFIG_VAR)
-    if path:
-        return load_config(path)
-    return EvalConfig()
+    return load_config(path) if path else _DEFAULT

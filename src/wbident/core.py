@@ -45,7 +45,12 @@ def log_gamma_ld(z):
     """log Gamma of an np.clongdouble scalar; the imaginary part may differ
     from the principal branch by a multiple of 2*pi (irrelevant under exp)."""
     if z.real < 0.5:
-        return np.log(_PI / np.sin(_PI * z)) - log_gamma_ld(1 - z)
+        sin = np.sin(_PI * z)
+        # sin overflows beyond |Im z| of about 3600 (in 80 bits); there
+        # log(pi / sin(pi z)) = log(2 pi) + sign(Im z) i pi (z - 1/2) + O(e^{-2 pi |Im z|})
+        log_ratio = (np.log(_PI / sin) if np.isfinite(sin) else
+                     np.log(2 * _PI) + np.sign(z.imag) * C(1j) * _PI * (z - LD(0.5)))
+        return log_ratio - log_gamma_ld(1 - z)
     acc = C(1)
     while abs(z) < 13:
         acc = acc * z

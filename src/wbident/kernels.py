@@ -46,23 +46,17 @@ reaches it near k = 470, quadrature K near x = 740), and a residual divided
 by it means nothing.  A quadrature K whose integrand underflows to 0 at
 every node raises too.
 
-With ``deriv=True`` the Whittaker evaluators also return the first and
-second derivative, summed term by term in the same series loop as the value,
-which is the value-only call's bit for bit.  The Bessel evaluators return
-values only.
-
 Inside a ``with kernel_table():`` block (``run_suite`` runs in one) the five
 public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
 ``bessel_k_quad`` and ``bessel_k_via_w``, the private
 ``_whittaker_w_two_term``, and the coefficient builder
 ``lambda_poly.coeffs_from_recurrence`` evaluate each distinct argument
 tuple once: a repeated call with equal positional and keyword arguments
-(``config`` and ``deriv`` included, a grid keyed by its tuple) returns the
-stored value.  Only returned values are stored; a raising call stores
-nothing.  The table lives in a ``contextvars.ContextVar`` and is dropped
-when the block exits, so outside it nothing is looked up or kept.  A
-repeated call does not re-issue the ``NearDegeneracyWarning`` of its first
-evaluation.
+(``config`` included, a grid keyed by its tuple) returns the stored value.
+Only returned values are stored; a raising call stores nothing.  The table
+lives in a ``contextvars.ContextVar`` and is dropped when the block exits,
+so outside it nothing is looked up or kept.  A repeated call does not
+re-issue the ``NearDegeneracyWarning`` of its first evaluation.
 """
 
 from __future__ import annotations
@@ -139,22 +133,19 @@ def _grid(z, refusal: str, dtype=LD) -> np.ndarray:
     return zs
 
 
-def _finish(name: str, z, values):
-    """Round each clongdouble array of `values` (the value, then any
-    derivatives) to complex128: one complex per array for a scalar z, else
-    read-only arrays; a single array is returned bare, several as a tuple."""
+def _finish(name: str, z, value):
+    """Round the clongdouble array `value` to complex128: one complex for a
+    scalar z, else a read-only array."""
     with np.errstate(over="ignore"):
-        out = [np.asarray(v).astype(complex) for v in values]
-    if not all(np.isfinite(v).all() for v in out):
+        out = np.asarray(value).astype(complex)
+    if not np.isfinite(out).all():
         raise ConvergenceError(f"{name}: value is not a finite complex128")
-    if any(((abs(o) < _TINY) & (np.asarray(v) != 0)).any() for o, v in zip(out, values)):
+    if ((abs(out) < _TINY) & (np.asarray(value) != 0)).any():
         raise ConvergenceError(f"{name}: value underflows complex128")
     if np.ndim(z) == 0:
-        out = [v.item() for v in out]
-    else:
-        for v in out:
-            v.flags.writeable = False
-    return tuple(out) if len(out) > 1 else out[0]
+        return out.item()
+    out.flags.writeable = False
+    return out
 
 
 # terms per numpy step of the Kummer series: the cadence of its non-finite
@@ -163,13 +154,12 @@ _BLOCK = 32
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False):
+def _kummer_series(a, b, z: np.ndarray, config: EvalConfig) -> np.ndarray:
     """sum_m t_m with t_m = (a)_m / (b)_m z^m / m! at each point of the
     clongdouble grid z.  A point stops after three consecutive terms below
     series_rel_tol * |its partial sum| (complex-parameter series can have
     transiently tiny terms) and leaves the working arrays, so its sum does not
-    depend on the rest of the grid.  Returns [M], or with deriv [M, M', M'']
-    from the term-by-term sums of m t_m / z and m (m-1) t_m / z^2.
+    depend on the rest of the grid.
 
     The points still summing advance _BLOCK = 32 terms per step (the
     cadence of the non-finite check), with the floating-point operations of
@@ -184,12 +174,9 @@ def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False)
     term."""
     a, b = C(a), C(b)
     tol = LD(config.series_rel_tol)
-    out = np.empty((3 if deriv else 1, z.size), C)
-    if not z.size:
-        return list(out)
-    sums = [np.ones(z.size, C)] + [np.zeros(z.size, C) for _ in out[1:]]
+    out = np.empty(z.size, C)
     live = np.arange(z.size)
-    t, small = np.ones(z.size, C), np.zeros(z.size, int)
+    t, s, small = np.ones(z.size, C), np.ones(z.size, C), np.zeros(z.size, int)
     for m0 in range(0, config.series_max_terms, _BLOCK):
         ms = np.arange(m0, min(m0 + _BLOCK, config.series_max_terms))
         # a point's row t, r_m0, z, r_m0+1, z, ...: its running product is
@@ -199,31 +186,24 @@ def _kummer_series(a, b, z: np.ndarray, config: EvalConfig, deriv: bool = False)
         chain[:, 1::2] = (a + ms) / ((b + ms) * (ms + 1))
         chain[:, 2::2] = z[live, None]
         terms = np.multiply.accumulate(chain, axis=1, out=chain)[:, 2::2]
-        addends = [terms] + ([(ms + 1) * terms, (ms * (ms + 1)) * terms] if deriv else [])
-        partial = [np.cumsum(np.concatenate((s[:, None], d), axis=1), axis=1)[:, 1:]
-                   for s, d in zip(sums, addends)]
+        partial = np.cumsum(np.concatenate((s[:, None], terms), axis=1), axis=1)[:, 1:]
         # run[i, j]: the small terms in a row that end at point i's term j
         steps = np.arange(ms.size)
         last_big = np.maximum.accumulate(
-            np.where(np.abs(terms) <= tol * np.abs(partial[0]), -1, steps), axis=1)
+            np.where(np.abs(terms) <= tol * np.abs(partial), -1, steps), axis=1)
         run = np.where(last_big < 0, steps + 1 + small[:, None], steps - last_big)
         hit = run >= 3
         done, stop = hit.any(axis=1), hit.argmax(axis=1)
         if ms.size == _BLOCK:
             summing = ~done | (stop == _BLOCK - 1)
-            if not all(np.isfinite(p[summing, -1]).all() for p in partial):
+            if not np.isfinite(partial[summing, -1]).all():
                 raise ConvergenceError(
                     f"Kummer series partial sum is not finite after {m0 + _BLOCK} terms")
-        for row, p in zip(out, partial):
-            row[live[done]] = p[done, stop[done]]
+        out[live[done]] = partial[done, stop[done]]
         keep = ~done
-        live, t, small = live[keep], terms[keep, -1], run[keep, -1]
-        sums = [p[keep, -1] for p in partial]
+        live, t, s, small = live[keep], terms[keep, -1], partial[keep, -1], run[keep, -1]
         if not live.size:
-            if deriv:
-                out[1] /= z
-                out[2] /= z * z
-            return list(out)
+            return out
     raise ConvergenceError(
         f"Kummer series did not converge within {config.series_max_terms} terms")
 
@@ -239,38 +219,24 @@ def kummer_m(a, b, z, config: EvalConfig | None = None):
     return _finish("kummer_m", z, _kummer_series(a, b, zs, config))
 
 
-def _times_prefactor(pref, c, z, f, f1, f2):
-    """[P f, (P f)', (P f)''] for P(z) = e^{-z/2} z^c, given P, c, z and
-    (f, f', f''); P' = g P and P'' = (g^2 - c/z^2) P with g = c/z - 1/2."""
-    g = c / z - LD(0.5)
-    return [pref * f,
-            pref * (g * f + f1),
-            pref * ((g * g - c / (z * z)) * f + 2 * g * f1 + f2)]
-
-
-def _whittaker_m_ld(kappa, mu, z: np.ndarray, config: EvalConfig, deriv: bool = False):
-    """[M_{kappa,mu}] (with deriv [M, M', M'']) on the longdouble grid z."""
+def _whittaker_m_ld(kappa, mu, z: np.ndarray, config: EvalConfig) -> np.ndarray:
+    """M_{kappa,mu} on the longdouble grid z, in clongdouble."""
     kappa = complex(kappa)
     mu = complex(mu)
-    ser = _kummer_series(0.5 + mu - kappa, 1 + 2 * mu, z.astype(C), config, deriv)
-    c = LD(0.5) + C(mu)
-    pref = np.exp(c * np.log(z) - z / 2)
-    if deriv:
-        return _times_prefactor(pref, c, z, *ser)
-    return [pref * ser[0]]
+    ser = _kummer_series(0.5 + mu - kappa, 1 + 2 * mu, z.astype(C), config)
+    return np.exp((LD(0.5) + C(mu)) * np.log(z) - z / 2) * ser
 
 
 @_tabled
-def whittaker_m(kappa, mu, z, config: EvalConfig | None = None, *,
-                deriv: bool = False):
-    """Whittaker M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu} M(1/2+mu-kappa, 1+2mu, z);
-    with deriv, the tuple (M, dM/dz, d^2M/dz^2).  z is a float or a tuple of
-    floats (then read-only arrays, one value per point)."""
+def whittaker_m(kappa, mu, z, config: EvalConfig | None = None):
+    """Whittaker M_{kappa,mu}(z) = e^{-z/2} z^{1/2+mu} M(1/2+mu-kappa, 1+2mu, z).
+    z is a float or a tuple of floats (then a read-only array, one value per
+    point)."""
     config = config or default_config()
     zs = _grid(z, "whittaker_m requires z > 0")
     if _is_nonpositive_integer(complex(1 + 2 * complex(mu))):
         raise PoleError(f"whittaker_m: 1+2*mu = {1 + 2 * complex(mu)} is a nonpositive integer")
-    return _finish("whittaker_m", z, _whittaker_m_ld(kappa, mu, zs, config, deriv))
+    return _finish("whittaker_m", z, _whittaker_m_ld(kappa, mu, zs, config))
 
 
 def _laguerre_whittaker_w(n: int, z: float) -> float:
@@ -281,9 +247,14 @@ def _laguerre_whittaker_w(n: int, z: float) -> float:
 
 def _gamma_quotient(a, b):
     """Gamma(a) / Gamma(b) in clongdouble; a non-finite quotient raises in
-    _finish, so numpy's warnings only add noise."""
+    _finish, so numpy's warnings only add noise.  No such quotient is 0, so
+    one that rounds to 0 has left the longdouble range, and raises."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return np.exp(log_gamma_ld(C(a)) - log_gamma_ld(C(b)))
+        quotient = np.exp(log_gamma_ld(C(a)) - log_gamma_ld(C(b)))
+    if quotient == 0:
+        raise ConvergenceError(
+            f"whittaker_w: Gamma({a}) / Gamma({b}) underflows the longdouble range")
+    return quotient
 
 
 def _refuse_integer_two_mu(mu: complex, config: EvalConfig) -> None:
@@ -303,12 +274,9 @@ def _refuse_integer_two_mu(mu: complex, config: EvalConfig) -> None:
 
 
 @_tabled
-def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
-                deriv: bool = False):
-    """Whittaker W_{kappa,mu}(z); with deriv, the tuple
-    (W, dW/dz, d^2W/dz^2), each connection term differentiated through its
-    M factor (not on the Laguerre branch).  z is a float or a tuple of floats
-    (then read-only arrays, one value per point).
+def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
+    """Whittaker W_{kappa,mu}(z).  z is a float or a tuple of floats (then a
+    read-only array, one value per point).
 
     Real kappa, imaginary mu != 0 (the identity's orders): the two terms of
     the connection formula are complex conjugates, so W = 2 Re(Gamma(-2mu) /
@@ -331,33 +299,28 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None, *,
             n_real = kappa.real - 0.5      # exact for kappa = n + 1/2
             n = round(n_real)
             if n >= 0 and n_real == n:
-                if deriv:
-                    raise DegenerateParameterError(
-                        "whittaker_w: derivatives are not provided on the "
-                        "mu = 0 Laguerre branch")
-                return _finish("whittaker_w", z, [np.array(
-                    [_laguerre_whittaker_w(n, float(x)) for x in zs])])
+                return _finish("whittaker_w", z, np.array(
+                    [_laguerre_whittaker_w(n, float(x)) for x in zs]))
         raise DegenerateParameterError(
             f"whittaker_w with mu = 0 requires kappa = n + 1/2, got {kappa}")
     if kappa.imag != 0.0 or mu.real != 0.0:
-        return _whittaker_w_two_term(kappa, mu, z, config, deriv=deriv)
+        return _whittaker_w_two_term(kappa, mu, z, config)
     _refuse_integer_two_mu(mu, config)
     pref = _gamma_quotient(-(2 * mu), 0.5 - mu - kappa)
-    return _finish("whittaker_w", z, [2 * (pref * m).real for m in
-                                      _whittaker_m_ld(kappa, mu, zs, config, deriv)])
+    return _finish("whittaker_w", z,
+                   2 * (pref * _whittaker_m_ld(kappa, mu, zs, config)).real)
 
 
 @_tabled
-def _whittaker_w_two_term(kappa, mu, z, config: EvalConfig | None = None, *,
-                          deriv: bool = False):
+def _whittaker_w_two_term(kappa, mu, z, config: EvalConfig | None = None):
     """W_{kappa,mu}(z) for 2*mu not an integer from both terms of the
     connection formula (DLMF 13.14.33)
 
         W = Gamma(-2mu)/Gamma(1/2-mu-kappa) M_{kappa,mu}
           + Gamma(2mu)/Gamma(1/2+mu-kappa) M_{kappa,-mu},
 
-    with deriv and z as in ``whittaker_w``, whose generic branch this is.
-    For real kappa and imaginary mu the realness checks compare it with
+    with z as in ``whittaker_w``, whose generic branch this is.  For real
+    kappa and imaginary mu the realness checks compare it with
     ``whittaker_w``'s one-term value, which it equals bit for bit."""
     config = config or default_config()
     zs = _grid(z, "whittaker_w requires z > 0")
@@ -367,9 +330,8 @@ def _whittaker_w_two_term(kappa, mu, z, config: EvalConfig | None = None, *,
     two_mu = 2 * mu
     pref_a = _gamma_quotient(-two_mu, 0.5 - mu - kappa)
     pref_b = _gamma_quotient(two_mu, 0.5 + mu - kappa)
-    return _finish("whittaker_w", z, [pref_a * ma + pref_b * mb for ma, mb in zip(
-        _whittaker_m_ld(kappa, mu, zs, config, deriv),
-        _whittaker_m_ld(kappa, -mu, zs, config, deriv))])
+    return _finish("whittaker_w", z, pref_a * _whittaker_m_ld(kappa, mu, zs, config)
+                   + pref_b * _whittaker_m_ld(kappa, -mu, zs, config))
 
 
 @_tabled
@@ -422,7 +384,7 @@ def bessel_k_quad(nu, x, config: EvalConfig | None = None):
                 f"bessel_k_quad: no convergence after {config.quad_max_halvings} halvings")
     if 0 in out:
         raise ConvergenceError("bessel_k_quad: the integrand underflows to 0")
-    return _finish("bessel_k_quad", x, [np.array(out)])
+    return _finish("bessel_k_quad", x, np.array(out))
 
 
 @_tabled
@@ -434,7 +396,7 @@ def bessel_k_via_w(nu, x, config: EvalConfig | None = None):
     config = config or default_config()
     xs = _grid(x, "bessel_k_via_w requires x > 0", float)
     w = whittaker_w(0.0, nu, tuple((2 * xs).tolist()), config)
-    return _finish("bessel_k_via_w", x, [np.sqrt(np.pi / (2 * xs)) * w])
+    return _finish("bessel_k_via_w", x, np.sqrt(np.pi / (2 * xs)) * w)
 
 
 @_tabled
@@ -462,7 +424,7 @@ def bessel_i(nu, x: float, config: EvalConfig | None = None) -> complex:
             if abs(t) <= tol * abs(s):
                 small += 1
                 if small >= 3:
-                    return _finish("bessel_i", x, [s])
+                    return _finish("bessel_i", x, s)
             else:
                 small = 0
             t = t * x2 / ((m + 1) * (m + 1 + nu_ld))

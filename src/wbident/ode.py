@@ -25,13 +25,14 @@ check calls no kernel: its equations lift any (y, y') to a solution, so a
 kernel's values could not change its verdict.
 
 The trial and reconstruction checks take M, and the trial check W, on the
-whole grid in one kernel call, at z = tuple(2 * x for x in grid), and I and
-K per point; everything after the kernel calls runs per point, so each
-residual equals the one-point check's bit for bit.  The trial check's W comes
-from the two-term connection formula (``kernels._whittaker_w_two_term``),
-because ``whittaker_w`` returns the identity's W as the doubled real part of
-one term, real by construction.  The reconstruction's W stays per point: the
-suite's W realness check has already tabled those values.
+whole grid in one kernel call per order (three in the trial check), at
+z = tuple(2 * x for x in grid), and I and K per point; everything after the
+kernel calls runs per point, so each residual equals the one-point check's
+bit for bit.  The trial check's W comes from the two-term connection formula
+(``kernels._whittaker_w_two_term``), because ``whittaker_w`` returns the
+identity's W as the doubled real part of one term, real by construction.
+The reconstruction's W stays per point: the suite's W realness check has
+already tabled those values.
 
 Two variants of the ODE coefficients are provided.  The historically printed
 a3 has constant term 2i(1-2k)(i+k)(i+4k); eliminating conj(L) symbolically
@@ -285,13 +286,42 @@ def whittaker_operator_residual(y, d2y, n: int, k: float, x: float) -> float:
     return relative_residual([d2y, potential])
 
 
+# d_c of the downward relation z f'_c = (c - z/2) f_c + d_c f_{c-1}
+# (DLMF 13.15(ii)) for f_c = W_{c,mu} and for f_c = M_{c,mu}
+def w_lowering(kappa, mu):
+    return (kappa - 0.5) ** 2 - mu * mu
+
+
+def m_lowering(kappa, mu):
+    return 0.5 + mu - kappa
+
+
+def lowered_second_derivative(f, d, kappa, z):
+    """f''_kappa(z) from f = (f_kappa, f_{kappa-1}, f_{kappa-2}) at z and
+    d = (d_kappa, d_{kappa-1}): the downward relation at kappa and kappa-1
+    gives f'_kappa and f'_{kappa-1}, and the one at kappa differentiated,
+    z f''_kappa = -f_kappa/2 + (kappa - z/2 - 1) f'_kappa + d_kappa f'_{kappa-1}."""
+    f0, f1, f2 = f
+    d0, d1 = d
+    df0 = ((kappa - z / 2) * f0 + d0 * f1) / z
+    df1 = ((kappa - 1 - z / 2) * f1 + d1 * f2) / z
+    return (-0.5 * f0 + (kappa - z / 2 - 1) * df0 + d0 * df1) / z
+
+
 def trial_condition_check(params: OrderParams, x_grid,
                           config: EvalConfig | None = None) -> list[ResidualReport]:
     """Check the conjugation structure and equation membership of the trial
     factors: W real (so iW is anti-self-conjugate), M_{+ik}+M_{-ik} real,
     M_{+ik}-M_{-ik} purely imaginary, and both W(2x) and the M-sum satisfy
-    the Whittaker operator.  The operator check takes y'' from the kernels'
-    term-by-term second derivative, never from the equation under test.
+    the Whittaker operator.  The operator check takes f'' of each factor
+    (the two-term W, M_{+ik}, M_{-ik}) from its values at kappa = n+1/2,
+    n-1/2 and n-3/2 by ``lowered_second_derivative``, never from the
+    equation under test.  Both relations run downward: the downward one at
+    kappa with the upward one at kappa-1 would need two orders only, but
+    leaves a residual that vanishes for any values.  For W the residual is
+    d_kappa / z^2 times that of DLMF 13.15.11 at kappa-1, so a W wrong by a
+    kappa-dependent factor fails, where a term-by-term W'' would scale with
+    W and pass.
 
     The three conjugation reports are code-consistency checks: the kernels
     return M_{kappa,-ik} = conj M_{kappa,ik} and the two-term W real bit for
@@ -307,10 +337,13 @@ def trial_condition_check(params: OrderParams, x_grid,
     # by construction
     z = tuple(2 * x for x in x_grid)
     grids = []                                    # (value, second derivative)
-    for kernel, order in ((_whittaker_w_two_term, mu), (whittaker_m, mu),
-                          (whittaker_m, -mu)):
-        f, _, f2 = kernel(kap, order, z, config, deriv=True)
-        grids += [f.tolist(), f2.tolist()]
+    for kernel, order, lowering in ((_whittaker_w_two_term, mu, w_lowering),
+                                    (whittaker_m, mu, m_lowering),
+                                    (whittaker_m, -mu, m_lowering)):
+        f = [kernel(kap - j, order, z, config).tolist() for j in range(3)]
+        d = (lowering(kap, order), lowering(kap - 1, order))
+        grids += [f[0], [lowered_second_derivative(fz, d, kap, zz)
+                         for zz, *fz in zip(z, *f)]]
     w_real, sum_real, diff_imag, op_resid = [], [], [], []
     op_grid = []
     for x, w, w2, m_plus, m_plus2, m_minus, m_minus2 in zip(x_grid, *grids):

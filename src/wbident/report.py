@@ -32,10 +32,6 @@ ADVISORY_CHECKS = {
     "ode4-basis-printed":
         "fourth-order ODE with the printed a3 constant term; superseded by "
         "the re-derived coefficient",
-    "constants-printed-closed-form":
-        "printed closed-form expressions for c2, c3, c4",
-    "constants-printed-system":
-        "printed trio of linear relations for c2, c3, c4; only the second holds",
     "reconstruction-printed-constants":
         "product-basis reconstruction using the printed-system constants",
 }

@@ -54,6 +54,18 @@ class TestLogGamma:
             err = abs(mp.mpc(got.real, got.imag - 2 * mp.pi * turns) - want)
         assert float(err) <= 1e-15 * float(abs(want))
 
+    @pytest.mark.parametrize("z", [-3700j, 0.3 - 5000j, 0.2 + 4000j, -2.5 + 3620j,
+                                   0.49 - 1e6j, 0.1 + 3615.5j, 0.1 - 3616j])
+    def test_reflection_where_sin_leaves_the_longdouble_range(self, z):
+        # sin(pi z) overflows even in 80 bits beyond |Im z| of about 3600
+        from mpmath import mp
+        with mp.workdps(40):
+            want = mp.loggamma(mp.mpc(z))
+            got = log_gamma(z)
+            turns = mp.nint((got.imag - want.imag) / (2 * mp.pi))
+            err = abs(mp.mpc(got.real, got.imag - 2 * mp.pi * turns) - want)
+        assert float(err) <= 1e-15 * float(abs(want))
+
 
 class TestGammaRatio:
     def test_factors_beyond_double_range_cancel(self):

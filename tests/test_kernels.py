@@ -101,7 +101,7 @@ class TestKummerM:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def kummer_series_term_by_term(a, b, z, config, deriv=False):
+def kummer_series_term_by_term(a, b, z, config):
     """The Kummer series one term per numpy step, as ``kernels._kummer_series``
     summed it before it advanced in blocks: the reference that the block loop
     must equal bit for bit.  Also returns the term at which each point
@@ -109,36 +109,28 @@ def kummer_series_term_by_term(a, b, z, config, deriv=False):
     C, LD = np.clongdouble, np.longdouble
     a, b = C(a), C(b)
     tol = LD(config.series_rel_tol)
-    out = np.empty((3 if deriv else 1, z.size), C)
+    out = np.empty(z.size, C)
     stops = np.zeros(z.size, int)
     if not z.size:
-        return list(out), stops
-    sums = [np.ones(z.size, C)] + [np.zeros(z.size, C) for _ in out[1:]]
+        return out, stops
+    s = np.ones(z.size, C)
     live = np.arange(z.size)
     zl, t, small = z, np.ones(z.size, C), np.zeros(z.size, int)
     for m in range(config.series_max_terms):
         t = t * ((a + m) / ((b + m) * (m + 1))) * zl
-        sums[0] += t
-        if deriv:
-            sums[1] += (m + 1) * t
-            sums[2] += (m * (m + 1)) * t
-        if m % 32 == 31 and not all(np.isfinite(s).all() for s in sums):
+        s += t
+        if m % 32 == 31 and not np.isfinite(s).all():
             raise ConvergenceError(
                 f"Kummer series partial sum is not finite after {m + 1} terms")
-        small = np.where(np.abs(t) <= tol * np.abs(sums[0]), small + 1, 0)
+        small = np.where(np.abs(t) <= tol * np.abs(s), small + 1, 0)
         done = small >= 3
         if done.any():
-            for row, s in zip(out, sums):
-                row[live[done]] = s[done]
+            out[live[done]] = s[done]
             stops[live[done]] = m + 1
             keep = ~done
-            live, zl, t, small = live[keep], zl[keep], t[keep], small[keep]
-            sums = [s[keep] for s in sums]
+            live, zl, t, small, s = live[keep], zl[keep], t[keep], small[keep], s[keep]
             if not live.size:
-                if deriv:
-                    out[1] /= z
-                    out[2] /= z * z
-                return list(out), stops
+                return out, stops
     raise ConvergenceError(
         f"Kummer series did not converge within {config.series_max_terms} terms")
 
@@ -153,9 +145,9 @@ def same_ld_bits(x, y) -> bool:
 
 
 def _series_table(rows: int = 300) -> list:
-    """(a, b, z grid, deriv) from a fixed seed: every other row at the orders
-    of W_{n+1/2,ik} (a = -n + ik, b = 1 + 2ik), the others at complex a and
-    b off the poles; 1 to 13 points in (0, 16]; deriv on every other pair."""
+    """(a, b, z grid) from a fixed seed: every other row at the orders of
+    W_{n+1/2,ik} (a = -n + ik, b = 1 + 2ik), the others at complex a and b
+    off the poles; 1 to 13 points in (0, 16]."""
     rng = np.random.default_rng(20231019)
     table = []
     for i in range(rows):
@@ -165,7 +157,7 @@ def _series_table(rows: int = 300) -> list:
         else:
             a, b = complex(*rng.normal(0, 6, 2)), complex(*rng.normal(0, 6, 2))
         z = tuple((16 * (1 - rng.random(int(rng.integers(1, 14))))).tolist())
-        table.append((a, b, z, i % 4 < 2))
+        table.append((a, b, z))
     return table
 
 
@@ -176,28 +168,27 @@ class TestBlockSeries:
     EDGE_ORDERS = [(1, 1), (-3 + 1j, 1 + 2j), (0.5 + 2j, 1 + 4j), (-10 + 0.5j, 1 + 1j)]
 
     @staticmethod
-    def outcome(series, a, b, z, config, deriv):
+    def outcome(series, a, b, z, config):
         """The series' values, or the message of its ConvergenceError."""
         try:
-            values = series(a, b, np.asarray(z, np.clongdouble), config, deriv)
+            values = series(a, b, np.asarray(z, np.clongdouble), config)
         except ConvergenceError as exc:
             return None, str(exc)
         return (values[0] if series is kummer_series_term_by_term else values), None
 
-    def assert_equal_to_reference(self, a, b, z, deriv, config=None):
+    def assert_equal_to_reference(self, a, b, z, config=None):
         config = config or EvalConfig()
-        want, want_err = self.outcome(kummer_series_term_by_term, a, b, z, config, deriv)
-        got, got_err = self.outcome(kernels._kummer_series, a, b, z, config, deriv)
-        assert got_err == want_err, (a, b, z, deriv)
+        want, want_err = self.outcome(kummer_series_term_by_term, a, b, z, config)
+        got, got_err = self.outcome(kernels._kummer_series, a, b, z, config)
+        assert got_err == want_err, (a, b, z)
         if want is not None:
-            assert len(got) == len(want)
-            assert all(same_ld_bits(g, w) for g, w in zip(got, want)), (a, b, z, deriv)
+            assert same_ld_bits(got, want), (a, b, z)
 
     def test_seeded_table(self):
         table = _series_table()
         stops = set()
-        for a, b, z, deriv in table:
-            self.assert_equal_to_reference(a, b, z, deriv)
+        for a, b, z in table:
+            self.assert_equal_to_reference(a, b, z)
             _, s = kummer_series_term_by_term(a, b, np.asarray(z, np.clongdouble),
                                               EvalConfig())
             stops.add(len({(t - 1) // 32 for t in s.tolist()}))
@@ -205,38 +196,45 @@ class TestBlockSeries:
         assert max(stops) >= 2
 
     @pytest.mark.parametrize("stop", [31, 32, 33])
-    @pytest.mark.parametrize("deriv", [False, True])
-    def test_third_small_term_at_block_edge(self, stop, deriv):
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_third_small_term_at_block_edge(self, stop, reverse):
+        # reverse: the same points in reverse order, which moves each point
+        # to another row of the block arrays and must change no sum
         lattice = np.linspace(0.05, 16, 320).astype(np.clongdouble)
         for a, b in self.EDGE_ORDERS:
             _, stops = kummer_series_term_by_term(a, b, lattice, EvalConfig())
             zs = tuple(lattice[stops == stop].real.tolist())
             assert zs, (a, b, stop)
-            self.assert_equal_to_reference(a, b, zs, deriv)
-            self.assert_equal_to_reference(a, b, zs[:1], deriv)
+            if reverse:
+                zs = zs[::-1]
+            self.assert_equal_to_reference(a, b, zs)
+            self.assert_equal_to_reference(a, b, zs[:1])
             # with the point that stops a block later or earlier
-            self.assert_equal_to_reference(a, b, zs[:1] + (0.01, 16.0), deriv)
+            self.assert_equal_to_reference(a, b, zs[:1] + (0.01, 16.0))
 
     @pytest.mark.parametrize("cap", [10, 20, 21, 22, 31, 32, 33, 40, 63, 64, 65, 100])
     def test_term_budget(self, cap):
         # the exp series stops on term 20 at z = 1 and on term 31 at z = 3.7
         config = EvalConfig(series_max_terms=cap)
         for z in [(1.0,), (3.7,), (1.0, 3.7, 9.0), (16.0,)]:
-            for deriv in (False, True):
-                self.assert_equal_to_reference(1, 1, z, deriv, config)
-                self.assert_equal_to_reference(-3 + 1j, 1 + 2j, z, deriv, config)
+            self.assert_equal_to_reference(1, 1, z, config)
+            self.assert_equal_to_reference(-3 + 1j, 1 + 2j, z, config)
 
     @pytest.mark.parametrize("z", [
         (1e300,), (1.0, 1e300), (1e150,), (1.0, 1e150, 2.0), (1e100,), (1e200,),
         (1e300j,), (-1e300,), (750.0,), (1e4,), (0.5, 1e4),
     ])
-    @pytest.mark.parametrize("deriv", [False, True])
-    def test_overflow_and_divergence(self, z, deriv):
+    @pytest.mark.parametrize("neighbour", [False, True])
+    def test_overflow_and_divergence(self, z, neighbour):
         # the reference raises at the first check (term 32, 64, ...) that sees
-        # a non-finite partial sum, or after series_max_terms
+        # a non-finite partial sum, or after series_max_terms; neighbour adds
+        # a point that stops inside the first block, which leaves the error
+        # to the points still summing
+        if neighbour:
+            z = (0.5,) + z
         for cap in (1000, 40):
-            self.assert_equal_to_reference(1, 1, z, deriv, EvalConfig(series_max_terms=cap))
-            self.assert_equal_to_reference(-3 + 1j, 1 + 2j, z, deriv,
+            self.assert_equal_to_reference(1, 1, z, EvalConfig(series_max_terms=cap))
+            self.assert_equal_to_reference(-3 + 1j, 1 + 2j, z,
                                            EvalConfig(series_max_terms=cap))
 
     def test_raises_past_the_first_block(self):
@@ -338,24 +336,21 @@ class TestOneTermW:
     @pytest.mark.parametrize("n", [0, 5, 12, 25])
     @pytest.mark.parametrize("k", KS)
     def test_equals_two_term_route_on_the_pool(self, n, k):
-        for deriv in (False, True):
-            one = whittaker_w(n + 0.5, 1j * k, self.ZS, deriv=deriv)
-            two = kernels._whittaker_w_two_term(n + 0.5, 1j * k, self.ZS, deriv=deriv)
-            assert ieee_bits(one) == ieee_bits(two)
+        one = whittaker_w(n + 0.5, 1j * k, self.ZS)
+        two = kernels._whittaker_w_two_term(n + 0.5, 1j * k, self.ZS)
+        assert ieee_bits(one) == ieee_bits(two)
         # per point, at every eighth pool x
         for z in self.ZS[::8]:
             assert ieee_bits(whittaker_w(n + 0.5, 1j * k, z)) == ieee_bits(
                 kernels._whittaker_w_two_term(n + 0.5, 1j * k, z))
-            assert ieee_bits(whittaker_w(n + 0.5, 1j * k, z, deriv=True)) == ieee_bits(
-                kernels._whittaker_w_two_term(n + 0.5, 1j * k, z, deriv=True))
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(n=st.integers(0, 25), k=st.floats(1e-3, 5.0), x=st.floats(0.25, 8.0))
     def test_equals_two_term_route_with_positive_zero_imaginary_part(self, n, k, x):
-        values = whittaker_w(n + 0.5, 1j * k, 2 * x, deriv=True)
-        assert ieee_bits(values) == ieee_bits(
-            kernels._whittaker_w_two_term(n + 0.5, 1j * k, 2 * x, deriv=True))
-        assert all(math.copysign(1.0, v.imag) == 1.0 and v.imag == 0.0 for v in values)
+        value = whittaker_w(n + 0.5, 1j * k, 2 * x)
+        assert ieee_bits(value) == ieee_bits(
+            kernels._whittaker_w_two_term(n + 0.5, 1j * k, 2 * x))
+        assert math.copysign(1.0, value.imag) == 1.0 and value.imag == 0.0
 
     @pytest.mark.parametrize("route", [whittaker_w, kernels._whittaker_w_two_term])
     def test_near_degeneracy_warns_on_both_routes(self, route):
@@ -519,16 +514,9 @@ class TestBesselDerivativeIdentity:
 
 
 class TestDerivatives:
-    """The Whittaker kernels' derivatives against mp.diff of mpmath's own
-    whitw and whitm, whose formulas the kernels do not share."""
-
-    DERIV_TOL = 1e-12
-
-    def _check(self, got, fn, at, orders):
-        import mpmath as mp
-        for order, value in zip(orders, got):
-            want = complex(mp.diff(fn, at, order))
-            assert abs(value - want) <= self.DERIV_TOL * abs(want), (at, order)
+    """The Whittaker kernels' values against mpmath's own whitw and whitm,
+    whose formulas the kernels do not share (their second derivatives by the
+    contiguous relations are checked in test_ode.py), and Bessel I's bits."""
 
     @pytest.mark.parametrize("n", [0, 3, 8])
     def test_against_mpmath(self, n):
@@ -537,18 +525,9 @@ class TestDerivatives:
             for k in (0.5, 1.0, 2.0):
                 kappa, mu = n + 0.5, 1j * k
                 for x in (0.5, 2.0, 4.0):
-                    self._check(whittaker_w(kappa, mu, 2 * x, deriv=True),
-                                lambda z: mp.whitw(kappa, mu, z), 2 * x, (0, 1, 2))
-                    self._check(whittaker_m(kappa, mu, 2 * x, deriv=True),
-                                lambda z: mp.whitm(kappa, mu, z), 2 * x, (0, 1, 2))
-
-    def test_no_derivatives_on_laguerre_branch(self):
-        with pytest.raises(DegenerateParameterError):
-            whittaker_w(1.5, 0.0, 2.0, deriv=True)
-
-    def test_values_are_the_value_only_calls(self):
-        assert whittaker_w(3.5, 1j, 3.0, deriv=True)[0] == whittaker_w(3.5, 1j, 3.0)
-        assert whittaker_m(3.5, 1j, 3.0, deriv=True)[0] == whittaker_m(3.5, 1j, 3.0)
+                    for kernel, fn in ((whittaker_w, mp.whitw), (whittaker_m, mp.whitm)):
+                        want = complex(fn(kappa, mu, 2 * x))
+                        assert abs(kernel(kappa, mu, 2 * x) - want) <= 1e-12 * abs(want)
 
     # I as float.hex of (Re I, Im I), recorded with the Gamma(m+nu+1) factor
     # of each series term rebuilt from nu on every term
@@ -583,9 +562,6 @@ class TestGrid:
         values = kernel(n + 0.5, 1j * k, zs)
         assert values.dtype == complex and values.shape == (len(zs),)
         assert values.tolist() == [kernel(n + 0.5, 1j * k, z) for z in zs]
-        derivs = kernel(n + 0.5, 1j * k, zs, deriv=True)
-        per_point = [kernel(n + 0.5, 1j * k, z, deriv=True) for z in zs]
-        assert [d.tolist() for d in derivs] == [list(p) for p in zip(*per_point)]
 
     @pytest.mark.parametrize("k", [0.1, 0.5, 2.526, 4.9])
     @pytest.mark.parametrize("kernel", [bessel_k_quad, bessel_k_via_w])
@@ -617,8 +593,8 @@ class TestGrid:
         lambda: [kummer_m(1, 1, ())],
         lambda: [whittaker_w(2.5, 1j, ())],
         lambda: [whittaker_w(2.5, 0.0, ())],
-        lambda: whittaker_m(2.5, 1j, (), deriv=True),
-        lambda: whittaker_w(2.5, 1j, (), deriv=True),
+        lambda: [whittaker_m(2.5, 1j, ())],
+        lambda: [kernels._whittaker_w_two_term(2.5, 1j, ())],
         lambda: [bessel_k_quad(0.5 + 1j, ())],
         lambda: [bessel_k_via_w(0.5 + 1j, ())],
     ])
@@ -666,6 +642,13 @@ class TestGrid:
             with pytest.raises(ConvergenceError, match=message):
                 kummer_m(1, 1, z)
 
+    def test_gamma_prefactor_below_the_longdouble_range_raises(self):
+        # Gamma(-2i) / Gamma(5000.5 - i) rounds to 0 even in 80 bits, and so
+        # would W; mu = 1e300 i reaches it too, now that log Gamma is finite
+        for kappa, mu in ((-5000.0, 1j), (1.5, 1e300j)):
+            with pytest.raises(ConvergenceError, match="underflows the longdouble range"):
+                whittaker_w(kappa, mu, 2.0)
+
     def test_underflowed_value_raises(self):
         # W_{5/2,500i}(2) is nonzero in 80-bit but below the double range
         with warnings.catch_warnings():
@@ -687,8 +670,8 @@ class TestKernelTable:
         with kernels.kernel_table():
             assert counted(1.0, 2.0) == 3
             assert counted(1.0, 2.0) == 3
-            assert counted(1.0, 2.0, deriv=True) == 4
-            assert counted(1.0, 2.0, deriv=True) == 4
+            assert counted(1.0, 2.0, config=None) == 4
+            assert counted(1.0, 2.0, config=None) == 4
         assert counted(1.0, 2.0) == 5
 
     def test_raising_call_stores_nothing(self):
@@ -708,21 +691,21 @@ class TestKernelTable:
         with kernels.kernel_table():
             values = whittaker_w(3.5, 1j, zs)
             assert whittaker_w(3.5, 1j, zs) is values
-            derivs = whittaker_m(3.5, 1j, zs, deriv=True)
+            m = whittaker_m(3.5, 1j, zs)
             assert len(kernels._TABLE.get()) == 2
-            for stored in (values, *derivs):
+            for stored in (values, m):
                 with pytest.raises(ValueError):
                     stored[0] = 0j
 
     def test_values_match_untabled_calls(self):
         nu = complex(0.5, 1.0)
-        plain = [whittaker_w(3.5, 1j, 3.0), whittaker_m(3.5, 1j, 3.0, deriv=True),
+        plain = [whittaker_w(3.5, 1j, 3.0), whittaker_m(3.5, 1j, 3.0),
                  bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5),
                  bessel_k_via_w(nu, 1.5)]
         with kernels.kernel_table():
             for _ in range(2):
                 assert [whittaker_w(3.5, 1j, 3.0),
-                        whittaker_m(3.5, 1j, 3.0, deriv=True),
+                        whittaker_m(3.5, 1j, 3.0),
                         bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5),
                         bessel_k_via_w(nu, 1.5)] == plain
 

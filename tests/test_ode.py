@@ -21,12 +21,13 @@ from wbident.ode import (BASIS, SolutionConstants, basis_products,
                          c4_closed_form, constants_closed_form,
                          constants_defining_system, constants_printed_system,
                          coupled_residual, indicial_analysis, indicial_reports,
-                         lambda_reconstruction, lift_derivatives, ode4_coeffs,
+                         lambda_reconstruction, lift_derivatives,
+                         lowered_second_derivative, m_lowering, ode4_coeffs,
                          ode4_residual, printed_relation_residuals,
                          product_derivatives, product_solution_check,
                          resolve_constants, solution_constants,
-                         trial_condition_check, whittaker_ode_coeffs,
-                         whittaker_operator_residual)
+                         trial_condition_check, w_lowering,
+                         whittaker_ode_coeffs, whittaker_operator_residual)
 
 ODE4_TOL = EvalConfig().ode4_tol
 
@@ -254,24 +255,75 @@ class TestTrialConditions:
 
     def test_whittaker_equation_control_fails(self):
         # W with first index n+3/2 solves a different Whittaker equation;
-        # its term-by-term second derivative must expose that
-        n, k, x = 3, 1.0, 1.0
-        w, _, w2 = whittaker_w(n + 1.5, 1j * k, 2 * x, deriv=True)
-        assert whittaker_operator_residual(w, 4 * w2, n, k, x) >= 1e-1
+        # its second derivative from the contiguous relations must expose that
+        n, k = 3, 1.0
+        for x in (0.5, 1.0, 2.0):
+            w, w2 = lowered_values(whittaker_w, n + 1.5, 1j * k, 2 * x)
+            assert whittaker_operator_residual(w, 4 * w2, n, k, x) >= 1e-1
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_lowered_second_derivative_against_mpmath(self, n):
+        import mpmath as mp
+        kappa = n + 0.5
+        with mp.workdps(30):
+            for k in (0.1, 1.0, 2.526):
+                for kernel, fn, mu in ((kernels._whittaker_w_two_term, mp.whitw, 1j * k),
+                                       (whittaker_m, mp.whitm, 1j * k),
+                                       (whittaker_m, mp.whitm, -1j * k)):
+                    for z in (1.0, 4.0, 12.0):
+                        want = complex(mp.diff(lambda t: fn(kappa, mu, t), z, 2))
+                        _, got = lowered_values(kernel, kappa, mu, z)
+                        assert abs(got - want) <= 1e-12 * abs(want), (k, kernel, mu, z)
+
+    def test_kappa_dependent_w_error_fails(self, monkeypatch):
+        # W_kappa x (1 + 1e-6 kappa): a term-by-term W'' scales with W, so
+        # the equation holds for it; the relations mix three orders and fail
+        params, xs = OrderParams(n=2, k=0.5), (0.5, 1.0, 2.0, 4.0)
+        two_term = kernels._whittaker_w_two_term
+
+        def scaled(kappa, mu, z, config=None):
+            return two_term(kappa, mu, z, config) * (1 + 1e-6 * kappa)
+
+        def equation(reports):
+            return [r for r in reports if r.check_name == "trial-whittaker-equation"][0]
+
+        assert equation(trial_condition_check(params, xs)).passed
+        monkeypatch.setattr(wbident.ode, "_whittaker_w_two_term", scaled)
+        rep = equation(trial_condition_check(params, xs))
+        assert not rep.passed and rep.max_residual >= 1e-7
+
+    # trial-whittaker-equation fails only at x = 8 in these cells, where the
+    # connection formula's own error for W is up to 9e-10
+    BOX_FAILURES = {(22, 1.0), (25, 0.01), (25, 0.1)}
+
+    def test_box_verdicts(self):
+        failing = set()
+        for n in range(26):
+            for k in (0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0):
+                reports = trial_condition_check(OrderParams(n=n, k=k),
+                                                (0.25, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0))
+                for rep in reports:
+                    if not rep.passed:
+                        assert rep.check_name == "trial-whittaker-equation"
+                        assert max(rep.residuals[-2:]) == rep.max_residual   # x = 8
+                        failing.add((n, k))
+        assert failing == self.BOX_FAILURES
 
 
     def test_trial_check_tables_three_grids(self):
         # the basis check adds nothing to the kernel table; the trial check
-        # adds the two-term W and M at +ik and -ik, one grid each
+        # adds three grids of each factor, the two-term W and M at +ik and
+        # -ik, at kappa = n+1/2, n-1/2 and n-3/2
         params = OrderParams(n=2, k=0.5)
         with kernels.kernel_table():
             product_solution_check(params)
             assert not kernels._TABLE.get()
             trial_condition_check(params, [0.5, 1.0, 2.0, 4.0])
-            added = [key[0] for key in kernels._TABLE.get()]
-        assert sorted(added, key=lambda fn: fn.__name__) == [
-            kernels._whittaker_w_two_term.__wrapped__,
-            kernels.whittaker_m.__wrapped__, kernels.whittaker_m.__wrapped__]
+            added = [(key[0], key[1][1], key[1][0]) for key in kernels._TABLE.get()]
+        assert len(added) == 9 and set(added) == {
+            (fn.__wrapped__, mu, kappa) for fn, mu in (
+                (kernels._whittaker_w_two_term, 0.5j), (kernels.whittaker_m, 0.5j),
+                (kernels.whittaker_m, -0.5j)) for kappa in (2.5, 1.5, 0.5)}
 
     def test_empty_grid_gives_empty_reports(self):
         # an empty grid gives empty reports (run_suite never passes one)
@@ -290,9 +342,21 @@ def factor_at(factor, params, x):
         y = (bessel_i if factor == "I" else bessel_k_quad)(nu, x)
         dy = (bessel_i(nu + 1, x) if factor == "I" else -bessel_k_quad(nu + 1, x))
         return lift_derivatives(y, dy + nu / x * y, *bessel_ode_coeffs(nu, x))
-    kernel = whittaker_m if factor == "M" else whittaker_w
-    y, dz, _ = kernel(n + 0.5, 1j * k, 2 * x, deriv=True)
-    return lift_derivatives(y, 2 * dz, *whittaker_ode_coeffs(n + 0.5, 1j * k, x))
+    kernel, lowering = (whittaker_m, m_lowering) if factor == "M" else (whittaker_w, w_lowering)
+    kappa, mu, z = n + 0.5, 1j * k, 2 * x
+    y = kernel(kappa, mu, z)
+    # z f'_kappa = (kappa - z/2) f_kappa + d_kappa f_{kappa-1}
+    dz = ((kappa - z / 2) * y + lowering(kappa, mu) * kernel(kappa - 1, mu, z)) / z
+    return lift_derivatives(y, 2 * dz, *whittaker_ode_coeffs(kappa, mu, x))
+
+
+def lowered_values(kernel, kappa, mu, z):
+    """(f, f'') at the point z for f = kernel(kappa, mu, .), f'' from the
+    kernel's values at kappa, kappa-1 and kappa-2 by the downward relations."""
+    lowering = m_lowering if kernel is whittaker_m else w_lowering
+    f = [kernel(kappa - j, mu, z) for j in range(3)]
+    d = (lowering(kappa, mu), lowering(kappa - 1, mu))
+    return f[0], lowered_second_derivative(f, d, kappa, z)
 
 
 def per_point_basis_residuals(params, x_grid, variant):
@@ -305,9 +369,9 @@ def per_point_trial_residuals(params, x_grid):
     n, k = params.n, params.k
     out = [[], [], [], []]
     for x in x_grid:
-        w, _, w2 = whittaker_w(n + 0.5, 1j * k, 2 * x, deriv=True)
-        mp, _, mp2 = whittaker_m(n + 0.5, 1j * k, 2 * x, deriv=True)
-        mm, _, mm2 = whittaker_m(n + 0.5, -1j * k, 2 * x, deriv=True)
+        w, w2 = lowered_values(kernels._whittaker_w_two_term, n + 0.5, 1j * k, 2 * x)
+        mp, mp2 = lowered_values(whittaker_m, n + 0.5, 1j * k, 2 * x)
+        mm, mm2 = lowered_values(whittaker_m, n + 0.5, -1j * k, 2 * x)
         s, d = mp + mm, mp - mm
         out[0].append(abs(w.imag) / abs(w))
         out[1].append(abs(s.imag) / abs(s))

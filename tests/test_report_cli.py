@@ -53,6 +53,10 @@ class TestResidualReport:
         assert rep.advisory
         assert "indicial-printed-quadratic" in ADVISORY_CHECKS
 
+    def test_every_advisory_name_is_a_suite_report(self):
+        names = {r.check_name for r in run_suite().reports}
+        assert set(ADVISORY_CHECKS) <= names
+
     def test_fields_are_tuples(self):
         rep = ResidualReport("x", None, [1.0, 2.0], [0.1, 0.2], 1e-6, notes=["a"])
         assert (rep.grid, rep.residuals, rep.notes) == ((1.0, 2.0), (0.1, 0.2), ("a",))
@@ -223,6 +227,14 @@ class TestConfig:
         p.write_text('{"identity_tol": 2e-5}')
         monkeypatch.setenv(ENV_CONFIG_VAR, str(p))
         assert default_config().identity_tol == 2e-5
+        # the file is read on every call
+        p.write_text('{"identity_tol": 3e-5}')
+        assert default_config().identity_tol == 3e-5
+
+    def test_default_is_one_shared_instance(self, monkeypatch):
+        monkeypatch.delenv(ENV_CONFIG_VAR, raising=False)
+        assert default_config() is default_config()
+        assert default_config() == EvalConfig()
 
     def test_too_small_series_budget_surfaces_structured_error(self):
         # a valid but starved budget must fail loudly, not silently truncate

@@ -1,6 +1,7 @@
 """Tests for run_suite's kernel table: each kernel value is evaluated once
 per run, the table ends with the run, and the reports do not change."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -145,6 +146,32 @@ def test_ode4_basis_checks_follow_the_x_grid():
     assert all(r.passed for r in basis if not r.advisory)
 
 
+def test_default_suite_tables_the_m_grid_once(monkeypatch):
+    # the trial check at (2, 0.5) reads M_{+ik} at kappa = 5/2, 3/2 and 1/2
+    # on z = (1, 2, 4, 8), the reconstruction's grids at n = 2, 1 and 0
+    stored = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
+
+    @contextlib.contextmanager
+    def recording_table():
+        token = kernels._TABLE.set(Recording())
+        try:
+            yield
+        finally:
+            kernels._TABLE.reset(token)
+
+    monkeypatch.setattr(wbident.suite, "kernel_table", recording_table)
+    run_suite()
+    assert len(stored) == len(set(stored))
+    m_grids = [key for key in stored if key[0] is kernels.whittaker_m.__wrapped__
+               and key[1][:3] == (2.5, 0.5j, (1.0, 2.0, 4.0, 8.0))]
+    assert len(m_grids) == 1
+
+
 def test_default_suite_never_imports_mpmath():
     # the 50-digit oracle is the only user of mpmath, and only --oracle
     # escalates a collocation fit to it
@@ -173,7 +200,7 @@ def mutant_kernels(old: str = "", new: str = ""):
     return module
 
 
-ONE_TERM = "[2 * (pref * m).real for m in"
+ONE_TERM = "2 * (pref * _whittaker_m_ld(kappa, mu, zs, config)).real"
 QUOTIENT = "pref = _gamma_quotient(-(2 * mu), 0.5 - mu - kappa)"
 ONE_TERM_MUTANTS = {
     "the factor 2 dropped": (ONE_TERM, ONE_TERM.replace("2 * ", "")),
