@@ -53,7 +53,11 @@ public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
 ``lambda_poly.coeffs_from_recurrence`` evaluate each distinct argument
 tuple once: a repeated call with equal positional and keyword arguments
 (``config`` included, a grid keyed by its tuple) returns the stored value.
-Only returned values are stored; a raising call stores nothing.  The table
+A grid call (its z or x a positional tuple) also stores each point's value
+under the key of the per-point call at that point, so a later per-point call
+is served from the grid; this is sound because a grid call equals its
+per-point calls bit for bit.  Only returned values are stored; a raising
+call, grid or not, stores nothing.  The table
 lives in a ``contextvars.ContextVar`` and is dropped when the block exits,
 so outside it nothing is looked up or kept.  A repeated call does not
 re-issue the ``NearDegeneracyWarning`` of its first evaluation.
@@ -92,15 +96,23 @@ def kernel_table():
 
 
 def _tabled(fn):
+    """fn evaluated once per distinct arguments inside ``kernel_table``; a
+    grid call also tables its points under their per-point keys."""
     @functools.wraps(fn)
     def kernel(*args, **kwargs):
         table = _TABLE.get()
         if table is None:
             return fn(*args, **kwargs)
-        key = (fn, args, tuple(kwargs.items()))
+        kw = tuple(kwargs.items())
+        key = (fn, args, kw)
         value = table.get(key, _MISSING)
         if value is _MISSING:
             value = table[key] = fn(*args, **kwargs)
+            for i, arg in enumerate(args):
+                if type(arg) is tuple:
+                    head, tail = args[:i], args[i + 1:]
+                    for point, v in zip(arg, value.tolist()):
+                        table.setdefault((fn, (*head, point, *tail), kw), v)
         return value
     return kernel
 

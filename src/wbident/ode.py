@@ -31,8 +31,9 @@ kernel calls runs per point, so each residual equals the one-point check's
 bit for bit.  The trial check's W comes from the two-term connection formula
 (``kernels._whittaker_w_two_term``), because ``whittaker_w`` returns the
 identity's W as the doubled real part of one term, real by construction.
-The reconstruction's W stays per point: the suite's W realness check has
-already tabled those values.
+The reconstruction's W stays per point: inside ``run_suite`` the kernel
+table serves those values from the one-term W grids of the suite's W
+realness check.
 
 Two variants of the ODE coefficients are provided.  The historically printed
 a3 has constant term 2i(1-2k)(i+k)(i+4k); eliminating conj(L) symbolically
@@ -281,7 +282,9 @@ def product_solution_check(params: OrderParams,
 
 def whittaker_operator_residual(y, d2y, n: int, k: float, x: float) -> float:
     """Normalized residual of L(y) = y'' + (-1 + (2n+1)/x + (1/4+k^2)/x^2) y
-    at x, given y(x) and y''(x)."""
+    at x, given y(x) and y''(x); InputError where x**2 underflows to 0."""
+    if x ** 2 == 0:
+        raise InputError(f"whittaker operator: x**2 underflows at x = {x}")
     potential = (-1.0 + (2 * n + 1) / x + (0.25 + k * k) / x ** 2) * y
     return relative_residual([d2y, potential])
 
@@ -347,9 +350,9 @@ def trial_condition_check(params: OrderParams, x_grid,
     w_real, sum_real, diff_imag, op_resid = [], [], [], []
     op_grid = []
     for x, w, w2, m_plus, m_plus2, m_minus, m_minus2 in zip(x_grid, *grids):
-        w_real.append(abs(w.imag) / abs(w))
+        w_real.append(abs(w.imag) / abs(w) if w != 0 else 0.0)
         s = m_plus + m_minus
-        sum_real.append(abs(s.imag) / abs(s))
+        sum_real.append(abs(s.imag) / abs(s) if s != 0 else 0.0)
         d = m_plus - m_minus
         diff_imag.append(abs(d.real) / abs(d) if d != 0 else 0.0)
         op_grid.extend([float(x), float(x)])
@@ -630,7 +633,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
     nu = complex(-0.5, k)
     m = whittaker_m(n + 0.5, 1j * k, tuple(2 * x for x in x_grid), config)
     residuals = []
-    # W per point: those values are already tabled by the suite's realness check
+    # W per point: in run_suite, the points of the realness check's W grids
     for x, lam_x, m_x in zip(x_grid, lam.tolist(), m.tolist()):
         i_x = bessel_i(nu, x, config)
         w_x = whittaker_w(n + 0.5, 1j * k, 2 * x, config)

@@ -2,8 +2,9 @@
 
 A relation whose terms must cancel is checked by one rule,
 `relative_residual`: |sum of the terms| / max |term|, with 0.0 when every
-term vanishes.  Comparisons of two values and realness checks keep their own
-scales.
+term vanishes.  A value compared with a reference is scored by
+`relative_difference`, |value - reference| / |reference|, with 0.0 when both
+vanish.  Realness checks keep their own scales.
 
 All numbers are printed with 17 significant digits and all JSON keys are
 sorted, so two runs over the same inputs produce byte-identical documents
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -52,6 +54,13 @@ def relative_residual(terms, scale: float | None = None) -> float:
     return float(abs(sum(t / top for t in terms)))
 
 
+def relative_difference(value: complex, reference: complex) -> float:
+    """|value - reference| / |reference|; where the reference is 0, / |value|
+    (1.0), and 0.0 where both vanish."""
+    scale = abs(reference) or abs(value)
+    return abs(value - reference) / scale if scale else 0.0
+
+
 def float_grid(xs) -> tuple[float, ...]:
     """xs as a tuple of floats; a tuple of floats is returned as it is, so
     the reports over one grid share the caller's tuple."""
@@ -72,9 +81,11 @@ def index_grid(start: int, stop: int) -> tuple[float, ...]:
 class ResidualReport:
     """Grid of evaluation points with per-point relative residuals.
 
-    `grid`, `residuals` and `notes` are stored as tuples (a list passed in is
-    copied into one, a tuple is kept as it is), so reports over one grid
-    share it and a kept report holds no spare list capacity.  `passed` is
+    `grid` and `notes` are stored as tuples (a list passed in is copied into
+    one, a tuple is kept as it is), so reports over one grid share it and a
+    kept report holds no spare list capacity.  `residuals` is stored as an
+    ``array('d')``, 8 bytes a value instead of a float object and its tuple
+    slot; iterating it yields Python floats.  `passed` is
     derived: max(residuals) <= threshold (an empty grid counts as passing).
     Advisory reports never fail a suite; their outcome goes to the
     discrepancy ledger instead.
@@ -83,14 +94,14 @@ class ResidualReport:
     check_name: str
     params: OrderParams | None
     grid: tuple[float, ...]
-    residuals: tuple[float, ...]
+    residuals: array
     threshold: float
     advisory: bool | None = None
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
         self.grid = tuple(self.grid)
-        self.residuals = tuple(self.residuals)
+        self.residuals = array("d", self.residuals)
         self.notes = tuple(self.notes)
         if len(self.grid) != len(self.residuals):
             raise ValueError("grid and residuals must have equal length")

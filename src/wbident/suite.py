@@ -10,9 +10,11 @@ evaluated through the Whittaker connection formula (one term, doubled real
 part, at these orders), the right side through the quadrature Bessel-K
 evaluator, so the two sides share no code path.  ``verify_identity`` reads K
 from one quadrature grid call per (n, k), the table entry that
-``kernel_cross_reports`` makes per k, and W per point, the values that the
-``whittaker-w-realness`` check compares with the two-term connection
-formula.
+``kernel_cross_reports`` makes per k, and W per point.  Inside ``run_suite``
+those W reads are served by the kernel table: ``kernel_cross_reports`` reads
+the one-term W as one grid call per (n, k) for the ``whittaker-w-realness``
+check, and the table keeps each point of that grid under its per-point key.
+Outside a kernel table ``verify_identity`` evaluates W point by point.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .lambda_poly import (CoeffVector, coeffs_from_recurrence,
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, resolve_constants,
                   constants_printed_system, trial_condition_check)
-from .report import ResidualReport, VerificationSuiteResult, float_grid, index_grid
+from .report import (ResidualReport, VerificationSuiteResult, float_grid,
+                     index_grid, relative_difference)
 
 DEFAULT_N_MAX = 8
 DEFAULT_K_SET = (0.1, 0.5, 1.0, 2.0)
@@ -86,8 +89,12 @@ def kernel_cross_reports(k_set, x_grid, n_max,
     """Cross-check the two K evaluators, and compare whittaker_w's one-term
     W with the two-term connection formula on the grid.  The second is a
     code-consistency check: at these orders both routes give the same bits,
-    so its residuals read 0.0 unless an edit breaks one route."""
+    so its residuals read 0.0 unless an edit breaks one route.  Each route
+    is one grid call per (n, k); inside ``run_suite`` the one-term grid's
+    points then serve ``verify_identity``'s and the reconstruction's
+    per-point W reads."""
     x_grid = float_grid(x_grid)
+    z = tuple(2 * x for x in x_grid)
     reports = []
     for k in k_set:
         if k == 0:
@@ -100,16 +107,17 @@ def kernel_cross_reports(k_set, x_grid, n_max,
             check_name="kernel-cross-bessel-k",
             params=OrderParams(n=0, k=k),
             grid=x_grid,
-            residuals=[abs(q - w) / abs(q) for q, w in zip(kq.tolist(), kw.tolist())],
+            residuals=[relative_difference(w, q)
+                       for q, w in zip(kq.tolist(), kw.tolist())],
             threshold=config.kernel_cross_tol))
-        # the two-term route on the grid against whittaker_w's one-term value
-        # per point, which verify_identity and the reconstruction look up
+        # the two-term route against whittaker_w's one-term value, one grid
+        # each per (n, k); the table keeps each one-term point, which
+        # verify_identity and the reconstruction look up
         realness = []
         for n in range(n_max + 1):
-            w2 = _whittaker_w_two_term(n + 0.5, 1j * k,
-                                       tuple(2 * x for x in x_grid), config)
-            for x, two in zip(x_grid, w2.tolist()):
-                one = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
+            w2 = _whittaker_w_two_term(n + 0.5, 1j * k, z, config)
+            w1 = whittaker_w(n + 0.5, 1j * k, z, config)
+            for one, two in zip(w1.tolist(), w2.tolist()):
                 scale = max(abs(one), abs(two))
                 realness.append(abs(two - one) / scale if scale else 0.0)
         reports.append(ResidualReport(
@@ -150,7 +158,7 @@ def oracle_equivalence_report(params: OrderParams,
     """Collocation-fitted coefficients vs recurrence-generated ones."""
     cv = coeffs_from_recurrence(params, config)
     fit = collocation_oracle(params, config=config)
-    residuals = [abs(f - a) / abs(a) for f, a in zip(fit.a, cv.a)]
+    residuals = [relative_difference(f, a) for f, a in zip(fit.a, cv.a)]
     return ResidualReport(
         check_name="oracle-equivalence",
         params=params,

@@ -11,10 +11,12 @@ import os
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from wbident.cli import main
+from wbident.errors import WbidentError
+from wbident.suite import run_suite
 
 
 def trial_grids_are_nonempty(reports):
@@ -47,6 +49,7 @@ ROWS = [
     ("eval whittaker-w 1.5 1e300j 2.0", 2, None, False),
     ("verify --check trial --n 2 --k 500", 2, None, False),
     ("verify --check reconstruction --n 2 --k 230", 2, None, False),
+    ("verify --check trial --n 0 --k 1 --x-grid 1e-300", 2, None, False),
     ("eval kummer-m 1 1 1e300", 2, None, False),
     ("--config old-config.json coeffs --n 1 --k 1", 2, None, False),
     ("eval whittaker-w 1.5 1e300j 2.0", 2, None, True),
@@ -112,10 +115,71 @@ def test_smoke_command(smoke, argv, code, match, strict, capsys):
 def test_verify_identity_exits_with_a_code(n, k, xs):
     # grids inside and just outside [0.25, 8]; exit 2 always with an error
     # line, and nothing raised
-    argv = ["verify", "--check", "identity", "--n", str(n), "--k", repr(k),
-            "--x-grid", ",".join(map(repr, xs))]
+    exit_code(["verify", "--check", "identity", "--n", str(n), "--k", repr(k),
+               "--x-grid", ",".join(map(repr, xs))])
+
+
+def exit_code(argv) -> int:
+    """main(argv)'s exit code; exit 2 always with an error line, and
+    nothing raised."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
+    return code
+
+
+# each check's valid box, and values just outside it
+CHECKS = ["coupled", "second-order", "trial", "reconstruction", "indicial"]
+VALID_N, VALID_K = st.integers(0, 25), st.floats(0.0, 6.0)
+VALID_X = {"trial": st.floats(0.25, 8.0), "reconstruction": st.floats(0.5, 6.0)}
+BAD_N = st.sampled_from([-1, 26])
+BAD_K = st.sampled_from([-1.0, -2e-311, 1e-9, 230.0, 600.0])
+BAD_X = st.sampled_from([-1.0, 0.0, 1e-300, 0.2, 6.5, 9.0])
+
+
+def verify_argv(check, n, k, xs) -> list[str]:
+    # "--k=" keeps a value such as -2e-311 from reading as an option
+    argv = ["verify", "--check", check, f"--n={n}", f"--k={k!r}"]
+    if xs is not None:
+        argv.append("--x-grid=" + ",".join(map(repr, xs)))
+    return argv
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data(), check=st.sampled_from(CHECKS), n=VALID_N, k=VALID_K)
+def test_verify_checks_in_their_box_exit_with_a_code(data, check, n, k):
+    xs = (data.draw(st.lists(VALID_X[check], min_size=1, max_size=4))
+          if check in VALID_X else None)
+    event(f"{check} exit {exit_code(verify_argv(check, n, k, xs))}")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(check=st.sampled_from(CHECKS), spoil=st.sampled_from(["n", "k", "x"]),
+       n=BAD_N, k=BAD_K, x=BAD_X)
+def test_verify_checks_outside_their_box_exit_with_a_code(check, spoil, n, k, x):
+    # one input outside the box; coupled, second-order and indicial refuse
+    # any --x-grid
+    argv = verify_argv(check, n if spoil == "n" else 2, k if spoil == "k" else 0.5,
+                       [0.5, 1.0, x] if spoil == "x" else None)
+    event(f"{check} exit {exit_code(argv)}")
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(n_max=st.integers(0, 6), ks=st.lists(VALID_K, max_size=3),
+       xs=st.lists(VALID_X["trial"], min_size=1, max_size=4),
+       spoil=st.sampled_from([None, None, "n", "k", "x"]),
+       bad_n=BAD_N, bad_k=BAD_K, bad_x=BAD_X)
+def test_run_suite_raises_only_wbident_errors(n_max, ks, xs, spoil, bad_n, bad_k, bad_x):
+    # a bounded box around the defaults, with at most one input outside it:
+    # any exception but WbidentError escapes
+    try:
+        result = run_suite(n_max=bad_n if spoil == "n" else n_max,
+                           k_set=ks + [bad_k] if spoil == "k" else ks,
+                           x_grid=xs + [bad_x] if spoil == "x" else xs)
+    except WbidentError as exc:
+        event(type(exc).__name__)
+        return
+    event("report")
+    assert result.reports

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 
@@ -687,15 +688,74 @@ class TestKernelTable:
         assert kernels._TABLE.get() is None
 
     def test_grid_call_is_one_read_only_entry(self):
+        # one grid entry per call, plus one point entry per grid point
         zs = (1.0, 2.0, 4.0)
         with kernels.kernel_table():
             values = whittaker_w(3.5, 1j, zs)
             assert whittaker_w(3.5, 1j, zs) is values
             m = whittaker_m(3.5, 1j, zs)
-            assert len(kernels._TABLE.get()) == 2
+            table = kernels._TABLE.get()
+            grids = {key for key in table if type(key[1][2]) is tuple}
+            assert grids == {(fn.__wrapped__, (3.5, 1j, zs), ())
+                             for fn in (whittaker_w, whittaker_m)}
+            assert {key: value for key, value in table.items() if key not in grids} == {
+                (fn.__wrapped__, (3.5, 1j, z), ()): v
+                for fn, grid in ((whittaker_w, values), (whittaker_m, m))
+                for z, v in zip(zs, grid.tolist())}
             for stored in (values, m):
                 with pytest.raises(ValueError):
                     stored[0] = 0j
+
+    GRIDDED = [
+        (whittaker_m, (8.5, 2.526j)), (whittaker_w, (8.5, 2.526j)),
+        (whittaker_w, (0.0, 0.5 + 1j)), (kernels._whittaker_w_two_term, (8.5, 2.526j)),
+        (bessel_k_quad, (0.5 + 2j,)), (bessel_k_via_w, (0.5 + 2j,)),
+    ]
+
+    @staticmethod
+    def entries(kernel, call) -> int:
+        """How often call() enters the body of the tabled kernel."""
+        code = kernel.__wrapped__.__code__
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "call" and frame.f_code is code
+
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(None)
+        return count
+
+    @pytest.mark.parametrize("kernel, orders", GRIDDED,
+                             ids=[f"{fn.__name__}{orders}" for fn, orders in GRIDDED])
+    def test_grid_serves_its_points(self, kernel, orders):
+        # a per-point call after a grid call that holds the point does not
+        # enter the kernel, and returns the bits of an untabled call
+        xs = (0.5, 1.1, 2.0, 3.3, 6.5)
+        bits = lambda v: (v.real.hex(), v.imag.hex())
+        plain = [bits(kernel(*orders, x)) for x in xs]
+        with kernels.kernel_table():
+            assert self.entries(kernel, lambda: kernel(*orders, xs)) == 1
+            served = []
+            assert self.entries(kernel, lambda: served.extend(
+                kernel(*orders, x) for x in xs)) == 0
+            cfg = EvalConfig()
+            assert self.entries(kernel, lambda: kernel(*orders, xs[0], cfg)) == 1
+        assert all(type(v) is complex for v in served)
+        assert [bits(v) for v in served] == plain
+
+    def test_raising_grid_call_tables_no_points(self):
+        # with this budget x = 8 converges on its own and x = 16 does not
+        cfg = EvalConfig(quad_max_halvings=3, quad_step=1.0)
+        nu = complex(0.5, 2.0)
+        with kernels.kernel_table():
+            with pytest.raises(ConvergenceError):
+                bessel_k_quad(nu, (8.0, 16.0), cfg)
+            assert kernels._TABLE.get() == {}
+            assert self.entries(bessel_k_quad, lambda: bessel_k_quad(nu, 8.0, cfg)) == 1
 
     def test_values_match_untabled_calls(self):
         nu = complex(0.5, 1.0)

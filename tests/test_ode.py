@@ -4,6 +4,7 @@ connection constants."""
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -313,17 +314,36 @@ class TestTrialConditions:
     def test_trial_check_tables_three_grids(self):
         # the basis check adds nothing to the kernel table; the trial check
         # adds three grids of each factor, the two-term W and M at +ik and
-        # -ik, at kappa = n+1/2, n-1/2 and n-3/2
+        # -ik, at kappa = n+1/2, n-1/2 and n-3/2, and each grid's points
         params = OrderParams(n=2, k=0.5)
+        zs = (1.0, 2.0, 4.0, 8.0)
         with kernels.kernel_table():
             product_solution_check(params)
             assert not kernels._TABLE.get()
             trial_condition_check(params, [0.5, 1.0, 2.0, 4.0])
-            added = [(key[0], key[1][1], key[1][0]) for key in kernels._TABLE.get()]
-        assert len(added) == 9 and set(added) == {
-            (fn.__wrapped__, mu, kappa) for fn, mu in (
-                (kernels._whittaker_w_two_term, 0.5j), (kernels.whittaker_m, 0.5j),
-                (kernels.whittaker_m, -0.5j)) for kappa in (2.5, 1.5, 0.5)}
+            added = [(key[0], key[1][1], key[1][0], key[1][2])
+                     for key in kernels._TABLE.get()]
+        grids = [key for key in added if type(key[3]) is tuple]
+        orders = {(fn.__wrapped__, mu, kappa) for fn, mu in (
+            (kernels._whittaker_w_two_term, 0.5j), (kernels.whittaker_m, 0.5j),
+            (kernels.whittaker_m, -0.5j)) for kappa in (2.5, 1.5, 0.5)}
+        assert len(grids) == 9 and set(grids) == {(*o, zs) for o in orders}
+        points = [key for key in added if type(key[3]) is not tuple]
+        assert len(points) == 9 * 4 and set(points) == {
+            (*o, z) for o in orders for z in zs}
+
+    @pytest.mark.parametrize("factor, report", [
+        ("_whittaker_w_two_term", "trial-w-realness"),
+        ("whittaker_m", "trial-m-sum-realness"),
+    ])
+    def test_vanishing_factor_scores_zero(self, factor, report, monkeypatch):
+        # a realness residual divides by |W| or |M_{+} + M_{-}|; where the
+        # value is 0, its imaginary part is too, and the residual is 0
+        monkeypatch.setattr(wbident.ode, factor,
+                            lambda kappa, mu, z, config: np.zeros(len(z), complex))
+        reports = trial_condition_check(OrderParams(n=2, k=0.5), (0.5, 1.0))
+        rep = next(r for r in reports if r.check_name == report)
+        assert tuple(rep.residuals) == (0.0, 0.0) and rep.passed
 
     def test_empty_grid_gives_empty_reports(self):
         # an empty grid gives empty reports (run_suite never passes one)
@@ -430,19 +450,19 @@ class TestGridEqualsPerPoint:
     def test_basis_check(self, n, k, variant):
         params = OrderParams(n=n, k=k)
         rep = product_solution_check(params, x_grid=self.XS, variant=variant)
-        assert rep.residuals == tuple(per_point_basis_residuals(params, self.XS, variant))
+        assert tuple(rep.residuals) == tuple(per_point_basis_residuals(params, self.XS, variant))
 
     @pytest.mark.parametrize("n, k", ORDERS)
     def test_trial_check(self, n, k):
         params = OrderParams(n=n, k=k)
-        got = [r.residuals for r in trial_condition_check(params, self.XS)]
+        got = [tuple(r.residuals) for r in trial_condition_check(params, self.XS)]
         assert got == [tuple(r) for r in per_point_trial_residuals(params, self.XS)]
 
     @pytest.mark.parametrize("n, k", ORDERS + [(0, 0.0), (3, 0.0), (6, 2.0)])
     def test_reconstruction(self, n, k):
         params = OrderParams(n=n, k=k)
         rep = lambda_reconstruction(params, self.XS + (6.0,))
-        assert rep.residuals == tuple(per_point_reconstruction_residuals(
+        assert tuple(rep.residuals) == tuple(per_point_reconstruction_residuals(
             params, self.XS + (6.0,)))
 
 

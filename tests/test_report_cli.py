@@ -18,7 +18,8 @@ from wbident.kernels import OrderParams
 from wbident.lambda_poly import laguerre_closed_form
 from wbident.report import (ADVISORY_CHECKS, ResidualReport,
                             VerificationSuiteResult, canonical_json, export,
-                            index_grid, relative_residual)
+                            index_grid, relative_difference,
+                            relative_residual)
 from wbident.suite import run_suite, verify_identity
 
 
@@ -58,10 +59,21 @@ class TestResidualReport:
         assert set(ADVISORY_CHECKS) <= names
 
     def test_fields_are_tuples(self):
+        # grid and notes are tuples; residuals are a compact array('d') that
+        # yields the Python floats passed in
         rep = ResidualReport("x", None, [1.0, 2.0], [0.1, 0.2], 1e-6, notes=["a"])
-        assert (rep.grid, rep.residuals, rep.notes) == ((1.0, 2.0), (0.1, 0.2), ("a",))
+        assert (rep.grid, rep.notes) == ((1.0, 2.0), ("a",))
+        assert rep.residuals.typecode == "d" and rep.residuals.itemsize == 8
+        assert tuple(rep.residuals) == (0.1, 0.2)
+        assert all(type(r) is float for r in rep.residuals)
         grid = (1.0, 2.0)
         assert ResidualReport("x", None, grid, (0.1, 0.2), 1e-6).grid is grid
+
+    def test_residual_array_keeps_every_bit(self):
+        values = (0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 1.7976931348623157e308)
+        rep = ResidualReport("x", None, (1.0,) * 5, values, 1e-6)
+        assert [r.hex() for r in rep.residuals] == [v.hex() for v in values]
+        assert rep.as_json_dict()["residuals"] == list(values)
 
     def test_index_grid_is_shared(self):
         assert index_grid(0, 4) == (0.0, 1.0, 2.0, 3.0)
@@ -72,6 +84,16 @@ class TestResidualReport:
         assert set(d) == {"check", "params", "grid", "residuals", "threshold",
                           "pass", "advisory", "notes"}
         assert d["params"] == {"n": 1, "k": 1.0}
+
+
+class TestRelativeDifference:
+    def test_over_the_reference(self):
+        assert relative_difference(3.0 + 4j, 3.0) == 4 / 3
+        assert relative_difference(1.0, 1.0) == 0.0
+
+    def test_zero_reference(self):
+        assert relative_difference(0j, 0.0) == 0.0
+        assert relative_difference(2j, 0.0) == 1.0
 
 
 class TestRelativeResidual:

@@ -6,13 +6,16 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import wbident.suite
 from wbident import kernels, lambda_poly
 from wbident.config import EvalConfig
 from wbident.ode import constants_printed_system, lambda_reconstruction
+from wbident.report import canonical_json, reports_to_csv
 from wbident.suite import run_suite, verify_identity
 
 SMALL = dict(n_max=2, k_set=(0.5, 1.0), x_grid=(0.5, 1.0, 2.0))
@@ -105,7 +108,7 @@ def test_identity_residuals_equal_per_point_lambda(n, k):
     # runs element by element, so every residual keeps its bits
     params = kernels.OrderParams(n=n, k=k)
     xs = (0.25, 0.7, 1.3, 2.0, 3.9, 6.1, 7.805, 8.0)
-    assert verify_identity(params, xs).residuals == tuple(
+    assert tuple(verify_identity(params, xs).residuals) == tuple(
         per_point_identity_residuals(params, xs))
 
 
@@ -170,6 +173,89 @@ def test_default_suite_tables_the_m_grid_once(monkeypatch):
     m_grids = [key for key in stored if key[0] is kernels.whittaker_m.__wrapped__
                and key[1][:3] == (2.5, 0.5j, (1.0, 2.0, 4.0, 8.0))]
     assert len(m_grids) == 1
+
+
+def one_term_w_entries(run) -> tuple[Counter, object]:
+    """Entries into whittaker_w's body at the identity's orders (real kappa,
+    imaginary mu) during run(), counted as "grid" calls on z = 2x of the
+    default x grid, "other grid" calls and "point" calls; and run()'s value."""
+    code = kernels.whittaker_w.__wrapped__.__code__
+    suite_z = tuple(2 * x for x in wbident.suite.DEFAULT_X_GRID)
+    entered = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            kappa, mu, z = (frame.f_locals[v] for v in ("kappa", "mu", "z"))
+            if complex(kappa).imag == 0 and complex(mu).real == 0 and mu != 0:
+                entered["point" if type(z) is not tuple
+                        else "grid" if z == suite_z else "other grid"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return entered, result
+
+
+def test_default_suite_reads_one_term_w_as_grids():
+    # one grid per (n, k), n = 0..8 and four k; verify_identity's and the
+    # reconstruction's per-point W reads are served by the grids' points.
+    # The other grids are the collocation fits' right sides, n <= 2 and
+    # k = 0.5, 1, 2
+    assert one_term_w_entries(run_suite)[0] == {"grid": 36, "other grid": 9}
+
+
+def test_point_tabling_changes_no_byte(monkeypatch):
+    # a table that ignores setdefault keeps grid entries but no point
+    # entries, so every per-point W is evaluated again
+    ignored = []
+
+    class NoPoints(dict):
+        def setdefault(self, key, default=None):
+            ignored.append(key)
+            return default
+
+    @contextlib.contextmanager
+    def no_points_table():
+        token = kernels._TABLE.set(NoPoints())
+        try:
+            yield
+        finally:
+            kernels._TABLE.reset(token)
+
+    tabled = run_suite()
+    monkeypatch.setattr(wbident.suite, "kernel_table", no_points_table)
+    entered, untabled = one_term_w_entries(run_suite)
+    # the 216 identity points, whose entries then serve the reconstruction
+    assert ignored and entered["point"] == 216
+    assert canonical_json(tabled.as_json_dict()) == canonical_json(untabled.as_json_dict())
+    assert reports_to_csv(tabled.reports) == reports_to_csv(untabled.reports)
+
+
+@pytest.mark.parametrize("via_w, want", [(0j, 0.0), (1e-3 + 0j, 1.0)])
+def test_vanishing_k_scores_by_the_other_side(via_w, want, monkeypatch):
+    # kernel-cross-bessel-k divides by |K|: 0 where both routes give 0, and
+    # 1 where only the quadrature does
+    monkeypatch.setattr(wbident.suite, "bessel_k_quad",
+                        lambda nu, xs, config: np.zeros(len(xs), complex))
+    monkeypatch.setattr(wbident.suite, "bessel_k_via_w",
+                        lambda nu, xs, config: np.full(len(xs), via_w))
+    reports = wbident.suite.kernel_cross_reports((1.0,), (0.5, 1.0), 0, EvalConfig())
+    rep = next(r for r in reports if r.check_name == "kernel-cross-bessel-k")
+    assert tuple(rep.residuals) == (want, want)
+
+
+def test_vanishing_coefficient_scores_zero(monkeypatch):
+    # oracle-equivalence divides by each recurrence coefficient; a zero one
+    # matched by a zero fit scores 0
+    coeffs = SimpleNamespace(a=(0j, 1 + 1j))
+    monkeypatch.setattr(wbident.suite, "coeffs_from_recurrence", lambda p, c: coeffs)
+    monkeypatch.setattr(wbident.suite, "collocation_oracle",
+                        lambda p, config: SimpleNamespace(a=(0j, 1 + 1j), convention="fit"))
+    rep = wbident.suite.oracle_equivalence_report(
+        kernels.OrderParams(n=1, k=1.0), EvalConfig())
+    assert tuple(rep.residuals) == (0.0, 0.0) and rep.passed
 
 
 def test_default_suite_never_imports_mpmath():
