@@ -38,20 +38,16 @@ _EVAL_KERNELS = {
 }
 
 
-def _second_order(params, grid, config):
-    cv = coeffs_from_recurrence(params, config)
-    return [check_second_order(cv, variant, config)
-            for variant in ("printed", "derived")]
-
-
 # verify --check name -> (EvalConfig threshold that --tol overrides, default
 # x grid, runner(params, x grid, config) returning the check's reports)
 _CHECKS = {
     "identity": ("identity_tol", DEFAULT_X_GRID,
                  lambda p, grid, c: [verify_identity(p, grid, c)]),
     "coupled": ("coupled_tol", None,
-                lambda p, grid, c: [coupled_residual(coeffs_from_recurrence(p, c), c)]),
-    "second-order": ("second_order_tol", None, _second_order),
+                lambda p, grid, c: [coupled_residual(p, c)]),
+    "second-order": ("second_order_tol", None,
+                     lambda p, grid, c: [check_second_order(p, v, c)
+                                         for v in ("printed", "derived")]),
     "ode4-basis": ("ode4_tol", (0.5, 1.0, 2.0, 4.0),
                    lambda p, grid, c: [product_solution_check(p, c, x_grid=grid)]),
     "indicial": ("indicial_tol", None, lambda p, grid, c: indicial_reports(p, c)),
@@ -158,6 +154,8 @@ def _cmd_verify(args, config: EvalConfig) -> int:
         export(result if len(reports) > 1 else reports[0], args.format, args.out)
     for rep in result.sorted_reports():
         _print_report(rep, rep.check_name)
+        for note in rep.notes:
+            print(f"{'':14s} note: {note}")
     return 0 if result.ok() else 1
 
 

@@ -49,8 +49,9 @@ every node raises too.
 Inside a ``with kernel_table():`` block (``run_suite`` runs in one) the five
 public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
 ``bessel_k_quad`` and ``bessel_k_via_w``, the private
-``_whittaker_w_two_term``, and the coefficient builder
-``lambda_poly.coeffs_from_recurrence`` evaluate each distinct argument
+``_whittaker_w_two_term``, the coefficient builder
+``lambda_poly.coeffs_from_recurrence`` and the integers of the coefficient
+relations ``lambda_poly._lambda_integers`` evaluate each distinct argument
 tuple once: a repeated call with equal positional and keyword arguments
 (``config`` included, a grid keyed by its tuple) returns the stored value.
 A grid call (its z or x a positional tuple) also stores each point's value
@@ -60,7 +61,9 @@ per-point calls bit for bit.  Only returned values are stored; a raising
 call, grid or not, stores nothing.  The table
 lives in a ``contextvars.ContextVar`` and is dropped when the block exits,
 so outside it nothing is looked up or kept.  A repeated call does not
-re-issue the ``NearDegeneracyWarning`` of its first evaluation.
+re-issue the ``NearDegeneracyWarning`` of its first evaluation; the warning
+names the first caller outside this module, past the kernels and their
+wrappers.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import sys
 import warnings
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -279,10 +283,15 @@ def _refuse_integer_two_mu(mu: complex, config: EvalConfig) -> None:
             f"whittaker_w: 2*mu = {two_mu} is an integer; "
             "the connection formula is invalid there")
     if dist < config.mu_degeneracy_tol:
+        # name the first caller outside this module, past the kernels and
+        # their _tabled wrappers
+        frame, level = sys._getframe(1), 2
+        while frame.f_back is not None and frame.f_code.co_filename == __file__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"whittaker_w: 2*mu = {two_mu} is within {config.mu_degeneracy_tol} "
             "of an integer; expect severe cancellation",
-            NearDegeneracyWarning, stacklevel=3)
+            NearDegeneracyWarning, stacklevel=level)
 
 
 @_tabled

@@ -11,15 +11,14 @@ The coefficients obey the first-order recurrence
 
     m (m - 2ik) a_{m+1} + (1+2n) a_m + (1-2m) conj(a_m) = 0,   1 <= m <= n,
 
-with conj(a_{n+1}) = a_{n+1}.  Two starting values a_1 are self-consistent
-with the realness of a_{n+1} up to sign:
+with conj(a_{n+1}) = a_{n+1}.  Of the two starting values
 
     (1-ik)_n convention:  a_1 = (-1)^n (1-ik)_n / sqrt(pi)   ->  a_{n+1} = +2^n/sqrt(pi)
-    (1+ik)_n convention:  a_1 = (-1)^n (1+ik)_n / sqrt(pi)   ->  a_{n+1} = -2^n/sqrt(pi)
+    (1+ik)_n convention:  a_1 = (-1)^n (1+ik)_n / sqrt(pi)   ->  a_{n+1} non-real
 
-Only the (1-ik)_n convention satisfies the identity against the actual
-Whittaker function (the collocation oracle arbitrates this); it is the
-resolved convention used throughout.
+(-2^n/sqrt(pi) at n = 3, k = 1), only the (1-ik)_n convention satisfies the
+identity against the actual Whittaker function (the collocation oracle
+arbitrates this); it is the resolved convention used throughout.
 
 The recurrence is iterated exactly on Python integers: every float k is an
 exact ratio p/q, so each a_m * sqrt(pi) is a Gaussian integer R_m + i I_m
@@ -28,6 +27,11 @@ for the whole vector.  The only rounding is the final correctly rounded
 division R_m / d_m.  (A plain double-precision upward iteration loses ~1e-6
 by n = 20: the wanted solution decays by many orders from a_1 to a_{n+1}
 while rounding noise does not.)
+The coefficient relations are scored exactly on these integers, brought to
+the common denominator (_lambda_integers), by report.exact_relative_residual,
+so the ones that hold read 0.0: the top coefficient (top_coeff_residuals),
+the coupled equation (coupled_equation_residuals; its x^{m-1} coefficient is
+this recurrence at m) and the five-factor recurrence (check_second_order).
 """
 
 from __future__ import annotations
@@ -43,12 +47,14 @@ from .config import EvalConfig, default_config
 from .core import SQRT_PI, pochhammer
 from .errors import InputError, InvariantViolationError
 from .kernels import OrderParams, _tabled, bessel_k_quad, whittaker_w
-from .report import ResidualReport, index_grid, relative_residual
+from .report import ResidualReport, exact_relative_residual, index_grid
 
 CONVENTION_MINUS = "(1-ik)_n"       # resolved convention
 CONVENTION_PLUS = "(1+ik)_n"        # mirror convention (fails the identity)
 
 COLLOCATION_RANGE = (0.25, 6.0)
+EXACT_NOTES = ("exact on the Gaussian integers sqrt(pi) d_{n+1} a_m; the "
+               "double-rounded CoeffVector is not read",)
 
 @dataclass(frozen=True, slots=True)
 class CoeffVector:
@@ -130,6 +136,43 @@ def _top_is_exact(scaled, n: int) -> bool:
 
 
 @_tabled
+def _lambda_integers(params: OrderParams):
+    """(P, D, p, q): P[j] = sqrt(pi) D a_{j+1}, j = 0..n, as Gaussian
+    integers (re, im) over D = d_{n+1}, and k = p/q; tabled like
+    coeffs_from_recurrence."""
+    scaled = _scaled_coeffs(params.n, params.k, CONVENTION_MINUS)
+    top = scaled[-1][2]
+    big = tuple((re * (top // d), im * (top // d)) for re, im, d in scaled)
+    return (big, top, *params.k.as_integer_ratio())
+
+
+def _gaussian_product(a, b) -> tuple[int, int]:
+    """a b for Gaussian integers a, b given as (re, im)."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def top_coeff_residuals(params: OrderParams) -> list[float]:
+    """Exact residuals of sqrt(pi) a_{n+1} = 2^n: P_n against 2^n D, and
+    Im P_n against P_n (the sum of P_n and -Re P_n)."""
+    big, top, _, _ = _lambda_integers(params)
+    re, im = big[-1]
+    return [exact_relative_residual([(re, im), (-2 ** params.n * top, 0)]),
+            exact_relative_residual([(re, im), (-re, 0)])]
+
+
+def coupled_equation_residuals(params: OrderParams) -> list[float]:
+    """Exact residuals of the coupled equation's coefficients x^0..x^n (see
+    ode): with P_{n+1} = 0, q times coefficient j has the terms
+    (j+1)((j+1)q - 2ip) P_{j+1}, q(2n+1) P_j and -q(2j+1) conj(P_j)."""
+    big, _, p, q = _lambda_integers(params)
+    a, up = q * (2 * params.n + 1), big[1:] + ((0, 0),)
+    return [exact_relative_residual([
+        _gaussian_product(((j + 1) ** 2 * q, -2 * (j + 1) * p), up[j]),
+        (a * re, a * im), (-q * (2 * j + 1) * re, q * (2 * j + 1) * im)])
+        for j, (re, im) in enumerate(big)]
+
+
+@_tabled
 def coeffs_from_recurrence(params: OrderParams,
                            config: EvalConfig | None = None,
                            convention: str = CONVENTION_MINUS) -> CoeffVector:
@@ -185,71 +228,57 @@ def laguerre_closed_form(n: int) -> CoeffVector:
                        convention=CONVENTION_MINUS)
 
 
-def first_order_residuals(cv: CoeffVector) -> list[float]:
-    """Relative residuals of the first-order recurrence at m = 1..n on the
-    float-rounded coefficients (the exact path satisfies it identically)."""
-    n, k = cv.params.n, cv.params.k
-    return [relative_residual([m * complex(m, -2 * k) * cv.a_m(m + 1),
-                               (1 + 2 * n) * cv.a_m(m),
-                               (1 - 2 * m) * cv.a_m(m).conjugate()])
-            for m in range(1, n + 1)]
-
-
 # --- five-factor second-order recurrence (advisory) ------------------------
 #
-# Eliminating conj(a_m) from the first-order pair gives
+# Eliminating conj(a_m) from the first-order pair gives the "derived" variant
 #
 #   m(m+1)(2m-1)(m+2ik)(m+1-2ik) a_{m+2}
 #     + 4(1+2n) m (m^2 - ik) a_{m+1}
 #     + 4(1+2m)(n+m)(1+n-m) a_m = 0,        1 <= m <= n-1.
 #
-# The "printed" variant below is the historically quoted form; it does not
-# hold on the generated coefficients and is checked advisorily only.
+# The historically quoted "printed" variant, checked advisorily only, does
+# not hold on the generated coefficients:
+#
+#   m(m+1)(2m-1)(m+2ik)(m-1-2ik) a_{m+2}
+#     + (1+2n) m (3m^2 + m - 2ik) a_{m+1}
+#     - 4(1+2m)(n+m)(1+n-m) a_m = 0.
 
-def _second_order_terms(n: int, k: float, m: int, variant: str):
-    ik = 1j * k
+def _second_order_factors(n: int, p: int, q: int, m: int, variant: str):
+    """q^2 times the variant's factors of a_{m+2}, a_{m+1} and a_m above, as
+    Gaussian integers (re, im), for k = p/q."""
     lead = m * (m + 1) * (2 * m - 1)
-    if variant == "printed":
-        c2 = lead * (m + 2 * ik) * (m - 1 - 2 * ik)
-        c1 = (1 + 2 * n) * m * (3 * m * m + m - 2 * ik)
-        c0 = -4.0 * (1 + 2 * m) * (n + m) * (1 + n - m)
-    elif variant == "derived":
-        c2 = lead * (m + 2 * ik) * (m + 1 - 2 * ik)
-        c1 = 4 * (1 + 2 * n) * m * (m * m - ik)
-        c0 = 4.0 * (1 + 2 * m) * (n + m) * (1 + n - m)
-    else:
-        raise InputError(f"unknown second-order variant {variant!r}")
-    return c2, c1, c0
+    c0 = 4 * (1 + 2 * m) * (n + m) * (1 + n - m) * q * q
+    if variant == "derived":
+        return ((lead * (m * (m + 1) * q * q + 4 * p * p), 2 * lead * p * q),
+                (4 * (1 + 2 * n) * m ** 3 * q * q, -4 * (1 + 2 * n) * m * p * q),
+                (c0, 0))
+    return ((lead * (m * (m - 1) * q * q + 4 * p * p), -2 * lead * p * q),
+            ((1 + 2 * n) * m * (3 * m * m + m) * q * q, -2 * (1 + 2 * n) * m * p * q),
+            (-c0, 0))
 
 
-def second_order_residuals(cv: CoeffVector, variant: str = "printed") -> list[float]:
-    """Per-m relative residuals of the five-factor recurrence, m = 1..n-1.
-    Empty for n <= 2 (the check is nontrivial only from n = 3 on)."""
-    n, k = cv.params.n, cv.params.k
-    if n < 3:
-        return []
-    out = []
-    for m in range(1, n):
-        c2, c1, c0 = _second_order_terms(n, k, m, variant)
-        out.append(relative_residual(
-            [c2 * cv.a_m(m + 2), c1 * cv.a_m(m + 1), c0 * cv.a_m(m)]))
-    return out
-
-
-def check_second_order(cv: CoeffVector, variant: str = "printed",
+def check_second_order(params: OrderParams, variant: str = "printed",
                        config: EvalConfig | None = None):
-    """ResidualReport for the five-factor recurrence (advisory for the
-    printed variant; the derived variant genuinely holds)."""
+    """ResidualReport of the five-factor recurrence at m = 1..n-1 (empty for
+    n <= 2), scored exactly on _lambda_integers: the derived variant reads
+    0.0, the printed one its exact defect (advisory)."""
     config = config or default_config()
-    res = second_order_residuals(cv, variant)
-    grid = index_grid(1, cv.params.n) if cv.params.n >= 3 else ()
+    if variant not in ("printed", "derived"):
+        raise InputError(f"unknown second-order variant {variant!r}")
+    n = params.n
+    stop = n if n >= 3 else 1
+    big, _, p, q = _lambda_integers(params)
+    res = [exact_relative_residual(list(map(
+        _gaussian_product, _second_order_factors(n, p, q, m, variant),
+        (big[m + 1], big[m], big[m - 1])))) for m in range(1, stop)]
     return ResidualReport(
         # one name string per variant, however many reports a caller keeps
         check_name=sys.intern(f"second-order-recurrence-{variant}"),
-        params=cv.params,
-        grid=grid,
+        params=params,
+        grid=index_grid(1, stop),
         residuals=res,
         threshold=config.second_order_tol,
+        notes=EXACT_NOTES,
     )
 
 

@@ -4,9 +4,12 @@ constants c2, c3, c4.
 
 Lambda(x) = lambda(x)/x satisfies the coupled equation
 
-    x L'' + (1-2ik) L' + (1+2n) L - 2x conj(L)' - conj(L) = 0,
-
-and, after eliminating conj(L), a fourth-order linear ODE
+    x L'' + (1-2ik) L' + (1+2n) L - 2x conj(L)' - conj(L) = 0.
+Its x^j coefficient, (j+1)(j+1-2ik) P_{j+1} + (2n+1) P_j - (2j+1) conj(P_j)
+for L = sum P_j x^j, is the first-order recurrence at m = j+1 (j < n) and
+(2n+1)(P_n - conj(P_n)) at j = n; coupled_residual checks it exactly on
+Lambda's Gaussian integers (lambda_poly.coupled_equation_residuals).  After
+eliminating conj(L), L satisfies a fourth-order linear ODE
 a1 y'''' + a2 y''' + a3 y'' + a4 y' + a5 y = 0 whose general solution is
 spanned by the four products
 
@@ -48,7 +51,9 @@ defining system of the connection constants is solved by back-substitution.
 Every relation whose terms must cancel (the ODE, the Whittaker operator, the
 printed constant relations, the reconstruction of Lambda) is scored by
 report.relative_residual, |sum of terms| / max |term|; the basis check takes
-the max over the four products at each x.
+the max over the four products at each x, the Whittaker operator at least
+ADDEND_FLOOR of the largest addend of y'', and the coupled equation's
+Gaussian-integer terms are scored by report.exact_relative_residual.
 
 Lambda and a1..a5 are numpy.polynomial.Polynomial objects (default domain
 and window, so p(x) is plain Horner evaluation); values taken from them are
@@ -70,7 +75,8 @@ from .core import SQRT_PI, gamma, gamma_ratio, laguerre
 from .errors import InputError, InvariantViolationError
 from .kernels import (OrderParams, _whittaker_w_two_term, bessel_i,
                       bessel_k_quad, whittaker_m, whittaker_w)
-from .lambda_poly import CoeffVector, boundary_coeffs, coeffs_from_recurrence
+from .lambda_poly import (EXACT_NOTES, boundary_coeffs, coeffs_from_recurrence,
+                          coupled_equation_residuals)
 from .report import ResidualReport, float_grid, index_grid, relative_residual
 
 ODE4_VARIANTS = ("corrected", "printed")
@@ -140,29 +146,18 @@ def ode4_coeffs(params: OrderParams, variant: str = "corrected") -> Ode4Coeffs:
 
 # --- coupled second-order equation, exact in coefficient space --------------
 
-def coupled_residual(cv: CoeffVector,
+def coupled_residual(params: OrderParams,
                      config: EvalConfig | None = None) -> ResidualReport:
-    """Form x L'' + (1-2ik) L' + (1+2n) L - 2x conj(L)' - conj(L) exactly as a
-    polynomial in the coefficients of L = lambda/x and report the coefficient
-    magnitudes of the residual relative to the largest input coefficient."""
+    """The coupled equation's coefficients x^0..x^n, scored exactly on
+    Lambda's Gaussian integers by lambda_poly.coupled_equation_residuals."""
     config = config or default_config()
-    n, k = cv.params.n, cv.params.k
-    big_l = cv.big_lambda_poly()
-    lc = Polynomial(big_l.coef.conj())
-    x = Polynomial([0, 1])
-    resid = (x * big_l.deriv(2) + (1 - 2j * k) * big_l.deriv()
-             + (1 + 2 * n) * big_l - 2 * x * lc.deriv() - lc)
-    scale = max(abs(c) for c in cv.a)
-    coeffs = [complex(c) for c in resid.coef]
-    # residual polynomial degree never exceeds n; pad for a stable report shape
-    coeffs += [0j] * (n + 1 - len(coeffs))
-    residuals = [abs(c) / scale for c in coeffs]
     return ResidualReport(
         check_name="coupled-equation",
-        params=cv.params,
-        grid=index_grid(0, len(residuals)),
-        residuals=residuals,
+        params=params,
+        grid=index_grid(0, params.n + 1),
+        residuals=coupled_equation_residuals(params),
         threshold=config.coupled_tol,
+        notes=EXACT_NOTES,
     )
 
 
@@ -280,13 +275,24 @@ def product_solution_check(params: OrderParams,
     )
 
 
-def whittaker_operator_residual(y, d2y, n: int, k: float, x: float) -> float:
+# the Whittaker operator's scale is at least this share of the largest addend
+# of y'': y'' carries a few ulps of that addend, which then stay near 1e-12 of
+# the scale where y'' and y vanish together, at a zero of y
+ADDEND_FLOOR = 1e-4
+
+
+def whittaker_operator_residual(y, d2y_terms, n: int, k: float, x: float) -> float:
     """Normalized residual of L(y) = y'' + (-1 + (2n+1)/x + (1/4+k^2)/x^2) y
-    at x, given y(x) and y''(x); InputError where x**2 underflows to 0."""
+    at x, given y(x) and the addends of y''(x), scaled by max(|y''|, |qy|)
+    and at least ADDEND_FLOOR of the largest addend; InputError where x**2
+    underflows to 0."""
     if x ** 2 == 0:
         raise InputError(f"whittaker operator: x**2 underflows at x = {x}")
     potential = (-1.0 + (2 * n + 1) / x + (0.25 + k * k) / x ** 2) * y
-    return relative_residual([d2y, potential])
+    d2y = sum(d2y_terms)
+    floor = ADDEND_FLOOR * max(abs(t) for t in d2y_terms)
+    return relative_residual([d2y, potential],
+                             scale=max(abs(d2y), abs(potential), floor))
 
 
 # d_c of the downward relation z f'_c = (c - z/2) f_c + d_c f_{c-1}
@@ -299,16 +305,17 @@ def m_lowering(kappa, mu):
     return 0.5 + mu - kappa
 
 
-def lowered_second_derivative(f, d, kappa, z):
-    """f''_kappa(z) from f = (f_kappa, f_{kappa-1}, f_{kappa-2}) at z and
-    d = (d_kappa, d_{kappa-1}): the downward relation at kappa and kappa-1
-    gives f'_kappa and f'_{kappa-1}, and the one at kappa differentiated,
+def lowered_terms(f, d, kappa, z):
+    """The three addends of f''_kappa(z) from f = (f_kappa, f_{kappa-1},
+    f_{kappa-2}) at z and d = (d_kappa, d_{kappa-1}): the downward relation
+    at kappa and kappa-1 gives f'_kappa and f'_{kappa-1}, and the one at
+    kappa differentiated,
     z f''_kappa = -f_kappa/2 + (kappa - z/2 - 1) f'_kappa + d_kappa f'_{kappa-1}."""
     f0, f1, f2 = f
     d0, d1 = d
     df0 = ((kappa - z / 2) * f0 + d0 * f1) / z
     df1 = ((kappa - 1 - z / 2) * f1 + d1 * f2) / z
-    return (-0.5 * f0 + (kappa - z / 2 - 1) * df0 + d0 * df1) / z
+    return (-0.5 * f0 / z, (kappa - z / 2 - 1) * df0 / z, d0 * df1 / z)
 
 
 def trial_condition_check(params: OrderParams, x_grid,
@@ -318,10 +325,11 @@ def trial_condition_check(params: OrderParams, x_grid,
     M_{+ik}-M_{-ik} purely imaginary, and both W(2x) and the M-sum satisfy
     the Whittaker operator.  The operator check takes f'' of each factor
     (the two-term W, M_{+ik}, M_{-ik}) from its values at kappa = n+1/2,
-    n-1/2 and n-3/2 by ``lowered_second_derivative``, never from the
-    equation under test.  Both relations run downward: the downward one at
-    kappa with the upward one at kappa-1 would need two orders only, but
-    leaves a residual that vanishes for any values.  For W the residual is
+    n-1/2 and n-3/2 as the addends of ``lowered_terms`` (never from the
+    equation under test), whose size floors the residual's scale at a zero
+    of the factor.  Both relations run downward: the downward one at kappa with
+    the upward one at kappa-1 would need two orders only, but leaves a
+    residual that vanishes for any values.  For W the residual is
     d_kappa / z^2 times that of DLMF 13.15.11 at kappa-1, so a W wrong by a
     kappa-dependent factor fails, where a term-by-term W'' would scale with
     W and pass.
@@ -339,13 +347,14 @@ def trial_condition_check(params: OrderParams, x_grid,
     # W from the two-term route, since whittaker_w's one-term value is real
     # by construction
     z = tuple(2 * x for x in x_grid)
-    grids = []                                    # (value, second derivative)
+    grids = []                          # (value, addends of its f'')
     for kernel, order, lowering in ((_whittaker_w_two_term, mu, w_lowering),
                                     (whittaker_m, mu, m_lowering),
                                     (whittaker_m, -mu, m_lowering)):
         f = [kernel(kap - j, order, z, config).tolist() for j in range(3)]
         d = (lowering(kap, order), lowering(kap - 1, order))
-        grids += [f[0], [lowered_second_derivative(fz, d, kap, zz)
+        # d^2/dx^2 f(2x) = 4 f''(2x)
+        grids += [f[0], [[4 * t for t in lowered_terms(fz, d, kap, zz)]
                          for zz, *fz in zip(z, *f)]]
     w_real, sum_real, diff_imag, op_resid = [], [], [], []
     op_grid = []
@@ -356,10 +365,9 @@ def trial_condition_check(params: OrderParams, x_grid,
         d = m_plus - m_minus
         diff_imag.append(abs(d.real) / abs(d) if d != 0 else 0.0)
         op_grid.extend([float(x), float(x)])
-        # d^2/dx^2 f(2x) = 4 f''(2x)
-        op_resid.append(whittaker_operator_residual(w, 4 * w2, n, k, x))
+        op_resid.append(whittaker_operator_residual(w, w2, n, k, x))
         op_resid.append(whittaker_operator_residual(
-            s, 4 * (m_plus2 + m_minus2), n, k, x))
+            s, [a + b for a, b in zip(m_plus2, m_minus2)], n, k, x))
     grid = float_grid(x_grid)
     consistency = ("code consistency: exact 0.0 when the kernels' conjugation "
                    "symmetry is intact",)

@@ -2,7 +2,9 @@
 
 A relation whose terms must cancel is checked by one rule,
 `relative_residual`: |sum of the terms| / max |term|, with 0.0 when every
-term vanishes.  A value compared with a reference is scored by
+term vanishes; `exact_relative_residual` applies it to the Gaussian-integer
+terms of Lambda's coefficient relations, 0.0 exactly when they cancel.  A
+value compared with a reference is scored by
 `relative_difference`, |value - reference| / |reference|, with 0.0 when both
 vanish.  Realness checks keep their own scales.
 
@@ -52,6 +54,19 @@ def relative_residual(terms, scale: float | None = None) -> float:
     if top == 0.0:
         return 0.0
     return float(abs(sum(t / top for t in terms)))
+
+
+def exact_relative_residual(terms) -> float:
+    """relative_residual of Gaussian-integer terms (re, im): 0.0 exactly when
+    they sum to 0, else sqrt(N(sum) / max N(t)) for the norm N, by correctly
+    rounded int division (a quotient below the double range times 4^s, its
+    root times 2^-s), and at least the smallest positive double."""
+    re, im = map(sum, zip(*terms))
+    if re == im == 0:
+        return 0.0
+    num, den = re * re + im * im, max(a * a + b * b for a, b in terms)
+    s = max(0, (den.bit_length() - num.bit_length()) // 2 - 500)
+    return max(math.ldexp(math.sqrt((num << 2 * s) / den), -s), math.ulp(0.0))
 
 
 def relative_difference(value: complex, reference: complex) -> float:

@@ -15,6 +15,11 @@ those W reads are served by the kernel table: ``kernel_cross_reports`` reads
 the one-term W as one grid call per (n, k) for the ``whittaker-w-realness``
 check, and the table keeps each point of that grid under its per-point key.
 Outside a kernel table ``verify_identity`` evaluates W point by point.
+
+Per (n, k) cell the top coefficient, the coupled equation (its x^{m-1}
+coefficient is the first-order recurrence at m) and the five-factor
+recurrence are checked exactly on the coefficients' Gaussian integers, so
+the relations that hold read 0.0: certificates, not rounding measurements.
 """
 
 from __future__ import annotations
@@ -24,13 +29,11 @@ import math
 import numpy as np
 
 from .config import EvalConfig, default_config
-from .core import SQRT_PI
 from .errors import InputError
 from .kernels import (OrderParams, _whittaker_w_two_term, bessel_k_quad,
                       bessel_k_via_w, kernel_table, whittaker_w)
-from .lambda_poly import (CoeffVector, coeffs_from_recurrence,
-                          collocation_oracle, check_second_order,
-                          first_order_residuals)
+from .lambda_poly import (EXACT_NOTES, check_second_order, coeffs_from_recurrence,
+                          collocation_oracle, top_coeff_residuals)
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, resolve_constants,
                   constants_printed_system, trial_condition_check)
@@ -41,6 +44,15 @@ DEFAULT_N_MAX = 8
 DEFAULT_K_SET = (0.1, 0.5, 1.0, 2.0)
 DEFAULT_X_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 IDENTITY_X_RANGE = (0.25, 8.0)
+
+
+def _refuse_small_k(k: float, config: EvalConfig) -> None:
+    """InputError for 0 < k < config.k_refuse_threshold."""
+    if 0 < k < config.k_refuse_threshold:
+        raise InputError(
+            f"0 < k = {k} < {config.k_refuse_threshold} "
+            "(EvalConfig.k_refuse_threshold) is refused: the connection "
+            "formula cancels there and no route checks the identity")
 
 
 def verify_identity(params: OrderParams, x_grid,
@@ -59,11 +71,7 @@ def verify_identity(params: OrderParams, x_grid,
         raise InputError(f"identity grid must lie in [{lo}, {hi}]")
     if k < 0:
         raise InputError("verify_identity requires k >= 0")
-    if 0 < k < config.k_refuse_threshold:
-        raise InputError(
-            f"0 < k = {k} < {config.k_refuse_threshold} "
-            "(EvalConfig.k_refuse_threshold) is refused: the connection "
-            "formula cancels there and no route checks the identity")
+    _refuse_small_k(k, config)
 
     lam = coeffs_from_recurrence(params, config).lam_poly()(np.array(x_grid))
     # the K grid is kernel_cross_reports' table entry
@@ -132,25 +140,16 @@ def kernel_cross_reports(k_set, x_grid, n_max,
 
 
 def coefficient_reports(params: OrderParams,
-                        config: EvalConfig) -> tuple[CoeffVector, list[ResidualReport]]:
-    """Construct the coefficients and report their defining invariants:
-    top coefficient 2^n/sqrt(pi) real, first-order recurrence residuals,
-    degree and zero-constant structure."""
-    cv = coeffs_from_recurrence(params, config)
-    n = params.n
-    top = cv.a_top
-    expected = 2 ** n / SQRT_PI
-    residuals = [abs(top - expected) / expected,
-                 abs(top.imag) / abs(top)]
-    residuals += first_order_residuals(cv)
-    grid = index_grid(0, len(residuals))
-    rep = ResidualReport(
+                        config: EvalConfig) -> list[ResidualReport]:
+    """sqrt(pi) a_{n+1} against 2^n and its imaginary part, exactly on the
+    coefficients' Gaussian integers (the recurrence is coupled_residual's)."""
+    return [ResidualReport(
         check_name="coefficient-invariants",
-        params=params, grid=grid, residuals=residuals,
+        params=params, grid=index_grid(0, 2),
+        residuals=top_coeff_residuals(params),
         threshold=config.top_coeff_tol,
-        notes=("entries: top-coeff deviation, top-coeff imaginary part, "
-               "then first-order recurrence residuals m=1..n",))
-    return cv, [rep]
+        notes=("entries: top-coeff deviation, top-coeff imaginary part",
+               *EXACT_NOTES))]
 
 
 def oracle_equivalence_report(params: OrderParams,
@@ -189,6 +188,8 @@ def run_suite(config: EvalConfig | None = None,
     k_set = tuple(float(k) for k in k_set)
     if not all(math.isfinite(k) and k >= 0 for k in k_set):
         raise InputError(f"run_suite requires finite k >= 0, got {list(k_set)}")
+    for k in k_set:
+        _refuse_small_k(k, config)
     x_grid = float_grid(x_grid)
     ks_pos = [k for k in k_set if k > 0]
     reports: list[ResidualReport] = []
@@ -202,11 +203,10 @@ def run_suite(config: EvalConfig | None = None,
         for n in range(n_max + 1):
             for k in ks_pos:
                 params = OrderParams(n=n, k=k)
-                cv, reps = coefficient_reports(params, config)
-                reports += reps
-                reports.append(coupled_residual(cv, config))
-                reports.append(check_second_order(cv, "printed", config))
-                reports.append(check_second_order(cv, "derived", config))
+                reports += coefficient_reports(params, config)
+                reports.append(coupled_residual(params, config))
+                reports.append(check_second_order(params, "printed", config))
+                reports.append(check_second_order(params, "derived", config))
                 reports.append(verify_identity(params, x_grid, config))
         if not ks_pos or 0.0 in k_set:
             for n in range(n_max + 1):

@@ -300,6 +300,24 @@ class TestWhittakerW:
         with pytest.warns(NearDegeneracyWarning):
             whittaker_w(1.5, 1e-8j, 2.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: whittaker_w(0.5, 1e-7j, 1.0),
+        lambda: whittaker_w(0.5, 1e-7j, (1.0, 2.0)),
+        # whittaker_w's generic branch calls _whittaker_w_two_term
+        lambda: whittaker_w(0.5, 0.5 + 1e-8j, 1.0),
+        lambda: bessel_k_via_w(0.5 + 1e-8j, 1.0),
+    ])
+    @pytest.mark.parametrize("tabled", [False, True])
+    def test_near_degeneracy_warning_names_the_caller(self, call, tabled):
+        # the first frame outside kernels.py, past the _tabled wrappers
+        with pytest.warns(NearDegeneracyWarning) as caught:
+            if tabled:
+                with kernels.kernel_table():
+                    call()
+            else:
+                call()
+        assert [w.filename for w in caught] == [__file__]
+
     def test_realness_on_grid(self):
         # the two-term route: whittaker_w's one-term value is real by
         # construction at these orders

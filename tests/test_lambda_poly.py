@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from wbident.core import SQRT_PI
 from wbident.errors import InputError, InvariantViolationError
+from wbident import lambda_poly
 from wbident.kernels import OrderParams
 from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
-                                 boundary_coeffs, check_second_order,
+                                 CoeffVector, boundary_coeffs, check_second_order,
                                  coeffs_from_recurrence, collocation_oracle,
                                  default_collocation_points,
-                                 first_order_residuals, laguerre_closed_form,
-                                 resolve_convention, second_order_residuals)
+                                 laguerre_closed_form, resolve_convention,
+                                 top_coeff_residuals)
+from wbident.ode import coupled_residual
+from wbident.report import relative_residual
 
 K_SET = (0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -84,11 +87,29 @@ class TestRecurrence:
             assert abs(cv.a_top - expected) <= 1e-12 * expected
             assert abs(cv.a_top.imag) <= 1e-12 * expected
 
+    @pytest.mark.parametrize("k", K_SET + (0.0, 600.0, 1e300))
+    def test_top_coeff_residuals_vanish_exactly(self, k):
+        for n in range(26):
+            assert top_coeff_residuals(OrderParams(n=n, k=k)) == [0.0, 0.0]
+
+    def test_top_coeff_residuals_read_a_rescale(self, monkeypatch):
+        # every integer times 1 + 1e-11 (denominators times 10^11)
+        original = lambda_poly._scaled_coeffs
+
+        def rescaled(n, k, convention):
+            return [(re * (10 ** 11 + 1), im * (10 ** 11 + 1), d * 10 ** 11)
+                    for re, im, d in original(n, k, convention)]
+        monkeypatch.setattr(lambda_poly, "_scaled_coeffs", rescaled)
+        deviation, imag = top_coeff_residuals(OrderParams(n=4, k=1.0))
+        assert deviation == pytest.approx(1e-11, rel=1e-9) and imag == 0.0
+
     @pytest.mark.parametrize("k", K_SET)
     def test_first_order_recurrence_residuals(self, k):
+        # the recurrence at m = 1..n is the coupled equation's x^{m-1}
+        # coefficient, which vanishes exactly on the integers
         for n in (3, 8, 15, 20):
-            cv = coeffs_from_recurrence(OrderParams(n=n, k=k))
-            assert max(first_order_residuals(cv), default=0.0) <= 1e-12
+            rep = coupled_residual(OrderParams(n=n, k=k))
+            assert tuple(rep.residuals[:n]) == (0.0,) * n
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(n=st.integers(0, 25), k=st.floats(1e-3, 5.0))
@@ -187,29 +208,64 @@ class TestLaguerreClosedForm:
             assert 1.5 <= dev[2e-3] / dev[1e-3] <= 2.5
 
 
+def float_second_order(cv: CoeffVector, variant: str) -> list[float]:
+    """Reference: the five-factor recurrence on the rounded coefficients, in
+    complex double, m = 1..n-1."""
+    n, ik = cv.params.n, 1j * cv.params.k
+    out = []
+    for m in range(1, n):
+        lead = m * (m + 1) * (2 * m - 1)
+        if variant == "printed":
+            c = (lead * (m + 2 * ik) * (m - 1 - 2 * ik),
+                 (1 + 2 * n) * m * (3 * m * m + m - 2 * ik),
+                 -4.0 * (1 + 2 * m) * (n + m) * (1 + n - m))
+        else:
+            c = (lead * (m + 2 * ik) * (m + 1 - 2 * ik),
+                 4 * (1 + 2 * n) * m * (m * m - ik),
+                 4.0 * (1 + 2 * m) * (n + m) * (1 + n - m))
+        out.append(relative_residual([c[0] * cv.a_m(m + 2), c[1] * cv.a_m(m + 1),
+                                      c[2] * cv.a_m(m)]))
+    return out
+
+
 class TestSecondOrderRecurrence:
     def test_derived_variant_holds(self):
-        for (n, k) in [(5, 0.5), (8, 1.0), (4, 0.0), (10, 2.0)]:
-            cv = coeffs_from_recurrence(OrderParams(n=n, k=k))
-            assert max(second_order_residuals(cv, "derived")) <= 1e-12
+        # exactly, on the integers of the coefficients
+        for n in range(3, 26):
+            for k in (0.0, 0.1, 0.5, 1.0, 2.0, 2.526):
+                rep = check_second_order(OrderParams(n=n, k=k), "derived")
+                assert len(rep.grid) == n - 1
+                assert rep.max_residual == 0.0, (n, k)
 
     def test_printed_variant_fails_and_is_advisory(self):
-        cv = coeffs_from_recurrence(OrderParams(n=5, k=0.5))
-        rep = check_second_order(cv, "printed")
+        rep = check_second_order(OrderParams(n=5, k=0.5), "printed")
         assert rep.advisory
         assert not rep.passed
         assert rep.max_residual > 0.1
 
+    def test_printed_defect_matches_float(self):
+        for n in range(3, 13):
+            for k in K_SET:
+                params = OrderParams(n=n, k=k)
+                exact = check_second_order(params, "printed").residuals
+                floats = float_second_order(coeffs_from_recurrence(params), "printed")
+                for e, f in zip(exact, floats, strict=True):
+                    assert abs(e - f) <= 1e-15 * e, (n, k)
+
     def test_small_n_empty_report(self):
         for n in (0, 1, 2):
-            cv = coeffs_from_recurrence(OrderParams(n=n, k=1.0))
-            rep = check_second_order(cv)
+            rep = check_second_order(OrderParams(n=n, k=1.0))
             assert rep.grid == () and rep.passed
 
+    def test_unknown_variant(self):
+        with pytest.raises(InputError):
+            check_second_order(OrderParams(n=4, k=1.0), "bogus")
+
     def test_laguerre_comparison_at_k0(self):
-        cv = laguerre_closed_form(6)
-        assert max(second_order_residuals(cv, "derived")) <= 1e-12
-        assert max(second_order_residuals(cv, "printed")) > 0.1
+        # at k = 0 the integers are the Laguerre ones (criterion 4)
+        params = OrderParams(n=6, k=0.0)
+        assert check_second_order(params, "derived").max_residual == 0.0
+        assert check_second_order(params, "printed").max_residual > 0.1
 
 
 class TestCollocationOracle:

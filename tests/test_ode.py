@@ -2,6 +2,7 @@
 connection constants."""
 
 import cmath
+import inspect
 import math
 
 import numpy as np
@@ -10,20 +11,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wbident.ode
-from wbident import kernels
+from wbident import kernels, lambda_poly
 from wbident.config import EvalConfig
 from wbident.core import SQRT_PI, laguerre
 from wbident.errors import InvariantViolationError, WbidentError
 from wbident.kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                              whittaker_w)
-from wbident.lambda_poly import coeffs_from_recurrence, laguerre_closed_form
+from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
+                                 coeffs_from_recurrence, laguerre_closed_form)
 from wbident.ode import (BASIS, SolutionConstants, basis_products,
                          bessel_ode_coeffs,
                          c4_closed_form, constants_closed_form,
                          constants_defining_system, constants_printed_system,
                          coupled_residual, indicial_analysis, indicial_reports,
                          lambda_reconstruction, lift_derivatives,
-                         lowered_second_derivative, m_lowering, ode4_coeffs,
+                         lowered_terms, m_lowering, ode4_coeffs,
                          ode4_residual, printed_relation_residuals,
                          product_derivatives, product_solution_check,
                          resolve_constants, solution_constants,
@@ -33,34 +35,108 @@ from wbident.ode import (BASIS, SolutionConstants, basis_products,
 ODE4_TOL = EvalConfig().ode4_tol
 
 
+# k = p/q with p, q from one digit to about a thousand bits
+COUPLED_KS = (0.0, 1e-6, 0.1, 0.5, 1.0, 2.0, 2.526, 3.818, 600.0)
+
+
+def mutant_scaled_coeffs(old: str, new: str):
+    """lambda_poly._scaled_coeffs with its source text `old` (which must occur
+    exactly once) replaced by `new`."""
+    source = inspect.getsource(lambda_poly._scaled_coeffs)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(lambda_poly))
+    exec(compile(source.replace(old, new), lambda_poly.__file__, "exec"), namespace)
+    return namespace["_scaled_coeffs"]
+
+
+def one_integer_off(j: int, part: int, step: int):
+    """_scaled_coeffs with `step` added to entry j's real (part 0) or
+    imaginary (part 1) numerator."""
+    original = lambda_poly._scaled_coeffs
+
+    def mutant(n, k, convention):
+        out = original(n, k, convention)
+        if -len(out) <= j < len(out):
+            entry = list(out[j])
+            entry[part] += step
+            out[j] = tuple(entry)
+        return out
+    return mutant
+
+
+def convention_flipped():
+    """_scaled_coeffs started from a_1 of the other convention."""
+    original = lambda_poly._scaled_coeffs
+
+    def mutant(n, k, convention):
+        return original(n, k, CONVENTION_PLUS if convention == CONVENTION_MINUS
+                        else CONVENTION_MINUS)
+    return mutant
+
+
+SCALED_MUTANTS = {
+    **{f"{step:+d} in P[{j}] {('re', 'im')[part]}": (one_integer_off, (j, part, step))
+       for j in (0, 1, -1) for part in (0, 1) for step in (1, -1)},
+    # -(1-2m) conj(a_m) in place of (1-2m) conj(a_m): the step's two factors swap
+    "(1-2m) sign": (mutant_scaled_coeffs, (
+        "(2 + 2 * n - 2 * m) * re, (2 * n + 2 * m) * im",
+        "(2 * n + 2 * m) * re, (2 + 2 * n - 2 * m) * im")),
+    "convention flip": (convention_flipped, ()),
+}
+
+
 class TestCoupledResidual:
     def test_n0_constant_lambda(self):
-        cv = coeffs_from_recurrence(OrderParams(n=0, k=1.0))
-        rep = coupled_residual(cv)
+        rep = coupled_residual(OrderParams(n=0, k=1.0))
         assert rep.passed
-        assert rep.max_residual <= 1e-15
+        assert tuple(rep.residuals) == (0.0,)
 
     def test_n1_k1_hand_checked(self):
         # constant term a_2(1-2ik) + 3 a_1 - conj(a_1) vanishes
-        cv = coeffs_from_recurrence(OrderParams(n=1, k=1.0))
-        rep = coupled_residual(cv)
-        assert rep.passed
+        rep = coupled_residual(OrderParams(n=1, k=1.0))
+        assert rep.passed and rep.grid == (0.0, 1.0)
 
-    @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 2.0])
+    # a certificate: every coefficient x^0..x^n sums to exactly 0, also
+    # where the rounded coefficients would leave the double range (1e300)
+    @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 2.0, 0.0, 1e-6, 2.526, 3.818,
+                                   600.0, -2.526, 1e300, 5e-324])
     def test_exact_for_all_generated_vectors(self, k):
-        for n in range(21):
-            cv = coeffs_from_recurrence(OrderParams(n=n, k=k))
-            rep = coupled_residual(cv)
-            assert rep.max_residual <= 1e-12, (n, k)
+        for n in range(26):
+            rep = coupled_residual(OrderParams(n=n, k=k))
+            assert len(rep.grid) == n + 1
+            assert rep.max_residual == 0.0, (n, k)
 
-    def test_perturbation_sensitivity(self):
-        cv = coeffs_from_recurrence(OrderParams(n=4, k=1.0))
-        bad = list(cv.a)
-        bad[2] *= 1 + 1e-3
-        perturbed = type(cv)(params=cv.params, a=tuple(bad),
-                             convention=cv.convention)
-        rep = coupled_residual(perturbed)
-        assert not rep.passed
+    def test_perturbation_sensitivity(self, monkeypatch):
+        # +1 in the real numerator of sqrt(pi) d_3 a_3 at n = 4, k = 1
+        monkeypatch.setattr(lambda_poly, "_scaled_coeffs", one_integer_off(2, 0, 1))
+        rep = coupled_residual(OrderParams(n=4, k=1.0))
+        assert not rep.passed and rep.max_residual >= 1e-5
+
+    @pytest.mark.parametrize("name", SCALED_MUTANTS)
+    def test_any_change_to_the_integers_is_caught(self, name, monkeypatch):
+        # the coupled equation is real-linear and homogeneous, so a mutant
+        # that is another of its solutions passes it: a real multiple at
+        # n = 0 (one real coefficient), and the other convention at n = 3,
+        # k = 1, whose top comes out -2^n.  The top-coefficient invariant
+        # refuses those; every other change reads > 0, however small
+        original = lambda_poly._scaled_coeffs
+        make, args = SCALED_MUTANTS[name]
+        mutant = make(*args)
+        changed = [(n, k) for n in range(26) for k in COUPLED_KS
+                   if mutant(n, k, CONVENTION_MINUS) != original(n, k, CONVENTION_MINUS)]
+        assert len(changed) >= 200
+        monkeypatch.setattr(lambda_poly, "_scaled_coeffs", mutant)
+        passed = {(n, k) for n, k in changed
+                  if coupled_residual(OrderParams(n=n, k=k)).max_residual == 0.0}
+        if name == "convention flip":
+            assert passed == {(3, 1.0)}
+        elif name.endswith("re") and "P[1]" not in name:
+            assert passed == {(n, k) for n, k in changed if n == 0}
+        else:
+            assert not passed
+        for n, k in passed:
+            with pytest.raises(InvariantViolationError):
+                coeffs_from_recurrence(OrderParams(n=n, k=k))
 
 
 class TestOde4Coeffs:
@@ -257,10 +333,11 @@ class TestTrialConditions:
     def test_whittaker_equation_control_fails(self):
         # W with first index n+3/2 solves a different Whittaker equation;
         # its second derivative from the contiguous relations must expose that
+        # (0.18, 0.22 and 0.26 at these x, against whittaker_eq_tol = 1e-9)
         n, k = 3, 1.0
         for x in (0.5, 1.0, 2.0):
             w, w2 = lowered_values(whittaker_w, n + 1.5, 1j * k, 2 * x)
-            assert whittaker_operator_residual(w, 4 * w2, n, k, x) >= 1e-1
+            assert whittaker_operator_residual(w, in_x(w2), n, k, x) >= 1e-1
 
     @pytest.mark.parametrize("n", range(9))
     def test_lowered_second_derivative_against_mpmath(self, n):
@@ -273,8 +350,30 @@ class TestTrialConditions:
                                        (whittaker_m, mp.whitm, -1j * k)):
                     for z in (1.0, 4.0, 12.0):
                         want = complex(mp.diff(lambda t: fn(kappa, mu, t), z, 2))
-                        _, got = lowered_values(kernel, kappa, mu, z)
+                        got = sum(lowered_values(kernel, kappa, mu, z)[1])
                         assert abs(got - want) <= 1e-12 * abs(want), (k, kernel, mu, z)
+
+    def test_passes_at_a_zero_of_w(self):
+        # W_{5/2,i}(2x) vanishes near x = 1.890996428340178, and so do W''
+        # and the potential term; the addends of W'', through
+        # d_kappa W_{kappa-1} != 0, floor the scale (0.134 without the floor)
+        params, x = OrderParams(n=2, k=1.0), 1.890996428340178
+        w, _ = lowered_values(kernels._whittaker_w_two_term, 2.5, 1j, 2 * x)
+        assert abs(w) <= 1e-15
+        rep = next(r for r in trial_condition_check(params, (x,))
+                   if r.check_name == "trial-whittaker-equation")
+        assert rep.passed and rep.max_residual <= 1e-11
+
+    def test_kappa_dependent_w_error_fails_at_every_x(self, monkeypatch):
+        # the control mutant below fails at each x, the zero of W included
+        params, xs = OrderParams(n=2, k=1.0), (0.5, 1.0, 2.0, 4.0, 1.890996428340178)
+        two_term = kernels._whittaker_w_two_term
+        monkeypatch.setattr(wbident.ode, "_whittaker_w_two_term",
+                            lambda kappa, mu, z, config=None:
+                            two_term(kappa, mu, z, config) * (1 + 1e-6 * kappa))
+        rep = next(r for r in trial_condition_check(params, xs)
+                   if r.check_name == "trial-whittaker-equation")
+        assert min(rep.residuals[0::2]) >= 4e-7          # the W entries
 
     def test_kappa_dependent_w_error_fails(self, monkeypatch):
         # W_kappa x (1 + 1e-6 kappa): a term-by-term W'' scales with W, so
@@ -371,12 +470,18 @@ def factor_at(factor, params, x):
 
 
 def lowered_values(kernel, kappa, mu, z):
-    """(f, f'') at the point z for f = kernel(kappa, mu, .), f'' from the
-    kernel's values at kappa, kappa-1 and kappa-2 by the downward relations."""
+    """(f, the addends of f'') at the point z for f = kernel(kappa, mu, .),
+    f'' from the kernel's values at kappa, kappa-1 and kappa-2 by the
+    downward relations."""
     lowering = m_lowering if kernel is whittaker_m else w_lowering
     f = [kernel(kappa - j, mu, z) for j in range(3)]
     d = (lowering(kappa, mu), lowering(kappa - 1, mu))
-    return f[0], lowered_second_derivative(f, d, kappa, z)
+    return f[0], lowered_terms(f, d, kappa, z)
+
+
+def in_x(terms):
+    """The addends of d^2/dx^2 f(2x) = 4 f''(2x)."""
+    return [4 * t for t in terms]
 
 
 def per_point_basis_residuals(params, x_grid, variant):
@@ -396,8 +501,9 @@ def per_point_trial_residuals(params, x_grid):
         out[0].append(abs(w.imag) / abs(w))
         out[1].append(abs(s.imag) / abs(s))
         out[2].append(abs(d.real) / abs(d) if d != 0 else 0.0)
-        out[3] += [whittaker_operator_residual(w, 4 * w2, n, k, x),
-                   whittaker_operator_residual(s, 4 * (mp2 + mm2), n, k, x)]
+        out[3] += [whittaker_operator_residual(w, in_x(w2), n, k, x),
+                   whittaker_operator_residual(
+                       s, [a + b for a, b in zip(in_x(mp2), in_x(mm2))], n, k, x)]
     return out
 
 

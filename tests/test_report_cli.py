@@ -11,15 +11,17 @@ from pathlib import Path
 import pytest
 
 import wbident
+from wbident import lambda_poly
 from wbident.cli import main
 from wbident.config import ENV_CONFIG_VAR, EvalConfig, default_config, load_config
 from wbident.errors import ConvergenceError, InputError
 from wbident.kernels import OrderParams
-from wbident.lambda_poly import laguerre_closed_form
+from wbident.lambda_poly import check_second_order, laguerre_closed_form
+from wbident.ode import coupled_residual
 from wbident.report import (ADVISORY_CHECKS, ResidualReport,
                             VerificationSuiteResult, canonical_json, export,
-                            index_grid, relative_difference,
-                            relative_residual)
+                            exact_relative_residual, index_grid,
+                            relative_difference, relative_residual)
 from wbident.suite import run_suite, verify_identity
 
 
@@ -114,6 +116,31 @@ class TestRelativeResidual:
     def test_non_finite_term_raises(self, bad):
         with pytest.raises(InputError):
             relative_residual([1.0, bad])
+
+
+class TestExactRelativeResidual:
+    def test_zero_sum_gives_exactly_zero(self):
+        assert exact_relative_residual([(3, 4), (-3, -4)]) == 0.0
+        assert exact_relative_residual([(0, 0), (0, 0)]) == 0.0
+
+    def test_same_rule_as_the_float_residual(self):
+        terms = [(3, 4), (1, 0), (-2, 7)]
+        want = relative_residual([complex(*t) for t in terms])
+        assert exact_relative_residual(terms) == pytest.approx(want, rel=1e-15)
+        assert exact_relative_residual([(2, 0), (-1, 0)]) == 0.5
+
+    def test_integers_beyond_the_double_range(self):
+        big = 10 ** 400
+        assert exact_relative_residual([(big, 0), (-big, big)]) == math.sqrt(0.5)
+        assert exact_relative_residual([(big, 0), (0, -big)]) == math.sqrt(2)
+
+    def test_a_nonzero_sum_never_reads_zero(self):
+        # 1 against 10^200: the quotient 1e-400 is below the double range,
+        # its root 1e-200 is not; against 10^400 even the root is not
+        assert exact_relative_residual([(10 ** 200, 0), (1 - 10 ** 200, 0)]) \
+            == pytest.approx(1e-200, rel=1e-15)
+        assert exact_relative_residual([(10 ** 400, 0), (1 - 10 ** 400, 0)]) \
+            == math.ulp(0.0)
 
 
 class TestSuiteResult:
@@ -313,13 +340,45 @@ class TestCli:
         assert main(["verify", "--check", "identity", "--n", "1", "--k", "1.0",
                      "--x-grid", "1.0", "--tol", "1e-30"]) == 1
 
-    def test_coupled_tol_override_can_fail(self, capsys):
-        assert main(["verify", "--check", "coupled", "--n", "5", "--k", "0.5",
-                     "--tol", "1e-300"]) == 1
+    @staticmethod
+    def one_integer_off(monkeypatch):
+        """+1 in the real numerator of sqrt(pi) d_2 a_2: the exact checks
+        read 0.0 on the real integers, so no --tol fails them there."""
+        original = lambda_poly._scaled_coeffs
 
-    def test_second_order_tol_override_can_fail(self, capsys):
-        assert main(["verify", "--check", "second-order", "--n", "4", "--k", "1.0",
-                     "--tol", "1e-300"]) == 1
+        def mutant(n, k, convention):
+            out = original(n, k, convention)
+            re, im, d = out[1]
+            out[1] = (re + 1, im, d)
+            return out
+        monkeypatch.setattr(lambda_poly, "_scaled_coeffs", mutant)
+
+    def test_coupled_tol_override_can_fail(self, capsys, monkeypatch):
+        params = OrderParams(n=5, k=0.5)
+        assert coupled_residual(params).max_residual == 0.0
+        self.one_integer_off(monkeypatch)
+        worst = coupled_residual(params).max_residual
+        assert worst > 0
+        argv = ["verify", "--check", "coupled", "--n", "5", "--k", "0.5", "--tol"]
+        assert main(argv + [repr(2 * worst)]) == 0
+        assert main(argv + [repr(worst / 2)]) == 1
+
+    def test_second_order_tol_override_can_fail(self, capsys, monkeypatch):
+        params = OrderParams(n=4, k=1.0)
+        assert check_second_order(params, "derived").max_residual == 0.0
+        self.one_integer_off(monkeypatch)
+        worst = check_second_order(params, "derived").max_residual
+        assert worst > 0
+        argv = ["verify", "--check", "second-order", "--n", "4", "--k", "1.0", "--tol"]
+        assert main(argv + [repr(2 * worst)]) == 0
+        assert main(argv + [repr(worst / 2)]) == 1
+
+    @pytest.mark.parametrize("check", ["coupled", "second-order"])
+    def test_exact_checks_say_what_they_certify(self, check, capsys):
+        # at k = 1e300 the coefficients exceed the double range (coeffs exits
+        # 2), yet their integers satisfy the relations; the notes say so
+        assert main(["verify", "--check", check, "--n", "3", "--k", "1e300"]) == 0
+        assert "double-rounded CoeffVector is not read" in capsys.readouterr().out
 
     def test_structured_error_exit_code(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"

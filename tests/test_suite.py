@@ -5,6 +5,7 @@ import contextlib
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ import pytest
 import wbident.suite
 from wbident import kernels, lambda_poly
 from wbident.config import EvalConfig
+from wbident.errors import InputError
 from wbident.ode import constants_printed_system, lambda_reconstruction
 from wbident.report import canonical_json, reports_to_csv
 from wbident.suite import run_suite, verify_identity
@@ -315,3 +317,38 @@ def test_one_term_mutant_fails_realness_and_identity(name, monkeypatch):
     mutant = mutant_kernels(*ONE_TERM_MUTANTS[name])
     failed = failing_checks(mutant.whittaker_w, monkeypatch)
     assert {"whittaker-w-realness", "identity"} <= failed
+
+
+def test_default_suite_certifies_the_coefficient_relations():
+    # coupled-equation, the derived five-factor recurrence and the top
+    # coefficient read exactly 0 at every cell; coefficient-invariants keeps
+    # only its two top entries
+    reports = run_suite().reports
+    by_name = {}
+    for rep in reports:
+        by_name.setdefault(rep.check_name, []).append(rep)
+    assert len(by_name["coupled-equation"]) == 36
+    assert len(by_name["second-order-recurrence-derived"]) == 36
+    for name in ("coupled-equation", "second-order-recurrence-derived",
+                 "coefficient-invariants"):
+        assert all(r.max_residual == 0.0 for r in by_name[name])
+    assert {len(r.grid) for r in by_name["coefficient-invariants"]} == {2}
+
+
+def test_small_k_is_refused_before_any_kernel_runs():
+    # no code of wbident.kernels is entered, and so no NearDegeneracyWarning
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == kernels.__file__:
+            entered.append(frame.f_code.co_name)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sys.setprofile(profile)
+        try:
+            with pytest.raises(InputError, match="k_refuse_threshold"):
+                run_suite(k_set=(1.0, 1e-7))
+        finally:
+            sys.setprofile(None)
+    assert entered == []
