@@ -48,8 +48,7 @@ _CHECKS = {
     "second-order": ("second_order_tol", None,
                      lambda p, grid, c: [check_second_order(p, v, c)
                                          for v in ("printed", "derived")]),
-    "ode4-basis": ("ode4_tol", (0.5, 1.0, 2.0, 4.0),
-                   lambda p, grid, c: [product_solution_check(p, c, x_grid=grid)]),
+    "ode4-basis": ("ode4_tol", None, lambda p, grid, c: [product_solution_check(p, c)]),
     "indicial": ("indicial_tol", None, lambda p, grid, c: indicial_reports(p, c)),
     "trial": ("whittaker_eq_tol", (0.5, 1.0, 2.0), trial_condition_check),
     "reconstruction": ("reconstruction_tol", (0.5, 1.0, 2.0, 4.0),

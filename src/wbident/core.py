@@ -5,9 +5,6 @@ symbols and Laguerre polynomials.
 it and ``log_gamma`` equal log Gamma up to a multiple of 2*pi*i, not always
 the principal branch.  ``gamma_ratio`` takes one ``exp`` of a longdouble sum
 of its values.
-
-Polynomials with complex coefficients (the Lambda factors and the
-fourth-order ODE coefficients) are numpy.polynomial.Polynomial objects.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from ._exact import gaussian_product
 from .config import EvalConfig, default_config
 from .core import SQRT_PI, pochhammer
 from .errors import InputError, InvariantViolationError
@@ -67,16 +68,6 @@ class CoeffVector:
     def __post_init__(self):
         if len(self.a) != self.params.n + 1:
             raise InputError("CoeffVector needs exactly n+1 coefficients")
-
-    def a_m(self, m: int) -> complex:
-        """a_m for 0 <= m <= n+1 (a_0 = 0)."""
-        if m == 0:
-            return 0j
-        return self.a[m - 1]
-
-    @property
-    def a_top(self) -> complex:
-        return self.a[-1]
 
     def lam_poly(self) -> Polynomial:
         """lambda(x), degree n+1, zero constant term."""
@@ -146,11 +137,6 @@ def _lambda_integers(params: OrderParams):
     return (big, top, *params.k.as_integer_ratio())
 
 
-def _gaussian_product(a, b) -> tuple[int, int]:
-    """a b for Gaussian integers a, b given as (re, im)."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
 def top_coeff_residuals(params: OrderParams) -> list[float]:
     """Exact residuals of sqrt(pi) a_{n+1} = 2^n: P_n against 2^n D, and
     Im P_n against P_n (the sum of P_n and -Re P_n)."""
@@ -167,7 +153,7 @@ def coupled_equation_residuals(params: OrderParams) -> list[float]:
     big, _, p, q = _lambda_integers(params)
     a, up = q * (2 * params.n + 1), big[1:] + ((0, 0),)
     return [exact_relative_residual([
-        _gaussian_product(((j + 1) ** 2 * q, -2 * (j + 1) * p), up[j]),
+        gaussian_product(((j + 1) ** 2 * q, -2 * (j + 1) * p), up[j]),
         (a * re, a * im), (-q * (2 * j + 1) * re, q * (2 * j + 1) * im)])
         for j, (re, im) in enumerate(big)]
 
@@ -269,7 +255,7 @@ def check_second_order(params: OrderParams, variant: str = "printed",
     stop = n if n >= 3 else 1
     big, _, p, q = _lambda_integers(params)
     res = [exact_relative_residual(list(map(
-        _gaussian_product, _second_order_factors(n, p, q, m, variant),
+        gaussian_product, _second_order_factors(n, p, q, m, variant),
         (big[m + 1], big[m], big[m - 1])))) for m in range(1, stop)]
     return ResidualReport(
         # one name string per variant, however many reports a caller keeps

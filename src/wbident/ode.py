@@ -18,14 +18,15 @@ spanned by the four products
 
 Each factor solves a second-order equation y'' = p y' + q y: the modified
 Bessel equation (DLMF 10.25.1) at order -1/2+ik for I and K, the Whittaker
-equation (DLMF 13.14.1) at kappa = n+1/2, mu = ik for M(2x) and W(2x).  At
-each x the basis check takes the canonical solutions of both equations, u0,
-u1 and v0, v1 with (y, y') = (1, 0) and (0, 1) there; the equation gives
-y'' to y'''', and the Leibniz rule gives four derivatives of the products
-u_i v_j.  I = I(x) u0 + I'(x) u1, and likewise K in u and M, W in v, so the
-canonical products span the same solutions as the four products above.  The
-check calls no kernel: its equations lift any (y, y') to a solution, so a
-kernel's values could not change its verdict.
+equation (DLMF 13.14.1) at kappa = n+1/2, mu = ik for M(2x) and W(2x).  The
+basis check takes the canonical solutions u0, u1 and v0, v1 of both, with
+(y, y') = (1, 0) and (0, 1) at x; I = I(x) u0 + I'(x) u1, and likewise K, M
+and W, so their products span the same solutions.  The check calls no
+kernel.  Every derivative of a canonical product is a Laurent polynomial in
+x with coefficients rational in k (see _exact), so is each product's
+residual a1 y'''' + ... + a5 y, and the identity checked is that this
+residual is the zero polynomial for the corrected a3.  The printed a3 leaves
+(2+2i)(k+i)(4k+i) (u_i v_j)'', which is 0 for u0*v1 alone.
 
 The trial and reconstruction checks take M, and the trial check W, on the
 whole grid in one kernel call per order (three in the trial check), at
@@ -46,18 +47,15 @@ the basis factors' small-x behaviour predicts).  The printed variant is kept
 for the advisory comparison.
 
 Statements with a known solution are checked by substituting it: the
-indicial polynomial is evaluated at the predicted exponents, and the
-defining system of the connection constants is solved by back-substitution.
-Every relation whose terms must cancel (the ODE, the Whittaker operator, the
-printed constant relations, the reconstruction of Lambda) is scored by
-report.relative_residual, |sum of terms| / max |term|; the basis check takes
-the max over the four products at each x, the Whittaker operator at least
-ADDEND_FLOOR of the largest addend of y'', and the coupled equation's
-Gaussian-integer terms are scored by report.exact_relative_residual.
+indicial polynomial at the predicted exponents, the defining system of the
+connection constants by back-substitution.  A relation whose terms must
+cancel is scored by |sum of terms| / max |term|: exactly where they are
+Gaussian integers (the coupled equation, the ODE per power of x, the
+indicial polynomials), else in double by report.relative_residual.
 
-Lambda and a1..a5 are numpy.polynomial.Polynomial objects (default domain
-and window, so p(x) is plain Horner evaluation); values taken from them are
-converted to Python complex before they enter a ResidualReport.
+Lambda is a numpy.polynomial.Polynomial (default domain and window, so p(x)
+is plain Horner evaluation); values taken from it are converted to Python
+complex before they enter a ResidualReport.
 """
 
 from __future__ import annotations
@@ -65,11 +63,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
+from ._exact import (add, aligned, deriv, gaussian_product, mul, poly, scale,
+                     value)
 from .config import EvalConfig, default_config
 from .core import SQRT_PI, gamma, gamma_ratio, laguerre
 from .errors import InputError, InvariantViolationError
@@ -77,7 +75,8 @@ from .kernels import (OrderParams, _whittaker_w_two_term, bessel_i,
                       bessel_k_quad, whittaker_m, whittaker_w)
 from .lambda_poly import (EXACT_NOTES, boundary_coeffs, coeffs_from_recurrence,
                           coupled_equation_residuals)
-from .report import ResidualReport, float_grid, index_grid, relative_residual
+from .report import (ResidualReport, exact_relative_residual, float_grid,
+                     index_grid, relative_residual)
 
 ODE4_VARIANTS = ("corrected", "printed")
 
@@ -100,48 +99,45 @@ class SolutionConstants:
 
 @dataclass(frozen=True)
 class Ode4Coeffs:
-    """Polynomial coefficient functions a1..a5 of the fourth-order ODE."""
+    """den a1, ..., den a5: exact polynomials in x (see _exact), with
+    den = q^3 at k = p/q."""
 
-    a1: Polynomial
-    a2: Polynomial
-    a3: Polynomial
-    a4: Polynomial
-    a5: Polynomial
+    a1: dict
+    a2: dict
+    a3: dict
+    a4: dict
+    a5: dict
+    den: int
 
-    def as_list(self) -> list[Polynomial]:
+    def as_list(self) -> list[dict]:
         return [self.a1, self.a2, self.a3, self.a4, self.a5]
 
 
 def ode4_coeffs(params: OrderParams, variant: str = "corrected") -> Ode4Coeffs:
-    """Coefficient polynomials a1..a5, ascending coefficients in x.
-
-    degrees (3, 2, 3, 2, 1); a1 has a double root at x = 0.
-    """
+    """a1..a5 over the denominator q^3 at k = p/q, with a3(0) = c equal to
+    -2(1+2ik)(i+k)(i+4k) (corrected) or 2i(1-2k)(i+k)(i+4k) (printed):
+      a1 = (1-4ik) x^2 + 4(1+2n) x^3,   a2 = 4(1-4ik) x + 12(1+2n) x^2,
+      a3 = c + 4(1+4k^2)(1+2n) x + 4(1+4ik+8n(n+1)) x^2 - 16(1+2n) x^3,
+      a4 = -4(i+k)(i+4k)(1+2n) + 8(-1+2n(n+1)+6ik) x - 32(1+2n) x^2,
+      a5 = 12n(n+1)(1-4ik) + 16n(n+1)(1+2n) x."""
     if variant not in ODE4_VARIANTS:
         raise InputError(f"unknown ode4 variant {variant!r}")
-    n, k = params.n, params.k
-    ik = 1j * k
-    ipk = complex(k, 1)          # i + k
-    ip4k = complex(4 * k, 1)     # i + 4k
-    a1 = Polynomial([0, 0, 1 - 4 * ik, 4 * (1 + 2 * n)])
-    a2 = Polynomial([0, 4 * (1 - 4 * ik), 12 * (1 + 2 * n)])
-    if variant == "printed":
-        a3_const = 2j * (1 - 2 * k) * ipk * ip4k
-    else:
-        a3_const = -2 * (1 + 2 * ik) * ipk * ip4k
-    a3 = Polynomial([a3_const,
-                     4 * (1 + 4 * k * k) * (1 + 2 * n),
-                     4 * (1 + 4 * ik + 8 * n * (n + 1)),
-                     -16 * (1 + 2 * n)])
-    a4 = Polynomial([-4 * ipk * ip4k * (1 + 2 * n),
-                     8 * (-1 + 2 * n * (n + 1) + 6 * ik),
-                     -32 * (1 + 2 * n)])
-    a5 = Polynomial([12 * n * (n + 1) * (1 - 4 * ik),
-                     16 * n * (n + 1) * (1 + 2 * n)])
-    coeffs = Ode4Coeffs(a1=a1, a2=a2, a3=a3, a4=a4, a5=a5)
-    if not all(np.isfinite(p.coef).all() for p in coeffs.as_list()):
-        raise InputError(f"ODE4 coefficients for k = {k} exceed the double range")
-    return coeffs
+    n = params.n
+    p, q = params.k.as_integer_ratio()
+    m, nn, q2, q3 = 1 + 2 * n, n * (n + 1), q * q, q ** 3
+    # q^2 (i+k)(i+4k), from q(i+k) = p + iq and q(i+4k) = 4p + iq
+    quad = gaussian_product((p, q), (4 * p, q))
+    a3_const = gaussian_product(
+        (0, 2 * (q - 2 * p)) if variant == "printed" else (-2 * q, -4 * p), quad)
+    return Ode4Coeffs(
+        a1=poly([(0, 0), (0, 0), (q3, -4 * p * q2), (4 * m * q3, 0)]),
+        a2=poly([(0, 0), (4 * q3, -16 * p * q2), (12 * m * q3, 0)]),
+        a3=poly([a3_const, (4 * m * q * (q2 + 4 * p * p), 0),
+                 (4 * (1 + 8 * nn) * q3, 16 * p * q2), (-16 * m * q3, 0)]),
+        a4=poly([(-4 * m * q * quad[0], -4 * m * q * quad[1]),
+                 (8 * (2 * nn - 1) * q3, 48 * p * q2), (-32 * m * q3, 0)]),
+        a5=poly([(12 * nn * q3, -48 * nn * p * q2), (16 * nn * m * q3, 0)]),
+        den=q3)
 
 
 # --- coupled second-order equation, exact in coefficient space --------------
@@ -161,118 +157,78 @@ def coupled_residual(params: OrderParams,
     )
 
 
-# --- derivatives from the factors' second-order equations -----------------
+# --- the product basis, exact in x -----------------------------------------
 
-# (y, y') at x of the canonical solutions u0, u1 and v0, v1
-CANONICAL = ((1.0, 0.0), (0.0, 1.0))
 BASIS = ("u0*v0", "u0*v1", "u1*v0", "u1*v1")
 
 
-def bessel_ode_coeffs(nu, x: float):
-    """(p, p', p''), (q, q', q'') at x of the modified Bessel equation
-    y'' = p y' + q y, with p = -1/x and q = 1 + nu^2/x^2."""
-    nu2 = complex(nu) ** 2
-    return ((-1 / x, 1 / x ** 2, -2 / x ** 3),
-            (1 + nu2 / x ** 2, -2 * nu2 / x ** 3, 6 * nu2 / x ** 4))
+def _canonical(p_eq, q_eq, s: int) -> list[list[dict]]:
+    """[u0, u1], derivatives 0..4 over s^4, for s y'' = p_eq y' + q_eq y
+    and (y, y') = (1, 0), (0, 1) at x: y^(j) = A_j y + B_j y' gives
+    A_{j+1} = A_j' + B_j q_eq/s, B_{j+1} = A_j + B_j' + B_j p_eq/s."""
+    a, b = [poly([(1, 0)])], [{}]
+    for _ in range(4):
+        a_j, b_j = a[-1], b[-1]
+        a.append(add(scale((s, 0), deriv(a_j)), mul(b_j, q_eq)))
+        b.append(add(scale((s, 0), add(a_j, deriv(b_j))), mul(b_j, p_eq)))
+    return [[scale((s ** (4 - j), 0), f[j]) for j in range(5)] for f in (a, b)]
 
 
-def whittaker_ode_coeffs(kappa, mu, x: float):
-    """(p, p', p''), (q, q', q'') at x of the equation v'' = q v solved by
-    v(x) = W_{kappa,mu}(2x) and M_{kappa,mu}(2x), with
-    q = 1 - 2 kappa/x - (1/4 - mu^2)/x^2."""
-    c = 0.25 - complex(mu) ** 2
-    return ((0.0, 0.0, 0.0),
-            (1 - 2 * kappa / x - c / x ** 2,
-             2 * kappa / x ** 2 + 2 * c / x ** 3,
-             -4 * kappa / x ** 3 - 6 * c / x ** 4))
-
-
-def lift_derivatives(y, dy, p, q) -> list[complex]:
-    """[y, y', y'', y''', y''''] of a solution of y'' = p y' + q y, given
-    (y, y') and p, q each as (value, first, second derivative)."""
-    p0, p1, p2 = p
-    q0, q1, q2 = q
-    d2 = p0 * dy + q0 * y
-    d3 = p1 * dy + p0 * d2 + q1 * y + q0 * dy
-    d4 = p2 * dy + 2 * p1 * d2 + p0 * d3 + q2 * y + 2 * q1 * dy + q0 * d2
-    return [y, dy, d2, d3, d4]
-
-
-def product_derivatives(f, g) -> list[complex]:
-    """Derivatives 0..4 of f*g by the Leibniz rule."""
-    return [sum(comb(j, i) * f[i] * g[j - i] for i in range(j + 1))
-            for j in range(5)]
-
-
-def basis_products(params: OrderParams, x: float) -> dict[str, list[complex]]:
-    """Derivatives 0..4 at x of the four products u_i v_j, keyed by BASIS, of
-    the canonical solutions at x of the modified Bessel equation at order
-    -1/2+ik (u) and the Whittaker equation at (n+1/2, ik) in x (v)."""
-    n, k = params.n, params.k
-    bessel = bessel_ode_coeffs(complex(-0.5, k), x)
-    whittaker = whittaker_ode_coeffs(n + 0.5, 1j * k, x)
-    u = [lift_derivatives(y, dy, *bessel) for y, dy in CANONICAL]
-    v = [lift_derivatives(y, dy, *whittaker) for y, dy in CANONICAL]
-    return {f"u{i}*v{j}": product_derivatives(u[i], v[j])
+def basis_products(params: OrderParams) -> dict[str, list[dict]]:
+    """Derivatives 0..4 at x of the products u_i v_j, keyed by BASIS, exact
+    over (4q^2)^8 at k = p/q, by the Leibniz rule.  u0, u1 solve
+    y'' = -y'/x + (1 + nu^2/x^2) y at nu = -1/2+ik, and v0, v1 solve
+    y'' = (1 - (2n+1)/x - (1/4+k^2)/x^2) y, each taken times 4q^2."""
+    p, q = params.k.as_integer_ratio()
+    s = 4 * q * q
+    u = _canonical(poly([(-s, 0)], -1),
+                   poly([(q * q - 4 * p * p, -4 * p * q), (0, 0), (s, 0)], -2), s)
+    v = _canonical({}, poly([(-q * q - 4 * p * p, 0),
+                             (-(2 * params.n + 1) * s, 0), (s, 0)], -2), s)
+    return {f"u{i}*v{j}": [add(*(scale((math.comb(m, r), 0), mul(u[i][r], v[j][m - r]))
+                                 for r in range(m + 1))) for m in range(5)]
             for i in range(2) for j in range(2)}
 
 
-def _ode4_terms(coeffs: Ode4Coeffs, derivs, x: float) -> list[complex]:
-    """[a1 y'''', a2 y''', a3 y'', a4 y', a5 y] at x."""
-    return [complex(p(x)) * d for p, d in zip(coeffs.as_list(), derivs[::-1])]
+def ode4_scores(coeffs: Ode4Coeffs, derivs) -> list[tuple[int, float]]:
+    """(power of x, exact_relative_residual of its five terms) for each
+    coefficient of a1 y'''' + ... + a5 y, derivs = [y, ..., y''''] exact
+    Laurent polynomials over one denominator."""
+    terms = [mul(a, d) for a, d in zip(coeffs.as_list(), derivs[::-1])]
+    return [(e, exact_relative_residual(cs)) for e, cs in aligned(terms)]
 
 
 def ode4_residual(f, params: OrderParams, x: float,
                   variant: str = "corrected") -> float:
-    """Normalized residual |a1 f'''' + ... + a5 f| / max_j |a_j f^(4-j)| at x.
-
-    `f` is either the list [f, f', f'', f''', f''''] of values at x or a
-    Polynomial (differentiated exactly).
-    """
-    if isinstance(f, Polynomial):
-        f = [complex(f.deriv(j)(x)) for j in range(5)]
-    return relative_residual(_ode4_terms(ode4_coeffs(params, variant), f, x))
+    """Normalized residual |a1 f'''' + ... + a5 f| / max_j |a_j f^(4-j)| at x
+    for the values f = [f, f', ..., f''''] at x, a_j(x) from ode4_coeffs."""
+    c = ode4_coeffs(params, variant)
+    try:
+        return relative_residual([value(a, c.den, x) * d
+                                  for a, d in zip(c.as_list(), f[::-1])])
+    except OverflowError as exc:
+        raise InputError(f"ODE4 coefficients for k = {params.k} exceed the "
+                         "double range") from exc
 
 
 def product_solution_check(params: OrderParams,
                            config: EvalConfig | None = None,
-                           x_grid=(0.5, 1.0, 2.0, 4.0),
                            variant: str = "corrected") -> ResidualReport:
-    """ODE residuals of the four canonical products (see basis_products)
-    over the grid, product by product, each against the largest term of the
-    four at its x."""
+    """ode4_scores of the four canonical products (basis_products), in
+    BASIS order; the grid holds the power of x of each residual."""
     config = config or default_config()
     if not params.k > 0:
         raise InputError("product_solution_check requires k > 0")
-    xs = [float(x) for x in x_grid]
-    if not all(0 < x < math.inf for x in xs):
-        raise InputError("product_solution_check requires 0 < x < inf")
     coeffs = ode4_coeffs(params, variant)
-    at_x = []                                     # residuals of BASIS at each x
-    for x in xs:
-        try:
-            products = basis_products(params, x)
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise InputError(f"product_solution_check: x = {x} leaves the "
-                             f"double range ({exc})") from exc
-        terms = [_ode4_terms(coeffs, products[name], x) for name in BASIS]
-        # a product's terms can cancel to O(k) while their rounding errors
-        # stay the size of the O(1) factor coefficients (u0*v1 at n = 1,
-        # x = 1/2: y''' = -12ik - 16k^2); the basis' largest term has that size
-        scale = max(abs(t) for ts in terms for t in ts)
-        at_x.append([relative_residual(ts, scale) for ts in terms])
+    scores = [ode4_scores(coeffs, d) for d in basis_products(params).values()]
     notes = ["u0, u1 (Bessel, order -1/2+ik) and v0, v1 (Whittaker, (n+1/2, ik)): "
-             "(y, y') = (1, 0), (0, 1) at each x"]
-    notes += [f"{name}: x = {xs}" for name in BASIS]
-    suffix = "" if variant == "corrected" else "-printed"
+             "(y, y') = (1, 0), (0, 1) at x; grid: powers of x, scored exactly",
+             *(f"{name}: x^{[e for e, _ in sc]}" for name, sc in zip(BASIS, scores))]
+    # each power's float is index_grid's, shared by every report
     return ResidualReport(
-        check_name=f"ode4-basis{suffix}",
-        params=params,
-        grid=xs * len(BASIS),
-        residuals=[r for product in zip(*at_x) for r in product],
-        threshold=config.ode4_tol,
-        notes=notes,
-    )
+        "ode4-basis" if variant == "corrected" else "ode4-basis-printed", params,
+        [index_grid(e, e + 1)[0] for sc in scores for e, _ in sc],
+        [r for sc in scores for _, r in sc], config.ode4_tol, notes=notes)
 
 
 # the Whittaker operator's scale is at least this share of the largest addend
@@ -396,9 +352,12 @@ class IndicialAnalysis:
     printed_deviation: float
 
 
-def _falling(s: complex, j: int) -> complex:
-    """s (s-1) ... (s-j+1)."""
-    return math.prod((s - i for i in range(j)), start=1 + 0j)
+def _falling(sigma, d: int, q: int) -> tuple[int, int]:
+    """q^4 s (s-1) ... (s-d+1) for s = sigma/q, sigma a Gaussian integer."""
+    out = (q ** (4 - d), 0)
+    for i in range(d):
+        out = gaussian_product(out, (sigma[0] - i * q, sigma[1]))
+    return out
 
 
 def indicial_analysis(params: OrderParams,
@@ -409,28 +368,36 @@ def indicial_analysis(params: OrderParams,
     predicted exponents {0, 1, 2ik, 1-2ik}, and the printed factorization
     sigma(sigma-1)[sigma^2 - sigma - 4(1-k)(i+k)] evaluated there too.
 
-    The leading coefficient of a1, 1-4ik, never vanishes, so the indicial
+    Both exactly: at k = p/q each exponent is sigma/q for a Gaussian integer
+    sigma, so each term times q^4 (and the a_j's q^3) is one too.  The
+    leading coefficient of a1, 1-4ik, never vanishes, so the indicial
     polynomial has degree 4; vanishing at four distinct exponents fixes all
     of its roots, with no root finding."""
     config = config or default_config()
     if not params.k > 0:
         raise InputError("indicial_analysis requires k > 0")
     k = params.k
+    p, q = k.as_integer_ratio()
     # a_j's lowest term c x^i on y^(d), y ~ x^s: c s(s-1)...(s-d+1) x^(s+i-d)
     leading = []
-    for j, p in enumerate(ode4_coeffs(params, variant).as_list()):
-        lead = next(((i, c) for i, c in enumerate(p.coef) if c != 0), None)
-        if lead is not None:
-            leading.append((lead[0] - (4 - j), 4 - j, complex(lead[1])))
+    for j, a in enumerate(ode4_coeffs(params, variant).as_list()):
+        if a:
+            i, (c,) = aligned([a])[0]
+            leading.append((i - (4 - j), 4 - j, c))
     shift = min(o for o, _, _ in leading)
     leading = [(d, c) for o, d, c in leading if o == shift]
 
     predicted = (0j, 1 + 0j, 2j * k, 1 - 2j * k)
-    defects = tuple(relative_residual([c * _falling(s, d) for d, c in leading])
-                    for s in predicted)
-    q = -4 * (1 - k) * complex(k, 1)
-    printed = tuple(relative_residual([_falling(s, 2) * t for t in (s * s, -s, q)])
-                    for s in predicted)
+    sigmas = ((0, 0), (q, 0), (0, 2 * p), (q, -2 * p))
+    defects = tuple(exact_relative_residual(
+        [gaussian_product(c, _falling(sigma, d, q)) for d, c in leading])
+        for sigma in sigmas)
+    # the printed s(s-1) times s^2, -s and -4(1-k)(i+k), times q^6
+    const = (-4 * (q - p) * p, -4 * (q - p) * q)
+    printed = tuple(exact_relative_residual(
+        [gaussian_product(_falling(sigma, 2, q), t) for t in (
+            gaussian_product(sigma, sigma), (-q * sigma[0], -q * sigma[1]), const)])
+        for sigma in sigmas)
     return IndicialAnalysis(
         predicted=predicted, defects=defects, printed_defects=printed,
         match=max(defects) <= config.indicial_tol,

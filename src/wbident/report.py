@@ -2,11 +2,12 @@
 
 A relation whose terms must cancel is checked by one rule,
 `relative_residual`: |sum of the terms| / max |term|, with 0.0 when every
-term vanishes; `exact_relative_residual` applies it to the Gaussian-integer
-terms of Lambda's coefficient relations, 0.0 exactly when they cancel.  A
-value compared with a reference is scored by
-`relative_difference`, |value - reference| / |reference|, with 0.0 when both
-vanish.  Realness checks keep their own scales.
+term vanishes; `exact_relative_residual` applies it to Gaussian-integer
+terms (Lambda's coefficient relations, the fourth-order ODE, the indicial
+polynomials), 0.0 exactly when they cancel.  A value compared with a
+reference is scored by `relative_difference`, |value - reference| /
+|reference|, with 0.0 when both vanish.  Realness checks keep their own
+scales.
 
 All numbers are printed with 17 significant digits and all JSON keys are
 sorted, so two runs over the same inputs produce byte-identical documents

@@ -20,6 +20,8 @@ Per (n, k) cell the top coefficient, the coupled equation (its x^{m-1}
 coefficient is the first-order recurrence at m) and the five-factor
 recurrence are checked exactly on the coefficients' Gaussian integers, so
 the relations that hold read 0.0: certificates, not rounding measurements.
+So are the fourth-order ODE's basis check and indicial balance, which
+take no x grid.
 """
 
 from __future__ import annotations
@@ -221,18 +223,18 @@ def run_suite(config: EvalConfig | None = None,
                 reports.append(oracle_equivalence_report(
                     OrderParams(n=n, k=k), config))
 
-        # stages 6 and 8 take the x inside [0.5, 6], or a fixed grid if none is
+        # the trial check and stage 8 take the x inside [0.5, 6] (or a fixed grid)
         inner_grid = tuple(x for x in x_grid if 0.5 <= x <= 6) or (0.5, 1.0, 2.0, 4.0)
 
-        # 6. fourth-order basis checks
+        # 6. fourth-order basis checks (exact in x, so on no grid)
         ode_ks = [k for k in ks_pos if 0.4 <= k <= 1.5][:2] or ks_pos[:1]
         for n in range(min(n_max, 4) + 1):
             for k in ode_ks:
                 reports.append(product_solution_check(
-                    OrderParams(n=n, k=k), config, inner_grid, variant="corrected"))
+                    OrderParams(n=n, k=k), config, variant="corrected"))
         if ode_ks:
             reports.append(product_solution_check(
-                OrderParams(n=1, k=ode_ks[0]), config, inner_grid, variant="printed"))
+                OrderParams(n=1, k=ode_ks[0]), config, variant="printed"))
             reports += trial_condition_check(
                 OrderParams(n=2, k=ode_ks[0]), inner_grid, config)
 

@@ -24,9 +24,13 @@ def trial_grids_are_nonempty(reports):
     assert all(r["grid"] for r in reports if r["check"].startswith("trial-"))
 
 
-def ode4_basis_runs_on_the_grid(reports):
-    grids = [r["grid"] for r in reports if r["check"].startswith("ode4-basis")]
-    assert grids and all(g == [0.5, 3.0] * 4 for g in grids)
+def ode4_basis_is_exact_in_x(reports):
+    # the grids hold powers of x, whatever --x-grid says; only the printed
+    # variant leaves a nonzero coefficient
+    basis = [r for r in reports if r["check"].startswith("ode4-basis")]
+    assert len(basis) == 11
+    assert all(x == int(x) for r in basis for x in r["grid"])
+    assert {r["check"] for r in basis if max(r["residuals"]) > 0} == {"ode4-basis-printed"}
 
 
 # (command line, exit code, what its --out file must match: another row's
@@ -44,7 +48,9 @@ ROWS = [
     ("coeffs --n 25 --k 4.9 --out coeffs.json", 0, None, False),
     ("verify --check indicial --n 2 --k 1", 0, None, False),
     ("verify --check indicial --n 2 --k 1 --x-grid 99,-3", 2, None, False),
-    ("suite --x-grid 0.5,3 --out suite-x3.json", 0, ode4_basis_runs_on_the_grid, False),
+    ("verify --check indicial --n 2 --k 1e100", 0, None, False),
+    ("verify --check indicial --n 2 --k 1e300", 0, None, False),
+    ("suite --x-grid 0.5,3 --out suite-x3.json", 0, ode4_basis_is_exact_in_x, False),
     ("verify --check reconstruction --n 2 --k 1", 0, None, False),
     ("verify --check identity --n 2 --k 1 --x-grid 9", 2, None, False),
     ("eval whittaker-w 1.5 1e300j 2.0", 2, None, False),
@@ -145,7 +151,7 @@ def near_degenerate(check: str, k: float) -> bool:
 MU_TOL = EvalConfig().mu_degeneracy_tol
 
 # each check's valid box, and values just outside it
-CHECKS = ["coupled", "second-order", "trial", "reconstruction", "indicial"]
+CHECKS = ["coupled", "second-order", "trial", "reconstruction", "indicial", "ode4-basis"]
 VALID_N, VALID_K = st.integers(0, 25), st.floats(0.0, 6.0)
 VALID_X = {"trial": st.floats(0.25, 8.0), "reconstruction": st.floats(0.5, 6.0)}
 BAD_N = st.sampled_from([-1, 26])
@@ -174,8 +180,8 @@ def test_verify_checks_in_their_box_exit_with_a_code(data, check, n, k):
 @given(check=st.sampled_from(CHECKS), spoil=st.sampled_from(["n", "k", "x"]),
        n=BAD_N, k=BAD_K, x=BAD_X)
 def test_verify_checks_outside_their_box_exit_with_a_code(check, spoil, n, k, x):
-    # one input outside the box; coupled, second-order and indicial refuse
-    # any --x-grid
+    # one input outside the box; coupled, second-order, indicial and
+    # ode4-basis refuse any --x-grid
     k = k if spoil == "k" else 0.5
     argv = verify_argv(check, n if spoil == "n" else 2, k,
                        [0.5, 1.0, x] if spoil == "x" else None)

@@ -63,8 +63,8 @@ class TestBoundaryCoeffs:
 class TestRecurrence:
     def test_n1_k1_hand_iteration(self):
         cv = coeffs_from_recurrence(OrderParams(n=1, k=1.0))
-        assert abs(cv.a_m(1) - (-(1 - 1j) / SQRT_PI)) < 1e-15
-        assert abs(cv.a_m(2) - 2 / SQRT_PI) < 1e-15
+        assert abs(cv.a[0] - (-(1 - 1j) / SQRT_PI)) < 1e-15
+        assert abs(cv.a[1] - 2 / SQRT_PI) < 1e-15
 
     def test_n2_k0_matches_laguerre_expansion(self):
         # lambda = (2!/sqrt(pi)) x L_2(2x) = (2x - 8x^2 + 4x^3)/sqrt(pi)... wait,
@@ -72,7 +72,7 @@ class TestRecurrence:
         cv = coeffs_from_recurrence(OrderParams(n=2, k=0.0))
         want = [2 / SQRT_PI, -8 / SQRT_PI, 4 / SQRT_PI]
         for m, w in enumerate(want, start=1):
-            assert abs(cv.a_m(m) - w) < 1e-14
+            assert abs(cv.a[m - 1] - w) < 1e-14
 
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_k0_coefficients_real(self, n):
@@ -84,8 +84,8 @@ class TestRecurrence:
         for n in range(21):
             cv = coeffs_from_recurrence(OrderParams(n=n, k=k))
             expected = 2 ** n / SQRT_PI
-            assert abs(cv.a_top - expected) <= 1e-12 * expected
-            assert abs(cv.a_top.imag) <= 1e-12 * expected
+            assert abs(cv.a[-1] - expected) <= 1e-12 * expected
+            assert abs(cv.a[-1].imag) <= 1e-12 * expected
 
     @pytest.mark.parametrize("k", K_SET + (0.0, 600.0, 1e300))
     def test_top_coeff_residuals_vanish_exactly(self, k):
@@ -182,13 +182,13 @@ class TestResolveConvention:
 class TestLaguerreClosedForm:
     def test_n0(self):
         cv = laguerre_closed_form(0)
-        assert abs(cv.a_m(1) - 1 / SQRT_PI) < 1e-15
+        assert abs(cv.a[0] - 1 / SQRT_PI) < 1e-15
 
     def test_n1(self):
         # lambda = (2x^2 - x)/sqrt(pi)
         cv = laguerre_closed_form(1)
-        assert abs(cv.a_m(1) + 1 / SQRT_PI) < 1e-15
-        assert abs(cv.a_m(2) - 2 / SQRT_PI) < 1e-15
+        assert abs(cv.a[0] + 1 / SQRT_PI) < 1e-15
+        assert abs(cv.a[1] - 2 / SQRT_PI) < 1e-15
 
     @pytest.mark.parametrize("n", [0, 1, 3, 7, 13, 20])
     def test_matches_recurrence_at_k0(self, n):
@@ -202,7 +202,7 @@ class TestLaguerreClosedForm:
             dev = {}
             for k in (1e-3, 2e-3):
                 cv = coeffs_from_recurrence(OrderParams(n=n, k=k))
-                dev[k] = max(abs(cv.a_m(m) - closed.a_m(m)) / abs(closed.a_m(m))
+                dev[k] = max(abs(cv.a[m - 1] - closed.a[m - 1]) / abs(closed.a[m - 1])
                              for m in range(1, n + 2))
             assert dev[1e-3] <= 1e-2
             assert 1.5 <= dev[2e-3] / dev[1e-3] <= 2.5
@@ -223,8 +223,8 @@ def float_second_order(cv: CoeffVector, variant: str) -> list[float]:
             c = (lead * (m + 2 * ik) * (m + 1 - 2 * ik),
                  4 * (1 + 2 * n) * m * (m * m - ik),
                  4.0 * (1 + 2 * m) * (n + m) * (1 + n - m))
-        out.append(relative_residual([c[0] * cv.a_m(m + 2), c[1] * cv.a_m(m + 1),
-                                      c[2] * cv.a_m(m)]))
+        out.append(relative_residual([c[0] * cv.a[m + 1], c[1] * cv.a[m],
+                                      c[2] * cv.a[m - 1]]))
     return out
 
 
@@ -271,7 +271,7 @@ class TestSecondOrderRecurrence:
 class TestCollocationOracle:
     def test_n0_constant_lambda(self):
         cv = collocation_oracle(OrderParams(n=0, k=1.0))
-        assert abs(cv.a_m(1) - 1 / SQRT_PI) <= 1e-10
+        assert abs(cv.a[0] - 1 / SQRT_PI) <= 1e-10
 
     def test_n1_matches_recurrence(self):
         params = OrderParams(n=1, k=1.0)
@@ -279,7 +279,7 @@ class TestCollocationOracle:
         assert fit.convention == "collocation-fit-double"
         rec = coeffs_from_recurrence(params)
         for m in (1, 2):
-            assert abs(fit.a_m(m) - rec.a_m(m)) <= 1e-8 * abs(rec.a_m(m))
+            assert abs(fit.a[m - 1] - rec.a[m - 1]) <= 1e-8 * abs(rec.a[m - 1])
 
     def test_rejects_k0(self):
         with pytest.raises(ValueError):
@@ -302,7 +302,7 @@ class TestCollocationOracle:
         assert fit.convention == "collocation-fit-oracle"
         rec = coeffs_from_recurrence(params)
         for m in range(1, 10):
-            assert abs(fit.a_m(m) - rec.a_m(m)) <= 1e-10 * abs(rec.a_m(m))
+            assert abs(fit.a[m - 1] - rec.a[m - 1]) <= 1e-10 * abs(rec.a[m - 1])
 
     def test_auto_mode_escalates(self):
         # the single path escalates at n = 6 (condition about 1e12)
@@ -311,7 +311,7 @@ class TestCollocationOracle:
         assert fit.convention == "collocation-fit-oracle"
         rec = coeffs_from_recurrence(params)
         for m in range(1, 8):
-            assert abs(fit.a_m(m) - rec.a_m(m)) <= 1e-8 * abs(rec.a_m(m))
+            assert abs(fit.a[m - 1] - rec.a[m - 1]) <= 1e-8 * abs(rec.a[m - 1])
 
     def test_default_points_satisfy_preconditions(self):
         xs = default_collocation_points(5)

@@ -2,6 +2,7 @@
 connection constants."""
 
 import cmath
+import dataclasses
 import inspect
 import math
 
@@ -11,26 +12,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wbident.ode
-from wbident import kernels, lambda_poly
+from wbident import _exact, kernels, lambda_poly
+from wbident.cli import main
 from wbident.config import EvalConfig
 from wbident.core import SQRT_PI, laguerre
-from wbident.errors import InvariantViolationError, WbidentError
+from wbident.errors import InputError, InvariantViolationError, WbidentError
 from wbident.kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                              whittaker_w)
 from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
                                  coeffs_from_recurrence, laguerre_closed_form)
 from wbident.ode import (BASIS, SolutionConstants, basis_products,
-                         bessel_ode_coeffs,
                          c4_closed_form, constants_closed_form,
                          constants_defining_system, constants_printed_system,
                          coupled_residual, indicial_analysis, indicial_reports,
-                         lambda_reconstruction, lift_derivatives,
-                         lowered_terms, m_lowering, ode4_coeffs,
-                         ode4_residual, printed_relation_residuals,
-                         product_derivatives, product_solution_check,
+                         lambda_reconstruction, lowered_terms, m_lowering,
+                         ode4_coeffs, ode4_residual, ode4_scores,
+                         printed_relation_residuals, product_solution_check,
                          resolve_constants, solution_constants,
                          trial_condition_check, w_lowering,
-                         whittaker_ode_coeffs, whittaker_operator_residual)
+                         whittaker_operator_residual)
 
 ODE4_TOL = EvalConfig().ode4_tol
 
@@ -39,14 +39,15 @@ ODE4_TOL = EvalConfig().ode4_tol
 COUPLED_KS = (0.0, 1e-6, 0.1, 0.5, 1.0, 2.0, 2.526, 3.818, 600.0)
 
 
-def mutant_scaled_coeffs(old: str, new: str):
-    """lambda_poly._scaled_coeffs with its source text `old` (which must occur
-    exactly once) replaced by `new`."""
-    source = inspect.getsource(lambda_poly._scaled_coeffs)
+def mutant_source(fn, old: str, new: str):
+    """fn with its source text `old` (which must occur exactly once) replaced
+    by `new`, compiled in fn's module namespace."""
+    source = inspect.getsource(fn)
     assert source.count(old) == 1, old
-    namespace = dict(vars(lambda_poly))
-    exec(compile(source.replace(old, new), lambda_poly.__file__, "exec"), namespace)
-    return namespace["_scaled_coeffs"]
+    module = inspect.getmodule(fn)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[fn.__name__]
 
 
 def one_integer_off(j: int, part: int, step: int):
@@ -78,8 +79,8 @@ SCALED_MUTANTS = {
     **{f"{step:+d} in P[{j}] {('re', 'im')[part]}": (one_integer_off, (j, part, step))
        for j in (0, 1, -1) for part in (0, 1) for step in (1, -1)},
     # -(1-2m) conj(a_m) in place of (1-2m) conj(a_m): the step's two factors swap
-    "(1-2m) sign": (mutant_scaled_coeffs, (
-        "(2 + 2 * n - 2 * m) * re, (2 * n + 2 * m) * im",
+    "(1-2m) sign": (mutant_source, (
+        lambda_poly._scaled_coeffs, "(2 + 2 * n - 2 * m) * re, (2 * n + 2 * m) * im",
         "(2 * n + 2 * m) * re, (2 + 2 * n - 2 * m) * im")),
     "convention flip": (convention_flipped, ()),
 }
@@ -139,24 +140,107 @@ class TestCoupledResidual:
                 coeffs_from_recurrence(OrderParams(n=n, k=k))
 
 
+# --- float reference: the factor equations lifted at one x -------------------
+
+def bessel_ode_coeffs(nu, x: float):
+    """(p, p', p''), (q, q', q'') at x of the modified Bessel equation
+    y'' = p y' + q y, with p = -1/x and q = 1 + nu^2/x^2."""
+    nu2 = complex(nu) ** 2
+    return ((-1 / x, 1 / x ** 2, -2 / x ** 3),
+            (1 + nu2 / x ** 2, -2 * nu2 / x ** 3, 6 * nu2 / x ** 4))
+
+
+def whittaker_ode_coeffs(kappa, mu, x: float):
+    """(p, p', p''), (q, q', q'') at x of the equation v'' = q v solved by
+    v(x) = W_{kappa,mu}(2x) and M_{kappa,mu}(2x), with
+    q = 1 - 2 kappa/x - (1/4 - mu^2)/x^2."""
+    c = 0.25 - complex(mu) ** 2
+    return ((0.0, 0.0, 0.0),
+            (1 - 2 * kappa / x - c / x ** 2,
+             2 * kappa / x ** 2 + 2 * c / x ** 3,
+             -4 * kappa / x ** 3 - 6 * c / x ** 4))
+
+
+def lift_derivatives(y, dy, p, q) -> list[complex]:
+    """[y, y', y'', y''', y''''] of a solution of y'' = p y' + q y, given
+    (y, y') and p, q each as (value, first, second derivative)."""
+    p0, p1, p2 = p
+    q0, q1, q2 = q
+    d2 = p0 * dy + q0 * y
+    d3 = p1 * dy + p0 * d2 + q1 * y + q0 * dy
+    d4 = p2 * dy + 2 * p1 * d2 + p0 * d3 + q2 * y + 2 * q1 * dy + q0 * d2
+    return [y, dy, d2, d3, d4]
+
+
+def product_derivatives(f, g) -> list[complex]:
+    """Derivatives 0..4 of f*g by the Leibniz rule."""
+    return [sum(math.comb(j, i) * f[i] * g[j - i] for i in range(j + 1))
+            for j in range(5)]
+
+
+def basis_at(params, x):
+    """The exact canonical products' derivatives 0..4 at x, keyed by BASIS
+    (basis_products keeps them over (4q^2)^8)."""
+    _, q = params.k.as_integer_ratio()
+    den = (4 * q * q) ** 8
+    return {name: [_exact.value(d, den, x) for d in derivs]
+            for name, derivs in basis_products(params).items()}
+
+
+def one_coefficient_off(name: str, power: int, step: int):
+    """ode4_coeffs with `step` added to the real part of the x^power
+    coefficient of a_j = `name` (an integer over the denominator q^3)."""
+    def mutant(params, variant="corrected"):
+        c = ode4_coeffs(params, variant)
+        return dataclasses.replace(
+            c, **{name: _exact.add(getattr(c, name), {power: (step, 0)})})
+    return mutant
+
+
 class TestOde4Coeffs:
     def test_degrees(self):
         c = ode4_coeffs(OrderParams(n=2, k=0.7))
-        assert [p.degree() for p in c.as_list()] == [3, 2, 3, 2, 1]
+        assert [max(a) for a in c.as_list()] == [3, 2, 3, 2, 1]
 
     def test_a1_double_root_at_zero(self):
         c = ode4_coeffs(OrderParams(n=3, k=1.0))
-        assert c.a1.coef[0] == 0 and c.a1.coef[1] == 0
-        assert c.a1.coef[2] != 0
+        assert min(c.a1) == 2
 
     def test_a1_value(self):
         # a1(1) at n=0, k=0 is 1 + 4 = 5
         c = ode4_coeffs(OrderParams(n=0, k=0.0))
-        assert c.a1(1.0) == 5
+        assert _exact.value(c.a1, c.den, 1.0) == 5
 
     def test_a5_vanishes_at_n0(self):
         c = ode4_coeffs(OrderParams(n=0, k=1.0))
-        assert not c.a5.coef.any()
+        assert c.a5 == {}
+
+    @pytest.mark.parametrize("k", [0.8, 0.1, 2.526, 1e300, 5e-324])
+    def test_q_cubed_clears_every_coefficient(self, k):
+        # also where k^3 or its denominator leaves the double range
+        c = ode4_coeffs(OrderParams(n=2, k=k))
+        assert c.den == k.as_integer_ratio()[1] ** 3
+        assert all(type(part) is int for a in c.as_list()
+                   for coeff in a.values() for part in coeff)
+
+    @pytest.mark.parametrize("n, k", [(0, 1.0), (2, 0.8), (7, 2.526), (25, 0.1)])
+    def test_values_match_the_formulas_in_double(self, n, k):
+        m, nn, ik = 1 + 2 * n, n * (n + 1), 1j * k
+        ipk, ip4k = complex(k, 1), complex(4 * k, 1)
+        constants = {"corrected": -2 * (1 + 2 * ik) * ipk * ip4k,
+                     "printed": 2j * (1 - 2 * k) * ipk * ip4k}
+        for x in (0.5, 1.3):
+            for variant, c3 in constants.items():
+                want = [(1 - 4 * ik) * x ** 2 + 4 * m * x ** 3,
+                        4 * (1 - 4 * ik) * x + 12 * m * x ** 2,
+                        c3 + 4 * (1 + 4 * k * k) * m * x
+                        + 4 * (1 + 4 * ik + 8 * nn) * x ** 2 - 16 * m * x ** 3,
+                        -4 * ipk * ip4k * m + 8 * (-1 + 2 * nn + 6 * ik) * x
+                        - 32 * m * x ** 2,
+                        12 * nn * (1 - 4 * ik) + 16 * nn * m * x]
+                c = ode4_coeffs(OrderParams(n=n, k=k), variant)
+                for a, w in zip(c.as_list(), want):
+                    assert abs(_exact.value(a, c.den, x) - w) <= 1e-13 * abs(w)
 
     def test_variants_differ_only_in_a3_constant(self):
         p = OrderParams(n=2, k=0.8)
@@ -164,8 +248,8 @@ class TestOde4Coeffs:
         pri = ode4_coeffs(p, "printed")
         assert cor.a1 == pri.a1 and cor.a2 == pri.a2
         assert cor.a4 == pri.a4 and cor.a5 == pri.a5
-        assert (cor.a3.coef[1:] == pri.a3.coef[1:]).all()
-        assert cor.a3.coef[0] != pri.a3.coef[0]
+        assert {e: c for e, c in cor.a3.items() if e} == {e: c for e, c in pri.a3.items() if e}
+        assert cor.a3[0] != pri.a3[0]
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -178,7 +262,8 @@ class TestOde4Residual:
             cv = coeffs_from_recurrence(OrderParams(n=n, k=k))
             poly = cv.big_lambda_poly()
             for x in (0.5, 1.0, 2.0, 4.0):
-                r = ode4_residual(poly, OrderParams(n=n, k=k), x)
+                derivs = [complex(poly.deriv(j)(x)) for j in range(5)]
+                r = ode4_residual(derivs, OrderParams(n=n, k=k), x)
                 assert r <= 1e-8, (n, k, x)
 
     def test_kw_product(self):
@@ -194,8 +279,15 @@ class TestOde4Residual:
         r = ode4_residual([cmath.exp(1.5)] * 5, params, 1.5)
         assert r >= 1e-1
 
+    def test_coefficients_outside_the_double_range_are_input_error(self):
+        # a3's constant is of order k^3: 1e900 at k = 1e300
+        with pytest.raises(InputError):
+            ode4_residual([1.0] * 5, OrderParams(n=2, k=1e300), 1.0)
+
 
 class TestDerivativeLift:
+    """The float lift that factor_at and the kernel cross-checks use."""
+
     def test_lift_matches_polynomial_solution(self):
         # y = x^3 solves y'' = (1/x) y' + (3/x^2) y
         x = 1.7
@@ -216,20 +308,69 @@ class TestDerivativeLift:
             assert abs(got[j] - 3 ** j * math.exp(3 * x)) <= 1e-13 * 3 ** j
 
 
+class TestOde4OnLambda:
+    """a1..a5 applied exactly to Lambda's Gaussian integers
+    (lambda_poly._lambda_integers): one residual per power of x."""
+
+    KS = (0.0, 1e-6, 0.1, 0.5, 1.0, 2.526, 600.0)
+
+    @staticmethod
+    def scores(params, variant="corrected") -> list[float]:
+        big, _, _, _ = lambda_poly._lambda_integers(params)
+        derivs = [_exact.poly(big)]
+        for _ in range(4):
+            derivs.append(_exact.deriv(derivs[-1]))
+        return [r for _, r in ode4_scores(ode4_coeffs(params, variant), derivs)]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_corrected_coefficients_annihilate_lambda(self, k):
+        for n in range(26):
+            assert max(self.scores(OrderParams(n=n, k=k)), default=0.0) == 0.0, n
+
+    def test_printed_a3_leaves_a_defect_from_n2(self):
+        # the printed a3 constant differs by a constant, a multiple of
+        # Lambda'' in the ODE: nothing at n = 0 and 1, a defect from n = 2
+        for k in (0.5, 1.0, 2.526):
+            for n in range(26):
+                worst = max(self.scores(OrderParams(n=n, k=k), "printed"), default=0.0)
+                assert (worst == 0.0) if n < 2 else (worst > ODE4_TOL), (n, k)
+        assert max(self.scores(OrderParams(n=2, k=1.0), "printed")) == pytest.approx(
+            0.137, abs=1e-3)
+
+
 class TestProductSolutions:
     @pytest.mark.parametrize("k", [0.5, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_four_products_solve(self, n, k):
         rep = product_solution_check(OrderParams(n=n, k=k))
-        assert rep.passed, (n, k, rep.max_residual)
+        assert rep.passed and rep.max_residual == 0.0, (n, k, rep.max_residual)
+
+    @pytest.mark.parametrize("k", [1e-6, 0.1, 0.5, 1.0, 2.0, 2.526, 3.818, 600.0, 1e300])
+    def test_exact_for_every_order(self, k):
+        # a certificate: every coefficient of every product cancels exactly,
+        # also where k^3 leaves the double range
+        for n in range(26):
+            rep = product_solution_check(OrderParams(n=n, k=k))
+            assert rep.grid and rep.max_residual == 0.0, (n, k)
+
+    def test_grid_holds_the_powers_of_x(self):
+        # product by product in BASIS order, ascending powers, as the notes say
+        params = OrderParams(n=2, k=0.5)
+        rep = product_solution_check(params)
+        powers = [[e for e, _ in ode4_scores(ode4_coeffs(params), derivs)]
+                  for derivs in basis_products(params).values()]
+        assert all(p == sorted(p) for p in powers)
+        assert list(rep.grid) == [float(e) for p in powers for e in p]
+        assert list(rep.notes[1:]) == [f"{name}: x^{p}" for name, p in zip(BASIS, powers)]
 
     def test_control_non_solution_fails(self):
         # the canonical products of the n+1 Whittaker equation are not in
-        # the basis of n's ODE
+        # the basis of n's ODE: an exact defect of 0.41
         params = OrderParams(n=1, k=1.0)
         shifted = OrderParams(n=params.n + 1, k=params.k)
-        worst = max(ode4_residual(derivs, params, x) for x in (0.5, 1.0, 2.0)
-                    for derivs in basis_products(shifted, x).values())
+        coeffs = ode4_coeffs(params)
+        worst = max(r for derivs in basis_products(shifted).values()
+                    for _, r in ode4_scores(coeffs, derivs))
         assert worst >= 1e-1
 
     def test_calls_no_kernel(self, monkeypatch):
@@ -276,46 +417,72 @@ class TestProductSolutions:
         assert corrected <= 1e-14
         assert printed >= 1e-1
 
-    # a3's constant term (the one the printed variant changes), a1 and a5
-    # whole; at n = 4, k = 0.5 they read 3.8e-10, 1e-9 and 1e-9
-    @pytest.mark.parametrize("name, factor, constant_only", [
-        ("a3", 1 + 1e-8, True), ("a1", 1 + 1e-9, False), ("a5", 1 + 1e-9, False)])
-    def test_perturbed_coefficient_fails(self, name, factor, constant_only,
-                                         monkeypatch):
-        ode4 = wbident.ode.ode4_coeffs
+    # +-1 in one integer of q^3 a_j: the real part of its top coefficient,
+    # or of a3's constant (the term the printed variant changes)
+    COEFF_MUTANTS = {"a1": ("a1", 3), "a2": ("a2", 2), "a3": ("a3", 3),
+                     "a4": ("a4", 2), "a5": ("a5", 1), "a3 constant": ("a3", 0)}
 
-        def mutant(params, variant="corrected"):
-            c = ode4(params, variant)
-            poly = getattr(c, name).copy()
-            if constant_only:
-                poly.coef[0] *= factor
-            else:
-                poly.coef *= factor
-            return type(c)(**{**c.__dict__, name: poly})
+    @pytest.mark.parametrize("mutant", COEFF_MUTANTS)
+    def test_perturbed_coefficient_fails(self, mutant, monkeypatch):
+        # any nonzero change reads > 0 in every cell, however large q is; at
+        # k = 0.5 (q = 2) the change is a few percent and the check fails
+        name, power = self.COEFF_MUTANTS[mutant]
+        for step in (1, -1):
+            monkeypatch.setattr(wbident.ode, "ode4_coeffs",
+                                one_coefficient_off(name, power, step))
+            assert not product_solution_check(OrderParams(n=4, k=0.5)).passed
+            for n in (0, 1, 7, 25):
+                for k in (1e-6, 0.1, 2.526, 600.0):
+                    rep = product_solution_check(OrderParams(n=n, k=k))
+                    assert rep.max_residual > 0.0, (n, k, step)
 
-        params = OrderParams(n=4, k=0.5)
-        assert product_solution_check(params).passed
-        monkeypatch.setattr(wbident.ode, "ode4_coeffs", mutant)
-        assert not product_solution_check(params).passed
+    # source edits of basis_products: a factor equation or the Leibniz rule
+    FACTOR_MUTANTS = {
+        "Bessel nu^2 with -k^2 -> +k^2": ("q * q - 4 * p * p, -4 * p * q",
+                                          "q * q + 4 * p * p, -4 * p * q"),
+        "Bessel nu with ik -> -ik": ("q * q - 4 * p * p, -4 * p * q",
+                                     "q * q - 4 * p * p, 4 * p * q"),
+        "Bessel p sign": ("poly([(-s, 0)], -1)", "poly([(s, 0)], -1)"),
+        "Whittaker 1/4 + k^2 -> 1/4 - k^2": ("(-q * q - 4 * p * p, 0)",
+                                             "(-q * q + 4 * p * p, 0)"),
+        "Leibniz binomials dropped": ("math.comb(m, r)", "1"),
+    }
+
+    @pytest.mark.parametrize("mutant", FACTOR_MUTANTS)
+    def test_factor_equation_mutant_fails(self, mutant, monkeypatch):
+        # measured: each reads at least 0.035 in every cell below
+        monkeypatch.setattr(wbident.ode, "basis_products", mutant_source(
+            wbident.ode.basis_products, *self.FACTOR_MUTANTS[mutant]))
+        for n in (0, 2, 7):
+            for k in (0.1, 1.0, 2.526):
+                assert not product_solution_check(OrderParams(n=n, k=k)).passed, (n, k)
 
     @pytest.mark.parametrize("n, k", [(1, 1e-6), (1, 1e-8), (0, 5.6e-9), (1, 1e-12)])
     def test_small_k_stays_at_rounding_level(self, n, k):
         # u0*v1's terms cancel to O(k) at n = 1, x = 1/2 (and others at
-        # n = 0); scored against its own largest term it would read 3.7e-9
-        # at k = 1e-8, against the basis' largest term it reads rounding
+        # n = 0), where a float check needed the basis' largest term as its
+        # scale; scored exactly they cancel to 0.0
         rep = product_solution_check(OrderParams(n=n, k=k))
-        assert rep.max_residual <= 1e-14
+        assert rep.max_residual == 0.0
 
     @pytest.mark.parametrize("x", [0.0, -1.0, math.inf, math.nan, 1e-300, 1e100])
-    def test_grid_outside_the_double_range_is_input_error(self, x):
-        with pytest.raises(WbidentError):
-            product_solution_check(OrderParams(n=1, k=1.0), x_grid=(1.0, x))
+    def test_grid_outside_the_double_range_is_input_error(self, x, capsys):
+        # the check is exact in x and takes no grid: verify refuses every
+        # --x-grid, these among them
+        assert main(["verify", "--check", "ode4-basis", f"--x-grid=1.0,{x!r}"]) == 2
+        assert "takes no --x-grid" in capsys.readouterr().err
 
     def test_printed_variant_fails_products(self):
+        # the printed defect is a constant times (u_i v_j)'', which is 0 for
+        # u0*v1 alone
         rep = product_solution_check(OrderParams(n=1, k=1.0), variant="printed")
         assert rep.advisory
         assert not rep.passed
         assert rep.max_residual > 1e-2
+        per_product = [max(r for _, r in ode4_scores(
+            ode4_coeffs(OrderParams(n=1, k=1.0), "printed"), derivs))
+            for derivs in basis_products(OrderParams(n=1, k=1.0)).values()]
+        assert [r > ODE4_TOL for r in per_product] == [True, False, True, True]
 
 
 class TestTrialConditions:
@@ -484,12 +651,6 @@ def in_x(terms):
     return [4 * t for t in terms]
 
 
-def per_point_basis_residuals(params, x_grid, variant):
-    at_x = [product_solution_check(params, x_grid=(x,), variant=variant).residuals
-            for x in x_grid]
-    return [residuals[i] for i in range(len(BASIS)) for residuals in at_x]
-
-
 def per_point_trial_residuals(params, x_grid):
     n, k = params.n, params.k
     out = [[], [], [], []]
@@ -530,7 +691,9 @@ def per_point_reconstruction_residuals(params, x_grid):
 class TestGridEqualsPerPoint:
     """The trial and reconstruction checks take M and W on the whole grid in
     one call; the arithmetic after the kernel calls is per point, so every
-    residual keeps its bits.  The basis check is per point throughout."""
+    residual keeps its bits.  The basis check is exact in x; at each point
+    its canonical products combine with the kernels' values, and the float
+    residual there agrees with its verdict."""
 
     XS = (0.5, 1.0, 1.7, 2.0, 4.0, 5.3)
     ORDERS = [(0, 0.5), (2, 0.5), (4, 1.0), (7, 2.526), (12, 0.1)]
@@ -541,7 +704,7 @@ class TestGridEqualsPerPoint:
         # the factors' values and slopes: I*M = sum I^(i) M^(j) u_i v_j
         params = OrderParams(n=n, k=k)
         for x in self.XS:
-            canonical = basis_products(params, x)
+            canonical = basis_at(params, x)
             f = {name: factor_at(name, params, x) for name in "IKMW"}
             for a, b in ("IM", "IW", "KW", "KM"):
                 terms = [[f[a][i] * f[b][j] * d for d in canonical[f"u{i}*v{j}"]]
@@ -554,9 +717,19 @@ class TestGridEqualsPerPoint:
     @pytest.mark.parametrize("variant", ["corrected", "printed"])
     @pytest.mark.parametrize("n, k", ORDERS)
     def test_basis_check(self, n, k, variant):
+        # a product whose coefficients cancel exactly reads rounding in double
+        # at every x, and one with an exact defect fails at every x
         params = OrderParams(n=n, k=k)
-        rep = product_solution_check(params, x_grid=self.XS, variant=variant)
-        assert tuple(rep.residuals) == tuple(per_point_basis_residuals(params, self.XS, variant))
+        coeffs = ode4_coeffs(params, variant)
+        exact = {name: max(r for _, r in ode4_scores(coeffs, derivs))
+                 for name, derivs in basis_products(params).items()}
+        rep = product_solution_check(params, variant=variant)
+        assert rep.max_residual == max(exact.values())
+        for x in self.XS:
+            at_x = basis_at(params, x)
+            for name in BASIS:
+                r = ode4_residual(at_x[name], params, x, variant)
+                assert (r <= 1e-12) if exact[name] == 0.0 else (r > ODE4_TOL), (x, name)
 
     @pytest.mark.parametrize("n, k", ORDERS)
     def test_trial_check(self, n, k):
@@ -577,7 +750,14 @@ class TestIndicial:
     def test_roots_match_predicted_set(self, k):
         ia = indicial_analysis(OrderParams(n=2, k=k))
         assert ia.match
-        assert ia.max_deviation <= 1e-10
+        assert ia.max_deviation == 0.0
+
+    @pytest.mark.parametrize("k", [1e-6, 0.1, 0.5, 1.0, 2.0, 2.526, 600.0, 1e300, 5e-324])
+    def test_exact_for_every_order(self, k):
+        # a certificate: the leading balance vanishes exactly at all four
+        # exponents, also where k^3 or q^4 leaves the double range
+        for n in range(26):
+            assert indicial_analysis(OrderParams(n=n, k=k)).defects == (0.0,) * 4, n
 
     def test_roots_always_include_zero_and_one(self):
         ia = indicial_analysis(OrderParams(n=3, k=0.7))
@@ -586,17 +766,18 @@ class TestIndicial:
 
     @pytest.mark.parametrize("k", [0.1, 0.5, 1.0, 2.0])
     def test_perturbed_a3_constant_fails(self, k, monkeypatch):
-        # substituting the exponents is not vacuous: a 1e-9 relative change
-        # of a3's constant term moves two of the four roots off them
-        def mutant(params, variant="corrected"):
-            c = ode4_coeffs(params, variant)
-            a3 = c.a3.copy()
-            a3.coef[0] *= 1 + 1e-9
-            return type(c)(c.a1, c.a2, a3, c.a4, c.a5)
-
-        assert indicial_analysis(OrderParams(n=2, k=k)).match
-        monkeypatch.setattr(wbident.ode, "ode4_coeffs", mutant)
-        assert not indicial_analysis(OrderParams(n=2, k=k)).match
+        # substituting the exponents is not vacuous: +-1 in the real part of
+        # q^3 times a3's constant moves the roots 2ik and 1-2ik off, and their
+        # defects read > 0.  At k = 0.1 (q = 2^55) that is a change of 1e-50
+        # relative, under indicial_tol; at q <= 2 the check fails
+        params = OrderParams(n=2, k=k)
+        assert indicial_analysis(params).match
+        for step in (1, -1):
+            monkeypatch.setattr(wbident.ode, "ode4_coeffs",
+                                one_coefficient_off("a3", 0, step))
+            ia = indicial_analysis(params)
+            assert ia.defects[:2] == (0.0, 0.0) and min(ia.defects[2:]) > 0.0
+            assert ia.match == (k == 0.1)
 
     def test_predicted_set_k1(self):
         ia = indicial_analysis(OrderParams(n=1, k=1.0))

@@ -424,12 +424,11 @@ class TestCli:
         "verify --check trial --n 2 --k 1e300",
         "verify --check trial --n 2 --k 470",
         "verify --check trial --n 2 --k 500",
-        "verify --check indicial --n 2 --k 1e300",
-        "verify --check indicial --n 2 --k 1e100",
         "verify --check reconstruction --n 2 --k 1e300",
         "verify --check reconstruction --n 2 --k 200",
         "verify --check reconstruction --n 2 --k 230",
         "verify --check indicial --n 2 --k 1 --x-grid 99,-3",
+        "verify --check ode4-basis --n 2 --k 1 --x-grid 0.5,1",
         "verify --check coupled --n 2 --k 1 --x-grid 99,-3",
         "verify --check second-order --n 2 --k 1 --x-grid 99,-3",
     ])
