@@ -38,18 +38,18 @@ _EVAL_KERNELS = {
 }
 
 
-# verify --check name -> (EvalConfig threshold that --tol overrides, default
-# x grid, runner(params, x grid, config) returning the check's reports)
+# verify --check name -> (EvalConfig threshold that --tol overrides, None for
+# an exact check (it passes only at 0.0); default x grid, None for a check on
+# none; runner(params, x grid, config) returning the check's reports)
 _CHECKS = {
     "identity": ("identity_tol", DEFAULT_X_GRID,
                  lambda p, grid, c: [verify_identity(p, grid, c)]),
-    "coupled": ("coupled_tol", None,
-                lambda p, grid, c: [coupled_residual(p, c)]),
-    "second-order": ("second_order_tol", None,
-                     lambda p, grid, c: [check_second_order(p, v, c)
+    "coupled": (None, None, lambda p, grid, c: [coupled_residual(p)]),
+    "second-order": (None, None,
+                     lambda p, grid, c: [check_second_order(p, v)
                                          for v in ("printed", "derived")]),
-    "ode4-basis": ("ode4_tol", None, lambda p, grid, c: [product_solution_check(p, c)]),
-    "indicial": ("indicial_tol", None, lambda p, grid, c: indicial_reports(p, c)),
+    "ode4-basis": (None, None, lambda p, grid, c: [product_solution_check(p)]),
+    "indicial": (None, None, lambda p, grid, c: indicial_reports(p)),
     "trial": ("whittaker_eq_tol", (0.5, 1.0, 2.0), trial_condition_check),
     "reconstruction": ("reconstruction_tol", (0.5, 1.0, 2.0, 4.0),
                        lambda p, grid, c: [lambda_reconstruction(p, grid, c)]),
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--x-grid", type=_csv_floats, default=None)
     p.add_argument("--tol", type=float, default=None,
-                   help="override the check's threshold")
+                   help="override a float check's threshold")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
 
@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_coeffs(args, config: EvalConfig) -> int:
-    cv = coeffs_from_recurrence(OrderParams(n=args.n, k=args.k), config)
+def _cmd_coeffs(args) -> int:
+    cv = coeffs_from_recurrence(OrderParams(n=args.n, k=args.k))
     text = canonical_json(cv.as_json_dict())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -144,6 +144,8 @@ def _cmd_verify(args, config: EvalConfig) -> int:
     if default_grid is None and args.x_grid is not None:
         raise InputError(f"verify --check {args.check} takes no --x-grid")
     if args.tol is not None:
+        if tol_field is None:
+            raise InputError(f"verify --check {args.check} is exact and takes no --tol")
         config = config.replace(**{tol_field: args.tol})
     params = OrderParams(n=args.n, k=args.k)
     reports = run(params, args.x_grid or default_grid, config)
@@ -179,7 +181,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else default_config()
         if args.command == "coeffs":
-            return _cmd_coeffs(args, config)
+            return _cmd_coeffs(args)
         if args.command == "eval":
             return _cmd_eval(args, config)
         if args.command == "verify":

@@ -1,5 +1,7 @@
-"""Evaluation configuration: every tolerance and truncation limit used by the
-numerical operations lives here, never inline in the operations themselves.
+"""Evaluation configuration: every tolerance of a float check and every
+truncation limit used by the numerical operations lives here, never inline
+in the operations themselves.  Exact checks have no tolerance: they pass
+only at 0.0 (report.EXACT), so no field here sets their threshold.
 
 The default config can be overridden globally by pointing the environment
 variable ``WBIDENT_CONFIG`` at a JSON file whose keys are field names.
@@ -36,16 +38,11 @@ class EvalConfig:
     collocation_escalate_cond: float = 1e6
     collocation_resid_tol: float = 1e-8
 
-    # check thresholds
-    top_coeff_tol: float = 1e-10
-    coupled_tol: float = 1e-12
-    second_order_tol: float = 1e-12
+    # float check thresholds
     identity_tol: float = 1e-6
-    ode4_tol: float = 1e-10
     whittaker_eq_tol: float = 1e-9
     kernel_cross_tol: float = 1e-10
     realness_tol: float = 1e-10
-    indicial_tol: float = 1e-10
     constants_relation_tol: float = 1e-10
     reconstruction_tol: float = 1e-6
     oracle_match_tol: float = 1e-8

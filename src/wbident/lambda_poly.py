@@ -29,9 +29,12 @@ by n = 20: the wanted solution decays by many orders from a_1 to a_{n+1}
 while rounding noise does not.)
 The coefficient relations are scored exactly on these integers, brought to
 the common denominator (_lambda_integers), by report.exact_relative_residual,
-so the ones that hold read 0.0: the top coefficient (top_coeff_residuals),
-the coupled equation (coupled_equation_residuals; its x^{m-1} coefficient is
-this recurrence at m) and the five-factor recurrence (check_second_order).
+so the ones that hold read 0.0 and their checks pass only there
+(report.EXACT): the top coefficient (top_coeff_residuals), the coupled
+equation (coupled_equation_residuals; its x^{m-1} coefficient is this
+recurrence at m) and the five-factor recurrence (check_second_order).
+coeffs_from_recurrence takes no tolerance either: it refuses a vector whose
+top integer is not exactly 2^n d_{n+1}.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .config import EvalConfig, default_config
 from .core import SQRT_PI, pochhammer
 from .errors import InputError, InvariantViolationError
 from .kernels import OrderParams, _tabled, bessel_k_quad, whittaker_w
-from .report import ResidualReport, exact_relative_residual, index_grid
+from .report import EXACT, ResidualReport, exact_relative_residual, index_grid
 
 CONVENTION_MINUS = "(1-ik)_n"       # resolved convention
 CONVENTION_PLUS = "(1+ik)_n"        # mirror convention (fails the identity)
@@ -86,13 +89,11 @@ class CoeffVector:
         }
 
 
-def boundary_coeffs(params: OrderParams,
-                    convention: str = CONVENTION_MINUS) -> tuple[complex, complex]:
+def boundary_coeffs(params: OrderParams) -> tuple[complex, complex]:
     """(a_1, a_{n+1}) from the asymptotic matching at x -> 0 and x -> inf:
-    a_1 = (-1)^n (1 -/+ ik)_n / sqrt(pi), a_{n+1} = 2^n / sqrt(pi)."""
+    a_1 = (-1)^n (1 - ik)_n / sqrt(pi), a_{n+1} = 2^n / sqrt(pi)."""
     n, k = params.n, params.k
-    sign = -1.0 if convention == CONVENTION_MINUS else 1.0
-    a1 = (-1) ** n * pochhammer(complex(1, sign * k), n)
+    a1 = (-1) ** n * pochhammer(complex(1, -k), n)
     return a1 / SQRT_PI, complex(2 ** n / SQRT_PI)
 
 
@@ -159,36 +160,30 @@ def coupled_equation_residuals(params: OrderParams) -> list[float]:
 
 
 @_tabled
-def coeffs_from_recurrence(params: OrderParams,
-                           config: EvalConfig | None = None,
-                           convention: str = CONVENTION_MINUS) -> CoeffVector:
-    """Full coefficient vector from the first-order recurrence.
+def coeffs_from_recurrence(params: OrderParams) -> CoeffVector:
+    """Full coefficient vector from the first-order recurrence, started at
+    the resolved (1-ik)_n convention.
 
     Works for every real k, including k = 0 (where m(m-2ik) = m^2 never
     vanishes and all coefficients come out real).  Raises
-    InvariantViolationError if the top coefficient does not come out real and
-    equal to 2^n/sqrt(pi) -- the signature of a convention mistake -- and
-    InputError if a coefficient exceeds the double range (|k|^n near 1e308).
-    Inside ``kernels.kernel_table()`` each vector is built once.
+    InvariantViolationError unless the top coefficient comes out exactly
+    2^n/sqrt(pi) on the integers (_top_is_exact), and InputError if a
+    coefficient exceeds the double range (|k|^n near 1e308).  Inside
+    ``kernels.kernel_table()`` each vector is built once.
     """
-    config = config or default_config()
     n = params.n
-    scaled = _scaled_coeffs(n, params.k, convention)
+    scaled = _scaled_coeffs(n, params.k, CONVENTION_MINUS)
     if not _top_is_exact(scaled, n):
-        # exact equality is the norm; measure how far off for the message
         re, im, d = scaled[-1]
-        dev = abs(complex(re / d, im / d) - 2 ** n) / 2 ** n
-        if dev > config.top_coeff_tol:
-            raise InvariantViolationError(
-                f"a_{n + 1} = {_to_complex(*scaled[-1])} deviates from "
-                f"2^n/sqrt(pi) by {dev:.3e} (relative); convention "
-                f"'{convention}' is inconsistent with the recurrence")
+        raise InvariantViolationError(
+            f"sqrt(pi) a_{n + 1} = {complex(re / d, im / d)} is not exactly "
+            f"2^n at k = {params.k}; the recurrence is inconsistent")
     try:
         coeffs = tuple(_to_complex(*c) for c in scaled)
     except OverflowError as exc:
         raise InputError(f"coefficients for n = {n}, k = {params.k} exceed the "
                          "double range") from exc
-    return CoeffVector(params=params, a=coeffs, convention=convention)
+    return CoeffVector(params=params, a=coeffs)
 
 
 def resolve_convention(n: int = 1, k: float = 1.0) -> str:
@@ -243,12 +238,10 @@ def _second_order_factors(n: int, p: int, q: int, m: int, variant: str):
             (-c0, 0))
 
 
-def check_second_order(params: OrderParams, variant: str = "printed",
-                       config: EvalConfig | None = None):
+def check_second_order(params: OrderParams, variant: str = "printed"):
     """ResidualReport of the five-factor recurrence at m = 1..n-1 (empty for
     n <= 2), scored exactly on _lambda_integers: the derived variant reads
     0.0, the printed one its exact defect (advisory)."""
-    config = config or default_config()
     if variant not in ("printed", "derived"):
         raise InputError(f"unknown second-order variant {variant!r}")
     n = params.n
@@ -263,7 +256,7 @@ def check_second_order(params: OrderParams, variant: str = "printed",
         params=params,
         grid=index_grid(1, stop),
         residuals=res,
-        threshold=config.second_order_tol,
+        threshold=EXACT,
         notes=EXACT_NOTES,
     )
 

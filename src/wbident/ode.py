@@ -51,7 +51,8 @@ indicial polynomial at the predicted exponents, the defining system of the
 connection constants by back-substitution.  A relation whose terms must
 cancel is scored by |sum of terms| / max |term|: exactly where they are
 Gaussian integers (the coupled equation, the ODE per power of x, the
-indicial polynomials), else in double by report.relative_residual.
+indicial polynomials), else in double by report.relative_residual.  The
+exact checks pass only at 0.0 (report.EXACT), so they take no config.
 
 Lambda is a numpy.polynomial.Polynomial (default domain and window, so p(x)
 is plain Horner evaluation); values taken from it are converted to Python
@@ -75,8 +76,8 @@ from .kernels import (OrderParams, _whittaker_w_two_term, bessel_i,
                       bessel_k_quad, whittaker_m, whittaker_w)
 from .lambda_poly import (EXACT_NOTES, boundary_coeffs, coeffs_from_recurrence,
                           coupled_equation_residuals)
-from .report import (ResidualReport, exact_relative_residual, float_grid,
-                     index_grid, relative_residual)
+from .report import (EXACT, ResidualReport, exact_relative_residual,
+                     float_grid, index_grid, relative_residual)
 
 ODE4_VARIANTS = ("corrected", "printed")
 
@@ -142,17 +143,15 @@ def ode4_coeffs(params: OrderParams, variant: str = "corrected") -> Ode4Coeffs:
 
 # --- coupled second-order equation, exact in coefficient space --------------
 
-def coupled_residual(params: OrderParams,
-                     config: EvalConfig | None = None) -> ResidualReport:
+def coupled_residual(params: OrderParams) -> ResidualReport:
     """The coupled equation's coefficients x^0..x^n, scored exactly on
     Lambda's Gaussian integers by lambda_poly.coupled_equation_residuals."""
-    config = config or default_config()
     return ResidualReport(
         check_name="coupled-equation",
         params=params,
         grid=index_grid(0, params.n + 1),
         residuals=coupled_equation_residuals(params),
-        threshold=config.coupled_tol,
+        threshold=EXACT,
         notes=EXACT_NOTES,
     )
 
@@ -212,11 +211,9 @@ def ode4_residual(f, params: OrderParams, x: float,
 
 
 def product_solution_check(params: OrderParams,
-                           config: EvalConfig | None = None,
                            variant: str = "corrected") -> ResidualReport:
     """ode4_scores of the four canonical products (basis_products), in
     BASIS order; the grid holds the power of x of each residual."""
-    config = config or default_config()
     if not params.k > 0:
         raise InputError("product_solution_check requires k > 0")
     coeffs = ode4_coeffs(params, variant)
@@ -228,7 +225,7 @@ def product_solution_check(params: OrderParams,
     return ResidualReport(
         "ode4-basis" if variant == "corrected" else "ode4-basis-printed", params,
         [index_grid(e, e + 1)[0] for sc in scores for e, _ in sc],
-        [r for sc in scores for _, r in sc], config.ode4_tol, notes=notes)
+        [r for sc in scores for _, r in sc], EXACT, notes=notes)
 
 
 # the Whittaker operator's scale is at least this share of the largest addend
@@ -347,7 +344,7 @@ class IndicialAnalysis:
     predicted: tuple[complex, ...]       # exponent sums of the basis factors
     defects: tuple[float, ...]           # leading balance at each predicted exponent
     printed_defects: tuple[float, ...]   # printed factorization at each of them
-    match: bool                          # every defect within tolerance
+    match: bool                          # every defect exactly 0.0
     max_deviation: float
     printed_deviation: float
 
@@ -361,7 +358,6 @@ def _falling(sigma, d: int, q: int) -> tuple[int, int]:
 
 
 def indicial_analysis(params: OrderParams,
-                      config: EvalConfig | None = None,
                       variant: str = "corrected") -> IndicialAnalysis:
     """Indicial polynomial at the regular singular point x = 0 from the ODE
     coefficients themselves (Frobenius leading balance), evaluated at the
@@ -373,7 +369,6 @@ def indicial_analysis(params: OrderParams,
     leading coefficient of a1, 1-4ik, never vanishes, so the indicial
     polynomial has degree 4; vanishing at four distinct exponents fixes all
     of its roots, with no root finding."""
-    config = config or default_config()
     if not params.k > 0:
         raise InputError("indicial_analysis requires k > 0")
     k = params.k
@@ -400,29 +395,27 @@ def indicial_analysis(params: OrderParams,
         for sigma in sigmas)
     return IndicialAnalysis(
         predicted=predicted, defects=defects, printed_defects=printed,
-        match=max(defects) <= config.indicial_tol,
+        match=max(defects) <= EXACT,
         max_deviation=max(defects), printed_deviation=max(printed))
 
 
-def indicial_reports(params: OrderParams,
-                     config: EvalConfig | None = None) -> list[ResidualReport]:
+def indicial_reports(params: OrderParams) -> list[ResidualReport]:
     """Load-bearing report for the ODE's own leading balance, advisory one
     for the printed factorization, each at the predicted exponents."""
-    config = config or default_config()
-    ia = indicial_analysis(params, config)
+    ia = indicial_analysis(params)
     computed = ResidualReport(
         check_name="indicial-exponents",
         params=params,
         grid=index_grid(0, 4),
         residuals=list(ia.defects),
-        threshold=config.indicial_tol,
+        threshold=EXACT,
         notes=[f"leading balance at predicted exponents {list(ia.predicted)}"])
     printed = ResidualReport(
         check_name="indicial-printed-quadratic",
         params=params,
         grid=index_grid(0, 4),
         residuals=list(ia.printed_defects),
-        threshold=config.indicial_tol,
+        threshold=EXACT,
         notes=[f"printed factorization at predicted exponents "
                f"{list(ia.predicted)}; deviation {ia.printed_deviation:.3e}"])
     return [computed, printed]
@@ -590,7 +583,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
     if any(x < 0.5 or x > 6.0 for x in x_grid):
         raise InputError("reconstruction grid must lie in [0.5, 6]")
 
-    lam = coeffs_from_recurrence(params, config).big_lambda_poly()(np.array(x_grid))
+    lam = coeffs_from_recurrence(params).big_lambda_poly()(np.array(x_grid))
     if k == 0:
         lead = (-1) ** n * math.factorial(n) / SQRT_PI
         residuals = []

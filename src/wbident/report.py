@@ -4,7 +4,10 @@ A relation whose terms must cancel is checked by one rule,
 `relative_residual`: |sum of the terms| / max |term|, with 0.0 when every
 term vanishes; `exact_relative_residual` applies it to Gaussian-integer
 terms (Lambda's coefficient relations, the fourth-order ODE, the indicial
-polynomials), 0.0 exactly when they cancel.  A value compared with a
+polynomials), 0.0 exactly when they cancel.  An exact check is a
+certificate: its reports pass only at 0.0 (threshold `EXACT`), so it reads
+no tolerance and takes no config, and any nonzero defect, however small,
+fails it.  A value compared with a
 reference is scored by `relative_difference`, |value - reference| /
 |reference|, with 0.0 when both vanish.  Realness checks keep their own
 scales.
@@ -55,6 +58,10 @@ def relative_residual(terms, scale: float | None = None) -> float:
     if top == 0.0:
         return 0.0
     return float(abs(sum(t / top for t in terms)))
+
+
+# the threshold of every report scored by exact_relative_residual
+EXACT = 0.0
 
 
 def exact_relative_residual(terms) -> float:

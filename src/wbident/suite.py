@@ -21,7 +21,8 @@ coefficient is the first-order recurrence at m) and the five-factor
 recurrence are checked exactly on the coefficients' Gaussian integers, so
 the relations that hold read 0.0: certificates, not rounding measurements.
 So are the fourth-order ODE's basis check and indicial balance, which
-take no x grid.
+take no x grid.  Each exact check passes only at 0.0 (report.EXACT) and
+takes no config.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .lambda_poly import (EXACT_NOTES, check_second_order, coeffs_from_recurrenc
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, resolve_constants,
                   constants_printed_system, trial_condition_check)
-from .report import (ResidualReport, VerificationSuiteResult, float_grid,
-                     index_grid, relative_difference)
+from .report import (EXACT, ResidualReport, VerificationSuiteResult,
+                     float_grid, index_grid, relative_difference)
 
 DEFAULT_N_MAX = 8
 DEFAULT_K_SET = (0.1, 0.5, 1.0, 2.0)
@@ -75,7 +76,7 @@ def verify_identity(params: OrderParams, x_grid,
         raise InputError("verify_identity requires k >= 0")
     _refuse_small_k(k, config)
 
-    lam = coeffs_from_recurrence(params, config).lam_poly()(np.array(x_grid))
+    lam = coeffs_from_recurrence(params).lam_poly()(np.array(x_grid))
     # the K grid is kernel_cross_reports' table entry
     kq = bessel_k_quad(complex(0.5, k), x_grid, config)
     residuals = []
@@ -141,15 +142,14 @@ def kernel_cross_reports(k_set, x_grid, n_max,
     return reports
 
 
-def coefficient_reports(params: OrderParams,
-                        config: EvalConfig) -> list[ResidualReport]:
+def coefficient_reports(params: OrderParams) -> list[ResidualReport]:
     """sqrt(pi) a_{n+1} against 2^n and its imaginary part, exactly on the
     coefficients' Gaussian integers (the recurrence is coupled_residual's)."""
     return [ResidualReport(
         check_name="coefficient-invariants",
         params=params, grid=index_grid(0, 2),
         residuals=top_coeff_residuals(params),
-        threshold=config.top_coeff_tol,
+        threshold=EXACT,
         notes=("entries: top-coeff deviation, top-coeff imaginary part",
                *EXACT_NOTES))]
 
@@ -157,7 +157,7 @@ def coefficient_reports(params: OrderParams,
 def oracle_equivalence_report(params: OrderParams,
                               config: EvalConfig) -> ResidualReport:
     """Collocation-fitted coefficients vs recurrence-generated ones."""
-    cv = coeffs_from_recurrence(params, config)
+    cv = coeffs_from_recurrence(params)
     fit = collocation_oracle(params, config=config)
     residuals = [relative_difference(f, a) for f, a in zip(fit.a, cv.a)]
     return ResidualReport(
@@ -205,10 +205,10 @@ def run_suite(config: EvalConfig | None = None,
         for n in range(n_max + 1):
             for k in ks_pos:
                 params = OrderParams(n=n, k=k)
-                reports += coefficient_reports(params, config)
-                reports.append(coupled_residual(params, config))
-                reports.append(check_second_order(params, "printed", config))
-                reports.append(check_second_order(params, "derived", config))
+                reports += coefficient_reports(params)
+                reports.append(coupled_residual(params))
+                reports.append(check_second_order(params, "printed"))
+                reports.append(check_second_order(params, "derived"))
                 reports.append(verify_identity(params, x_grid, config))
         if not ks_pos or 0.0 in k_set:
             for n in range(n_max + 1):
@@ -230,17 +230,16 @@ def run_suite(config: EvalConfig | None = None,
         ode_ks = [k for k in ks_pos if 0.4 <= k <= 1.5][:2] or ks_pos[:1]
         for n in range(min(n_max, 4) + 1):
             for k in ode_ks:
-                reports.append(product_solution_check(
-                    OrderParams(n=n, k=k), config, variant="corrected"))
+                reports.append(product_solution_check(OrderParams(n=n, k=k)))
         if ode_ks:
             reports.append(product_solution_check(
-                OrderParams(n=1, k=ode_ks[0]), config, variant="printed"))
+                OrderParams(n=1, k=ode_ks[0]), variant="printed"))
             reports += trial_condition_check(
                 OrderParams(n=2, k=ode_ks[0]), inner_grid, config)
 
         # 7. indicial analysis
         for k in ks_pos:
-            reports += indicial_reports(OrderParams(n=2, k=k), config)
+            reports += indicial_reports(OrderParams(n=2, k=k))
 
         # 8. constants and reconstruction
         for n in range(min(n_max, 6) + 1):

@@ -8,7 +8,6 @@ complete.
 import math
 import time
 
-from wbident.config import EvalConfig
 from wbident.core import SQRT_PI
 from wbident.kernels import OrderParams, bessel_k_quad, bessel_k_via_w, whittaker_w
 from wbident.lambda_poly import (coeffs_from_recurrence, collocation_oracle,
@@ -117,7 +116,6 @@ def test_criterion_7_fourth_order_basis():
         for k in (0.5, 1.0):
             rep = product_solution_check(OrderParams(n=n, k=k))
             worst = max(worst, rep.max_residual)
-    tol = EvalConfig().ode4_tol
     params = OrderParams(n=1, k=1.0)
     shifted = OrderParams(n=params.n + 1, k=params.k)
     # the canonical products of the n+1 Whittaker equation, against n's ODE,
@@ -125,8 +123,8 @@ def test_criterion_7_fourth_order_basis():
     coeffs = ode4_coeffs(params)
     control_res = max(r for derivs in basis_products(shifted).values()
                       for _, r in ode4_scores(coeffs, derivs))
-    report(7, f"four product solutions give ODE residual <= {tol:.0e}; control >= 1e-1",
-           worst <= tol and control_res >= 1e-1,
+    report(7, "four product solutions give ODE residual exactly 0; control >= 1e-1",
+           worst == 0.0 and control_res >= 1e-1,
            f"basis max {worst:.3e}, control {control_res:.3e}")
 
 
@@ -139,8 +137,8 @@ def test_criterion_8_indicial_exponents():
         printed_dev = max(printed_dev, ia.printed_deviation)
     print(f"[criterion  8] ledger note: printed indicial quadratic deviates "
           f"from the basis exponents by up to {printed_dev:.3e} (advisory)")
-    report(8, "computed indicial roots equal {0, 1, 2ik, 1-2ik} to 1e-10",
-           worst <= 1e-10, f"max root deviation {worst:.3e}")
+    report(8, "computed indicial roots equal {0, 1, 2ik, 1-2ik} exactly",
+           worst == 0.0, f"max root deviation {worst:.3e}")
 
 
 def test_criterion_9_constants_and_limits():

@@ -48,6 +48,7 @@ ROWS = [
     ("coeffs --n 25 --k 4.9 --out coeffs.json", 0, None, False),
     ("verify --check indicial --n 2 --k 1", 0, None, False),
     ("verify --check indicial --n 2 --k 1 --x-grid 99,-3", 2, None, False),
+    ("verify --check indicial --n 2 --k 1e10", 0, None, False),
     ("verify --check indicial --n 2 --k 1e100", 0, None, False),
     ("verify --check indicial --n 2 --k 1e300", 0, None, False),
     ("suite --x-grid 0.5,3 --out suite-x3.json", 0, ode4_basis_is_exact_in_x, False),

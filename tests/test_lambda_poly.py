@@ -18,6 +18,7 @@ from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
                                  top_coeff_residuals)
 from wbident.ode import coupled_residual
 from wbident.report import relative_residual
+from wbident.suite import coefficient_reports
 
 K_SET = (0.1, 0.5, 1.0, 2.0, 5.0)
 
@@ -100,8 +101,14 @@ class TestRecurrence:
             return [(re * (10 ** 11 + 1), im * (10 ** 11 + 1), d * 10 ** 11)
                     for re, im, d in original(n, k, convention)]
         monkeypatch.setattr(lambda_poly, "_scaled_coeffs", rescaled)
-        deviation, imag = top_coeff_residuals(OrderParams(n=4, k=1.0))
+        params = OrderParams(n=4, k=1.0)
+        deviation, imag = top_coeff_residuals(params)
         assert deviation == pytest.approx(1e-11, rel=1e-9) and imag == 0.0
+        # any nonzero defect fails the check and stops coeffs_from_recurrence
+        (rep,) = coefficient_reports(params)
+        assert not rep.passed
+        with pytest.raises(InvariantViolationError, match="not exactly 2\\^n"):
+            coeffs_from_recurrence(params)
 
     @pytest.mark.parametrize("k", K_SET)
     def test_first_order_recurrence_residuals(self, k):
@@ -156,11 +163,16 @@ class TestRecurrence:
                     acc = acc * x + c
                 assert complex(cv.big_lambda_poly()(x)) == acc
 
-    def test_wrong_convention_rejected(self):
+    def test_wrong_convention_rejected(self, monkeypatch):
         # the (1+ik)_n start drives a_{n+1} to -2^n/sqrt(pi)
+        original = lambda_poly._scaled_coeffs
+        monkeypatch.setattr(lambda_poly, "_scaled_coeffs",
+                            lambda n, k, convention: original(n, k, CONVENTION_PLUS))
         with pytest.raises(InvariantViolationError):
-            coeffs_from_recurrence(OrderParams(n=1, k=1.0),
-                                   convention=CONVENTION_PLUS)
+            coeffs_from_recurrence(OrderParams(n=1, k=1.0))
+        # and coeffs_from_recurrence takes no convention to pick it by
+        with pytest.raises(TypeError):
+            coeffs_from_recurrence(OrderParams(n=1, k=1.0), convention="bogus")
 
     def test_json_export_shape(self):
         cv = coeffs_from_recurrence(OrderParams(n=2, k=1.0))

@@ -32,7 +32,9 @@ from wbident.ode import (BASIS, SolutionConstants, basis_products,
                          trial_condition_check, w_lowering,
                          whittaker_operator_residual)
 
-ODE4_TOL = EvalConfig().ode4_tol
+# bound on the float ode4_residual of a product that solves the ODE: a few
+# roundings of terms of size 1 (the exact checks take none)
+ODE4_TOL = 1e-10
 
 
 # k = p/q with p, q from one digit to about a thousand bits
@@ -333,7 +335,7 @@ class TestOde4OnLambda:
         for k in (0.5, 1.0, 2.526):
             for n in range(26):
                 worst = max(self.scores(OrderParams(n=n, k=k), "printed"), default=0.0)
-                assert (worst == 0.0) if n < 2 else (worst > ODE4_TOL), (n, k)
+                assert (worst == 0.0) if n < 2 else (worst > 0.0), (n, k)
         assert max(self.scores(OrderParams(n=2, k=1.0), "printed")) == pytest.approx(
             0.137, abs=1e-3)
 
@@ -482,7 +484,7 @@ class TestProductSolutions:
         per_product = [max(r for _, r in ode4_scores(
             ode4_coeffs(OrderParams(n=1, k=1.0), "printed"), derivs))
             for derivs in basis_products(OrderParams(n=1, k=1.0)).values()]
-        assert [r > ODE4_TOL for r in per_product] == [True, False, True, True]
+        assert [r > 0.0 for r in per_product] == [True, False, True, True]
 
 
 class TestTrialConditions:
@@ -768,8 +770,8 @@ class TestIndicial:
     def test_perturbed_a3_constant_fails(self, k, monkeypatch):
         # substituting the exponents is not vacuous: +-1 in the real part of
         # q^3 times a3's constant moves the roots 2ik and 1-2ik off, and their
-        # defects read > 0.  At k = 0.1 (q = 2^55) that is a change of 1e-50
-        # relative, under indicial_tol; at q <= 2 the check fails
+        # defects read > 0, so the check fails.  At k = 0.1 (q = 2^55) that
+        # is a change of 1e-50 relative, which any tolerance would let pass
         params = OrderParams(n=2, k=k)
         assert indicial_analysis(params).match
         for step in (1, -1):
@@ -777,7 +779,8 @@ class TestIndicial:
                                 one_coefficient_off("a3", 0, step))
             ia = indicial_analysis(params)
             assert ia.defects[:2] == (0.0, 0.0) and min(ia.defects[2:]) > 0.0
-            assert ia.match == (k == 0.1)
+            assert not ia.match
+            assert not indicial_reports(params)[0].passed
 
     def test_predicted_set_k1(self):
         ia = indicial_analysis(OrderParams(n=1, k=1.0))
@@ -790,6 +793,16 @@ class TestIndicial:
         # reproduce the basis exponents
         ia = indicial_analysis(OrderParams(n=2, k=1.0))
         assert ia.printed_deviation > 1e-2
+
+    @pytest.mark.parametrize("k", [1e10, 1.2e10, 1e100, 1e300])
+    def test_printed_quadratic_fails_at_every_k(self, k, capsys):
+        # the printed bracket at sigma = 2ik is -4k + i(2k - 4), nonzero for
+        # every k > 0; its relative defect falls like 1/k (1.1e-10 at 1e10),
+        # and the advisory check fails however small it gets
+        ia = indicial_analysis(OrderParams(n=2, k=k))
+        assert ia.match and 0.0 < ia.printed_deviation < 1e-9
+        assert main(["verify", "--check", "indicial", "--n", "2", "--k", repr(k)]) == 0
+        assert "ADVISORY-FAIL  indicial-printed-quadratic" in capsys.readouterr().out
 
     def test_reports_split_advisory(self):
         reports = indicial_reports(OrderParams(n=2, k=1.0))
@@ -916,7 +929,7 @@ class TestReconstruction:
         grid = [0.5, 1.0, 2.0, 4.0, 6.0]
         got = lambda_reconstruction(OrderParams(n=n, k=0.0), grid)
         monkeypatch.setattr(wbident.ode, "coeffs_from_recurrence",
-                            lambda params, config: laguerre_closed_form(params.n))
+                            lambda params: laguerre_closed_form(params.n))
         assert got == lambda_reconstruction(OrderParams(n=n, k=0.0), grid)
 
     def test_perturbed_constants_fail(self):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -223,8 +224,18 @@ class TestConfig:
         assert cfg.series_rel_tol == 1e-16
         assert cfg.series_max_terms == 1000
         assert cfg.quad_step == 1.0 / 64
-        assert cfg.ode4_tol == 1e-10
-        assert cfg.second_order_tol == 1e-12
+        assert cfg.identity_tol == 1e-6
+        assert cfg.realness_tol == 1e-10
+
+    def test_every_field_is_read(self):
+        # no dead knob: each field is read as `.name` somewhere in src
+        # outside config.py
+        src = Path(wbident.__file__).parent
+        text = "".join(p.read_text(encoding="utf-8") for p in sorted(src.glob("*.py"))
+                       if p.name != "config.py")
+        unread = [f.name for f in dataclasses.fields(EvalConfig)
+                  if not re.search(rf"\.{f.name}\b", text)]
+        assert unread == []
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -261,15 +272,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(str(p))
 
-    def test_removed_fields_rejected(self, tmp_path):
+    def test_removed_fields_rejected(self, tmp_path, capsys):
+        # a config file naming a retired field exits 2, and the error names
+        # it; the last five were the exact checks' tolerances
         for field in ("fd_step", "fd_instability_floor",
                       "itilde_recurrence_tol", "bessel_derivative_tol",
                       "collocation_cond_limit", "k_zero_threshold",
-                      "quad_cutoff"):
+                      "quad_cutoff", "top_coeff_tol", "coupled_tol",
+                      "second_order_tol", "ode4_tol", "indicial_tol"):
             p = tmp_path / "cfg.json"
             p.write_text(f'{{"{field}": 1e-2}}')
-            with pytest.raises(ValueError):
+            with pytest.raises(InputError, match=field):
                 load_config(str(p))
+            assert main(["--config", str(p), "coeffs", "--n", "1", "--k", "1"]) == 2
+            assert field in capsys.readouterr().err
 
     def test_env_var_override(self, tmp_path, monkeypatch):
         p = tmp_path / "cfg.json"
@@ -343,7 +359,7 @@ class TestCli:
     @staticmethod
     def one_integer_off(monkeypatch):
         """+1 in the real numerator of sqrt(pi) d_2 a_2: the exact checks
-        read 0.0 on the real integers, so no --tol fails them there."""
+        read 0.0 on the real integers and > 0 on the mutant."""
         original = lambda_poly._scaled_coeffs
 
         def mutant(n, k, convention):
@@ -353,25 +369,23 @@ class TestCli:
             return out
         monkeypatch.setattr(lambda_poly, "_scaled_coeffs", mutant)
 
-    def test_coupled_tol_override_can_fail(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("check", ["coupled", "second-order"])
+    def test_exact_check_fails_one_integer_off(self, check, capsys, monkeypatch):
+        # any nonzero defect, however small, fails an exact check
         params = OrderParams(n=5, k=0.5)
-        assert coupled_residual(params).max_residual == 0.0
+        run = {"coupled": coupled_residual,
+               "second-order": lambda p: check_second_order(p, "derived")}[check]
+        argv = ["verify", "--check", check, "--n", "5", "--k", "0.5"]
+        assert run(params).max_residual == 0.0 and main(argv) == 0
         self.one_integer_off(monkeypatch)
-        worst = coupled_residual(params).max_residual
-        assert worst > 0
-        argv = ["verify", "--check", "coupled", "--n", "5", "--k", "0.5", "--tol"]
-        assert main(argv + [repr(2 * worst)]) == 0
-        assert main(argv + [repr(worst / 2)]) == 1
+        assert run(params).max_residual > 0.0 and main(argv) == 1
 
-    def test_second_order_tol_override_can_fail(self, capsys, monkeypatch):
-        params = OrderParams(n=4, k=1.0)
-        assert check_second_order(params, "derived").max_residual == 0.0
-        self.one_integer_off(monkeypatch)
-        worst = check_second_order(params, "derived").max_residual
-        assert worst > 0
-        argv = ["verify", "--check", "second-order", "--n", "4", "--k", "1.0", "--tol"]
-        assert main(argv + [repr(2 * worst)]) == 0
-        assert main(argv + [repr(worst / 2)]) == 1
+    @pytest.mark.parametrize("check", ["coupled", "second-order", "ode4-basis",
+                                       "indicial"])
+    def test_exact_checks_refuse_tol(self, check, capsys):
+        # an exact check passes only at 0.0: there is no threshold to override
+        assert main(["verify", "--check", check, "--tol", "1e-3"]) == 2
+        assert "takes no --tol" in capsys.readouterr().err
 
     @pytest.mark.parametrize("check", ["coupled", "second-order"])
     def test_exact_checks_say_what_they_certify(self, check, capsys):

@@ -254,7 +254,7 @@ def test_vanishing_coefficient_scores_zero(monkeypatch):
     # oracle-equivalence divides by each recurrence coefficient; a zero one
     # matched by a zero fit scores 0
     coeffs = SimpleNamespace(a=(0j, 1 + 1j))
-    monkeypatch.setattr(wbident.suite, "coeffs_from_recurrence", lambda p, c: coeffs)
+    monkeypatch.setattr(wbident.suite, "coeffs_from_recurrence", lambda p: coeffs)
     monkeypatch.setattr(wbident.suite, "collocation_oracle",
                         lambda p, config: SimpleNamespace(a=(0j, 1 + 1j), convention="fit"))
     rep = wbident.suite.oracle_equivalence_report(
