@@ -8,10 +8,9 @@ from .errors import (ConvergenceError, DegenerateParameterError, InputError,
                      PoleError, WbidentError)
 from .kernels import (OrderParams, bessel_i, bessel_i_tilde, bessel_k_quad,
                       bessel_k_via_w, kummer_m, whittaker_m, whittaker_w)
-from .lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS, CoeffVector,
-                          boundary_coeffs, check_second_order,
-                          coeffs_from_recurrence, collocation_oracle,
-                          laguerre_closed_form, resolve_convention)
+from .lambda_poly import (CONVENTION_MINUS, CoeffVector, boundary_coeffs,
+                          check_second_order, coeffs_from_recurrence,
+                          collocation_oracle, laguerre_closed_form)
 from .ode import (IndicialAnalysis, Ode4Coeffs, SolutionConstants,
                   constants_closed_form, constants_defining_system,
                   constants_printed_system, coupled_residual,

@@ -13,6 +13,7 @@ invalid input (an ``error:`` line on stderr, no traceback).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .config import EvalConfig, default_config, load_config
@@ -65,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wbident",
         description="Construct the Whittaker-Bessel identity polynomials and "
                     "verify the identity and its supporting structures.")
-    parser.add_argument("--config", help="path to an EvalConfig JSON file "
-                                         "(or set WBIDENT_CONFIG)")
+    parser.add_argument("--config", help="path to a JSON file of EvalConfig "
+                                         "field overrides")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="print the coefficient vector as JSON")
@@ -146,9 +147,10 @@ def _cmd_verify(args, config: EvalConfig) -> int:
     if args.tol is not None:
         if tol_field is None:
             raise InputError(f"verify --check {args.check} is exact and takes no --tol")
-        config = config.replace(**{tol_field: args.tol})
+        config = dataclasses.replace(config, **{tol_field: args.tol})
     params = OrderParams(n=args.n, k=args.k)
-    reports = run(params, args.x_grid or default_grid, config)
+    reports = run(params, default_grid if args.x_grid is None else args.x_grid,
+                  config)
 
     result = VerificationSuiteResult(reports=reports)
     if args.out:

@@ -3,20 +3,18 @@ truncation limit used by the numerical operations lives here, never inline
 in the operations themselves.  Exact checks have no tolerance: they pass
 only at 0.0 (report.EXACT), so no field here sets their threshold.
 
-The default config can be overridden globally by pointing the environment
-variable ``WBIDENT_CONFIG`` at a JSON file whose keys are field names.
+An operation reads the config it is given, or the one shared default
+``EvalConfig()``; nothing in the process environment changes it.  A JSON
+file of field overrides (``wbident --config FILE``) is read by load_config.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 from dataclasses import dataclass
 
 from .errors import InputError
-
-ENV_CONFIG_VAR = "WBIDENT_CONFIG"
 
 
 @dataclass(frozen=True)
@@ -63,9 +61,6 @@ class EvalConfig:
         if self.oracle_dps < 20:
             raise InputError("EvalConfig.oracle_dps must be >= 20")
 
-    def replace(self, **kw) -> "EvalConfig":
-        return dataclasses.replace(self, **kw)
-
 
 def load_config(path: str) -> EvalConfig:
     """Read an EvalConfig from a JSON file; missing keys keep their defaults.
@@ -91,7 +86,5 @@ _DEFAULT = EvalConfig()                 # frozen, so every caller can share it
 
 
 def default_config() -> EvalConfig:
-    """Built-in defaults (one shared instance), unless WBIDENT_CONFIG points
-    at a JSON override, which is read on every call."""
-    path = os.environ.get(ENV_CONFIG_VAR)
-    return load_config(path) if path else _DEFAULT
+    """The built-in defaults, one shared instance."""
+    return _DEFAULT

@@ -294,6 +294,17 @@ def _refuse_integer_two_mu(mu: complex, config: EvalConfig) -> None:
             NearDegeneracyWarning, stacklevel=level)
 
 
+def _refuse_small_k(k: float, config: EvalConfig) -> None:
+    """InputError for 0 < k < config.k_refuse_threshold, where the connection
+    formula's gamma prefactors cancel at mu = ik; every check that reads it
+    refuses these k rather than score the cancellation."""
+    if 0 < k < config.k_refuse_threshold:
+        raise InputError(
+            f"0 < k = {k} < {config.k_refuse_threshold} "
+            "(EvalConfig.k_refuse_threshold) is refused: the connection "
+            "formula cancels there and no check that reads it is meaningful")
+
+
 @_tabled
 def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
     """Whittaker W_{kappa,mu}(z).  z is a float or a tuple of floats (then a

@@ -11,14 +11,14 @@ The coefficients obey the first-order recurrence
 
     m (m - 2ik) a_{m+1} + (1+2n) a_m + (1-2m) conj(a_m) = 0,   1 <= m <= n,
 
-with conj(a_{n+1}) = a_{n+1}.  Of the two starting values
+with conj(a_{n+1}) = a_{n+1}.  It starts from
 
-    (1-ik)_n convention:  a_1 = (-1)^n (1-ik)_n / sqrt(pi)   ->  a_{n+1} = +2^n/sqrt(pi)
-    (1+ik)_n convention:  a_1 = (-1)^n (1+ik)_n / sqrt(pi)   ->  a_{n+1} non-real
+    a_1 = (-1)^n (1-ik)_n / sqrt(pi),   which gives   a_{n+1} = 2^n/sqrt(pi),
 
-(-2^n/sqrt(pi) at n = 3, k = 1), only the (1-ik)_n convention satisfies the
-identity against the actual Whittaker function (the collocation oracle
-arbitrates this); it is the resolved convention used throughout.
+the x -> 0 matching of the identity (boundary_coeffs states both ends); the
+collocation oracle, fitted to the Whittaker function alone, agrees with it.
+The mirror start (1+ik)_n fails: its a_{n+1} is not real in general (and
+-2^n/sqrt(pi) at n = 3, k = 1), so coeffs_from_recurrence would refuse it.
 
 The recurrence is iterated exactly on Python integers: every float k is an
 exact ratio p/q, so each a_m * sqrt(pi) is a Gaussian integer R_m + i I_m
@@ -53,8 +53,7 @@ from .errors import InputError, InvariantViolationError
 from .kernels import OrderParams, _tabled, bessel_k_quad, whittaker_w
 from .report import EXACT, ResidualReport, exact_relative_residual, index_grid
 
-CONVENTION_MINUS = "(1-ik)_n"       # resolved convention
-CONVENTION_PLUS = "(1+ik)_n"        # mirror convention (fails the identity)
+CONVENTION_MINUS = "(1-ik)_n"       # the start of the recurrence
 
 COLLOCATION_RANGE = (0.25, 6.0)
 EXACT_NOTES = ("exact on the Gaussian integers sqrt(pi) d_{n+1} a_m; the "
@@ -91,20 +90,23 @@ class CoeffVector:
 
 def boundary_coeffs(params: OrderParams) -> tuple[complex, complex]:
     """(a_1, a_{n+1}) from the asymptotic matching at x -> 0 and x -> inf:
-    a_1 = (-1)^n (1 - ik)_n / sqrt(pi), a_{n+1} = 2^n / sqrt(pi)."""
+    a_1 = (-1)^n (1 - ik)_n / sqrt(pi), a_{n+1} = 2^n / sqrt(pi), in double
+    by a Pochhammer product.  The paper's boundary formula, kept as a
+    reference: the library reads a_1 from coeffs_from_recurrence, which
+    rounds it once from the exact integers."""
     n, k = params.n, params.k
     a1 = (-1) ** n * pochhammer(complex(1, -k), n)
     return a1 / SQRT_PI, complex(2 ** n / SQRT_PI)
 
 
-def _scaled_coeffs(n: int, k: float, convention: str) -> list[tuple[int, int, int]]:
+def _scaled_coeffs(n: int, k: float) -> list[tuple[int, int, int]]:
     """a_m * sqrt(pi) = (R_m + i I_m) / d_m for m = 1..n+1, as (R_m, I_m, d_m),
     by upward iteration of m(m-2ik) a_{m+1} = -(1+2n) a_m - (1-2m) conj(a_m).
     With k = p/q, 1/(m(m-2ik)) = (mq + 2ip) q / (m(m^2 q^2 + 4p^2)); no step
     reduces, so every d_m divides d_{n+1}."""
     p, q = k.as_integer_ratio()
-    # a_1 * sqrt(pi) = (-1)^n prod_j ((1+j)q -/+ ip) / q^n
-    ip = -p if convention == CONVENTION_MINUS else p
+    # a_1 * sqrt(pi) = (-1)^n prod_j (jq + i ip) / q^n, the (1-ik)_n start
+    ip = -p
     re, im, d = (-1) ** n, 0, q ** n
     for j in range(1, n + 1):
         re, im = re * j * q - im * ip, re * ip + im * j * q
@@ -132,7 +134,7 @@ def _lambda_integers(params: OrderParams):
     """(P, D, p, q): P[j] = sqrt(pi) D a_{j+1}, j = 0..n, as Gaussian
     integers (re, im) over D = d_{n+1}, and k = p/q; tabled like
     coeffs_from_recurrence."""
-    scaled = _scaled_coeffs(params.n, params.k, CONVENTION_MINUS)
+    scaled = _scaled_coeffs(params.n, params.k)
     top = scaled[-1][2]
     big = tuple((re * (top // d), im * (top // d)) for re, im, d in scaled)
     return (big, top, *params.k.as_integer_ratio())
@@ -162,7 +164,7 @@ def coupled_equation_residuals(params: OrderParams) -> list[float]:
 @_tabled
 def coeffs_from_recurrence(params: OrderParams) -> CoeffVector:
     """Full coefficient vector from the first-order recurrence, started at
-    the resolved (1-ik)_n convention.
+    a_1 = (-1)^n (1-ik)_n / sqrt(pi).
 
     Works for every real k, including k = 0 (where m(m-2ik) = m^2 never
     vanishes and all coefficients come out real).  Raises
@@ -172,7 +174,7 @@ def coeffs_from_recurrence(params: OrderParams) -> CoeffVector:
     ``kernels.kernel_table()`` each vector is built once.
     """
     n = params.n
-    scaled = _scaled_coeffs(n, params.k, CONVENTION_MINUS)
+    scaled = _scaled_coeffs(n, params.k)
     if not _top_is_exact(scaled, n):
         re, im, d = scaled[-1]
         raise InvariantViolationError(
@@ -186,17 +188,6 @@ def coeffs_from_recurrence(params: OrderParams) -> CoeffVector:
     return CoeffVector(params=params, a=coeffs)
 
 
-def resolve_convention(n: int = 1, k: float = 1.0) -> str:
-    """Decide the conjugation convention of a_1 by iterating the recurrence:
-    the valid convention reproduces a_{n+1} = +2^n/sqrt(pi) exactly."""
-    if k == 0:
-        return CONVENTION_MINUS        # conventions coincide at k = 0
-    for convention in (CONVENTION_MINUS, CONVENTION_PLUS):
-        if _top_is_exact(_scaled_coeffs(n, k, convention), n):
-            return convention
-    raise InvariantViolationError("neither convention reproduces a real 2^n top coefficient")
-
-
 def laguerre_closed_form(n: int) -> CoeffVector:
     """k = 0 closed form lambda(x) = ((-1)^n n!/sqrt(pi)) x L_n(2x): the
     reference that coeffs_from_recurrence(OrderParams(n, 0.0)) reproduces
@@ -205,8 +196,7 @@ def laguerre_closed_form(n: int) -> CoeffVector:
     coeffs = tuple(_to_complex((-1) ** (n + j) * math.comb(n, j) * 2 ** j
                                * (math.factorial(n) // math.factorial(j)), 0, 1)
                    for j in range(n + 1))
-    return CoeffVector(params=OrderParams(n=n, k=0.0), a=coeffs,
-                       convention=CONVENTION_MINUS)
+    return CoeffVector(params=OrderParams(n=n, k=0.0), a=coeffs)
 
 
 # --- five-factor second-order recurrence (advisory) ------------------------

@@ -72,9 +72,9 @@ from ._exact import (add, aligned, deriv, gaussian_product, mul, poly, scale,
 from .config import EvalConfig, default_config
 from .core import SQRT_PI, gamma, gamma_ratio, laguerre
 from .errors import InputError, InvariantViolationError
-from .kernels import (OrderParams, _whittaker_w_two_term, bessel_i,
-                      bessel_k_quad, whittaker_m, whittaker_w)
-from .lambda_poly import (EXACT_NOTES, boundary_coeffs, coeffs_from_recurrence,
+from .kernels import (OrderParams, _refuse_small_k, _whittaker_w_two_term,
+                      bessel_i, bessel_k_quad, whittaker_m, whittaker_w)
+from .lambda_poly import (EXACT_NOTES, coeffs_from_recurrence,
                           coupled_equation_residuals)
 from .report import (EXACT, ResidualReport, exact_relative_residual,
                      float_grid, index_grid, relative_residual)
@@ -289,11 +289,14 @@ def trial_condition_check(params: OrderParams, x_grid,
 
     The three conjugation reports are code-consistency checks: the kernels
     return M_{kappa,-ik} = conj M_{kappa,ik} and the two-term W real bit for
-    bit, so their residuals read 0.0 unless an edit breaks that symmetry."""
+    bit, so their residuals read 0.0 unless an edit breaks that symmetry.
+    0 < k below k_refuse_threshold is refused, as in the identity check."""
     config = config or default_config()
     if not params.k > 0:
         raise InputError("trial_condition_check requires k > 0")
     n, k = params.n, params.k
+    _refuse_small_k(k, config)
+    x_grid = float_grid(x_grid)
     kap = n + 0.5
     mu = 1j * k
 
@@ -317,19 +320,18 @@ def trial_condition_check(params: OrderParams, x_grid,
         sum_real.append(abs(s.imag) / abs(s) if s != 0 else 0.0)
         d = m_plus - m_minus
         diff_imag.append(abs(d.real) / abs(d) if d != 0 else 0.0)
-        op_grid.extend([float(x), float(x)])
+        op_grid.extend([x, x])
         op_resid.append(whittaker_operator_residual(w, w2, n, k, x))
         op_resid.append(whittaker_operator_residual(
             s, [a + b for a, b in zip(m_plus2, m_minus2)], n, k, x))
-    grid = float_grid(x_grid)
     consistency = ("code consistency: exact 0.0 when the kernels' conjugation "
                    "symmetry is intact",)
     return [
-        ResidualReport("trial-w-realness", params, grid, w_real,
+        ResidualReport("trial-w-realness", params, x_grid, w_real,
                        config.realness_tol, notes=consistency),
-        ResidualReport("trial-m-sum-realness", params, grid, sum_real,
+        ResidualReport("trial-m-sum-realness", params, x_grid, sum_real,
                        config.realness_tol, notes=consistency),
-        ResidualReport("trial-m-diff-imaginary", params, grid, diff_imag,
+        ResidualReport("trial-m-diff-imaginary", params, x_grid, diff_imag,
                        config.realness_tol, notes=consistency),
         ResidualReport("trial-whittaker-equation", params, op_grid, op_resid,
                        config.whittaker_eq_tol,
@@ -448,13 +450,13 @@ def constants_defining_system(params: OrderParams) -> SolutionConstants:
     Gamma quotient, so back-substitution in row order gives c2 = a_1/beta_IW,
     exactly c3 = 0 and c4 = -alpha_IW c2/gamma_KM with gamma_KM =
     Gamma(1/2-ik).  That is c2 = 1 (by the gamma duplication formula) and
-    c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik).
+    c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik).  a_1 is Lambda's own,
+    from coeffs_from_recurrence: rounded once from the exact integers.
     """
     n, ik, _ = _constants_order(params)
     beta_iw = 2.0 ** (1 - 2 * ik) * gamma_ratio((2 * ik,), (0.5 + ik, -n + ik))
     alpha_iw = 2.0 * gamma_ratio((-2 * ik,), (-n - ik, 0.5 + ik))
-    a1, _ = boundary_coeffs(params)
-    c2 = a1 / beta_iw
+    c2 = coeffs_from_recurrence(params).a[0] / beta_iw
     return SolutionConstants(c2=c2, c3=0j, c4=-alpha_iw * c2 / gamma(0.5 - ik))
 
 
@@ -568,20 +570,21 @@ def resolve_constants(params: OrderParams,
 def lambda_reconstruction(params: OrderParams, x_grid,
                           config: EvalConfig | None = None,
                           constants: SolutionConstants | None = None,
-                          c1: complex = 0j,
                           check_name: str = "lambda-reconstruction") -> ResidualReport:
     """Compare Lambda(x) evaluated from its recurrence coefficients against
-    the kernel product combination c1 I*M + c2 I*W + c3 K*W + c4 K*M on the
-    grid.
+    the kernel product combination c2 I*W + c3 K*W + c4 K*M on the grid
+    (the fourth basis product, I*M, has coefficient c1 = 0).
 
     At k = 0 the comparison is against the Laguerre form
-    Lambda(x) = ((-1)^n n!/sqrt(pi)) L_n(2x) instead.
+    Lambda(x) = ((-1)^n n!/sqrt(pi)) L_n(2x) instead; 0 < k below
+    k_refuse_threshold is refused, as in the identity check.
     """
     config = config or default_config()
     n, k = params.n, params.k
     x_grid = float_grid(x_grid)
     if any(x < 0.5 or x > 6.0 for x in x_grid):
         raise InputError("reconstruction grid must lie in [0.5, 6]")
+    _refuse_small_k(k, config)
 
     lam = coeffs_from_recurrence(params).big_lambda_poly()(np.array(x_grid))
     if k == 0:
@@ -606,8 +609,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
         i_x = bessel_i(nu, x, config)
         w_x = whittaker_w(n + 0.5, 1j * k, 2 * x, config)
         k_x = bessel_k_quad(nu, x, config)
-        residuals.append(relative_residual([c1 * i_x * m_x,
-                                            constants.c2 * i_x * w_x,
+        residuals.append(relative_residual([constants.c2 * i_x * w_x,
                                             constants.c3 * k_x * w_x,
                                             constants.c4 * k_x * m_x,
                                             -lam_x]))

@@ -86,10 +86,13 @@ def relative_difference(value: complex, reference: complex) -> float:
 
 def float_grid(xs) -> tuple[float, ...]:
     """xs as a tuple of floats; a tuple of floats is returned as it is, so
-    the reports over one grid share the caller's tuple."""
-    if type(xs) is tuple and all(type(x) is float for x in xs):
-        return xs
-    return tuple(float(x) for x in xs)
+    the reports over one grid share the caller's tuple.  An empty grid is
+    an InputError: a check on no point would pass without testing anything."""
+    if not (type(xs) is tuple and all(type(x) is float for x in xs)):
+        xs = tuple(float(x) for x in xs)
+    if not xs:
+        raise InputError("the x grid is empty")
+    return xs
 
 
 @functools.cache

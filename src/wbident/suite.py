@@ -33,8 +33,8 @@ import numpy as np
 
 from .config import EvalConfig, default_config
 from .errors import InputError
-from .kernels import (OrderParams, _whittaker_w_two_term, bessel_k_quad,
-                      bessel_k_via_w, kernel_table, whittaker_w)
+from .kernels import (OrderParams, _refuse_small_k, _whittaker_w_two_term,
+                      bessel_k_quad, bessel_k_via_w, kernel_table, whittaker_w)
 from .lambda_poly import (EXACT_NOTES, check_second_order, coeffs_from_recurrence,
                           collocation_oracle, top_coeff_residuals)
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
@@ -47,15 +47,6 @@ DEFAULT_N_MAX = 8
 DEFAULT_K_SET = (0.1, 0.5, 1.0, 2.0)
 DEFAULT_X_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 IDENTITY_X_RANGE = (0.25, 8.0)
-
-
-def _refuse_small_k(k: float, config: EvalConfig) -> None:
-    """InputError for 0 < k < config.k_refuse_threshold."""
-    if 0 < k < config.k_refuse_threshold:
-        raise InputError(
-            f"0 < k = {k} < {config.k_refuse_threshold} "
-            "(EvalConfig.k_refuse_threshold) is refused: the connection "
-            "formula cancels there and no route checks the identity")
 
 
 def verify_identity(params: OrderParams, x_grid,

@@ -15,7 +15,6 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from wbident.cli import main
-from wbident.config import EvalConfig
 from wbident.errors import NearDegeneracyWarning, WbidentError
 from wbident.suite import run_suite
 
@@ -127,10 +126,10 @@ def test_verify_identity_exits_with_a_code(n, k, xs):
                "--x-grid", ",".join(map(repr, xs))])
 
 
-def exit_code(argv, may_warn: bool = False) -> int:
+def exit_code(argv) -> int:
     """main(argv)'s exit code; exit 2 always with an error line, and
-    nothing raised.  A NearDegeneracyWarning is expected only where
-    `may_warn` says 2*mu = 2ik lies within mu_degeneracy_tol of 0."""
+    nothing raised or warned: every check that reads W at mu = ik refuses
+    the k where 2ik lies within mu_degeneracy_tol of 0."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
@@ -138,18 +137,8 @@ def exit_code(argv, may_warn: bool = False) -> int:
         code = main(argv)
     assert code in (0, 1, 2)
     assert (code == 2) == err.getvalue().startswith("error: ")
-    assert all(w.category is NearDegeneracyWarning for w in caught)
-    assert may_warn or not caught
+    assert not caught
     return code
-
-
-def near_degenerate(check: str, k: float) -> bool:
-    """True where the check evaluates W at mu = ik with 2ik within
-    mu_degeneracy_tol of 0."""
-    return check in ("trial", "reconstruction") and 0 < 2 * abs(k) < MU_TOL
-
-
-MU_TOL = EvalConfig().mu_degeneracy_tol
 
 # each check's valid box, and values just outside it
 CHECKS = ["coupled", "second-order", "trial", "reconstruction", "indicial", "ode4-basis"]
@@ -173,7 +162,7 @@ def verify_argv(check, n, k, xs) -> list[str]:
 def test_verify_checks_in_their_box_exit_with_a_code(data, check, n, k):
     xs = (data.draw(st.lists(VALID_X[check], min_size=1, max_size=4))
           if check in VALID_X else None)
-    code = exit_code(verify_argv(check, n, k, xs), near_degenerate(check, k))
+    code = exit_code(verify_argv(check, n, k, xs))
     event(f"{check} exit {code}")
 
 
@@ -186,7 +175,7 @@ def test_verify_checks_outside_their_box_exit_with_a_code(check, spoil, n, k, x)
     k = k if spoil == "k" else 0.5
     argv = verify_argv(check, n if spoil == "n" else 2, k,
                        [0.5, 1.0, x] if spoil == "x" else None)
-    event(f"{check} exit {exit_code(argv, near_degenerate(check, k))}")
+    event(f"{check} exit {exit_code(argv)}")
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

@@ -1,5 +1,7 @@
-"""Tests for coefficient construction, conventions, and the collocation oracle."""
+"""Tests for coefficient construction, its (1-ik)_n start, and the
+collocation oracle."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -10,12 +12,11 @@ from wbident.core import SQRT_PI
 from wbident.errors import InputError, InvariantViolationError
 from wbident import lambda_poly
 from wbident.kernels import OrderParams
-from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
-                                 CoeffVector, boundary_coeffs, check_second_order,
+from wbident.lambda_poly import (CONVENTION_MINUS, CoeffVector,
+                                 boundary_coeffs, check_second_order,
                                  coeffs_from_recurrence, collocation_oracle,
                                  default_collocation_points,
-                                 laguerre_closed_form, resolve_convention,
-                                 top_coeff_residuals)
+                                 laguerre_closed_form, top_coeff_residuals)
 from wbident.ode import coupled_residual
 from wbident.report import relative_residual
 from wbident.suite import coefficient_reports
@@ -38,6 +39,15 @@ def fraction_coeffs(n, k, sign=-1):
         re, im = -(nr * dr + ni * di) / den, -(ni * dr - nr * di) / den
         out.append((re, im))
     return out
+
+
+def plus_start():
+    """_scaled_coeffs started from (1+ik)_n, compiled from its source."""
+    source = inspect.getsource(lambda_poly._scaled_coeffs)
+    assert source.count("ip = -p") == 1
+    namespace = dict(vars(lambda_poly))
+    exec(source.replace("ip = -p", "ip = p"), namespace)
+    return namespace["_scaled_coeffs"]
 
 
 def rounded(exact):
@@ -97,9 +107,9 @@ class TestRecurrence:
         # every integer times 1 + 1e-11 (denominators times 10^11)
         original = lambda_poly._scaled_coeffs
 
-        def rescaled(n, k, convention):
+        def rescaled(n, k):
             return [(re * (10 ** 11 + 1), im * (10 ** 11 + 1), d * 10 ** 11)
-                    for re, im, d in original(n, k, convention)]
+                    for re, im, d in original(n, k)]
         monkeypatch.setattr(lambda_poly, "_scaled_coeffs", rescaled)
         params = OrderParams(n=4, k=1.0)
         deviation, imag = top_coeff_residuals(params)
@@ -133,9 +143,8 @@ class TestRecurrence:
         assert coeffs_from_recurrence(OrderParams(n=n, k=k)).a == rounded(exact)
         if k == 0:
             assert laguerre_closed_form(n).a == rounded(exact)
-        # the (1-ik)_n start is tried first and reproduces a real 2^n top
+        # the (1-ik)_n start reproduces a real 2^n top
         assert exact[-1] == (2 ** n, 0)
-        assert resolve_convention(n, k) == CONVENTION_MINUS
 
     def test_smallest_subnormal_k_builds(self):
         cv = coeffs_from_recurrence(OrderParams(n=25, k=5e-324))
@@ -164,12 +173,19 @@ class TestRecurrence:
                 assert complex(cv.big_lambda_poly()(x)) == acc
 
     def test_wrong_convention_rejected(self, monkeypatch):
-        # the (1+ik)_n start drives a_{n+1} to -2^n/sqrt(pi)
-        original = lambda_poly._scaled_coeffs
-        monkeypatch.setattr(lambda_poly, "_scaled_coeffs",
-                            lambda n, k, convention: original(n, k, CONVENTION_PLUS))
-        with pytest.raises(InvariantViolationError):
-            coeffs_from_recurrence(OrderParams(n=1, k=1.0))
+        # the (1+ik)_n start, a source mutant that the Fraction reference
+        # confirms, drives a_{n+1} off 2^n/sqrt(pi) (to -2^n at n = 3, k = 1)
+        mutant = plus_start()
+        for n, k in [(1, 1.0), (3, 1.0), (8, 0.3)]:
+            want = fraction_coeffs(n, k, sign=1)
+            assert [(Fraction(re, d), Fraction(im, d))
+                    for re, im, d in mutant(n, k)] == want
+            assert want[-1] != (2 ** n, 0)
+        assert fraction_coeffs(3, 1.0, sign=1)[-1] == (-8, 0)
+        monkeypatch.setattr(lambda_poly, "_scaled_coeffs", mutant)
+        for n in (1, 3, 8):
+            with pytest.raises(InvariantViolationError):
+                coeffs_from_recurrence(OrderParams(n=n, k=1.0))
         # and coeffs_from_recurrence takes no convention to pick it by
         with pytest.raises(TypeError):
             coeffs_from_recurrence(OrderParams(n=1, k=1.0), convention="bogus")
@@ -180,15 +196,6 @@ class TestRecurrence:
         assert d["n"] == 2 and d["k"] == 1.0
         assert d["convention"] == CONVENTION_MINUS
         assert len(d["a"]) == 3 and all(len(pair) == 2 for pair in d["a"])
-
-
-class TestResolveConvention:
-    def test_resolves_to_minus(self):
-        assert resolve_convention(1, 1.0) == CONVENTION_MINUS
-        assert resolve_convention(4, 0.3) == CONVENTION_MINUS
-
-    def test_k0_degenerate(self):
-        assert resolve_convention(3, 0.0) == CONVENTION_MINUS
 
 
 class TestLaguerreClosedForm:

@@ -19,8 +19,7 @@ from wbident.core import SQRT_PI, laguerre
 from wbident.errors import InputError, InvariantViolationError, WbidentError
 from wbident.kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                              whittaker_w)
-from wbident.lambda_poly import (CONVENTION_MINUS, CONVENTION_PLUS,
-                                 coeffs_from_recurrence, laguerre_closed_form)
+from wbident.lambda_poly import coeffs_from_recurrence, laguerre_closed_form
 from wbident.ode import (BASIS, SolutionConstants, basis_products,
                          c4_closed_form, constants_closed_form,
                          constants_defining_system, constants_printed_system,
@@ -57,23 +56,13 @@ def one_integer_off(j: int, part: int, step: int):
     imaginary (part 1) numerator."""
     original = lambda_poly._scaled_coeffs
 
-    def mutant(n, k, convention):
-        out = original(n, k, convention)
+    def mutant(n, k):
+        out = original(n, k)
         if -len(out) <= j < len(out):
             entry = list(out[j])
             entry[part] += step
             out[j] = tuple(entry)
         return out
-    return mutant
-
-
-def convention_flipped():
-    """_scaled_coeffs started from a_1 of the other convention."""
-    original = lambda_poly._scaled_coeffs
-
-    def mutant(n, k, convention):
-        return original(n, k, CONVENTION_PLUS if convention == CONVENTION_MINUS
-                        else CONVENTION_MINUS)
     return mutant
 
 
@@ -84,7 +73,9 @@ SCALED_MUTANTS = {
     "(1-2m) sign": (mutant_source, (
         lambda_poly._scaled_coeffs, "(2 + 2 * n - 2 * m) * re, (2 * n + 2 * m) * im",
         "(2 * n + 2 * m) * re, (2 + 2 * n - 2 * m) * im")),
-    "convention flip": (convention_flipped, ()),
+    # the mirror start, a_1 from (1+ik)_n
+    "convention flip": (mutant_source, (lambda_poly._scaled_coeffs,
+                                        "ip = -p", "ip = p")),
 }
 
 
@@ -126,7 +117,7 @@ class TestCoupledResidual:
         make, args = SCALED_MUTANTS[name]
         mutant = make(*args)
         changed = [(n, k) for n in range(26) for k in COUPLED_KS
-                   if mutant(n, k, CONVENTION_MINUS) != original(n, k, CONVENTION_MINUS)]
+                   if mutant(n, k) != original(n, k)]
         assert len(changed) >= 200
         monkeypatch.setattr(lambda_poly, "_scaled_coeffs", mutant)
         passed = {(n, k) for n, k in changed
@@ -613,11 +604,10 @@ class TestTrialConditions:
         rep = next(r for r in reports if r.check_name == report)
         assert tuple(rep.residuals) == (0.0, 0.0) and rep.passed
 
-    def test_empty_grid_gives_empty_reports(self):
-        # an empty grid gives empty reports (run_suite never passes one)
-        reports = trial_condition_check(OrderParams(n=2, k=0.5), [])
-        assert [r.grid for r in reports] == [()] * 4
-        assert all(r.passed for r in reports)
+    def test_empty_grid_is_refused(self):
+        # a check on no point would pass without testing anything
+        with pytest.raises(InputError, match="empty"):
+            trial_condition_check(OrderParams(n=2, k=0.5), [])
 
 
 def factor_at(factor, params, x):
@@ -747,6 +737,23 @@ class TestGridEqualsPerPoint:
             params, self.XS + (6.0,)))
 
 
+def indicial_polynomial(coeffs) -> dict:
+    """q^3 I(sigma), I the indicial polynomial at x = 0, as an exact
+    polynomial in sigma: a_j's lowest term c x^i on y^(d), y ~ x^sigma,
+    gives c sigma(sigma-1)...(sigma-d+1) x^(sigma+i-d), and I sums the
+    terms at the lowest power (those of a1, a2 and a3)."""
+    leading = []
+    for j, a in enumerate(coeffs.as_list()):
+        if a:
+            i, d = min(a), 4 - j
+            falling = _exact.poly([(1, 0)])
+            for r in range(d):
+                falling = _exact.mul(falling, _exact.poly([(-r, 0), (1, 0)]))
+            leading.append((i - d, _exact.scale(a[i], falling)))
+    shift = min(o for o, _ in leading)
+    return _exact.add(*(f for o, f in leading if o == shift))
+
+
 class TestIndicial:
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_roots_match_predicted_set(self, k):
@@ -781,6 +788,29 @@ class TestIndicial:
             assert ia.defects[:2] == (0.0, 0.0) and min(ia.defects[2:]) > 0.0
             assert not ia.match
             assert not indicial_reports(params)[0].passed
+
+    @pytest.mark.parametrize("k", [0.1, 0.5, 2.526, 1e10])
+    def test_indicial_polynomials_exactly(self, k):
+        # I(sigma) = sigma(sigma-1)[(1-4ik)(sigma^2-sigma-2) + c] from a1..a3;
+        # the corrected c factors it as (1-4ik) sigma(sigma-1)(sigma-2ik)
+        # (sigma-1+2ik), the printed c adds (2+2i)(k+i)(4k+i) sigma(sigma-1).
+        # Compared coefficient by coefficient in sigma, times q^3 at k = p/q
+        params = OrderParams(n=2, k=k)
+        p, q = k.as_integer_ratio()
+        s01 = _exact.poly([(0, 0), (-1, 0), (1, 0)])               # sigma(sigma-1)
+        corrected = _exact.mul(_exact.scale((q, -4 * p), s01), _exact.mul(
+            _exact.poly([(0, -2 * p), (q, 0)]), _exact.poly([(-q, 2 * p), (q, 0)])))
+        excess = _exact.scale(_exact.gaussian_product(
+            (2 * q, 2 * q), _exact.gaussian_product((p, q), (4 * p, q))), s01)
+        assert indicial_polynomial(ode4_coeffs(params)) == corrected
+        assert indicial_polynomial(ode4_coeffs(params, "printed")) == _exact.add(
+            corrected, excess)
+        # +-1 in q^3 times a3's constant leaves sigma(sigma-1) behind
+        for step in (1, -1):
+            mutant = one_coefficient_off("a3", 0, step)(params)
+            assert _exact.add(indicial_polynomial(mutant),
+                              _exact.scale((-1, 0), corrected)) == _exact.scale(
+                (step, 0), s01)
 
     def test_predicted_set_k1(self):
         ia = indicial_analysis(OrderParams(n=1, k=1.0))
@@ -818,6 +848,18 @@ class TestIndicial:
 
 
 class TestConstants:
+    def test_a1_comes_from_lambda(self, monkeypatch):
+        # c2 = a_1 / beta_IW reads a_1 from Lambda's coefficient vector, so a
+        # change to Lambda's first integer moves c2 by the same factor
+        params = OrderParams(n=3, k=0.5)
+        a1 = coeffs_from_recurrence(params).a[0]
+        c2 = constants_defining_system(params).c2
+        monkeypatch.setattr(lambda_poly, "_scaled_coeffs", one_integer_off(0, 0, 1))
+        moved = coeffs_from_recurrence(params).a[0]
+        assert moved != a1
+        assert constants_defining_system(params).c2 == pytest.approx(
+            c2 * moved / a1, rel=1e-15)
+
     @pytest.mark.parametrize("n,k", [(0, 1.0), (1, 1.0), (2, 0.5), (3, 2.0),
                                      (2, 20.0), (2, 50.0), (2, 200.0)])
     def test_defining_system_structure(self, n, k):
@@ -937,12 +979,6 @@ class TestReconstruction:
         c = solution_constants(params)
         bad = SolutionConstants(c2=c.c2 * (1 + 1e-3), c3=c.c3, c4=c.c4)
         rep = lambda_reconstruction(params, [0.5, 1.0, 2.0], constants=bad)
-        assert not rep.passed
-
-    def test_nonzero_c1_fails_at_x6(self):
-        # any I*M admixture blows up downstream (it grows like e^{2x})
-        params = OrderParams(n=1, k=1.0)
-        rep = lambda_reconstruction(params, [6.0], c1=1e-6 + 0j)
         assert not rep.passed
 
     def test_printed_system_constants_fail_reconstruction(self):

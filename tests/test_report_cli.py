@@ -14,7 +14,7 @@ import pytest
 import wbident
 from wbident import lambda_poly
 from wbident.cli import main
-from wbident.config import ENV_CONFIG_VAR, EvalConfig, default_config, load_config
+from wbident.config import EvalConfig, default_config, load_config
 from wbident.errors import ConvergenceError, InputError
 from wbident.kernels import OrderParams
 from wbident.lambda_poly import check_second_order, laguerre_closed_form
@@ -287,17 +287,19 @@ class TestConfig:
             assert main(["--config", str(p), "coeffs", "--n", "1", "--k", "1"]) == 2
             assert field in capsys.readouterr().err
 
-    def test_env_var_override(self, tmp_path, monkeypatch):
+    def test_env_var_is_ignored(self, tmp_path, monkeypatch):
+        # a verdict depends only on a call's arguments: the former
+        # WBIDENT_CONFIG override changes nothing, and --config still applies
         p = tmp_path / "cfg.json"
-        p.write_text('{"identity_tol": 2e-5}')
-        monkeypatch.setenv(ENV_CONFIG_VAR, str(p))
-        assert default_config().identity_tol == 2e-5
-        # the file is read on every call
-        p.write_text('{"identity_tol": 3e-5}')
-        assert default_config().identity_tol == 3e-5
+        p.write_text('{"identity_tol": 1e-30}')
+        monkeypatch.setenv("WBIDENT_CONFIG", str(p))
+        assert default_config() == EvalConfig()
+        argv = ["verify", "--check", "identity", "--n", "1", "--k", "1.0",
+                "--x-grid", "1.0"]
+        assert main(argv) == 0
+        assert main(["--config", str(p), *argv]) == 1
 
-    def test_default_is_one_shared_instance(self, monkeypatch):
-        monkeypatch.delenv(ENV_CONFIG_VAR, raising=False)
+    def test_default_is_one_shared_instance(self):
         assert default_config() is default_config()
         assert default_config() == EvalConfig()
 
@@ -362,8 +364,8 @@ class TestCli:
         read 0.0 on the real integers and > 0 on the mutant."""
         original = lambda_poly._scaled_coeffs
 
-        def mutant(n, k, convention):
-            out = original(n, k, convention)
+        def mutant(n, k):
+            out = original(n, k)
             re, im, d = out[1]
             out[1] = (re + 1, im, d)
             return out
@@ -426,6 +428,11 @@ class TestCli:
         "eval bessel-k-quad 1.5 2.0",
         "eval bessel-i 0.5 1+1j",
         "suite --x-grid 0",
+        "suite --x-grid ,",
+        "verify --check identity --x-grid ,",
+        "verify --check trial --x-grid ,",
+        "verify --check reconstruction --n 2 --k 1e-14",
+        "verify --check trial --n 2 --k 1e-300",
         "suite --n-max 30",
         "suite --n-max -1",
         "suite --k-set -1",

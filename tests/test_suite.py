@@ -16,7 +16,8 @@ import wbident.suite
 from wbident import kernels, lambda_poly
 from wbident.config import EvalConfig
 from wbident.errors import InputError
-from wbident.ode import constants_printed_system, lambda_reconstruction
+from wbident.ode import (constants_printed_system, lambda_reconstruction,
+                         trial_condition_check)
 from wbident.report import canonical_json, reports_to_csv
 from wbident.suite import run_suite, verify_identity
 
@@ -349,19 +350,28 @@ def test_default_suite_certifies_the_coefficient_relations():
 
 
 def test_small_k_is_refused_before_any_kernel_runs():
-    # no code of wbident.kernels is entered, and so no NearDegeneracyWarning
-    entered = []
+    # every check that reads the connection formula refuses 0 < k < 1e-3
+    # (a false FAIL before: 3.2e-6 for the reconstruction at k = 1e-14, 1.6
+    # for the trial check at 1e-300).  Of wbident.kernels only the refusal
+    # runs, once per k tested, and so no NearDegeneracyWarning is issued
+    small = {k: kernels.OrderParams(n=2, k=k) for k in (1e-7, 1e-14, 1e-300)}
+    calls = [(lambda: run_suite(k_set=(1.0, 1e-7)), 2),
+             (lambda: verify_identity(small[1e-7], [1.0]), 1),
+             (lambda: lambda_reconstruction(small[1e-14], [1.0]), 1),
+             (lambda: trial_condition_check(small[1e-300], [1.0]), 1)]
+    for call, tested in calls:
+        entered = []
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == kernels.__file__:
-            entered.append(frame.f_code.co_name)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == kernels.__file__:
+                entered.append(frame.f_code.co_name)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        sys.setprofile(profile)
-        try:
-            with pytest.raises(InputError, match="k_refuse_threshold"):
-                run_suite(k_set=(1.0, 1e-7))
-        finally:
-            sys.setprofile(None)
-    assert entered == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sys.setprofile(profile)
+            try:
+                with pytest.raises(InputError, match="k_refuse_threshold"):
+                    call()
+            finally:
+                sys.setprofile(None)
+        assert entered == ["_refuse_small_k"] * tested
