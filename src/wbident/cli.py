@@ -20,12 +20,9 @@ from .config import EvalConfig, default_config, load_config
 from .errors import InputError, WbidentError
 from .kernels import (OrderParams, bessel_i, bessel_i_tilde, bessel_k_quad,
                       bessel_k_via_w, kummer_m, whittaker_m, whittaker_w)
-from .lambda_poly import coeffs_from_recurrence, check_second_order
-from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
-                  product_solution_check, trial_condition_check)
+from .lambda_poly import coeffs_from_recurrence
 from .report import VerificationSuiteResult, canonical_json, export
-from .suite import (DEFAULT_K_SET, DEFAULT_N_MAX, DEFAULT_X_GRID, run_suite,
-                    verify_identity)
+from .suite import CHECKS, DEFAULT_K_SET, DEFAULT_N_MAX, DEFAULT_X_GRID, run_suite
 
 # kernel -> (callable, argument names, indices that must be real)
 _EVAL_KERNELS = {
@@ -36,24 +33,6 @@ _EVAL_KERNELS = {
     "bessel-i-tilde": (bessel_i_tilde, ("nu", "x"), (1,)),
     "bessel-k-quad": (bessel_k_quad, ("nu", "x"), (1,)),
     "bessel-k-via-w": (bessel_k_via_w, ("nu", "x"), (1,)),
-}
-
-
-# verify --check name -> (EvalConfig threshold that --tol overrides, None for
-# an exact check (it passes only at 0.0); default x grid, None for a check on
-# none; runner(params, x grid, config) returning the check's reports)
-_CHECKS = {
-    "identity": ("identity_tol", DEFAULT_X_GRID,
-                 lambda p, grid, c: [verify_identity(p, grid, c)]),
-    "coupled": (None, None, lambda p, grid, c: [coupled_residual(p)]),
-    "second-order": (None, None,
-                     lambda p, grid, c: [check_second_order(p, v)
-                                         for v in ("printed", "derived")]),
-    "ode4-basis": (None, None, lambda p, grid, c: [product_solution_check(p)]),
-    "indicial": (None, None, lambda p, grid, c: indicial_reports(p)),
-    "trial": ("whittaker_eq_tol", (0.5, 1.0, 2.0), trial_condition_check),
-    "reconstruction": ("reconstruction_tol", (0.5, 1.0, 2.0, 4.0),
-                       lambda p, grid, c: [lambda_reconstruction(p, grid, c)]),
 }
 
 
@@ -83,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "eval bessel-i -- -0.5+1j 1.5")
 
     p = sub.add_parser("verify", help="run a single check")
-    p.add_argument("--check", required=True, choices=sorted(_CHECKS))
+    p.add_argument("--check", required=True, choices=sorted(CHECKS))
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--x-grid", type=_csv_floats, default=None)
@@ -141,16 +120,15 @@ def _print_report(rep, label: str) -> None:
 
 
 def _cmd_verify(args, config: EvalConfig) -> int:
-    tol_field, default_grid, run = _CHECKS[args.check]
-    if default_grid is None and args.x_grid is not None:
+    check = CHECKS[args.check]
+    if check.x_grid is None and args.x_grid is not None:
         raise InputError(f"verify --check {args.check} takes no --x-grid")
     if args.tol is not None:
-        if tol_field is None:
+        if check.tol_field is None:
             raise InputError(f"verify --check {args.check} is exact and takes no --tol")
-        config = dataclasses.replace(config, **{tol_field: args.tol})
-    params = OrderParams(n=args.n, k=args.k)
-    reports = run(params, default_grid if args.x_grid is None else args.x_grid,
-                  config)
+        config = dataclasses.replace(config, **{check.tol_field: args.tol})
+    reports = check.run(OrderParams(n=args.n, k=args.k),
+                        check.x_grid if args.x_grid is None else args.x_grid, config)
 
     result = VerificationSuiteResult(reports=reports)
     if args.out:
@@ -168,9 +146,7 @@ def _cmd_suite(args, config: EvalConfig) -> int:
     if args.out:
         export(result, args.format, args.out)
     for rep in result.sorted_reports():
-        p = rep.params
-        where = f"n={p.n} k={p.k}" if p else ""
-        _print_report(rep, f"{rep.check_name} {where}")
+        _print_report(rep, f"{rep.check_name} n={rep.params.n} k={rep.params.k}")
     print(f"\n{result.n_passed}/{len(result.reports)} checks passed; "
           f"{len(result.ledger)} ledger entries")
     for entry in result.ledger:

@@ -1,5 +1,4 @@
-"""Grid verification of the central identity and orchestration of the full
-check suite.
+"""The check table and the full check suite.
 
 The central identity under test:
 
@@ -8,26 +7,20 @@ The central identity under test:
 with Lambda built from the coefficient recurrence.  The left side is
 evaluated through the Whittaker connection formula (one term, doubled real
 part, at these orders), the right side through the quadrature Bessel-K
-evaluator, so the two sides share no code path.  ``verify_identity`` reads K
-from one quadrature grid call per (n, k), the table entry that
-``kernel_cross_reports`` makes per k, and W per point.  Inside ``run_suite``
-those W reads are served by the kernel table: ``kernel_cross_reports`` reads
-the one-term W as one grid call per (n, k) for the ``whittaker-w-realness``
-check, and the table keeps each point of that grid under its per-point key.
-Outside a kernel table ``verify_identity`` evaluates W point by point.
+evaluator, so the two sides share no code path.
 
-Per (n, k) cell the top coefficient, the coupled equation (its x^{m-1}
-coefficient is the first-order recurrence at m) and the five-factor
-recurrence are checked exactly on the coefficients' Gaussian integers, so
-the relations that hold read 0.0: certificates, not rounding measurements.
-So are the fourth-order ODE's basis check and indicial balance, which
-take no x grid.  Each exact check passes only at 0.0 (report.EXACT) and
-takes no config.
+``CHECKS`` names every check once: its runner, the threshold ``--tol``
+sets, the default x grid of ``verify --check`` and the (n, k) cells that
+``run_suite`` runs it on.  The coefficient relations, the fourth-order
+ODE's basis check and the indicial balance are exact on Gaussian integers:
+they pass only at 0.0 (report.EXACT), take no config and no x grid.
 """
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -56,7 +49,9 @@ def verify_identity(params: OrderParams, x_grid,
     zero of W and Lambda on the k = 0 branch).  Lambda comes from the
     recurrence at every k, k = 0 included (there it is the Laguerre form);
     small nonzero k is refused in double-precision mode (gamma-prefactor
-    cancellation makes the connection formula meaningless there)."""
+    cancellation makes the connection formula meaningless there).  K is one
+    grid call and W one call per point; inside ``run_suite`` the kernel
+    table serves both from the grids of ``kernel_cross_reports``."""
     config = config or default_config()
     n, k = params.n, params.k
     x_grid = float_grid(x_grid)
@@ -68,7 +63,6 @@ def verify_identity(params: OrderParams, x_grid,
     _refuse_small_k(k, config)
 
     lam = coeffs_from_recurrence(params).lam_poly()(np.array(x_grid))
-    # the K grid is kernel_cross_reports' table entry
     kq = bessel_k_quad(complex(0.5, k), x_grid, config)
     residuals = []
     for x, lam_x, k_x in zip(x_grid, lam.tolist(), kq.tolist()):
@@ -86,51 +80,44 @@ def verify_identity(params: OrderParams, x_grid,
     )
 
 
-def kernel_cross_reports(k_set, x_grid, n_max,
+def kernel_cross_reports(params: OrderParams, x_grid,
                          config: EvalConfig) -> list[ResidualReport]:
-    """Cross-check the two K evaluators, and compare whittaker_w's one-term
-    W with the two-term connection formula on the grid.  The second is a
-    code-consistency check: at these orders both routes give the same bits,
-    so its residuals read 0.0 unless an edit breaks one route.  Each route
-    is one grid call per (n, k); inside ``run_suite`` the one-term grid's
-    points then serve ``verify_identity``'s and the reconstruction's
-    per-point W reads."""
+    """Cross-check the two K evaluators at k = params.k, and compare
+    whittaker_w's one-term W with the two-term connection formula on the grid
+    for n = 0..params.n.  The second is a code-consistency check: at these
+    orders both routes give the same bits, so its residuals read 0.0 unless
+    an edit breaks one route.  Each route is one grid call per (n, k)."""
+    n_max, k = params.n, params.k
+    if not k > 0:
+        raise InputError("kernel_cross_reports requires k > 0")
+    _refuse_small_k(k, config)
     x_grid = float_grid(x_grid)
     z = tuple(2 * x for x in x_grid)
-    reports = []
-    for k in k_set:
-        if k == 0:
-            continue
-        nu = complex(0.5, k)
-        # one quadrature grid: verify_identity looks up this table entry
-        kq = bessel_k_quad(nu, x_grid, config)
-        kw = bessel_k_via_w(nu, x_grid, config)
-        reports.append(ResidualReport(
-            check_name="kernel-cross-bessel-k",
-            params=OrderParams(n=0, k=k),
-            grid=x_grid,
-            residuals=[relative_difference(w, q)
-                       for q, w in zip(kq.tolist(), kw.tolist())],
-            threshold=config.kernel_cross_tol))
-        # the two-term route against whittaker_w's one-term value, one grid
-        # each per (n, k); the table keeps each one-term point, which
-        # verify_identity and the reconstruction look up
-        realness = []
-        for n in range(n_max + 1):
-            w2 = _whittaker_w_two_term(n + 0.5, 1j * k, z, config)
-            w1 = whittaker_w(n + 0.5, 1j * k, z, config)
-            for one, two in zip(w1.tolist(), w2.tolist()):
-                scale = max(abs(one), abs(two))
-                realness.append(abs(two - one) / scale if scale else 0.0)
-        reports.append(ResidualReport(
-            check_name="whittaker-w-realness",
-            params=OrderParams(n=n_max, k=k),
-            grid=x_grid * (n_max + 1), residuals=realness,
-            threshold=config.realness_tol,
-            notes=[f"x grid repeated for n = 0..{n_max}",
-                   "code consistency: one-term W against the two-term "
-                   "formula, equal bit for bit when the code is intact"]))
-    return reports
+    nu = complex(0.5, k)
+    kq = bessel_k_quad(nu, x_grid, config)
+    kw = bessel_k_via_w(nu, x_grid, config)
+    bessel = ResidualReport(
+        check_name="kernel-cross-bessel-k",
+        params=OrderParams(n=0, k=k),
+        grid=x_grid,
+        residuals=[relative_difference(w, q)
+                   for q, w in zip(kq.tolist(), kw.tolist())],
+        threshold=config.kernel_cross_tol)
+    realness = []
+    for n in range(n_max + 1):
+        w2 = _whittaker_w_two_term(n + 0.5, 1j * k, z, config)
+        w1 = whittaker_w(n + 0.5, 1j * k, z, config)
+        for one, two in zip(w1.tolist(), w2.tolist()):
+            scale = max(abs(one), abs(two))
+            realness.append(abs(two - one) / scale if scale else 0.0)
+    return [bessel, ResidualReport(
+        check_name="whittaker-w-realness",
+        params=params,
+        grid=x_grid * (n_max + 1), residuals=realness,
+        threshold=config.realness_tol,
+        notes=[f"x grid repeated for n = 0..{n_max}",
+               "code consistency: one-term W against the two-term "
+               "formula, equal bit for bit when the code is intact"])]
 
 
 def coefficient_reports(params: OrderParams) -> list[ResidualReport]:
@@ -160,16 +147,84 @@ def oracle_equivalence_report(params: OrderParams,
         notes=[f"coefficients from {fit.convention}"])
 
 
+class Check(NamedTuple):
+    """One check: a ``verify --check`` choice and a step of ``run_suite``."""
+    run: Callable           # (params, x grid, config) -> [ResidualReport]
+    tol_field: str | None   # the EvalConfig threshold --tol sets; None if exact
+    x_grid: tuple | None    # verify's default grid; None for a check on none
+    cells: Callable         # run_suite's plan -> [(params, x grid)] to run
+
+
+def _cells(ns, ks, grid=None) -> list:
+    return [(OrderParams(n=n, k=k), grid) for n in ns for k in ks]
+
+
+# The checks, in run_suite's order.  Each runner looks its function up in
+# this module when it runs, so a wrapper set on the module's name sees every
+# call.  kernel-cross goes first: its K and W grids serve identity's and the
+# reconstruction's reads from the kernel table.  run_suite's plan holds
+# n_max, the positive ks, k0 ([0.0] when k = 0 is asked for), the x grid,
+# the inner grid (its x in [0.5, 6]), oracle_n, oracle_ks and ode_ks.
+CHECKS = {
+    "kernel-cross": Check(
+        lambda p, grid, c: kernel_cross_reports(p, grid, c),
+        "kernel_cross_tol", DEFAULT_X_GRID,
+        lambda plan: _cells([plan.n_max], plan.ks, plan.x_grid)),
+    "coefficients": Check(
+        lambda p, grid, c: coefficient_reports(p), None, None,
+        lambda plan: _cells(range(plan.n_max + 1), plan.ks)),
+    "coupled": Check(
+        lambda p, grid, c: [coupled_residual(p)], None, None,
+        lambda plan: _cells(range(plan.n_max + 1), plan.ks)),
+    "second-order": Check(
+        lambda p, grid, c: [check_second_order(p, v) for v in ("printed", "derived")],
+        None, None,
+        lambda plan: _cells(range(plan.n_max + 1), plan.ks)),
+    "identity": Check(
+        lambda p, grid, c: [verify_identity(p, grid, c)],
+        "identity_tol", DEFAULT_X_GRID,
+        lambda plan: _cells(range(plan.n_max + 1), plan.ks + plan.k0, plan.x_grid)),
+    "oracle": Check(
+        lambda p, grid, c: [oracle_equivalence_report(p, c)],
+        "oracle_match_tol", None,
+        lambda plan: _cells(range(plan.oracle_n + 1), plan.oracle_ks)),
+    "ode4-basis": Check(
+        lambda p, grid, c: [product_solution_check(p)], None, None,
+        lambda plan: _cells(range(min(plan.n_max, 4) + 1), plan.ode_ks)),
+    "ode4-basis-printed": Check(
+        lambda p, grid, c: [product_solution_check(p, variant="printed")], None, None,
+        lambda plan: _cells([min(plan.n_max, 1)], plan.ode_ks[:1])),
+    "trial": Check(
+        lambda p, grid, c: trial_condition_check(p, grid, c),
+        "whittaker_eq_tol", (0.5, 1.0, 2.0),
+        lambda plan: _cells([min(plan.n_max, 2)], plan.ode_ks[:1], plan.inner)),
+    "indicial": Check(
+        lambda p, grid, c: indicial_reports(p), None, None,
+        lambda plan: _cells([min(plan.n_max, 2)], plan.ks)),
+    "reconstruction": Check(
+        lambda p, grid, c: [lambda_reconstruction(p, grid, c)],
+        "reconstruction_tol", (0.5, 1.0, 2.0, 4.0),
+        lambda plan: (_cells(range(min(plan.n_max, 6) + 1), plan.ks, plan.inner)
+                      + _cells([min(plan.n_max, 2)], [0.0], plan.inner))),
+    "reconstruction-printed-constants": Check(
+        lambda p, grid, c: [lambda_reconstruction(
+            p, grid, c, constants=constants_printed_system(p),
+            check_name="reconstruction-printed-constants")],
+        "reconstruction_tol", (0.5, 1.0, 2.0, 4.0),
+        lambda plan: _cells([min(plan.n_max, 2)], plan.ks[-1:], plan.inner)),
+}
+
+
 def run_suite(config: EvalConfig | None = None,
               n_max: int = DEFAULT_N_MAX,
               k_set=DEFAULT_K_SET,
               x_grid=DEFAULT_X_GRID,
               use_oracle: bool = False) -> VerificationSuiteResult:
-    """Execute, in order: kernel cross-checks, coefficient construction and
-    invariants, oracle equivalence, coupled residual, identity grid, ODE4
-    basis checks, indicial analysis, constants and reconstruction.
+    """Run each check of CHECKS, in table order, on the cells its row lists
+    for these inputs, then add the constants' notes to the ledger.
 
-    Individual check failures are recorded and the suite continues; kernel
+    A repeated k runs once; an empty k set is an InputError.  Individual
+    check failures are recorded and the suite continues; kernel
     non-convergence aborts (it poisons every downstream number).  Advisory
     failures land in the discrepancy ledger, not the exit status.  The checks
     run inside ``kernel_table()``, so each kernel value is evaluated once per
@@ -178,82 +233,35 @@ def run_suite(config: EvalConfig | None = None,
     config = config or default_config()
     if not 0 <= n_max <= 25:
         raise InputError(f"n_max must lie in [0, 25], got {n_max}")
-    k_set = tuple(float(k) for k in k_set)
+    k_set = tuple(dict.fromkeys(float(k) for k in k_set))
+    if not k_set:
+        raise InputError("run_suite requires at least one k")
     if not all(math.isfinite(k) and k >= 0 for k in k_set):
         raise InputError(f"run_suite requires finite k >= 0, got {list(k_set)}")
     for k in k_set:
         _refuse_small_k(k, config)
     x_grid = float_grid(x_grid)
-    ks_pos = [k for k in k_set if k > 0]
+    ks = [k for k in k_set if k > 0]
+    plan = SimpleNamespace(
+        n_max=n_max, ks=ks, k0=[0.0] if 0.0 in k_set else [], x_grid=x_grid,
+        # the trial check and the reconstruction take the x inside [0.5, 6]
+        inner=tuple(x for x in x_grid if 0.5 <= x <= 6) or (0.5, 1.0, 2.0, 4.0),
+        oracle_n=min(n_max, 8 if use_oracle else 2),
+        oracle_ks=[k for k in ks if k >= 0.5] or ks,
+        ode_ks=[k for k in ks if 0.4 <= k <= 1.5][:2] or ks[:1])
     reports: list[ResidualReport] = []
     ledger: list[str] = []
 
     with kernel_table():
-        # 1. kernel cross-checks
-        reports += kernel_cross_reports(k_set, x_grid, n_max, config)
-
-        # 2 + 4 + 5. coefficients, coupled equation, identity per (n, k) cell
-        for n in range(n_max + 1):
-            for k in ks_pos:
-                params = OrderParams(n=n, k=k)
-                reports += coefficient_reports(params)
-                reports.append(coupled_residual(params))
-                reports.append(check_second_order(params, "printed"))
-                reports.append(check_second_order(params, "derived"))
-                reports.append(verify_identity(params, x_grid, config))
-        if not ks_pos or 0.0 in k_set:
-            for n in range(n_max + 1):
-                params = OrderParams(n=n, k=0.0)
-                reports.append(verify_identity(params, x_grid, config))
-
-        # 3. oracle equivalence
-        oracle_n = min(n_max, 8 if use_oracle else 2)
-        oracle_ks = [k for k in ks_pos if k >= 0.5] or ks_pos
-        for n in range(oracle_n + 1):
-            for k in oracle_ks:
-                reports.append(oracle_equivalence_report(
-                    OrderParams(n=n, k=k), config))
-
-        # the trial check and stage 8 take the x inside [0.5, 6] (or a fixed grid)
-        inner_grid = tuple(x for x in x_grid if 0.5 <= x <= 6) or (0.5, 1.0, 2.0, 4.0)
-
-        # 6. fourth-order basis checks (exact in x, so on no grid)
-        ode_ks = [k for k in ks_pos if 0.4 <= k <= 1.5][:2] or ks_pos[:1]
-        for n in range(min(n_max, 4) + 1):
-            for k in ode_ks:
-                reports.append(product_solution_check(OrderParams(n=n, k=k)))
-        if ode_ks:
-            reports.append(product_solution_check(
-                OrderParams(n=1, k=ode_ks[0]), variant="printed"))
-            reports += trial_condition_check(
-                OrderParams(n=2, k=ode_ks[0]), inner_grid, config)
-
-        # 7. indicial analysis
-        for k in ks_pos:
-            reports += indicial_reports(OrderParams(n=2, k=k))
-
-        # 8. constants and reconstruction
-        for n in range(min(n_max, 6) + 1):
-            for k in ks_pos:
-                params = OrderParams(n=n, k=k)
-                reports.append(lambda_reconstruction(params, inner_grid, config))
-        if ks_pos:
-            params = OrderParams(n=min(n_max, 2), k=ks_pos[-1])
+        for check in CHECKS.values():
+            for params, grid in check.cells(plan):
+                reports += check.run(params, grid, config)
+        if ks:
+            params = OrderParams(n=min(n_max, 2), k=ks[-1])
             _, _, notes = resolve_constants(params, config)
             ledger += [f"constants n={params.n} k={params.k}: {note}" for note in notes]
-            reports.append(lambda_reconstruction(
-                params, inner_grid, config,
-                constants=constants_printed_system(params),
-                check_name="reconstruction-printed-constants"))
-        reports.append(lambda_reconstruction(
-            OrderParams(n=min(n_max, 2), k=0.0), inner_grid, config))
 
-    for rep in reports:
-        if rep.advisory and not rep.passed:
-            ledger.append(
-                f"advisory check {rep.check_name} "
-                f"(n={rep.params.n if rep.params else '-'}, "
-                f"k={rep.params.k if rep.params else '-'}): "
-                f"max residual {rep.max_residual:.3e} over threshold "
-                f"{rep.threshold:.1e}")
+    ledger += [f"advisory check {r.check_name} (n={r.params.n}, k={r.params.k}): "
+               f"max residual {r.max_residual:.3e} over threshold {r.threshold:.1e}"
+               for r in reports if r.advisory and not r.passed]
     return VerificationSuiteResult(reports=reports, ledger=sorted(ledger))

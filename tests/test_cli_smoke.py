@@ -14,7 +14,8 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from wbident.cli import main
+import wbident.suite
+from wbident.cli import build_parser, main
 from wbident.errors import NearDegeneracyWarning, WbidentError
 from wbident.suite import run_suite
 
@@ -139,6 +140,20 @@ def exit_code(argv) -> int:
     assert (code == 2) == err.getvalue().startswith("error: ")
     assert not caught
     return code
+
+
+@pytest.mark.parametrize("check", list(wbident.suite.CHECKS))
+def test_verify_runs_every_check_at_its_defaults(check, tmp_path):
+    assert exit_code(["verify", "--check", check,
+                      "--out", str(tmp_path / "out.json")]) in (0, 1)
+    assert (tmp_path / "out.json").exists()
+
+
+def test_verify_choices_are_the_check_table():
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    check = next(a for a in verify._actions if a.dest == "check")
+    assert set(check.choices) == set(wbident.suite.CHECKS)
+
 
 # each check's valid box, and values just outside it
 CHECKS = ["coupled", "second-order", "trial", "reconstruction", "indicial", "ode4-basis"]

@@ -437,6 +437,11 @@ class TestCli:
         "suite --n-max -1",
         "suite --k-set -1",
         "suite --k-set nan",
+        "suite --k-set ,",
+        "verify --check kernel-cross --k 0",
+        "verify --check kernel-cross --x-grid ,",
+        "verify --check oracle --x-grid 1",
+        "verify --check coefficients --tol 1e-3",
         "--config no/such/config.json suite",
         "suite --n-max 0 --k-set 1 --out no/such/dir/suite.json",
         "eval whittaker-w 1.5 1e300j 2.0",

@@ -16,10 +16,9 @@ import wbident.suite
 from wbident import kernels, lambda_poly
 from wbident.config import EvalConfig
 from wbident.errors import InputError
-from wbident.ode import (constants_printed_system, lambda_reconstruction,
-                         trial_condition_check)
+from wbident.ode import lambda_reconstruction, trial_condition_check
 from wbident.report import canonical_json, reports_to_csv
-from wbident.suite import run_suite, verify_identity
+from wbident.suite import CHECKS, run_suite, verify_identity
 
 SMALL = dict(n_max=2, k_set=(0.5, 1.0), x_grid=(0.5, 1.0, 2.0))
 TABLED = (kernels.whittaker_m, kernels.whittaker_w, kernels._whittaker_w_two_term,
@@ -66,25 +65,37 @@ def test_each_kernel_value_evaluated_once():
     assert max(evaluated.values()) == 1
 
 
-def test_reports_equal_checks_outside_the_run():
+def test_reports_equal_checks_outside_the_run(monkeypatch):
+    # every report of the run is its row's runner on its cell, and equals
+    # that runner called on the same cell outside the kernel table
     config = EvalConfig()
+    calls = []
+    for name, check in CHECKS.items():
+        def run(params, grid, c, name=name, inner=check.run):
+            reports = inner(params, grid, c)
+            calls.append((name, params, grid, reports))
+            return reports
+        monkeypatch.setitem(CHECKS, name, check._replace(run=run))
     result = run_suite(config, **SMALL)
-    checked = 0
-    for rep in result.reports:
-        if rep.check_name == "identity":
-            outside = verify_identity(rep.params, rep.grid, config)
-        elif rep.check_name == "reconstruction-printed-constants":
-            outside = lambda_reconstruction(
-                rep.params, rep.grid, config,
-                constants=constants_printed_system(rep.params),
-                check_name=rep.check_name)
-        elif rep.check_name.startswith("lambda-reconstruction"):
-            outside = lambda_reconstruction(rep.params, rep.grid, config)
-        else:
-            continue
-        assert outside == rep
-        checked += 1
-    assert checked == 3 * 2 + 3 * 2 + 2
+    monkeypatch.undo()
+    assert [r for *_, reports in calls for r in reports] == result.reports
+    assert {name for name, *_ in calls} == set(CHECKS)
+    for name, params, grid, reports in calls:
+        assert CHECKS[name].run(params, grid, config) == reports
+
+
+def test_repeated_k_runs_once():
+    once = run_suite(k_set=(0.5,), n_max=1)
+    twice = run_suite(k_set=(0.5, 0.5), n_max=1)
+    assert len(twice.reports) == len(once.reports) == 27
+    assert canonical_json(twice.as_json_dict()) == canonical_json(once.as_json_dict())
+    assert reports_to_csv(twice.reports) == reports_to_csv(once.reports)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_n_max_caps_every_check(n_max):
+    result = run_suite(n_max=n_max, k_set=(0.5,))
+    assert max(r.params.n for r in result.reports) == n_max
 
 
 def per_point_identity_residuals(params, x_grid):
@@ -246,7 +257,8 @@ def test_vanishing_k_scores_by_the_other_side(via_w, want, monkeypatch):
                         lambda nu, xs, config: np.zeros(len(xs), complex))
     monkeypatch.setattr(wbident.suite, "bessel_k_via_w",
                         lambda nu, xs, config: np.full(len(xs), via_w))
-    reports = wbident.suite.kernel_cross_reports((1.0,), (0.5, 1.0), 0, EvalConfig())
+    reports = wbident.suite.kernel_cross_reports(
+        kernels.OrderParams(n=0, k=1.0), (0.5, 1.0), EvalConfig())
     rep = next(r for r in reports if r.check_name == "kernel-cross-bessel-k")
     assert tuple(rep.residuals) == (want, want)
 
