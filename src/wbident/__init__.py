@@ -12,11 +12,10 @@ from .lambda_poly import (CONVENTION_MINUS, CoeffVector, boundary_coeffs,
                           check_second_order, coeffs_from_recurrence,
                           collocation_oracle, laguerre_closed_form)
 from .ode import (IndicialAnalysis, Ode4Coeffs, SolutionConstants,
-                  constants_closed_form, constants_defining_system,
-                  constants_printed_system, coupled_residual,
-                  indicial_analysis, lambda_reconstruction, ode4_coeffs,
-                  ode4_residual, product_solution_check, solution_constants,
-                  trial_condition_check)
+                  constants_closed_form, constants_printed_system,
+                  coupled_residual, indicial_analysis, lambda_reconstruction,
+                  ode4_coeffs, ode4_residual, product_solution_check,
+                  solution_constants, trial_condition_check)
 from .report import ResidualReport, VerificationSuiteResult, export
 from .suite import run_suite, verify_identity
 

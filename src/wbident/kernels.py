@@ -387,8 +387,12 @@ def bessel_k_quad(nu, x, config: EvalConfig | None = None):
     groups: dict[float, list[int]] = {}
     for i, xx in enumerate(xs.tolist()):
         cutoff = 1.0
-        while xx * math.cosh(cutoff) - a * cutoff <= 45.0:
-            cutoff += 0.5
+        try:
+            while xx * math.cosh(cutoff) - a * cutoff <= 45.0:
+                cutoff += 0.5
+        except OverflowError as exc:
+            raise InputError(f"bessel_k_quad: x = {xx} is too small for the "
+                             "quadrature's cutoff") from exc
         groups.setdefault(cutoff, []).append(i)
 
     def trapezoid(live, cutoff: float, h: float) -> list[complex]:

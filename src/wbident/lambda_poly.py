@@ -50,7 +50,8 @@ from ._exact import gaussian_product
 from .config import EvalConfig, default_config
 from .core import SQRT_PI, pochhammer
 from .errors import InputError, InvariantViolationError
-from .kernels import OrderParams, _tabled, bessel_k_quad, whittaker_w
+from .kernels import (OrderParams, _refuse_small_k, _tabled, bessel_k_quad,
+                      whittaker_w)
 from .report import EXACT, ResidualReport, exact_relative_residual, index_grid
 
 CONVENTION_MINUS = "(1-ik)_n"       # the start of the recurrence
@@ -302,6 +303,7 @@ def collocation_oracle(params: OrderParams, xs=None,
     if k == 0:
         raise InputError("collocation oracle requires k != 0 (at k = 0 the "
                          "conjugate terms coincide and the fit is singular)")
+    _refuse_small_k(abs(k), config)
     if xs is None:
         xs = default_collocation_points(n)
     xs = [float(x) for x in xs]

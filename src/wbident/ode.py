@@ -47,8 +47,9 @@ the basis factors' small-x behaviour predicts).  The printed variant is kept
 for the advisory comparison.
 
 Statements with a known solution are checked by substituting it: the
-indicial polynomial at the predicted exponents, the defining system of the
-connection constants by back-substitution.  A relation whose terms must
+indicial polynomial at the predicted exponents.  The connection constants
+are closed forms, c2 = 1, c3 = 0 and one Gamma quotient for c4, derived
+from their defining system in solution_constants.  A relation whose terms must
 cancel is scored by |sum of terms| / max |term|: exactly where they are
 Gaussian integers (the coupled equation, the ODE per power of x, the
 indicial polynomials), else in double by report.relative_residual.  The
@@ -70,8 +71,8 @@ import numpy as np
 from ._exact import (add, aligned, deriv, gaussian_product, mul, poly, scale,
                      value)
 from .config import EvalConfig, default_config
-from .core import SQRT_PI, gamma, gamma_ratio, laguerre
-from .errors import InputError, InvariantViolationError
+from .core import SQRT_PI, gamma_ratio, laguerre
+from .errors import InputError
 from .kernels import (OrderParams, _refuse_small_k, _whittaker_w_two_term,
                       bessel_i, bessel_k_quad, whittaker_m, whittaker_w)
 from .lambda_poly import (EXACT_NOTES, coeffs_from_recurrence,
@@ -435,50 +436,31 @@ def _constants_order(params: OrderParams) -> tuple[int, complex, float]:
         raise InputError(f"constants: cosh(pi k) overflows at k = {params.k}") from exc
 
 
-def constants_defining_system(params: OrderParams) -> SolutionConstants:
-    """Solve the defining 3x3 linear system from asymptotic mode matching.
+def solution_constants(params: OrderParams) -> SolutionConstants:
+    """c2 = 1, c3 = 0 and c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik).
 
+    These solve the defining system from asymptotic mode matching.
     Expanding each product at x -> 0 (I, K, M, W all have known leading
     powers) and matching against the polynomial Lambda gives three linear
     conditions on (c2, c3, c4):
 
-      x^0 mode:      beta_IW c2                     = Lambda(0) = a_1
-      x^{2ik} mode:  alpha_IW c2 + alpha_KW c3 + gamma_KM c4 = 0
-      x^{1-2ik} mode:             delta_KW c3                = 0
+      x^0 mode:      beta_IW c2                                 = Lambda(0) = a_1
+      x^{2ik} mode:  alpha_IW c2 + alpha_KW c3 + gamma_KM c4    = 0
+      x^{1-2ik} mode:              delta_KW c3                  = 0
 
-    delta_KW = Gamma(-1/2+ik) Gamma(2ik) / (2 Gamma(-n+ik)) is a nonzero
-    Gamma quotient, so back-substitution in row order gives c2 = a_1/beta_IW,
-    exactly c3 = 0 and c4 = -alpha_IW c2/gamma_KM with gamma_KM =
-    Gamma(1/2-ik).  That is c2 = 1 (by the gamma duplication formula) and
-    c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik).  a_1 is Lambda's own,
-    from coeffs_from_recurrence: rounded once from the exact integers.
+    with beta_IW = 2^{1-2ik} Gamma(2ik)/(Gamma(1/2+ik) Gamma(-n+ik)),
+    alpha_IW = 2 Gamma(-2ik)/(Gamma(-n-ik) Gamma(1/2+ik)), gamma_KM =
+    Gamma(1/2-ik) and delta_KW = Gamma(-1/2+ik) Gamma(2ik)/(2 Gamma(-n+ik)).
+    delta_KW is a nonzero Gamma quotient, so c3 = 0.  The duplication
+    formula (DLMF 5.5.5), Gamma(2ik) = 2^{2ik-1} Gamma(ik) Gamma(1/2+ik)/sqrt(pi),
+    gives beta_IW = Gamma(ik)/(sqrt(pi) Gamma(-n+ik)) = (-1)^n (1-ik)_n/sqrt(pi),
+    which is a_1 (lambda_poly's start), so c2 = 1.  Then c4 = -alpha_IW/gamma_KM,
+    and the reflection Gamma(1/2+ik) Gamma(1/2-ik) = pi/cosh(pi k) (DLMF
+    5.4.4) gives the closed form above, one gamma_ratio.
     """
-    n, ik, _ = _constants_order(params)
-    beta_iw = 2.0 ** (1 - 2 * ik) * gamma_ratio((2 * ik,), (0.5 + ik, -n + ik))
-    alpha_iw = 2.0 * gamma_ratio((-2 * ik,), (-n - ik, 0.5 + ik))
-    c2 = coeffs_from_recurrence(params).a[0] / beta_iw
-    return SolutionConstants(c2=c2, c3=0j, c4=-alpha_iw * c2 / gamma(0.5 - ik))
-
-
-def c4_closed_form(params: OrderParams) -> complex:
-    """c4 = -(2 cosh(pi k)/pi) Gamma(-2ik)/Gamma(-n-ik)."""
     n, ik, ch = _constants_order(params)
-    return -2 / math.pi * ch * gamma_ratio((-2 * ik,), (-n - ik,))
-
-
-def solution_constants(params: OrderParams,
-                       config: EvalConfig | None = None) -> SolutionConstants:
-    """Production constants: the defining-system solution, cross-checked
-    against the one printed relation that genuinely holds (see
-    printed_relation_residuals, relation 2)."""
-    config = config or default_config()
-    consts = constants_defining_system(params)
-    r2 = printed_relation_residuals(consts, params)[1]
-    if r2 > config.constants_relation_tol:
-        raise InvariantViolationError(
-            f"defining-system constants violate the surviving linear relation "
-            f"by {r2:.3e}")
-    return consts
+    return SolutionConstants(
+        c2=1 + 0j, c3=0j, c4=-2 / math.pi * ch * gamma_ratio((-2 * ik,), (-n - ik,)))
 
 
 def _printed_relation_factors(params: OrderParams):
@@ -525,7 +507,15 @@ def constants_closed_form(params: OrderParams) -> SolutionConstants:
 
 def printed_relation_residuals(consts: SolutionConstants,
                                params: OrderParams) -> list[float]:
-    """Relative residuals of the three printed relations for given constants."""
+    """Relative residuals of the three printed relations for given constants.
+
+    At solution_constants' (1, 0, c4) relation 2 holds, and relations 1 and
+    3 leave closed-form defects (DLMF 5.5.3, 5.4.3, 5.4.4):
+      c2 - 1 - c4 pi Gamma(1+2ik)/Gamma(-n+ik) = ik prod_{j=1}^n (j^2 + k^2),
+      2 c2 + pi c3/cosh(pi k) - rhs3 = 2 - 2^{1-2ik} (-1)^n prod_{j=1}^n (k-ij)/(k+ij),
+    so relation 1 reads min(1, k prod_j (j^2 + k^2)) and relation 3 half the
+    modulus of its defect, which vanishes only on a discrete set of k (the
+    second term has modulus 2; at n = 0 first near k = pi/ln 2)."""
     ch, g1, g2, rhs3 = _printed_relation_factors(params)
     c2, c3, c4 = consts.as_tuple()
     relations = ([c2, -1.0, -c4 * g1],
@@ -557,7 +547,7 @@ def resolve_constants(params: OrderParams,
         notes.append(f"{failure}; falling back to the printed-system solution")
         chosen = constants_printed_system(params)
         source = "printed-system"
-    defining = constants_defining_system(params)
+    defining = solution_constants(params)
     dev = max(abs(a - b) / max(1.0, abs(b))
               for a, b in zip(chosen.as_tuple(), defining.as_tuple()))
     if dev > tol:
@@ -600,7 +590,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
             threshold=config.reconstruction_tol)
 
     if constants is None:
-        constants = solution_constants(params, config)
+        constants = solution_constants(params)
     nu = complex(-0.5, k)
     m = whittaker_m(n + 0.5, 1j * k, tuple(2 * x for x in x_grid), config)
     residuals = []

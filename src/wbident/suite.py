@@ -201,6 +201,8 @@ CHECKS = {
     "indicial": Check(
         lambda p, grid, c: indicial_reports(p), None, None,
         lambda plan: _cells([min(plan.n_max, 2)], plan.ks)),
+    # the k = 0 Laguerre cell runs whether or not k = 0 is asked for: it is
+    # the default suite's only run of the reconstruction's k = 0 branch
     "reconstruction": Check(
         lambda p, grid, c: [lambda_reconstruction(p, grid, c)],
         "reconstruction_tol", (0.5, 1.0, 2.0, 4.0),

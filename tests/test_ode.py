@@ -21,8 +21,7 @@ from wbident.kernels import (OrderParams, bessel_i, bessel_k_quad, whittaker_m,
                              whittaker_w)
 from wbident.lambda_poly import coeffs_from_recurrence, laguerre_closed_form
 from wbident.ode import (BASIS, SolutionConstants, basis_products,
-                         c4_closed_form, constants_closed_form,
-                         constants_defining_system, constants_printed_system,
+                         constants_closed_form, constants_printed_system,
                          coupled_residual, indicial_analysis, indicial_reports,
                          lambda_reconstruction, lowered_terms, m_lowering,
                          ode4_coeffs, ode4_residual, ode4_scores,
@@ -847,37 +846,76 @@ class TestIndicial:
         assert not ia.match
 
 
+# the k table of the 40-digit tests; 4.53 is near n = 0's first zero of
+# printed relation 3's defect, k = pi/ln 2
+CONSTANTS_KS = (1e-3, 0.1, 0.5, 2.526, 4.53, 50.0, 200.0)
+
+
 class TestConstants:
-    def test_a1_comes_from_lambda(self, monkeypatch):
-        # c2 = a_1 / beta_IW reads a_1 from Lambda's coefficient vector, so a
-        # change to Lambda's first integer moves c2 by the same factor
-        params = OrderParams(n=3, k=0.5)
-        a1 = coeffs_from_recurrence(params).a[0]
-        c2 = constants_defining_system(params).c2
-        monkeypatch.setattr(lambda_poly, "_scaled_coeffs", one_integer_off(0, 0, 1))
-        moved = coeffs_from_recurrence(params).a[0]
-        assert moved != a1
-        assert constants_defining_system(params).c2 == pytest.approx(
-            c2 * moved / a1, rel=1e-15)
+    @pytest.mark.parametrize("k", CONSTANTS_KS)
+    def test_beta_iw_is_a1(self, k):
+        # c2 = a_1 / beta_IW = 1: by the duplication formula beta_IW =
+        # 2^{1-2ik} Gamma(2ik)/(Gamma(1/2+ik) Gamma(-n+ik)) equals
+        # (-1)^n (1-ik)_n / sqrt(pi) (at 40 digits), and that is Lambda's a_1
+        # exactly: sqrt(pi) a_1 = P_0 / D on the integers, (1-ik)_n times
+        # q^n at k = p/q.  So solution_constants returns c2 = 1 exactly
+        from mpmath import mp
+        for n in range(26):
+            with mp.workdps(40):
+                ik = mp.mpc(0, k)
+                beta = (2 ** (1 - 2 * ik) * mp.gamma(2 * ik)
+                        / (mp.gamma(mp.mpf(1) / 2 + ik) * mp.gamma(-n + ik)))
+                a1 = (-1) ** n * mp.rf(1 - ik, n) / mp.sqrt(mp.pi)
+                assert abs(beta - a1) <= mp.mpf(10) ** -38 * abs(a1), n
+            (p0, *_), d, p, q = lambda_poly._lambda_integers(OrderParams(n=n, k=k))
+            poch = ((-1) ** n, 0)
+            for j in range(1, n + 1):
+                poch = _exact.gaussian_product(poch, (j * q, -p))
+            assert (p0[0] * q ** n, p0[1] * q ** n) == (d * poch[0], d * poch[1]), n
+            assert solution_constants(OrderParams(n=n, k=k)).c2 == 1 + 0j
 
     @pytest.mark.parametrize("n,k", [(0, 1.0), (1, 1.0), (2, 0.5), (3, 2.0),
                                      (2, 20.0), (2, 50.0), (2, 200.0)])
     def test_defining_system_structure(self, n, k):
-        c = constants_defining_system(OrderParams(n=n, k=k))
-        assert abs(c.c2 - 1) <= 1e-10
-        assert c.c3 == 0
-        assert abs(c.c4 - c4_closed_form(OrderParams(n=n, k=k))) <= 1e-10 * abs(c.c4)
+        # c2 = 1 and c3 = 0 are identities, not float solutions
+        c = solution_constants(OrderParams(n=n, k=k))
+        assert c.c2 == 1 + 0j and c.c3 == 0j
+        assert math.isfinite(abs(c.c4)) and c.c4 != 0
+
+    @pytest.mark.parametrize("k", CONSTANTS_KS[1:-1])
+    def test_printed_relation_defects(self, k):
+        # at (1, 0, c4) relation 1 leaves c2 - 1 - c4 pi Gamma(1+2ik)/Gamma(-n+ik)
+        # = ik prod_j (j^2 + k^2), relation 2 holds, and relation 3 leaves
+        # 2 - 2^{1-2ik} (-1)^n prod_j (k - ij)/(k + ij), whose second term has
+        # modulus 2; printed_relation_residuals reads both closed forms
+        from mpmath import mp
+        for n in range(26):
+            with mp.workdps(40):
+                kk = mp.mpf(k)
+                ik, ch = mp.mpc(0, kk), mp.cosh(mp.pi * kk)
+                c4 = -2 * ch / mp.pi * mp.gamma(-2 * ik) / mp.gamma(-n - ik)
+                g1 = mp.pi * mp.gamma(1 + 2 * ik) / mp.gamma(-n + ik)
+                g2 = mp.gamma(-n - ik) / mp.gamma(-2 * ik)
+                rhs3 = (mp.gamma(-ik) * mp.gamma(mp.mpf(1) / 2 + ik) * mp.gamma(-n + ik)
+                        / (mp.sqrt(mp.pi) * mp.gamma(2 * ik) * mp.gamma(-n - ik)))
+                defect1 = ik * mp.fprod(j * j + kk * kk for j in range(1, n + 1))
+                defect3 = 2 - 2 ** (1 - 2 * ik) * (-1) ** n * mp.fprod(
+                    (kk - 1j * j) / (kk + 1j * j) for j in range(1, n + 1))
+                tiny = mp.mpf(10) ** -38
+                assert abs(-c4 * g1 - defect1) <= tiny * abs(defect1), n
+                assert abs(2 / mp.pi * ch + c4 * g2) <= tiny * ch, n
+                assert abs(2 - rhs3 - defect3) <= tiny * 2, n
+                want = (float(abs(defect1) / max(1, abs(defect1))), 0.0,
+                        float(abs(defect3) / 2))
+            params = OrderParams(n=n, k=k)
+            got = printed_relation_residuals(solution_constants(params), params)
+            assert got == pytest.approx(want, rel=0, abs=1e-15), n
 
     def test_second_printed_relation_holds(self):
         params = OrderParams(n=2, k=1.0)
         c = solution_constants(params)
         r = printed_relation_residuals(c, params)
         assert r[1] <= 1e-10
-
-    def test_relation_violation_is_structured_error(self):
-        cfg = EvalConfig(constants_relation_tol=1e-300)
-        with pytest.raises(InvariantViolationError):
-            solution_constants(OrderParams(n=2, k=1.0), cfg)
 
     def test_first_and_third_printed_relations_fail(self):
         params = OrderParams(n=2, k=1.0)
@@ -897,7 +935,7 @@ class TestConstants:
         assert len(notes) >= 1
         printed = constants_printed_system(params)
         assert abs(chosen.c4 - printed.c4) <= 1e-10 * abs(printed.c4)
-        assert abs(defining.c2 - 1) <= 1e-10
+        assert defining == solution_constants(params)
 
     @pytest.mark.parametrize("n,k", [(0, 112.0), (2, 150.0), (25, 100.0)])
     def test_resolve_constants_notes_closed_forms_out_of_range(self, n, k):
@@ -909,13 +947,13 @@ class TestConstants:
         chosen, defining, notes = resolve_constants(params)
         assert "printed closed forms fail" in notes[0]
         assert chosen == constants_printed_system(params)
-        assert defining == constants_defining_system(params)
+        assert defining == solution_constants(params)
 
     def test_k_limit_of_c4(self):
         for n in range(4):
             ref = (-1) ** (n + 1) * math.factorial(n) / math.pi
-            d1 = abs(c4_closed_form(OrderParams(n=n, k=1e-3)) - ref) / abs(ref)
-            d2 = abs(c4_closed_form(OrderParams(n=n, k=2e-3)) - ref) / abs(ref)
+            d1 = abs(solution_constants(OrderParams(n=n, k=1e-3)).c4 - ref) / abs(ref)
+            d2 = abs(solution_constants(OrderParams(n=n, k=2e-3)).c4 - ref) / abs(ref)
             assert d1 <= 1e-2
             assert 1.5 <= d2 / d1 <= 2.5      # deviation is O(k)
 
@@ -927,9 +965,8 @@ class TestConstants:
             ik = mp.mpc(0, k)
             want = complex(-2 * mp.cosh(mp.pi * k) / mp.pi
                            * mp.gamma(-2 * ik) / mp.gamma(-n - ik))
-        params = OrderParams(n=n, k=k)
-        for got in (constants_defining_system(params).c4, c4_closed_form(params)):
-            assert abs(got - want) <= 1e-12 * abs(want)
+        got = solution_constants(OrderParams(n=n, k=k)).c4
+        assert abs(got - want) <= 1e-12 * abs(want)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(n=st.integers(0, 25), k=st.floats(1e-300, 1e4))
@@ -939,11 +976,10 @@ class TestConstants:
     def test_constants_finite_or_wbident_error(self, n, k):
         params = OrderParams(n=n, k=k)
         calls = [
-            lambda: constants_defining_system(params).as_tuple(),
-            lambda: [c4_closed_form(params)],
+            lambda: solution_constants(params).as_tuple(),
             lambda: constants_printed_system(params).as_tuple(),
             lambda: constants_closed_form(params).as_tuple(),
-            lambda: printed_relation_residuals(constants_defining_system(params), params),
+            lambda: printed_relation_residuals(solution_constants(params), params),
             lambda: [c for cs in resolve_constants(params)[:2] for c in cs.as_tuple()],
         ]
         for call in calls:
@@ -973,6 +1009,22 @@ class TestReconstruction:
         monkeypatch.setattr(wbident.ode, "coeffs_from_recurrence",
                             lambda params: laguerre_closed_form(params.n))
         assert got == lambda_reconstruction(OrderParams(n=n, k=0.0), grid)
+
+    @pytest.mark.parametrize("n,k", [(3, 0.5), (0, 2.0), (6, 0.1)])
+    def test_rescaled_lambda_fails(self, n, k, monkeypatch):
+        # c2 = 1 does not follow Lambda: a Lambda scaled by 1 + 1e-3 reads
+        # about 1e-3, where c2 = a_1/beta_IW took the scale along and read
+        # rounding
+        params, grid = OrderParams(n=n, k=k), [0.5, 1.0, 2.0, 4.0]
+        assert lambda_reconstruction(params, grid).max_residual <= 1e-13
+
+        def scaled(p):
+            cv = coeffs_from_recurrence(p)
+            return dataclasses.replace(cv, a=tuple(a * (1 + 1e-3) for a in cv.a))
+        monkeypatch.setattr(wbident.ode, "coeffs_from_recurrence", scaled)
+        rep = lambda_reconstruction(params, grid)
+        assert not rep.passed
+        assert rep.max_residual == pytest.approx(1e-3, rel=0.05)
 
     def test_perturbed_constants_fail(self):
         params = OrderParams(n=1, k=1.0)
