@@ -119,6 +119,16 @@ def test_smoke_command(smoke, argv, code, match, strict, capsys):
         match(json.loads(written.read_text())["reports"])
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(0, 25), k=st.floats(0.0, 6.0),
+       xs=st.lists(st.floats(0.2, 8.05), min_size=1, max_size=5))
+def test_verify_identity_exits_with_a_code(n, k, xs):
+    # grids inside and just outside IDENTITY_X_RANGE; exit 2 always with an
+    # error line, and nothing raised
+    exit_code(["verify", "--check", "identity", "--n", str(n), "--k", repr(k),
+               "--x-grid", ",".join(map(repr, xs))])
+
+
 def exit_code(argv) -> int:
     """main(argv)'s exit code; exit 2 always with an error line, and
     nothing raised or warned: every check that reads W at mu = ik refuses
