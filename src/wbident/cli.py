@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a single check")
     p.add_argument("--check", required=True, choices=sorted(CHECKS))
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=int, default=3)
     p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--x-grid", type=_csv_floats, default=None)
     p.add_argument("--tol", type=float, default=None,
@@ -129,6 +129,11 @@ def _cmd_verify(args, config: EvalConfig) -> int:
         config = dataclasses.replace(config, **{check.tol_field: args.tol})
     reports = check.run(OrderParams(n=args.n, k=args.k),
                         check.x_grid if args.x_grid is None else args.x_grid, config)
+    if not any(rep.grid for rep in reports):
+        # only the five-factor recurrence has n with no point: it scores
+        # m = 1..n-2
+        raise InputError(f"verify --check {args.check} at n = {args.n} scores no "
+                         "point (every report's grid is empty); use n >= 3")
 
     result = VerificationSuiteResult(reports=reports)
     if args.out:

@@ -25,12 +25,18 @@ both share.
 ``bessel_k_via_w`` also take their argument as a tuple (a grid) and then
 return read-only arrays equal bit for bit to the per-point calls, because
 each point's series or step halving stops by its own rule; a scalar call is
-a one-element grid.
+a one-element grid.  ``whittaker_w`` and ``_whittaker_w_two_term`` also take
+kappa as a tuple (a column, such as the identity's kappa = n + 1/2 for
+n = 0..n_max): one Kummer series then sums every (kappa, z) pair, each pair
+with its own a = 1/2 + mu - kappa, and the read-only result has one row per
+kappa, equal bit for bit to the call at that kappa, since each row runs the
+floating-point operations of that call.
 
 The Kummer series advances the points still summing ``_BLOCK`` = 32 terms
-per numpy step: the block's ratios (a+m)/((b+m)(m+1)) as one array, the
-terms t <- (t r_m) z as one running product, the partial sums as one
-sequential cumulative sum seeded with the carried sum.  These are the
+per numpy step: the block's ratios (a+m)/((b+m)(m+1)) as one array (one row
+per point when each point has its own a), the terms t <- (t r_m) z as one
+running product, the partial sums as one sequential cumulative sum seeded
+with the carried sum.  These are the
 floating-point operations of a term-by-term loop in its order, so every sum
 equals that loop's bit for bit.  The stopping rule is unchanged (three
 consecutive terms below series_rel_tol * |partial sum|): it is applied to
@@ -56,9 +62,11 @@ tuple once: a repeated call with equal positional and keyword arguments
 (``config`` included, a grid keyed by its tuple) returns the stored value.
 A grid call (its z or x a positional tuple) also stores each point's value
 under the key of the per-point call at that point, so a later per-point call
-is served from the grid; this is sound because a grid call equals its
-per-point calls bit for bit.  Only returned values are stored; a raising
-call, grid or not, stores nothing.  The table
+is served from the grid; a column call stores each row under the key of the
+grid call at its kappa and each of that row's points under its per-point
+key.  This is sound because a grid or column call equals the calls it holds
+bit for bit.  Only returned values are stored; a raising call, grid, column
+or not, stores nothing.  The table
 lives in a ``contextvars.ContextVar`` and is dropped when the block exits,
 so outside it nothing is looked up or kept.  A repeated call does not
 re-issue the ``NearDegeneracyWarning`` of its first evaluation; the warning
@@ -101,7 +109,7 @@ def kernel_table():
 
 def _tabled(fn):
     """fn evaluated once per distinct arguments inside ``kernel_table``; a
-    grid call also tables its points under their per-point keys."""
+    grid or column call also tables the calls it holds (``_held``)."""
     @functools.wraps(fn)
     def kernel(*args, **kwargs):
         table = _TABLE.get()
@@ -112,13 +120,24 @@ def _tabled(fn):
         value = table.get(key, _MISSING)
         if value is _MISSING:
             value = table[key] = fn(*args, **kwargs)
-            for i, arg in enumerate(args):
-                if type(arg) is tuple:
-                    head, tail = args[:i], args[i + 1:]
-                    for point, v in zip(arg, value.tolist()):
-                        table.setdefault((fn, (*head, point, *tail), kw), v)
+            for held, v in _held(args, value):
+                table.setdefault((fn, held, kw), v)
         return value
     return kernel
+
+
+def _held(args, value):
+    """(arguments, value) of each call that a call on tuple arguments holds:
+    the first tuple's points with their rows of value (a column's per-kappa
+    grids), then, in turn, the calls that each row holds (its points)."""
+    for i, arg in enumerate(args):
+        if type(arg) is tuple:
+            rows = value.tolist() if value.ndim == 1 else value
+            for point, row in zip(arg, rows):
+                held = (*args[:i], point, *args[i + 1:])
+                yield held, row
+                yield from _held(held, row)
+            return
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,26 +159,27 @@ class OrderParams:
 
 # --- grid kernels ------------------------------------------------------------
 
-def _grid(z, refusal: str, dtype=LD) -> np.ndarray:
-    """z (a float or a tuple of floats) as a 1-d array of dtype; z > 0, else
-    InputError(refusal)."""
-    zs = np.asarray(z, dtype=dtype).reshape(-1)
+def _grid(z, refusal: str, dtype=LD) -> tuple[np.ndarray, tuple]:
+    """(z as a 1-d array of dtype, the shape of z) for z a float or a tuple of
+    floats; z > 0, else InputError(refusal)."""
+    zs = np.asarray(z, dtype=dtype)
     if not (zs > 0).all():
         raise InputError(refusal)
-    return zs
+    return zs.reshape(-1), zs.shape
 
 
-def _finish(name: str, z, value):
-    """Round the clongdouble array `value` to complex128: one complex for a
-    scalar z, else a read-only array."""
+def _finish(name: str, shape: tuple, value):
+    """Round the clongdouble array `value` to complex128 of the given shape:
+    one complex for shape (), else a read-only array."""
     with np.errstate(over="ignore"):
         out = np.asarray(value).astype(complex)
     if not np.isfinite(out).all():
         raise ConvergenceError(f"{name}: value is not a finite complex128")
     if ((abs(out) < _TINY) & (np.asarray(value) != 0)).any():
         raise ConvergenceError(f"{name}: value underflows complex128")
-    if np.ndim(z) == 0:
+    if not shape:
         return out.item()
+    out = out.reshape(shape)
     out.flags.writeable = False
     return out
 
@@ -172,15 +192,17 @@ _BLOCK = 32
 @np.errstate(over="ignore", invalid="ignore")
 def _kummer_series(a, b, z: np.ndarray, config: EvalConfig) -> np.ndarray:
     """sum_m t_m with t_m = (a)_m / (b)_m z^m / m! at each point of the
-    clongdouble grid z.  A point stops after three consecutive terms below
-    series_rel_tol * |its partial sum| (complex-parameter series can have
-    transiently tiny terms) and leaves the working arrays, so its sum does not
-    depend on the rest of the grid.
+    clongdouble grid z; a is one number, or an array with one a per point.
+    A point stops after three consecutive terms below series_rel_tol * |its
+    partial sum| (complex-parameter series can have transiently tiny terms)
+    and leaves the working arrays, so its sum does not depend on the rest of
+    the grid.
 
     The points still summing advance _BLOCK = 32 terms per step (the
     cadence of the non-finite check), with the floating-point operations of
     a term-by-term loop in its order: each point's row t, r_m, z, r_{m+1},
-    z, ... multiplied up left to right forms t <- (t r_m) z, and np.cumsum,
+    z, ... multiplied up left to right forms t <- (t r_m) z (r_m from the
+    point's own a: the operation of a series with that a alone), and np.cumsum,
     seeded with the carried sum, adds the terms one after the other.  The
     stopping rule runs on the whole block, its run of small terms carried in
     from the last block, and each point keeps the sum at its own stop term,
@@ -188,7 +210,7 @@ def _kummer_series(a, b, z: np.ndarray, config: EvalConfig) -> np.ndarray:
     is clipped to series_max_terms, so that budget is exact; each full block
     ends with the non-finite check on the points still summing at its last
     term."""
-    a, b = C(a), C(b)
+    a, b = np.asarray(a, C), C(b)
     tol = LD(config.series_rel_tol)
     out = np.empty(z.size, C)
     live = np.arange(z.size)
@@ -199,7 +221,8 @@ def _kummer_series(a, b, z: np.ndarray, config: EvalConfig) -> np.ndarray:
         # t <- (t r_m) z, one term after the other
         chain = np.empty((live.size, 2 * ms.size + 1), C)
         chain[:, 0] = t
-        chain[:, 1::2] = (a + ms) / ((b + ms) * (ms + 1))
+        a_live = a[live, None] if a.ndim else a      # one a per point, or one a
+        chain[:, 1::2] = (a_live + ms) / ((b + ms) * (ms + 1))
         chain[:, 2::2] = z[live, None]
         terms = np.multiply.accumulate(chain, axis=1, out=chain)[:, 2::2]
         partial = np.cumsum(np.concatenate((s[:, None], terms), axis=1), axis=1)[:, 1:]
@@ -231,15 +254,22 @@ def kummer_m(a, b, z, config: EvalConfig | None = None):
     b = complex(b)
     if _is_nonpositive_integer(b):
         raise PoleError(f"kummer_m pole: b = {b} is a nonpositive integer")
-    zs = np.asarray(z, dtype=C).reshape(-1)
-    return _finish("kummer_m", z, _kummer_series(a, b, zs, config))
+    zs = np.asarray(z, dtype=C)
+    return _finish("kummer_m", zs.shape, _kummer_series(a, b, zs.reshape(-1), config))
 
 
 def _whittaker_m_ld(kappa, mu, z: np.ndarray, config: EvalConfig) -> np.ndarray:
-    """M_{kappa,mu} on the longdouble grid z, in clongdouble."""
-    kappa = complex(kappa)
+    """M_{kappa,mu} on the longdouble grid z, in clongdouble; kappa a complex,
+    or a (K, 1) column of them (``_column``), then one row per kappa from one
+    Kummer series over every (kappa, z) pair."""
     mu = complex(mu)
-    ser = _kummer_series(0.5 + mu - kappa, 1 + 2 * mu, z.astype(C), config)
+    a, b = 0.5 + mu - kappa, 1 + 2 * mu
+    if isinstance(a, np.ndarray):
+        # a column: one series over every (kappa, z) pair, one a per pair
+        ser = _kummer_series(np.repeat(a, z.size), b, np.tile(z, a.size).astype(C),
+                             config).reshape(a.size, z.size)
+    else:
+        ser = _kummer_series(a, b, z.astype(C), config)
     return np.exp((LD(0.5) + C(mu)) * np.log(z) - z / 2) * ser
 
 
@@ -249,10 +279,11 @@ def whittaker_m(kappa, mu, z, config: EvalConfig | None = None):
     z is a float or a tuple of floats (then a read-only array, one value per
     point)."""
     config = config or default_config()
-    zs = _grid(z, "whittaker_m requires z > 0")
+    zs, shape = _grid(z, "whittaker_m requires z > 0")
     if _is_nonpositive_integer(complex(1 + 2 * complex(mu))):
         raise PoleError(f"whittaker_m: 1+2*mu = {1 + 2 * complex(mu)} is a nonpositive integer")
-    return _finish("whittaker_m", z, _whittaker_m_ld(kappa, mu, zs, config))
+    return _finish("whittaker_m", shape,
+                   _whittaker_m_ld(complex(kappa), mu, zs, config))
 
 
 def _laguerre_whittaker_w(n: int, z: float) -> float:
@@ -262,12 +293,16 @@ def _laguerre_whittaker_w(n: int, z: float) -> float:
 
 
 def _gamma_quotient(a, b):
-    """Gamma(a) / Gamma(b) in clongdouble; a non-finite quotient raises in
-    _finish, so numpy's warnings only add noise.  No such quotient is 0, so
-    one that rounds to 0 has left the longdouble range, and raises."""
+    """Gamma(a) / Gamma(b) in clongdouble, b a number or an array of them
+    (then one quotient each); a non-finite quotient raises in _finish, so
+    numpy's warnings only add noise.  No such quotient is 0, so one that
+    rounds to 0 has left the longdouble range, and raises."""
+    column = isinstance(b, np.ndarray)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        quotient = np.exp(log_gamma_ld(C(a)) - log_gamma_ld(C(b)))
-    if quotient == 0:
+        log_b = (np.reshape([log_gamma_ld(v) for v in b.astype(C).ravel()], b.shape)
+                 if column else log_gamma_ld(C(b)))
+        quotient = np.exp(log_gamma_ld(C(a)) - log_b)
+    if (quotient == 0).any() if column else quotient == 0:
         raise ConvergenceError(
             f"whittaker_w: Gamma({a}) / Gamma({b}) underflows the longdouble range")
     return quotient
@@ -305,10 +340,22 @@ def _refuse_small_k(k: float, config: EvalConfig) -> None:
             "formula cancels there and no check that reads it is meaningful")
 
 
+def _column(kappa) -> tuple:
+    """(kappa, rows): a number as (complex, ()), and a tuple of kappa, a
+    column, as ((K, 1) complex array, (K,)): one row per kappa against the z
+    grid."""
+    if type(kappa) is tuple:
+        return np.asarray(kappa, complex).reshape(-1, 1), (len(kappa),)
+    return complex(kappa), ()
+
+
 @_tabled
 def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
     """Whittaker W_{kappa,mu}(z).  z is a float or a tuple of floats (then a
-    read-only array, one value per point).
+    read-only array, one value per point).  kappa is a number or a tuple of
+    numbers, a column: then a read-only array with one row per kappa, each
+    equal bit for bit to the call at that kappa (the same floating-point
+    operations, one Kummer series for the whole column).
 
     Real kappa, imaginary mu != 0 (the identity's orders): the two terms of
     the connection formula are complex conjugates, so W = 2 Re(Gamma(-2mu) /
@@ -316,30 +363,39 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
     gammas; this equals ``_whittaker_w_two_term`` bit for bit, imaginary
     part +0.0 included.
 
-    Any other order with 2*mu not an integer: ``_whittaker_w_two_term``.
+    Any other order with 2*mu not an integer: ``_whittaker_w_two_term``.  A
+    column takes one of these two branches for all its kappa, and one that
+    mixes real and complex kappa is refused.
 
     mu = 0 with kappa = n+1/2: the closed Laguerre form
-    (-1)^n n! z^{1/2} e^{-z/2} L_n(z).  Any other integer 2*mu is refused:
-    the gamma prefactors sit on poles there.
+    (-1)^n n! z^{1/2} e^{-z/2} L_n(z); a column is refused there.  Any other
+    integer 2*mu is refused: the gamma prefactors sit on poles there.
     """
     config = config or default_config()
-    zs = _grid(z, "whittaker_w requires z > 0")
-    kappa = complex(kappa)
+    zs, shape = _grid(z, "whittaker_w requires z > 0")
     mu = complex(mu)
     if mu == 0:
+        if type(kappa) is tuple:
+            raise InputError("whittaker_w with mu = 0 takes one kappa, not a column")
+        kappa = complex(kappa)
         if kappa.imag == 0.0:
             n_real = kappa.real - 0.5      # exact for kappa = n + 1/2
             n = round(n_real)
             if n >= 0 and n_real == n:
-                return _finish("whittaker_w", z, np.array(
+                return _finish("whittaker_w", shape, np.array(
                     [_laguerre_whittaker_w(n, float(x)) for x in zs]))
         raise DegenerateParameterError(
             f"whittaker_w with mu = 0 requires kappa = n + 1/2, got {kappa}")
-    if kappa.imag != 0.0 or mu.real != 0.0:
+    kappas = kappa if type(kappa) is tuple else (kappa,)
+    real = {complex(x).imag == 0.0 for x in kappas}
+    if mu.real != 0.0 or True not in real:
         return _whittaker_w_two_term(kappa, mu, z, config)
+    if False in real:
+        raise InputError("whittaker_w: a kappa column mixes real and complex kappa")
     _refuse_integer_two_mu(mu, config)
+    kappa, rows = _column(kappa)
     pref = _gamma_quotient(-(2 * mu), 0.5 - mu - kappa)
-    return _finish("whittaker_w", z,
+    return _finish("whittaker_w", rows + shape,
                    2 * (pref * _whittaker_m_ld(kappa, mu, zs, config)).real)
 
 
@@ -351,18 +407,20 @@ def _whittaker_w_two_term(kappa, mu, z, config: EvalConfig | None = None):
         W = Gamma(-2mu)/Gamma(1/2-mu-kappa) M_{kappa,mu}
           + Gamma(2mu)/Gamma(1/2+mu-kappa) M_{kappa,-mu},
 
-    with z as in ``whittaker_w``, whose generic branch this is.  For real
-    kappa and imaginary mu the realness checks compare it with
-    ``whittaker_w``'s one-term value, which it equals bit for bit."""
+    with kappa (a number or a column) and z as in ``whittaker_w``, whose
+    generic branch this is.  For real kappa and imaginary mu the realness
+    checks compare it with ``whittaker_w``'s one-term value, which it equals
+    bit for bit."""
     config = config or default_config()
-    zs = _grid(z, "whittaker_w requires z > 0")
-    kappa = complex(kappa)
+    zs, shape = _grid(z, "whittaker_w requires z > 0")
+    kappa, rows = _column(kappa)
     mu = complex(mu)
     _refuse_integer_two_mu(mu, config)
     two_mu = 2 * mu
     pref_a = _gamma_quotient(-two_mu, 0.5 - mu - kappa)
     pref_b = _gamma_quotient(two_mu, 0.5 + mu - kappa)
-    return _finish("whittaker_w", z, pref_a * _whittaker_m_ld(kappa, mu, zs, config)
+    return _finish("whittaker_w", rows + shape,
+                   pref_a * _whittaker_m_ld(kappa, mu, zs, config)
                    + pref_b * _whittaker_m_ld(kappa, -mu, zs, config))
 
 
@@ -378,7 +436,7 @@ def bessel_k_quad(nu, x, config: EvalConfig | None = None):
     per-point calls bit for bit.
     """
     config = config or default_config()
-    xs = _grid(x, "bessel_k_quad requires x > 0", float)
+    xs, shape = _grid(x, "bessel_k_quad requires x > 0", float)
     nu = complex(nu)
     if not abs(nu.real) < 1:
         raise InputError("bessel_k_quad requires |Re nu| < 1")
@@ -420,7 +478,7 @@ def bessel_k_quad(nu, x, config: EvalConfig | None = None):
                 f"bessel_k_quad: no convergence after {config.quad_max_halvings} halvings")
     if 0 in out:
         raise ConvergenceError("bessel_k_quad: the integrand underflows to 0")
-    return _finish("bessel_k_quad", x, np.array(out))
+    return _finish("bessel_k_quad", shape, np.array(out))
 
 
 @_tabled
@@ -430,9 +488,9 @@ def bessel_k_via_w(nu, x, config: EvalConfig | None = None):
     float or a tuple of floats (then a read-only array, from one W grid
     call)."""
     config = config or default_config()
-    xs = _grid(x, "bessel_k_via_w requires x > 0", float)
+    xs, shape = _grid(x, "bessel_k_via_w requires x > 0", float)
     w = whittaker_w(0.0, nu, tuple((2 * xs).tolist()), config)
-    return _finish("bessel_k_via_w", x, np.sqrt(np.pi / (2 * xs)) * w)
+    return _finish("bessel_k_via_w", shape, np.sqrt(np.pi / (2 * xs)) * w)
 
 
 @_tabled
@@ -460,7 +518,7 @@ def bessel_i(nu, x: float, config: EvalConfig | None = None) -> complex:
             if abs(t) <= tol * abs(s):
                 small += 1
                 if small >= 3:
-                    return _finish("bessel_i", x, s)
+                    return _finish("bessel_i", (), s)
             else:
                 small = 0
             t = t * x2 / ((m + 1) * (m + 1 + nu_ld))

@@ -36,8 +36,8 @@ bit for bit.  The trial check's W comes from the two-term connection formula
 (``kernels._whittaker_w_two_term``), because ``whittaker_w`` returns the
 identity's W as the doubled real part of one term, real by construction.
 The reconstruction's W stays per point: inside ``run_suite`` the kernel
-table serves those values from the one-term W grids of the suite's W
-realness check.
+table serves those values from the one-term W column (n = 0..n_max, one
+call per k) of the suite's W realness check.
 
 Two variants of the ODE coefficients are provided.  The historically printed
 a3 has constant term 2i(1-2k)(i+k)(i+4k); eliminating conj(L) symbolically
@@ -63,6 +63,7 @@ complex before they enter a ResidualReport.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -219,14 +220,21 @@ def product_solution_check(params: OrderParams,
         raise InputError("product_solution_check requires k > 0")
     coeffs = ode4_coeffs(params, variant)
     scores = [ode4_scores(coeffs, d) for d in basis_products(params).values()]
-    notes = ["u0, u1 (Bessel, order -1/2+ik) and v0, v1 (Whittaker, (n+1/2, ik)): "
-             "(y, y') = (1, 0), (0, 1) at x; grid: powers of x, scored exactly",
-             *(f"{name}: x^{[e for e, _ in sc]}" for name, sc in zip(BASIS, scores))]
-    # each power's float is index_grid's, shared by every report
+    grid, notes = _basis_layout(tuple(tuple(e for e, _ in sc) for sc in scores))
     return ResidualReport(
         "ode4-basis" if variant == "corrected" else "ode4-basis-printed", params,
-        [index_grid(e, e + 1)[0] for sc in scores for e, _ in sc],
-        [r for sc in scores for _, r in sc], EXACT, notes=notes)
+        grid, [r for sc in scores for _, r in sc], EXACT, notes=notes)
+
+
+@functools.cache
+def _basis_layout(powers: tuple) -> tuple[tuple, tuple]:
+    """The grid and notes of an ode4-basis report whose four products leave
+    these powers of x, one pair per layout (it repeats across n and k),
+    shared by every report; each power's float is index_grid's."""
+    grid = tuple(index_grid(e, e + 1)[0] for ps in powers for e in ps)
+    return grid, ("u0, u1 (Bessel, order -1/2+ik) and v0, v1 (Whittaker, (n+1/2, ik)): "
+                  "(y, y') = (1, 0), (0, 1) at x; grid: powers of x, scored exactly",
+                  *(f"{name}: x^{list(ps)}" for name, ps in zip(BASIS, powers)))
 
 
 # the Whittaker operator's scale is at least this share of the largest addend
@@ -567,7 +575,10 @@ def lambda_reconstruction(params: OrderParams, x_grid,
 
     At k = 0 the comparison is against the Laguerre form
     Lambda(x) = ((-1)^n n!/sqrt(pi)) L_n(2x) instead; 0 < k below
-    k_refuse_threshold is refused, as in the identity check.
+    k_refuse_threshold is refused, as in the identity check.  M is one grid
+    call and I, W and K are per point; inside ``run_suite`` the kernel table
+    serves W from the points of ``kernel_cross_reports``' one-term column
+    for n = 0..n_max.
     """
     config = config or default_config()
     n, k = params.n, params.k
@@ -594,7 +605,7 @@ def lambda_reconstruction(params: OrderParams, x_grid,
     nu = complex(-0.5, k)
     m = whittaker_m(n + 0.5, 1j * k, tuple(2 * x for x in x_grid), config)
     residuals = []
-    # W per point: in run_suite, the points of the realness check's W grids
+    # W per point: in run_suite, the points of the realness check's W column
     for x, lam_x, m_x in zip(x_grid, lam.tolist(), m.tolist()):
         i_x = bessel_i(nu, x, config)
         w_x = whittaker_w(n + 0.5, 1j * k, 2 * x, config)

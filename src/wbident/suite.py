@@ -18,6 +18,7 @@ they pass only at 0.0 (report.EXACT), take no config and no x grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
@@ -51,7 +52,8 @@ def verify_identity(params: OrderParams, x_grid,
     small nonzero k is refused in double-precision mode (gamma-prefactor
     cancellation makes the connection formula meaningless there).  K is one
     grid call and W one call per point; inside ``run_suite`` the kernel
-    table serves both from the grids of ``kernel_cross_reports``."""
+    table serves K from ``kernel_cross_reports``' grid and W from the points
+    of its one-term column for n = 0..n_max."""
     config = config or default_config()
     n, k = params.n, params.k
     x_grid = float_grid(x_grid)
@@ -86,7 +88,10 @@ def kernel_cross_reports(params: OrderParams, x_grid,
     whittaker_w's one-term W with the two-term connection formula on the grid
     for n = 0..params.n.  The second is a code-consistency check: at these
     orders both routes give the same bits, so its residuals read 0.0 unless
-    an edit breaks one route.  Each route is one grid call per (n, k)."""
+    an edit breaks one route.  Each route is one column call per k, the
+    kappa = n + 1/2 for n = 0..params.n at once; inside ``run_suite`` the
+    kernel table serves each n's grid and each point of the one-term column
+    to the identity and the reconstruction."""
     n_max, k = params.n, params.k
     if not k > 0:
         raise InputError("kernel_cross_reports requires k > 0")
@@ -103,21 +108,31 @@ def kernel_cross_reports(params: OrderParams, x_grid,
         residuals=[relative_difference(w, q)
                    for q, w in zip(kq.tolist(), kw.tolist())],
         threshold=config.kernel_cross_tol)
+    kappas = tuple(n + 0.5 for n in range(n_max + 1))
+    w2 = _whittaker_w_two_term(kappas, 1j * k, z, config)
+    w1 = whittaker_w(kappas, 1j * k, z, config)
     realness = []
-    for n in range(n_max + 1):
-        w2 = _whittaker_w_two_term(n + 0.5, 1j * k, z, config)
-        w1 = whittaker_w(n + 0.5, 1j * k, z, config)
-        for one, two in zip(w1.tolist(), w2.tolist()):
-            scale = max(abs(one), abs(two))
-            realness.append(abs(two - one) / scale if scale else 0.0)
+    for one, two in zip(w1.ravel().tolist(), w2.ravel().tolist()):
+        scale = max(abs(one), abs(two))
+        realness.append(abs(two - one) / scale if scale else 0.0)
+    grid, notes = _realness_layout(x_grid, n_max)
     return [bessel, ResidualReport(
-        check_name="whittaker-w-realness",
-        params=params,
-        grid=x_grid * (n_max + 1), residuals=realness,
-        threshold=config.realness_tol,
-        notes=[f"x grid repeated for n = 0..{n_max}",
-               "code consistency: one-term W against the two-term "
-               "formula, equal bit for bit when the code is intact"])]
+        check_name="whittaker-w-realness", params=params, grid=grid,
+        residuals=realness, threshold=config.realness_tol, notes=notes)]
+
+
+@functools.lru_cache(maxsize=16)
+def _realness_layout(x_grid: tuple, n_max: int) -> tuple[tuple, tuple]:
+    """The grid and notes of a whittaker-w-realness report, one pair per
+    (x grid, n_max), shared by the reports of every k and every run."""
+    return x_grid * (n_max + 1), (
+        f"x grid repeated for n = 0..{n_max}",
+        "code consistency: one-term W against the two-term "
+        "formula, equal bit for bit when the code is intact")
+
+
+_COEFFICIENT_NOTES = ("entries: top-coeff deviation, top-coeff imaginary part",
+                      *EXACT_NOTES)
 
 
 def coefficient_reports(params: OrderParams) -> list[ResidualReport]:
@@ -127,9 +142,7 @@ def coefficient_reports(params: OrderParams) -> list[ResidualReport]:
         check_name="coefficient-invariants",
         params=params, grid=index_grid(0, 2),
         residuals=top_coeff_residuals(params),
-        threshold=EXACT,
-        notes=("entries: top-coeff deviation, top-coeff imaginary part",
-               *EXACT_NOTES))]
+        threshold=EXACT, notes=_COEFFICIENT_NOTES)]
 
 
 def oracle_equivalence_report(params: OrderParams,
@@ -155,65 +168,68 @@ class Check(NamedTuple):
     cells: Callable         # run_suite's plan -> [(params, x grid)] to run
 
 
-def _cells(ns, ks, grid=None) -> list:
-    return [(OrderParams(n=n, k=k), grid) for n in ns for k in ks]
+def _cells(plan, ns, ks, grid=None) -> list:
+    """[(params, grid)] for each n and k, with the run's one OrderParams per
+    (n, k), shared by every row that runs the cell."""
+    return [(plan.params(n, k), grid) for n in ns for k in ks]
 
 
 # The checks, in run_suite's order.  Each runner looks its function up in
 # this module when it runs, so a wrapper set on the module's name sees every
-# call.  kernel-cross goes first: its K and W grids serve identity's and the
-# reconstruction's reads from the kernel table.  run_suite's plan holds
+# call.  kernel-cross goes first: its K grid and W columns serve identity's
+# and the reconstruction's reads from the kernel table.  run_suite's plan holds
 # n_max, the positive ks, k0 ([0.0] when k = 0 is asked for), the x grid,
-# the inner grid (its x in [0.5, 6]), oracle_n, oracle_ks and ode_ks.
+# the inner grid (its x in [0.5, 6]), oracle_n, oracle_ks, ode_ks and params,
+# which makes one OrderParams per (n, k).
 CHECKS = {
     "kernel-cross": Check(
         lambda p, grid, c: kernel_cross_reports(p, grid, c),
         "kernel_cross_tol", DEFAULT_X_GRID,
-        lambda plan: _cells([plan.n_max], plan.ks, plan.x_grid)),
+        lambda plan: _cells(plan, [plan.n_max], plan.ks, plan.x_grid)),
     "coefficients": Check(
         lambda p, grid, c: coefficient_reports(p), None, None,
-        lambda plan: _cells(range(plan.n_max + 1), plan.ks)),
+        lambda plan: _cells(plan, range(plan.n_max + 1), plan.ks)),
     "coupled": Check(
         lambda p, grid, c: [coupled_residual(p)], None, None,
-        lambda plan: _cells(range(plan.n_max + 1), plan.ks)),
+        lambda plan: _cells(plan, range(plan.n_max + 1), plan.ks)),
     "second-order": Check(
         lambda p, grid, c: [check_second_order(p, v) for v in ("printed", "derived")],
         None, None,
-        lambda plan: _cells(range(plan.n_max + 1), plan.ks)),
+        lambda plan: _cells(plan, range(plan.n_max + 1), plan.ks)),
     "identity": Check(
         lambda p, grid, c: [verify_identity(p, grid, c)],
         "identity_tol", DEFAULT_X_GRID,
-        lambda plan: _cells(range(plan.n_max + 1), plan.ks + plan.k0, plan.x_grid)),
+        lambda plan: _cells(plan, range(plan.n_max + 1), plan.ks + plan.k0, plan.x_grid)),
     "oracle": Check(
         lambda p, grid, c: [oracle_equivalence_report(p, c)],
         "oracle_match_tol", None,
-        lambda plan: _cells(range(plan.oracle_n + 1), plan.oracle_ks)),
+        lambda plan: _cells(plan, range(plan.oracle_n + 1), plan.oracle_ks)),
     "ode4-basis": Check(
         lambda p, grid, c: [product_solution_check(p)], None, None,
-        lambda plan: _cells(range(min(plan.n_max, 4) + 1), plan.ode_ks)),
+        lambda plan: _cells(plan, range(min(plan.n_max, 4) + 1), plan.ode_ks)),
     "ode4-basis-printed": Check(
         lambda p, grid, c: [product_solution_check(p, variant="printed")], None, None,
-        lambda plan: _cells([min(plan.n_max, 1)], plan.ode_ks[:1])),
+        lambda plan: _cells(plan, [min(plan.n_max, 1)], plan.ode_ks[:1])),
     "trial": Check(
         lambda p, grid, c: trial_condition_check(p, grid, c),
         "whittaker_eq_tol", (0.5, 1.0, 2.0),
-        lambda plan: _cells([min(plan.n_max, 2)], plan.ode_ks[:1], plan.inner)),
+        lambda plan: _cells(plan, [min(plan.n_max, 2)], plan.ode_ks[:1], plan.inner)),
     "indicial": Check(
         lambda p, grid, c: indicial_reports(p), None, None,
-        lambda plan: _cells([min(plan.n_max, 2)], plan.ks)),
+        lambda plan: _cells(plan, [min(plan.n_max, 2)], plan.ks)),
     # the k = 0 Laguerre cell runs whether or not k = 0 is asked for: it is
     # the default suite's only run of the reconstruction's k = 0 branch
     "reconstruction": Check(
         lambda p, grid, c: [lambda_reconstruction(p, grid, c)],
         "reconstruction_tol", (0.5, 1.0, 2.0, 4.0),
-        lambda plan: (_cells(range(min(plan.n_max, 6) + 1), plan.ks, plan.inner)
-                      + _cells([min(plan.n_max, 2)], [0.0], plan.inner))),
+        lambda plan: (_cells(plan, range(min(plan.n_max, 6) + 1), plan.ks, plan.inner)
+                      + _cells(plan, [min(plan.n_max, 2)], [0.0], plan.inner))),
     "reconstruction-printed-constants": Check(
         lambda p, grid, c: [lambda_reconstruction(
             p, grid, c, constants=constants_printed_system(p),
             check_name="reconstruction-printed-constants")],
         "reconstruction_tol", (0.5, 1.0, 2.0, 4.0),
-        lambda plan: _cells([min(plan.n_max, 2)], plan.ks[-1:], plan.inner)),
+        lambda plan: _cells(plan, [min(plan.n_max, 2)], plan.ks[-1:], plan.inner)),
 }
 
 
@@ -250,7 +266,8 @@ def run_suite(config: EvalConfig | None = None,
         inner=tuple(x for x in x_grid if 0.5 <= x <= 6) or (0.5, 1.0, 2.0, 4.0),
         oracle_n=min(n_max, 8 if use_oracle else 2),
         oracle_ks=[k for k in ks if k >= 0.5] or ks,
-        ode_ks=[k for k in ks if 0.4 <= k <= 1.5][:2] or ks[:1])
+        ode_ks=[k for k in ks if 0.4 <= k <= 1.5][:2] or ks[:1],
+        params=functools.cache(OrderParams))
     reports: list[ResidualReport] = []
     ledger: list[str] = []
 
@@ -259,7 +276,7 @@ def run_suite(config: EvalConfig | None = None,
             for params, grid in check.cells(plan):
                 reports += check.run(params, grid, config)
         if ks:
-            params = OrderParams(n=min(n_max, 2), k=ks[-1])
+            params = plan.params(min(n_max, 2), ks[-1])
             _, _, notes = resolve_constants(params, config)
             ledger += [f"constants n={params.n} k={params.k}: {note}" for note in notes]
 

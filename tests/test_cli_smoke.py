@@ -147,9 +147,8 @@ def exit_code(argv) -> int:
 @pytest.mark.parametrize("check", list(wbident.suite.CHECKS))
 def test_verify_runs_every_check_at_its_defaults(check, tmp_path):
     # every load-bearing report passes at the defaults (exit 0), and every
-    # advisory one with a residual still fails there.  At the default n = 1
-    # the five-factor recurrence has no m to check, so its printed report
-    # holds no residual and passes on no point
+    # advisory one with a residual still fails there.  The default n = 3 is
+    # the first at which the five-factor recurrence has an m to score
     out = tmp_path / "out.json"
     assert exit_code(["verify", "--check", check, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())

@@ -185,6 +185,19 @@ class TestBlockSeries:
         if want is not None:
             assert same_ld_bits(got, want), (a, b, z)
 
+    @pytest.mark.parametrize("k", [0.1, 2.526])
+    def test_one_a_per_point_equals_each_a_alone(self, k):
+        # a column's series: each point has its own a (here W's a = -n + ik,
+        # n = 0..25, at three z each), and sums as the series with that a alone
+        b = complex(1, 2 * k)
+        pairs = [(complex(-n, k), z) for n in range(26) for z in (0.5, 4.0, 16.0)]
+        a, z = (np.array(v, np.clongdouble) for v in zip(*pairs))
+        got = kernels._kummer_series(a, b, z, EvalConfig())
+        for (a_i, z_i), g in zip(pairs, got):
+            want, _ = kummer_series_term_by_term(a_i, b, np.array([z_i], np.clongdouble),
+                                                 EvalConfig())
+            assert same_ld_bits([g], want), (a_i, z_i)
+
     def test_seeded_table(self):
         table = _series_table()
         stops = set()
@@ -786,6 +799,77 @@ class TestKernelTable:
                         whittaker_m(3.5, 1j, 3.0),
                         bessel_i(nu, 1.5), bessel_k_quad(nu, 1.5),
                         bessel_k_via_w(nu, 1.5)] == plain
+
+
+class TestColumn:
+    """A tuple of kappa is a column: one Kummer series over every (kappa, z)
+    pair, each with its own a, and one read-only row per kappa that equals
+    the call at that kappa bit for bit."""
+
+    KAPPAS = tuple(n + 0.5 for n in range(26))
+    GRIDS = {"one point": (1.0,), "default": GRID_X,
+             "twelve": tuple(np.linspace(0.25, 8.0, 12).tolist())}
+    ROUTES = [whittaker_w, kernels._whittaker_w_two_term]
+
+    @staticmethod
+    def hexes(values) -> list[str]:
+        return [h for v in np.ravel(values).tolist()
+                for h in (v.real.hex(), v.imag.hex())]
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("k", [1e-3, 0.1, 0.5, 2.526, 4.9])
+    @pytest.mark.parametrize("kernel", ROUTES)
+    def test_rows_equal_per_kappa_and_per_point_calls(self, kernel, k, grid):
+        zs = tuple(2 * x for x in self.GRIDS[grid])
+        column = kernel(self.KAPPAS, 1j * k, zs)
+        assert column.dtype == complex and column.shape == (26, len(zs))
+        assert not column.flags.writeable
+        for kappa, row in zip(self.KAPPAS, column):
+            assert self.hexes(row) == self.hexes(kernel(kappa, 1j * k, zs))
+            assert self.hexes(row) == self.hexes([kernel(kappa, 1j * k, z) for z in zs])
+        # at a scalar z, one value per kappa
+        assert self.hexes(kernel(self.KAPPAS, 1j * k, zs[0])) == self.hexes(column[:, 0])
+
+    @pytest.mark.parametrize("kappas, mu", [((0.0, 1.5, -2.0), 0.5 + 1j),
+                                            ((1.5 + 0.5j, 3.5 - 2j), 1j)])
+    def test_generic_orders_take_the_two_term_route(self, kappas, mu):
+        zs = (1.0, 3.0, 9.0)
+        column = whittaker_w(kappas, mu, zs)
+        assert self.hexes(column) == self.hexes(kernels._whittaker_w_two_term(kappas, mu, zs))
+        assert self.hexes(column) == self.hexes([whittaker_w(kappa, mu, zs) for kappa in kappas])
+
+    @pytest.mark.parametrize("kernel", ROUTES)
+    def test_column_serves_its_grids_and_points(self, kernel):
+        # inside kernel_table, the per-n grid calls and the per-point calls
+        # after a column call do not enter the kernel, and return its bits
+        zs = tuple(2 * x for x in GRID_X)
+        kappas, mu = self.KAPPAS[:9], 0.5j
+        entries = TestKernelTable.entries
+        with kernels.kernel_table():
+            column = []
+            assert entries(kernel, lambda: column.append(kernel(kappas, mu, zs))) == 1
+            grids, points = [], []
+            assert entries(kernel, lambda: grids.extend(
+                kernel(kappa, mu, zs) for kappa in kappas)) == 0
+            assert entries(kernel, lambda: points.extend(
+                kernel(kappa, mu, z) for kappa in kappas for z in zs)) == 0
+        assert all(not g.flags.writeable for g in grids)
+        assert all(type(v) is complex for v in points)
+        assert self.hexes(grids) == self.hexes(points) == self.hexes(column)
+
+    @pytest.mark.parametrize("kernel", ROUTES)
+    def test_raising_column_stores_nothing(self, kernel):
+        with kernels.kernel_table():
+            with pytest.raises(ConvergenceError):
+                kernel((0.5, 1.5), 1j, (1.0, 2.0), EvalConfig(series_max_terms=10))
+            assert kernels._TABLE.get() == {}
+
+    @pytest.mark.parametrize("kappas, mu", [((0.5, 1.5), 0.0), ((1.5, 1.5 + 1j), 1j)])
+    def test_column_off_its_branches_is_refused(self, kappas, mu):
+        # mu = 0 (the Laguerre branch), and a column that mixes the one-term
+        # and the two-term branch
+        with pytest.raises(InputError):
+            whittaker_w(kappas, mu, (1.0, 2.0))
 
 
 def large_x_w_ratio(params: OrderParams, x: float = 30.0) -> complex:

@@ -457,6 +457,9 @@ class TestCli:
         "verify --check ode4-basis --n 2 --k 1 --x-grid 0.5,1",
         "verify --check coupled --n 2 --k 1 --x-grid 99,-3",
         "verify --check second-order --n 2 --k 1 --x-grid 99,-3",
+        # every report's grid empty: the five-factor recurrence scores n >= 3
+        "verify --check second-order --n 1",
+        "verify --check second-order --n 2",
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_invalid_input_exits_2_without_traceback(self, argv, capsys):
