@@ -56,17 +56,22 @@ Inside a ``with kernel_table():`` block (``run_suite`` runs in one) the five
 public kernels ``whittaker_m``, ``whittaker_w``, ``bessel_i``,
 ``bessel_k_quad`` and ``bessel_k_via_w``, the private
 ``_whittaker_w_two_term``, the coefficient builder
-``lambda_poly.coeffs_from_recurrence`` and the integers of the coefficient
-relations ``lambda_poly._lambda_integers`` evaluate each distinct argument
-tuple once: a repeated call with equal positional and keyword arguments
-(``config`` included, a grid keyed by its tuple) returns the stored value.
+``lambda_poly.coeffs_from_recurrence``, the integers of the coefficient
+relations ``lambda_poly._lambda_integers`` and the 50-digit fit's per-k
+factors on the collocation master set ``oracle._master_factors`` evaluate
+each distinct argument tuple once: a repeated call with equal positional and
+keyword arguments (``config`` included, a grid keyed by its tuple) returns
+the stored value.
 A grid call (its z or x a positional tuple) also stores each point's value
 under the key of the per-point call at that point, so a later per-point call
 is served from the grid; a column call stores each row under the key of the
 grid call at its kappa and each of that row's points under its per-point
-key.  This is sound because a grid or column call equals the calls it holds
-bit for bit.  Only returned values are stored; a raising call, grid, column
-or not, stores nothing.  The table
+key.  A grid call whose every point the table already holds, from any grids
+or columns, is served from those points as a read-only array, without
+entering the kernel (a column call is always evaluated, so its refusals
+hold).  This is sound because a grid or column call equals the calls it
+holds bit for bit.  Only returned values are stored; a raising call, grid,
+column or not, stores nothing.  The table
 lives in a ``contextvars.ContextVar`` and is dropped when the block exits,
 so outside it nothing is looked up or kept.  A repeated call does not
 re-issue the ``NearDegeneracyWarning`` of its first evaluation; the warning
@@ -109,7 +114,9 @@ def kernel_table():
 
 def _tabled(fn):
     """fn evaluated once per distinct arguments inside ``kernel_table``; a
-    grid or column call also tables the calls it holds (``_held``)."""
+    grid or column call also tables the calls it holds (``_held``), and a
+    grid call whose points are all held is served from them
+    (``_from_points``)."""
     @functools.wraps(fn)
     def kernel(*args, **kwargs):
         table = _TABLE.get()
@@ -119,11 +126,31 @@ def _tabled(fn):
         key = (fn, args, kw)
         value = table.get(key, _MISSING)
         if value is _MISSING:
-            value = table[key] = fn(*args, **kwargs)
+            value = _from_points(fn, args, kw, table)
+            if value is _MISSING:
+                value = fn(*args, **kwargs)
+            table[key] = value
             for held, v in _held(args, value):
                 table.setdefault((fn, held, kw), v)
         return value
     return kernel
+
+
+def _from_points(fn, args, kw, table):
+    """A grid call's value (a read-only array) rebuilt from the values the
+    table holds for its points, or _MISSING unless it holds every point.  A
+    grid call has one tuple argument, its points, after the order; a tuple
+    first argument is a column of orders, which is not served this way."""
+    grids = [i for i, arg in enumerate(args) if type(arg) is tuple]
+    if len(grids) != 1 or grids[0] == 0 or not args[grids[0]]:
+        return _MISSING
+    i = grids[0]
+    keys = [(fn, (*args[:i], point, *args[i + 1:]), kw) for point in args[i]]
+    if not all(key in table for key in keys):
+        return _MISSING
+    out = np.array([table[key] for key in keys])
+    out.flags.writeable = False
+    return out
 
 
 def _held(args, value):

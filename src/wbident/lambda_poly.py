@@ -57,6 +57,9 @@ from .report import EXACT, ResidualReport, exact_relative_residual, index_grid
 CONVENTION_MINUS = "(1-ik)_n"       # the start of the recurrence
 
 COLLOCATION_RANGE = (0.25, 6.0)
+# the largest n whose collocation points are drawn from the master set (the
+# points of this n), and the n cap of ``run_suite(use_oracle=True)``
+COLLOCATION_MASTER_N = 8
 EXACT_NOTES = ("exact on the Gaussian integers sqrt(pi) d_{n+1} a_m; the "
                "double-rounded CoeffVector is not read",)
 
@@ -254,12 +257,28 @@ def check_second_order(params: OrderParams, variant: str = "printed"):
 
 # --- collocation oracle -----------------------------------------------------
 
-def default_collocation_points(n: int) -> list[float]:
-    """Chebyshev-distributed points on the collocation range, 4(n+1) of them."""
+def _chebyshev_points(npts: int) -> tuple[float, ...]:
+    """npts Chebyshev-Lobatto points on the collocation range, both ends
+    included, in increasing order."""
     lo, hi = COLLOCATION_RANGE
+    return tuple(lo + (hi - lo) * (1 - math.cos(math.pi * j / (npts - 1))) / 2
+                 for j in range(npts))
+
+
+COLLOCATION_MASTER = _chebyshev_points(4 * (COLLOCATION_MASTER_N + 1))
+
+
+def default_collocation_points(n: int) -> list[float]:
+    """max(4(n+1), 8) Chebyshev-Lobatto points on the collocation range.  Up
+    to n = COLLOCATION_MASTER_N they are drawn from one master set, the
+    points of that n, at indices round(j (M - 1) / (npts - 1)) for M master
+    points, so the 50-digit fit evaluates their per-k factors once
+    (``oracle._master_factors``); a larger n takes its own set."""
     npts = max(4 * (n + 1), 8)
-    return [lo + (hi - lo) * (1 - math.cos(math.pi * j / (npts - 1))) / 2
-            for j in range(npts)]
+    if n > COLLOCATION_MASTER_N:
+        return list(_chebyshev_points(npts))
+    last = len(COLLOCATION_MASTER) - 1
+    return [COLLOCATION_MASTER[round(j * last / (npts - 1))] for j in range(npts)]
 
 
 def _collocation_double(params: OrderParams, xs, config: EvalConfig):

@@ -23,10 +23,15 @@ exponent carrying the guard bits, and the public evaluators round once at
 the end.
 The collocation fit builds its least-squares rows from the same integers,
 solves them by Householder QR on Python integers in fixed point and measures
-its misfit on them.  Values from this module are the ground truth for
-derived expected values and for regimes double precision cannot reach
-(large x in the connection formula, ill-conditioned collocation fits at high
-degree).
+its misfit on them.  Of a row's factors, K_{1/2+ik}(x), the powers
+x^{+-(1/2+ik)}, e^{-x} and Gamma(-2ik) depend on k and x only.  A fit whose
+points all lie in ``lambda_poly.COLLOCATION_MASTER`` reads them from one
+evaluation on that whole set, ``_master_factors``, which
+``kernels.kernel_table()`` tables (once per k in ``run_suite``); outside a
+table it runs per fit, so a fit's bits do not depend on the table.
+Values from this module are the ground truth for derived expected values
+and for regimes double precision cannot reach (large x in the connection
+formula, ill-conditioned collocation fits at high degree).
 """
 
 from __future__ import annotations
@@ -42,9 +47,11 @@ from mpmath.libmp import (fhalf, from_man_exp, mpf_cos_sin, mpf_exp, mpf_log,
 
 from .config import EvalConfig, default_config
 from .errors import ConvergenceError, InputError
-from .kernels import OrderParams
+from .kernels import OrderParams, _tabled
+from .lambda_poly import COLLOCATION_MASTER
 
 _GUARD = 64     # bits carried beyond the working precision
+_MASTER_POINTS = frozenset(COLLOCATION_MASTER)
 
 
 @contextmanager
@@ -185,24 +192,38 @@ def _powers(xs, c):
     return out
 
 
-def _w_terms(kappa, mu, xs, powers, config: EvalConfig):
+def _w_factors(mu, xs, powers):
+    """The factors of W_{kappa,mu}(2x) that do not depend on kappa, at the
+    mpf points xs, given powers[i][0] = x^{1/2+mu} from `_powers`:
+    (2 Gamma(-2mu), 2^{1/2+mu}) as mpc at the guard precision, and
+    e^{-x} x^{1/2+mu} at each x as an untrimmed Gaussian float."""
+    bits = mp.mp.prec + _guard(xs)
+    half = mp.mpf(1) / 2
+    with mp.workprec(bits):
+        gammas = 2 * mp.gamma(-2 * mu), 2 ** (half + mu)
+    decays = []
+    for x, (power, _) in zip(xs, powers):
+        _, man, exp, _ = mpf_exp(mpf_neg(x._mpf_), bits)
+        decays.append((man * power[0], man * power[1], exp + power[2]))
+    return gammas, decays
+
+
+def _w_terms(kappa, mu, xs, factors, config: EvalConfig):
     """W_{kappa,mu}(2x) at each x of xs as Gaussian floats with im = 0,
-    given powers[i][0] = x^{1/2+mu} from `_powers`:
+    given factors = `_w_factors`(mu, xs, powers):
     2 Re(Gamma(-2mu) 2^{1/2+mu} / Gamma(1/2 - mu - kappa) e^{-x} x^{1/2+mu}
     M(1/2 + mu - kappa, 1 + 2mu, 2x))."""
     guard = _guard(xs)
     bits = mp.mp.prec + guard
     half = mp.mpf(1) / 2
+    (two_gamma, two_power), decays = factors
     with mp.workprec(bits):
-        const = _gauss(2 * mp.gamma(-2 * mu) / mp.gamma(half - mu - kappa)
-                       * 2 ** (half + mu), bits)
+        const = _gauss(two_gamma / mp.gamma(half - mu - kappa) * two_power, bits)
     kummer = _hyp_series(half + mu - kappa, 1 + 2 * mu, [2 * x for x in xs],
                          config.series_max_terms, guard)
     out = []
-    for x, (power, _), m in zip(xs, powers, kummer):
-        _, man, exp, _ = mpf_exp(mpf_neg(x._mpf_), bits)
-        re, _, e = _mul(_mul(const, (man * power[0], man * power[1],
-                                     exp + power[2]), bits), m, bits)
+    for decay, m in zip(decays, kummer):
+        re, _, e = _mul(_mul(const, decay, bits), m, bits)
         out.append((re, 0, e))
     return out
 
@@ -248,9 +269,9 @@ def whittaker_w(kappa, mu, z, config: EvalConfig | None = None):
             raise InputError("oracle W takes real kappa, nonzero imaginary "
                              "mu and z > 0")
         xs = [mp.mpf(zz) / 2 for zz in z]
-        powers = _powers(xs, mp.mpf(1) / 2 + mu)
+        factors = _w_factors(mu, xs, _powers(xs, mp.mpf(1) / 2 + mu))
         return [mp.make_mpf(from_man_exp(re, e, mp.mp.prec, "n"))
-                for re, _, e in _w_terms(kappa.real, mu, xs, powers, config)]
+                for re, _, e in _w_terms(kappa.real, mu, xs, factors, config)]
 
 
 def bessel_k(nu, x, config: EvalConfig | None = None):
@@ -301,23 +322,51 @@ def _householder_lstsq(cols, rhs, frac: int):
     return sol
 
 
+def _row_factors(k, xs, config: EvalConfig):
+    """The factors of the collocation rows at order k that do not depend on
+    n: W's constants from `_w_factors`, and at each x of xs the triple
+    (x as mpf, e^{-x} x^{1/2+ik}, K_{1/2+ik}(x)), from one `_powers` list
+    that W and K share and K's two 0F1 series."""
+    with _dps(config):
+        xs = [mp.mpf(x) for x in xs]
+        nu = mp.mpc(0.5, k)
+        powers = _powers(xs, nu)
+        gammas, decays = _w_factors(mp.mpc(0, k), xs, powers)
+        return gammas, list(zip(xs, decays, _k_terms(nu, xs, powers, config)))
+
+
+@_tabled
+def _master_factors(k, config: EvalConfig):
+    """`_row_factors` on the collocation master set, as (W's constants,
+    {x: triple}); inside ``kernel_table`` once per (k, config), so every
+    fit of a run at that k whose points are master points reads them."""
+    gammas, points = _row_factors(k, COLLOCATION_MASTER, config)
+    return gammas, dict(zip(COLLOCATION_MASTER, points))
+
+
 def _design_system(params: OrderParams, xs, config: EvalConfig):
     """The collocation least-squares system at oracle precision, on
     integers.  Point x gives the row x^m (2 Re K, -2 Im K) / |W| for
     m = 1..n+1 (unknowns Re a_m, Im a_m in turn) and the datum sign W, with
-    W = W_{n+1/2,ik}(2x) and K = K_{1/2+ik}(x).  Returns (cols, data, exps,
-    frac): column j holds each entry times 2**(frac - exps[j]), rounded, with
+    W = W_{n+1/2,ik}(2x) and K = K_{1/2+ik}(x).  The factors that depend on
+    k and x only come from `_master_factors` when every point is a master
+    point, else from `_row_factors` on xs; W's 1F1 series and
+    Gamma(-n-ik) are formed per call.  Returns (cols, data, exps, frac):
+    column j holds each entry times 2**(frac - exps[j]), rounded, with
     2**exps[j] bounding the column, and data[i] = sign W * 2**frac."""
     n, k = params.n, params.k
+    if _MASTER_POINTS.issuperset(xs):
+        gammas, by_x = _master_factors(k, config)
+        points = [by_x[x] for x in xs]
+    else:
+        gammas, points = _row_factors(k, xs, config)
     with _dps(config):
         frac = mp.mp.prec + _GUARD
-        xs = [mp.mpf(x) for x in xs]
-        nu = mp.mpc(0.5, k)
-        powers = _powers(xs, nu)
+        xs = [x for x, _, _ in points]
+        w_terms = _w_terms(n + 0.5, mp.mpc(0, k), xs,
+                           (gammas, [decay for _, decay, _ in points]), config)
         rows, data = [], []
-        for x, (w, _, we), (kre, kim, e) in zip(
-                xs, _w_terms(n + 0.5, mp.mpc(0, k), xs, powers, config),
-                _k_terms(nu, xs, powers, config)):
+        for (x, _, (kre, kim, e)), (w, _, we) in zip(points, w_terms):
             inv = (1 << 2 * frac) // abs(w)
             kre, kim, e = _trim(kre * inv, -kim * inv, e + 1 - 2 * frac - we, frac)
             _, xman, xexp, _ = x._mpf_

@@ -29,8 +29,9 @@ from .config import EvalConfig, default_config
 from .errors import InputError
 from .kernels import (OrderParams, _refuse_small_k, _whittaker_w_two_term,
                       bessel_k_quad, bessel_k_via_w, kernel_table, whittaker_w)
-from .lambda_poly import (EXACT_NOTES, check_second_order, coeffs_from_recurrence,
-                          collocation_oracle, top_coeff_residuals)
+from .lambda_poly import (COLLOCATION_MASTER_N, EXACT_NOTES, check_second_order,
+                          coeffs_from_recurrence, collocation_oracle,
+                          top_coeff_residuals)
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, resolve_constants,
                   constants_printed_system, trial_condition_check)
@@ -246,7 +247,8 @@ def run_suite(config: EvalConfig | None = None,
     non-convergence aborts (it poisons every downstream number).  Advisory
     failures land in the discrepancy ledger, not the exit status.  The checks
     run inside ``kernel_table()``, so each kernel value is evaluated once per
-    call.
+    call.  use_oracle raises the oracle check's n cap from 2 to
+    COLLOCATION_MASTER_N.
     """
     config = config or default_config()
     if not 0 <= n_max <= 25:
@@ -264,7 +266,7 @@ def run_suite(config: EvalConfig | None = None,
         n_max=n_max, ks=ks, k0=[0.0] if 0.0 in k_set else [], x_grid=x_grid,
         # the trial check and the reconstruction take the x inside [0.5, 6]
         inner=tuple(x for x in x_grid if 0.5 <= x <= 6) or (0.5, 1.0, 2.0, 4.0),
-        oracle_n=min(n_max, 8 if use_oracle else 2),
+        oracle_n=min(n_max, COLLOCATION_MASTER_N if use_oracle else 2),
         oracle_ks=[k for k in ks if k >= 0.5] or ks,
         ode_ks=[k for k in ks if 0.4 <= k <= 1.5][:2] or ks[:1],
         params=functools.cache(OrderParams))

@@ -788,6 +788,35 @@ class TestKernelTable:
             assert kernels._TABLE.get() == {}
             assert self.entries(bessel_k_quad, lambda: bessel_k_quad(nu, 8.0, cfg)) == 1
 
+    @pytest.mark.parametrize("kernel, orders", GRIDDED,
+                             ids=[f"{fn.__name__}{orders}" for fn, orders in GRIDDED])
+    def test_held_points_serve_a_grid(self, kernel, orders):
+        # a grid call whose every point is held, here by two other grids,
+        # does not enter the kernel and returns the bits of an untabled grid
+        # call; one point not held and the grid is evaluated
+        xs = (0.5, 1.1, 2.0, 3.3, 6.5)
+        hexes = TestColumn.hexes
+        plain = kernel(*orders, xs[::-1])
+        with kernels.kernel_table():
+            kernel(*orders, xs[:3])
+            kernel(*orders, xs[2:])
+            served = []
+            assert self.entries(kernel, lambda: served.append(kernel(*orders, xs[::-1]))) == 0
+            assert self.entries(kernel, lambda: kernel(*orders, xs + (7.0,))) == 1
+        assert served[0].dtype == complex and not served[0].flags.writeable
+        assert hexes(served[0]) == hexes(plain)
+
+    def test_held_points_do_not_serve_a_column(self):
+        # a tuple of orders is a column: it is evaluated whatever points the
+        # table holds, so its refusals hold
+        with kernels.kernel_table():
+            for kappa in (0.5, 1.5):
+                whittaker_w(kappa, 0.0, 2.0)
+                whittaker_w(kappa + 2, 1j, 2.0)
+            with pytest.raises(InputError, match="column"):
+                whittaker_w((0.5, 1.5), 0.0, 2.0)
+            assert self.entries(whittaker_w, lambda: whittaker_w((2.5, 3.5), 1j, 2.0)) == 1
+
     def test_values_match_untabled_calls(self):
         nu = complex(0.5, 1.0)
         plain = [whittaker_w(3.5, 1j, 3.0), whittaker_m(3.5, 1j, 3.0),
@@ -1014,6 +1043,68 @@ class TestOracle:
         assert oracle._guard([mp.mpf(6), mp.mpf(11)]) == 64
         assert oracle._guard([mp.mpf(1), mp.mpf(12)]) == 64 + 35
         assert oracle._guard([]) == 64
+
+    @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
+    def test_master_batch_k_within_one_ulp_of_bessel_k(self, k):
+        # the fit's K comes from one batch over the master set; each value,
+        # rounded to the working precision, is within one unit in the last
+        # place of the point's own oracle.bessel_k
+        import mpmath as mp
+        from wbident import oracle
+        from wbident.lambda_poly import COLLOCATION_MASTER
+        config = EvalConfig()
+        _, by_x = oracle._master_factors(k, config)
+        assert list(by_x) == list(COLLOCATION_MASTER)
+        with mp.workdps(config.oracle_dps):
+            for x, (_, _, kx) in by_x.items():
+                got, want = oracle._to_mpc(kx), oracle.bessel_k(complex(0.5, k), x)
+                for g, w in ((got.real, want.real), (got.imag, want.imag)):
+                    assert abs(g - w) <= mp.ldexp(1, mp.mag(w) - mp.mp.prec), (x, g, w)
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    @pytest.mark.parametrize("k", [0.5, 2.0])
+    def test_master_batch_gives_the_system_of_the_fit_points(self, n, k, monkeypatch):
+        # the default points of n < 8 hold both ends of the range, so a
+        # batch on them shares the master batch's largest point, its series
+        # coefficients and so its bits: the system is the one built on the
+        # fit's own points
+        from wbident import lambda_poly, oracle
+        args = OrderParams(n=n, k=k), lambda_poly.default_collocation_points(n), EvalConfig()
+        from_master = oracle._design_system(*args)
+        monkeypatch.setattr(oracle, "_MASTER_POINTS", frozenset())
+        assert oracle._design_system(*args) == from_master
+
+    def test_fits_inside_and_outside_the_table_agree(self):
+        # inside kernel_table the master factors are evaluated once per k
+        # and serve every fit at that k; each fit equals the untabled one
+        from wbident import lambda_poly, oracle
+        cells = [(n, k) for n in (3, 5, 8) for k in (0.5, 2.0)]
+        fit = lambda n, k: oracle.collocation_fit(
+            OrderParams(n=n, k=k), lambda_poly.default_collocation_points(n))
+        plain = [fit(n, k) for n, k in cells]
+        with kernels.kernel_table():
+            tabled = []
+            assert TestKernelTable.entries(oracle._master_factors, lambda: tabled.extend(
+                fit(n, k) for n, k in cells)) == 2
+        assert tabled == plain
+
+    def test_fit_off_the_master_set_evaluates_its_own_points(self):
+        # n = 5's Chebyshev set of its own holds points outside the master
+        # set; the fit evaluates its factors there and still recovers the
+        # recurrence's coefficients
+        import math
+        from wbident import lambda_poly, oracle
+        lo, hi = lambda_poly.COLLOCATION_RANGE
+        xs = [lo + (hi - lo) * (1 - math.cos(math.pi * j / 23)) / 2 for j in range(24)]
+        assert not set(xs) <= set(lambda_poly.COLLOCATION_MASTER)
+        params = OrderParams(n=5, k=0.5)
+        with kernels.kernel_table():
+            fitted, misfit = oracle.collocation_fit(params, xs)
+            assert kernels._TABLE.get() == {}
+        config = EvalConfig()
+        assert misfit <= config.collocation_resid_tol
+        want = lambda_poly.coeffs_from_recurrence(params).a
+        assert max(abs(f - w) / abs(w) for f, w in zip(fitted, want)) <= config.oracle_match_tol
 
     def test_empty_lists_give_empty_lists(self):
         from wbident import oracle

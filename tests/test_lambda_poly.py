@@ -2,6 +2,7 @@
 collocation oracle."""
 
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,8 @@ from wbident.core import SQRT_PI
 from wbident.errors import InputError, InvariantViolationError
 from wbident import lambda_poly
 from wbident.kernels import OrderParams
-from wbident.lambda_poly import (CONVENTION_MINUS, CoeffVector,
+from wbident.lambda_poly import (COLLOCATION_MASTER, COLLOCATION_MASTER_N,
+                                 COLLOCATION_RANGE, CONVENTION_MINUS, CoeffVector,
                                  boundary_coeffs, check_second_order,
                                  coeffs_from_recurrence, collocation_oracle,
                                  default_collocation_points,
@@ -332,7 +334,25 @@ class TestCollocationOracle:
         for m in range(1, 8):
             assert abs(fit.a[m - 1] - rec.a[m - 1]) <= 1e-8 * abs(rec.a[m - 1])
 
-    def test_default_points_satisfy_preconditions(self):
-        xs = default_collocation_points(5)
-        assert len(xs) >= 2 * 6
-        assert min(xs) >= 0.25 and max(xs) <= 6.0
+    @staticmethod
+    def own_points(n):
+        """n's own Chebyshev-Lobatto set, the rule for every n before the
+        master set."""
+        lo, hi = COLLOCATION_RANGE
+        npts = max(4 * (n + 1), 8)
+        return [lo + (hi - lo) * (1 - math.cos(math.pi * j / (npts - 1))) / 2
+                for j in range(npts)]
+
+    @pytest.mark.parametrize("n", range(26))
+    def test_default_points_satisfy_preconditions(self, n):
+        # distinct, sorted, both ends of the range, max(4(n+1), 8) of them;
+        # drawn from the master set (the points of n = 8) up to n = 8, and
+        # n's own set from n = 8 on
+        xs = default_collocation_points(n)
+        assert len(xs) == len(set(xs)) == max(4 * (n + 1), 8)
+        assert xs == sorted(xs) and (xs[0], xs[-1]) == COLLOCATION_RANGE
+        if n <= COLLOCATION_MASTER_N:
+            assert set(xs) <= set(COLLOCATION_MASTER)
+        if n >= COLLOCATION_MASTER_N:
+            assert xs == self.own_points(n)
+        assert list(COLLOCATION_MASTER) == default_collocation_points(COLLOCATION_MASTER_N)

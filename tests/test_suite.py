@@ -44,10 +44,10 @@ def test_no_table_after_return_or_raise(monkeypatch):
     assert kernels._TABLE.get() is None
 
 
-def test_each_kernel_value_evaluated_once():
-    # count entries into the undecorated functions' code, keyed by the
-    # arguments they were entered with
-    codes = {fn.__wrapped__.__code__ for fn in TABLED}
+def kernel_entries(run, fns=TABLED) -> Counter:
+    """Entries into the undecorated bodies of the tabled fns during run(),
+    keyed by name and the arguments they were entered with."""
+    codes = {fn.__wrapped__.__code__ for fn in fns}
     evaluated = Counter()
 
     def profile(frame, event, arg):
@@ -58,11 +58,44 @@ def test_each_kernel_value_evaluated_once():
 
     sys.setprofile(profile)
     try:
-        run_suite(**SMALL)
+        run()
     finally:
         sys.setprofile(None)
+    return evaluated
+
+
+def test_each_kernel_value_evaluated_once():
+    evaluated = kernel_entries(lambda: run_suite(**SMALL))
     assert {name for name, _ in evaluated} == {fn.__name__ for fn in TABLED}
     assert max(evaluated.values()) == 1
+
+
+def test_trial_grids_are_served_by_the_column_points():
+    # the default run enters the two-term W for its 4 columns (one per k)
+    # and the 4 grids of bessel_k_via_w; the trial check's 3 grids at
+    # n = 2, k = 0.5 on z = (1, 2, 4, 8) are served by the k = 0.5 column's
+    # points
+    evaluated = kernel_entries(run_suite, [kernels._whittaker_w_two_term])
+    assert sum(evaluated.values()) == 8
+    assert sorted(type(args[0]) is tuple for _, args in evaluated) == [False] * 4 + [True] * 4
+
+
+def test_oracle_run_sums_k_series_once_per_k(monkeypatch):
+    # K's two 0F1 series run once per k of the 16 escalated fits (k = 0.5,
+    # 1, 2), on the master set; W's 1F1 series once per escalated fit
+    from wbident import oracle
+    series, sums = oracle._hyp_series, Counter()
+
+    def spy(a, *args):
+        sums["0F1" if a is None else "1F1"] += 1
+        return series(a, *args)
+
+    monkeypatch.setattr(oracle, "_hyp_series", spy)
+    result = run_suite(use_oracle=True)
+    assert sums == {"0F1": 6, "1F1": 16}
+    fits = [r for r in result.reports if r.check_name == "oracle-equivalence"]
+    assert sum("collocation-fit-oracle" in r.notes[0] for r in fits) == 16
+    assert max(r.params.n for r in fits) == lambda_poly.COLLOCATION_MASTER_N
 
 
 def test_reports_equal_checks_outside_the_run(monkeypatch):
