@@ -32,8 +32,7 @@ class EvalConfig:
     k_refuse_threshold: float = 1e-3      # 0 < k below this is refused in double precision
     mu_degeneracy_tol: float = 1e-6       # warn when 2*mu is this close to an integer
 
-    # collocation oracle
-    collocation_escalate_cond: float = 1e6
+    # collocation oracle (50 digits): the largest misfit of a fit it keeps
     collocation_resid_tol: float = 1e-8
 
     # float check thresholds

@@ -15,8 +15,7 @@ with conj(a_{n+1}) = a_{n+1}.  It starts from
 
     a_1 = (-1)^n (1-ik)_n / sqrt(pi),   which gives   a_{n+1} = 2^n/sqrt(pi),
 
-the x -> 0 matching of the identity (boundary_coeffs states both ends); the
-collocation oracle, fitted to the Whittaker function alone, agrees with it.
+the x -> 0 matching of the identity (boundary_coeffs states both ends).
 The mirror start (1+ik)_n fails: its a_{n+1} is not real in general (and
 -2^n/sqrt(pi) at n = 3, k = 1), so coeffs_from_recurrence would refuse it.
 
@@ -35,6 +34,22 @@ equation (coupled_equation_residuals; its x^{m-1} coefficient is this
 recurrence at m) and the five-factor recurrence (check_second_order).
 coeffs_from_recurrence takes no tolerance either: it refuses a vector whose
 top integer is not exactly 2^n d_{n+1}.
+
+Two oracles build Lambda without the recurrence.  series_oracle reads only
+Taylor coefficients at x = 0: with W as one connection-formula term and its
+conjugate (DLMF 13.14.33, 13.14.2) and K as the I-difference (DLMF 10.27.4,
+10.25.2, 5.5.3), the identity's x^{1/2+ik} terms read
+
+    F := (-n-ik)_n e^{-x} M(-n+ik; 1+2ik; 2x) = P*(x) S(x) - P(x) S'(x)
+
+for P = sqrt(pi) Lambda, P* its conjugate-coefficient polynomial and
+S = 0F1(; 1/2+ik; x^2/4).  F solves Kummer's equation x y'' + (1+2ik) y' +
+(2n+1-x) y = 0 (DLMF 13.2.1 at z = 2x), whose solution analytic at 0 is
+unique up to scale for real k != 0, and that operator maps P*S - PS' onto
+the coupled equation's residual: the coupled-equation certificate and a_1
+prove the identity by this reduction, and series_oracle is the same argument
+run as a construction, not a second one.  collocation_oracle, the 50-digit
+fit of the identity at x > 0 (oracle.collocation_fit), is its numerical test.
 """
 
 from __future__ import annotations
@@ -42,16 +57,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 
-import numpy as np
 from numpy.polynomial import Polynomial
 
 from ._exact import gaussian_product
 from .config import EvalConfig, default_config
 from .core import SQRT_PI, pochhammer
 from .errors import InputError, InvariantViolationError
-from .kernels import (OrderParams, _refuse_small_k, _tabled, bessel_k_quad,
-                      whittaker_w)
+from .kernels import OrderParams, _tabled
 from .report import EXACT, ResidualReport, exact_relative_residual, index_grid
 
 CONVENTION_MINUS = "(1-ik)_n"       # the start of the recurrence
@@ -138,10 +152,15 @@ def _lambda_integers(params: OrderParams):
     """(P, D, p, q): P[j] = sqrt(pi) D a_{j+1}, j = 0..n, as Gaussian
     integers (re, im) over D = d_{n+1}, and k = p/q; tabled like
     coeffs_from_recurrence."""
-    scaled = _scaled_coeffs(params.n, params.k)
-    top = scaled[-1][2]
-    big = tuple((re * (top // d), im * (top // d)) for re, im, d in scaled)
-    return (big, top, *params.k.as_integer_ratio())
+    return (*_over_last(_scaled_coeffs(params.n, params.k)),
+            *params.k.as_integer_ratio())
+
+
+def _over_last(terms) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Gaussian rationals (re, im, d), each d dividing the last one, as the
+    Gaussian integers over that last d, and the d."""
+    top = terms[-1][2]
+    return tuple((re * (top // d), im * (top // d)) for re, im, d in terms), top
 
 
 def top_coeff_residuals(params: OrderParams) -> list[float]:
@@ -255,6 +274,76 @@ def check_second_order(params: OrderParams, variant: str = "printed"):
     )
 
 
+# --- series oracle ------------------------------------------------------------
+
+SERIES_TAIL = 4         # the orders past n at which series_oracle must read 0
+
+
+def _taylor(count: int, ratio) -> list[tuple[int, int, int]]:
+    """c_0 = 1 .. c_{count-1} of a hypergeometric series, c_{m+1} =
+    c_m u / (v w) for ratio(m) = (u, v, w), u and v Gaussian integers and w a
+    positive int, as (re, im, d) with each d dividing the next."""
+    re, im, d, out = 1, 0, 1, []
+    for m in range(count):
+        out.append((re, im, d))
+        u, (v_re, v_im), w = ratio(m)
+        re, im = gaussian_product(gaussian_product((re, im), u), (v_re, -v_im))
+        d *= w * (v_re * v_re + v_im * v_im)
+    return out
+
+
+def series_oracle(params: OrderParams) -> tuple[list[tuple[int, int]], int]:
+    """(P, D): P[j] = sqrt(pi) D a_{j+1} as a Gaussian integer for
+    j = 0..n+SERIES_TAIL, from the Taylor coefficients of M, e^{-x} and 0F1
+    alone (module docstring).  As S(0) = 1 and S'(0) = 0, the x^j
+    coefficient of F = P* S - P S' gives conj(p_j) = f_j - sum_{m<j}
+    (conj(p_m) s_{j-m} - p_m [x^{j-m}] S'), solved downwards.  D, the f_j's
+    denominator, is a multiple of Lambda's; a p_j off the Gaussian integers
+    over D (a remainder from S's denominator) is neither Lambda's nor 0, and
+    P stops before it.  front is q^n (-n-ik)_n."""
+    n, k = params.n, params.k
+    if k == 0:
+        raise InputError("the series oracle requires k != 0 (at k = 0 the "
+                         "identity's two modes coincide)")
+    p, q = k.as_integer_ratio()
+    top = n + SERIES_TAIL
+    # M(-n+ik; 1+2ik; 2x), e^{-x}, and 0F1(; 1/2+ik; t/4) in t = x^2
+    kummer, d_m = _over_last(_taylor(top + 1, lambda m: (
+        (2 * (m - n) * q, 2 * p), ((m + 1) * q, 2 * p), m + 1)))
+    decay, d_e = _over_last(_taylor(top + 1, lambda m: ((-1, 0), (1, 0), m + 1)))
+    bessel, d_s = _over_last(_taylor((top + 1) // 2 + 1, lambda m: (
+        (q, 0), ((1 + 2 * m) * q, 2 * p), 2 * m + 2)))
+    # [x^i] S at even i, -[x^i] S' = -(i+1) s_{i+1} at odd i (S is even)
+    s = [bessel[i // 2] if i % 2 == 0 else
+         tuple(-(i + 1) * c for c in bessel[i // 2 + 1]) for i in range(top + 1)]
+    front = reduce(gaussian_product, [((t - n) * q, -p) for t in range(n)], (1, 0))
+    out = []
+    for j in range(top + 1):
+        # sums of Gaussian integers, (0, 0) included for an empty sum
+        f_re, f_im = gaussian_product(front, tuple(map(sum, zip((0, 0), *(
+            (re * e, im * e) for (re, im), (e, _) in zip(kummer, decay[j::-1]))))))
+        acc_re, acc_im = map(sum, zip((0, 0), *(
+            gaussian_product((re, im if (j - m) % 2 else -im), s[j - m])
+            for m, (re, im) in enumerate(out))))
+        (c_re, r_re), (c_im, r_im) = divmod(acc_re, d_s), divmod(acc_im, d_s)
+        if r_re or r_im:
+            break
+        out.append((f_re - c_re, c_im - f_im))
+    return out, q ** n * d_m * d_e
+
+
+def series_oracle_residuals(params: OrderParams) -> list[float]:
+    """Exact residuals of series_oracle against the recurrence's integers:
+    sqrt(pi) a_1 .. a_{n+1}, then the SERIES_TAIL orders past them against
+    0; 1.0 from the first order the series oracle could not reach."""
+    big, top, _, _ = _lambda_integers(params)
+    series, den = series_oracle(params)
+    want = big + ((0, 0),) * SERIES_TAIL
+    return [exact_relative_residual([(s_re * top, s_im * top), (-re * den, -im * den)])
+            for (s_re, s_im), (re, im) in zip(series, want)
+            ] + [1.0] * (len(want) - len(series))
+
+
 # --- collocation oracle -----------------------------------------------------
 
 def _chebyshev_points(npts: int) -> tuple[float, ...]:
@@ -281,48 +370,18 @@ def default_collocation_points(n: int) -> list[float]:
     return [COLLOCATION_MASTER[round(j * last / (npts - 1))] for j in range(npts)]
 
 
-def _collocation_double(params: OrderParams, xs, config: EvalConfig):
-    """Design matrix and data in double precision; returns (fitted, cond, resid)."""
-    n, k = params.n, params.k
-    kp = bessel_k_quad(complex(0.5, k), tuple(xs), config)
-    rhs = whittaker_w(n + 0.5, 1j * k, tuple(2 * x for x in xs), config).real
-    rows = np.zeros((len(xs), 2 * (n + 1)))
-    x = np.array(xs)
-    xm = x
-    for m in range(1, n + 2):
-        rows[:, 2 * (m - 1)] = 2 * xm * kp.real
-        rows[:, 2 * (m - 1) + 1] = -2 * xm * kp.imag
-        xm = xm * x
-    row_scale = np.abs(rhs)
-    a_eq = rows / row_scale[:, None]
-    b_eq = rhs / row_scale
-    col_scale = np.linalg.norm(a_eq, axis=0)
-    sol, _, _, sv = np.linalg.lstsq(a_eq / col_scale, b_eq, rcond=None)
-    sol /= col_scale
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    resid = float(np.max(np.abs(rows @ sol - rhs) / np.abs(rhs)))
-    fitted = tuple(complex(sol[2 * j], sol[2 * j + 1]) for j in range(n + 1))
-    return fitted, cond, resid
-
-
 def collocation_oracle(params: OrderParams, xs=None,
                        config: EvalConfig | None = None) -> CoeffVector:
     """Independent recovery of the coefficients by least-squares fit of the
-    defining identity at sample points, using the kernel evaluators only
-    (no recurrence information).
-
-    The fit runs in double precision on the production kernels.  When the
-    equilibrated design matrix condition exceeds collocation_escalate_cond
-    (conditioning would cost more digits than the fit tolerance allows) it
-    is redone with the 50-digit oracle kernels and QR solve.  The returned
-    vector's convention names the path that served it.
-    """
+    defining identity at sample points x > 0, entirely at 50 digits
+    (oracle.collocation_fit): it reads no production kernel and no
+    recurrence, and is the numerical test of the mode reduction that
+    series_oracle constructs Lambda from."""
     config = config or default_config()
     n, k = params.n, params.k
     if k == 0:
         raise InputError("collocation oracle requires k != 0 (at k = 0 the "
                          "conjugate terms coincide and the fit is singular)")
-    _refuse_small_k(abs(k), config)
     if xs is None:
         xs = default_collocation_points(n)
     xs = [float(x) for x in xs]
@@ -332,15 +391,10 @@ def collocation_oracle(params: OrderParams, xs=None,
     if min(xs) < lo or max(xs) > hi:
         raise InputError(f"collocation points must lie in [{lo}, {hi}]")
 
-    fitted, cond, resid = _collocation_double(params, xs, config)
-    path = "double"
-    if cond > config.collocation_escalate_cond:
-        from . import oracle
-        fitted, resid = oracle.collocation_fit(params, xs, config)
-        path = "oracle"
+    from . import oracle
+    fitted, resid = oracle.collocation_fit(params, xs, config)
     if resid > config.collocation_resid_tol:
         raise InvariantViolationError(
             f"collocation fit residual {resid:.3e} exceeds "
             f"{config.collocation_resid_tol:.0e}")
-    return CoeffVector(params=params, a=tuple(fitted),
-                       convention=f"collocation-fit-{path}")
+    return CoeffVector(params=params, a=tuple(fitted), convention="collocation-fit")

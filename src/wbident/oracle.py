@@ -29,9 +29,12 @@ points all lie in ``lambda_poly.COLLOCATION_MASTER`` reads them from one
 evaluation on that whole set, ``_master_factors``, which
 ``kernels.kernel_table()`` tables (once per k in ``run_suite``); outside a
 table it runs per fit, so a fit's bits do not depend on the table.
-Values from this module are the ground truth for derived expected values
-and for regimes double precision cannot reach (large x in the connection
-formula, ill-conditioned collocation fits at high degree).
+Every collocation fit runs here, on no production kernel: it is the
+numerical test of the mode reduction from which ``lambda_poly.series_oracle``
+builds Lambda exactly (``suite --oracle`` fits each of its cells; the
+default suite reads the series oracle and never imports this module).
+Values from this module are also the ground truth for derived expected
+values and for large x in the connection formula.
 """
 
 from __future__ import annotations

@@ -7,7 +7,12 @@ The central identity under test:
 with Lambda built from the coefficient recurrence.  The left side is
 evaluated through the Whittaker connection formula (one term, doubled real
 part, at these orders), the right side through the quadrature Bessel-K
-evaluator, so the two sides share no code path.
+evaluator, so the two sides share no code path.  The oracle check builds
+Lambda without the recurrence: by default (and in ``verify``) exactly, from
+the Taylor coefficients at x = 0 of the identity's x^{1/2+ik} mode
+(lambda_poly.series_oracle), the reduction that also proves the identity
+from the exact coupled equation, so the two are one argument; with
+use_oracle by the 50-digit collocation fit at x > 0, its numerical test.
 
 ``CHECKS`` names every check once: its runner, the threshold ``--tol``
 sets, the default x grid of ``verify --check`` and the (n, k) cells that
@@ -29,9 +34,10 @@ from .config import EvalConfig, default_config
 from .errors import InputError
 from .kernels import (OrderParams, _refuse_small_k, _whittaker_w_two_term,
                       bessel_k_quad, bessel_k_via_w, kernel_table, whittaker_w)
-from .lambda_poly import (COLLOCATION_MASTER_N, EXACT_NOTES, check_second_order,
-                          coeffs_from_recurrence, collocation_oracle,
-                          top_coeff_residuals)
+from .lambda_poly import (COLLOCATION_MASTER_N, EXACT_NOTES, SERIES_TAIL,
+                          check_second_order, coeffs_from_recurrence,
+                          collocation_oracle, default_collocation_points,
+                          series_oracle_residuals, top_coeff_residuals)
 from .ode import (coupled_residual, indicial_reports, lambda_reconstruction,
                   product_solution_check, resolve_constants,
                   constants_printed_system, trial_condition_check)
@@ -146,19 +152,27 @@ def coefficient_reports(params: OrderParams) -> list[ResidualReport]:
         threshold=EXACT, notes=_COEFFICIENT_NOTES)]
 
 
-def oracle_equivalence_report(params: OrderParams,
-                              config: EvalConfig) -> ResidualReport:
-    """Collocation-fitted coefficients vs recurrence-generated ones."""
-    cv = coeffs_from_recurrence(params)
-    fit = collocation_oracle(params, config=config)
-    residuals = [relative_difference(f, a) for f, a in zip(fit.a, cv.a)]
+_SERIES_NOTES = ("exact: lambda_poly.series_oracle (Taylor coefficients at x = 0) "
+                 f"against the recurrence; the last {SERIES_TAIL} entries must be 0",)
+
+
+def oracle_equivalence_report(params: OrderParams, config: EvalConfig,
+                              xs=None) -> ResidualReport:
+    """Coefficients built without the recurrence against the recurrence's:
+    with no points the series oracle's, exactly; at collocation points xs
+    the 50-digit fit's, by relative_difference (oracle_match_tol)."""
+    _refuse_small_k(abs(params.k), config)
+    if xs is None:
+        residuals, threshold, notes = series_oracle_residuals(params), EXACT, _SERIES_NOTES
+    else:
+        want = coeffs_from_recurrence(params).a
+        fit = collocation_oracle(params, xs, config)
+        residuals = [relative_difference(f, a) for f, a in zip(fit.a, want)]
+        threshold, notes = config.oracle_match_tol, ("50-digit collocation fit",)
     return ResidualReport(
-        check_name="oracle-equivalence",
-        params=params,
-        grid=index_grid(1, params.n + 2),
-        residuals=residuals,
-        threshold=config.oracle_match_tol,
-        notes=[f"coefficients from {fit.convention}"])
+        check_name="oracle-equivalence", params=params,
+        grid=index_grid(1, len(residuals) + 1), residuals=residuals,
+        threshold=threshold, notes=notes)
 
 
 class Check(NamedTuple):
@@ -180,8 +194,9 @@ def _cells(plan, ns, ks, grid=None) -> list:
 # call.  kernel-cross goes first: its K grid and W columns serve identity's
 # and the reconstruction's reads from the kernel table.  run_suite's plan holds
 # n_max, the positive ks, k0 ([0.0] when k = 0 is asked for), the x grid,
-# the inner grid (its x in [0.5, 6]), oracle_n, oracle_ks, ode_ks and params,
-# which makes one OrderParams per (n, k).
+# the inner grid (its x in [0.5, 6]), oracle_n, oracle_ks, use_oracle (the
+# oracle's route: the 50-digit fit at n's collocation points, or with no
+# points the series oracle), ode_ks and params, one OrderParams per (n, k).
 CHECKS = {
     "kernel-cross": Check(
         lambda p, grid, c: kernel_cross_reports(p, grid, c),
@@ -202,9 +217,10 @@ CHECKS = {
         "identity_tol", DEFAULT_X_GRID,
         lambda plan: _cells(plan, range(plan.n_max + 1), plan.ks + plan.k0, plan.x_grid)),
     "oracle": Check(
-        lambda p, grid, c: [oracle_equivalence_report(p, c)],
-        "oracle_match_tol", None,
-        lambda plan: _cells(plan, range(plan.oracle_n + 1), plan.oracle_ks)),
+        lambda p, xs, c: [oracle_equivalence_report(p, c, xs)], None, None,
+        lambda plan: [(plan.params(n, k), tuple(default_collocation_points(n))
+                       if plan.use_oracle else None)
+                      for n in range(plan.oracle_n + 1) for k in plan.oracle_ks]),
     "ode4-basis": Check(
         lambda p, grid, c: [product_solution_check(p)], None, None,
         lambda plan: _cells(plan, range(min(plan.n_max, 4) + 1), plan.ode_ks)),
@@ -247,8 +263,9 @@ def run_suite(config: EvalConfig | None = None,
     non-convergence aborts (it poisons every downstream number).  Advisory
     failures land in the discrepancy ledger, not the exit status.  The checks
     run inside ``kernel_table()``, so each kernel value is evaluated once per
-    call.  use_oracle raises the oracle check's n cap from 2 to
-    COLLOCATION_MASTER_N.
+    call.  The oracle check runs the exact series oracle at n <= 2;
+    use_oracle runs the 50-digit collocation fit instead, up to
+    n = COLLOCATION_MASTER_N.
     """
     config = config or default_config()
     if not 0 <= n_max <= 25:
@@ -268,6 +285,7 @@ def run_suite(config: EvalConfig | None = None,
         inner=tuple(x for x in x_grid if 0.5 <= x <= 6) or (0.5, 1.0, 2.0, 4.0),
         oracle_n=min(n_max, COLLOCATION_MASTER_N if use_oracle else 2),
         oracle_ks=[k for k in ks if k >= 0.5] or ks,
+        use_oracle=use_oracle,
         ode_ks=[k for k in ks if 0.4 <= k <= 1.5][:2] or ks[:1],
         params=functools.cache(OrderParams))
     reports: list[ResidualReport] = []

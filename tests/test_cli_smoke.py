@@ -60,6 +60,7 @@ ROWS = [
     ("verify --check trial --n 0 --k 1 --x-grid 1e-300", 2, None, False),
     ("verify --check kernel-cross --n 0 --k 1 --x-grid 5e-324", 2, None, False),
     ("verify --check oracle --n 2 --k 1e-9", 2, None, True),
+    ("verify --check oracle --n 25 --k 2.526", 0, None, True),
     ("eval kummer-m 1 1 1e300", 2, None, False),
     ("--config old-config.json coeffs --n 1 --k 1", 2, None, False),
     ("eval whittaker-w 1.5 1e300j 2.0", 2, None, True),
@@ -175,8 +176,6 @@ VALID_X = {
     "reconstruction": st.floats(0.5, 6.0),
     "reconstruction-printed-constants": st.floats(0.5, 6.0),
 }
-# the 50-digit oracle at n <= 8, the n of suite --oracle
-ORACLE_N = st.integers(0, 8)
 BAD_N = st.sampled_from([-1, 26])
 BAD_K = st.sampled_from([-1.0, -2e-311, 1e-9, 230.0, 600.0])
 BAD_X = st.sampled_from([-1.0, 0.0, 1e-300, 0.2, 6.5, 9.0])
@@ -193,7 +192,7 @@ def verify_argv(check, n, k, xs) -> list[str]:
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(data=st.data(), check=st.sampled_from(list(wbident.suite.CHECKS)), k=VALID_K)
 def test_verify_checks_in_their_box_exit_with_a_code(data, check, k):
-    n = data.draw(ORACLE_N if check == "oracle" else VALID_N)
+    n = data.draw(VALID_N)
     # a row with an x grid and no box in VALID_X fails here
     xs = (data.draw(st.lists(VALID_X[check], min_size=1, max_size=4))
           if wbident.suite.CHECKS[check].x_grid is not None else None)

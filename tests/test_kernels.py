@@ -1114,8 +1114,8 @@ class TestOracle:
     @pytest.mark.parametrize("evaluator", ["hyp0f1", "hyp1f1"])
     def test_mpmath_non_convergence_is_structured_error(self, evaluator):
         # the 0F1 series serves I inside oracle.bessel_k, the 1F1 series M
-        # inside oracle.whittaker_w; both run in every escalated collocation
-        # fit, and neither converges in 10 terms at these arguments
+        # inside oracle.whittaker_w; both run in every collocation fit, and
+        # neither converges in 10 terms at these arguments
         from wbident import lambda_poly, oracle
         config = EvalConfig(series_max_terms=10)
         with pytest.raises(ConvergenceError):
@@ -1181,7 +1181,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("n,k", [(3, 0.5), (8, 0.5), (8, 2.0)])
     def test_integer_householder_matches_mpmath_qr_solve(self, n, k):
-        # the escalated design matrices, as the integer rows the fit solves;
+        # 50-digit design matrices, as the integer rows the fit solves;
         # at n = 8 the condition is ~1e16
         from wbident import lambda_poly, oracle
         cols, data, _, frac = oracle._design_system(
@@ -1232,7 +1232,7 @@ def mutant_oracle(old: str = "", new: str = ""):
 
 
 class TestOracleMutants:
-    """Mutants of the fixed-point W and K pipeline that the escalated
+    """Mutants of the fixed-point W and K pipeline that the 50-digit
     collocation fit shares with the public evaluators, each applied to a
     copy of the module source, and the guard that catches each.
 

@@ -1,8 +1,9 @@
-"""Tests for coefficient construction, its (1-ik)_n start, and the
-collocation oracle."""
+"""Tests for coefficient construction, its (1-ik)_n start, the series
+oracle and the collocation oracle."""
 
 import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,12 @@ from wbident.errors import InputError, InvariantViolationError
 from wbident import lambda_poly
 from wbident.kernels import OrderParams
 from wbident.lambda_poly import (COLLOCATION_MASTER, COLLOCATION_MASTER_N,
-                                 COLLOCATION_RANGE, CONVENTION_MINUS, CoeffVector,
-                                 boundary_coeffs, check_second_order,
+                                 COLLOCATION_RANGE, CONVENTION_MINUS, SERIES_TAIL,
+                                 CoeffVector, boundary_coeffs, check_second_order,
                                  coeffs_from_recurrence, collocation_oracle,
                                  default_collocation_points,
-                                 laguerre_closed_form, top_coeff_residuals)
+                                 laguerre_closed_form, series_oracle,
+                                 series_oracle_residuals, top_coeff_residuals)
 from wbident.ode import coupled_residual
 from wbident.report import relative_residual
 from wbident.suite import coefficient_reports
@@ -295,12 +297,13 @@ class TestCollocationOracle:
         assert abs(cv.a[0] - 1 / SQRT_PI) <= 1e-10
 
     def test_n1_matches_recurrence(self):
+        # the 50-digit fit, rounded once, against the recurrence's rounding
         params = OrderParams(n=1, k=1.0)
         fit = collocation_oracle(params)
-        assert fit.convention == "collocation-fit-double"
+        assert fit.convention == "collocation-fit"
         rec = coeffs_from_recurrence(params)
         for m in (1, 2):
-            assert abs(fit.a[m - 1] - rec.a[m - 1]) <= 1e-8 * abs(rec.a[m - 1])
+            assert abs(fit.a[m - 1] - rec.a[m - 1]) <= 1e-15 * abs(rec.a[m - 1])
 
     def test_rejects_k0(self):
         with pytest.raises(ValueError):
@@ -317,22 +320,46 @@ class TestCollocationOracle:
 
     def test_high_precision_matches_at_n8(self):
         # at n = 8 the monomial/phase system is intrinsically degenerate in
-        # double precision, whatever the points, so the fit escalates
+        # double precision, whatever the points; at 50 digits it is not
         params = OrderParams(n=8, k=1.0)
         fit = collocation_oracle(params)
-        assert fit.convention == "collocation-fit-oracle"
+        assert fit.convention == "collocation-fit"
         rec = coeffs_from_recurrence(params)
         for m in range(1, 10):
             assert abs(fit.a[m - 1] - rec.a[m - 1]) <= 1e-10 * abs(rec.a[m - 1])
 
-    def test_auto_mode_escalates(self):
-        # the single path escalates at n = 6 (condition about 1e12)
-        params = OrderParams(n=6, k=0.5)
+    @pytest.mark.parametrize("n, k", [(1, 1.0), (6, 0.5)])
+    def test_every_fit_runs_at_50_digits(self, n, k, monkeypatch):
+        # one 50-digit fit per call, whether the design matrix is well
+        # conditioned (n = 1) or not (n = 6, condition about 1e12), and its
+        # coefficients are the ones returned
+        from wbident import oracle
+        fits = []
+
+        def spy(*args):
+            fits.append(oracle_fit(*args))
+            return fits[-1]
+
+        oracle_fit = oracle.collocation_fit
+        monkeypatch.setattr(oracle, "collocation_fit", spy)
+        params = OrderParams(n=n, k=k)
         fit = collocation_oracle(params)
-        assert fit.convention == "collocation-fit-oracle"
+        assert len(fits) == 1 and fit.a == tuple(fits[0][0])
         rec = coeffs_from_recurrence(params)
-        for m in range(1, 8):
+        for m in range(1, n + 2):
             assert abs(fit.a[m - 1] - rec.a[m - 1]) <= 1e-8 * abs(rec.a[m - 1])
+
+    def test_enters_no_kernel(self):
+        # the fit reads no production kernel and no recurrence: of
+        # wbident.kernels only the kernel table's lookup runs (it computes
+        # nothing, and outside a run it calls straight through)
+        from wbident import kernels, oracle
+        params = OrderParams(n=2, k=0.5)
+        entered = entered_code(lambda: collocation_oracle(params))
+        table = oracle._master_factors.__code__
+        assert {c.co_name for c in entered
+                if c.co_filename == kernels.__file__ and c is not table} == set()
+        assert not {c.co_name for c in entered} & RECURRENCE
 
     @staticmethod
     def own_points(n):
@@ -356,3 +383,80 @@ class TestCollocationOracle:
         if n >= COLLOCATION_MASTER_N:
             assert xs == self.own_points(n)
         assert list(COLLOCATION_MASTER) == default_collocation_points(COLLOCATION_MASTER_N)
+
+
+# the recurrence's construction of Lambda, which the series oracle must not read
+RECURRENCE = {"_scaled_coeffs", "coeffs_from_recurrence", "_lambda_integers"}
+
+
+def entered_code(run) -> set:
+    """The code objects of every Python function entered during run()."""
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+class TestSeriesOracle:
+    @pytest.mark.parametrize("k", [1e-3, 0.1, 0.5, 2.526, 4.9])
+    def test_equals_the_recurrence_integers_with_a_zero_tail(self, k):
+        # p_0..p_n are the recurrence's sqrt(pi) a_{j+1} exactly, and the
+        # SERIES_TAIL orders past them are exactly 0: the series solution of
+        # the x^{1/2+ik} mode is Lambda, a polynomial of degree n
+        for n in range(26):
+            params = OrderParams(n=n, k=k)
+            series, den = series_oracle(params)
+            big, top, _, _ = lambda_poly._lambda_integers(params)
+            assert len(series) == n + 1 + SERIES_TAIL
+            assert [(re * top, im * top) for re, im in series[:n + 1]] == [
+                (re * den, im * den) for re, im in big]
+            assert series[n + 1:] == [(0, 0)] * SERIES_TAIL
+            assert series_oracle_residuals(params) == [0.0] * (n + 1 + SERIES_TAIL)
+
+    def test_negative_k(self):
+        # the mode reduction holds for every real k != 0
+        for n in (0, 3, 9):
+            assert set(series_oracle_residuals(OrderParams(n=n, k=-1.5))) == {0.0}
+
+    def test_refuses_k0(self):
+        with pytest.raises(InputError, match="k != 0"):
+            series_oracle(OrderParams(n=2, k=0.0))
+
+    def test_reads_no_kernel_and_no_recurrence(self):
+        # its construction reads only the Taylor coefficients of M, e^-x and
+        # 0F1: no function of wbident.kernels runs, and none of the
+        # recurrence's construction it is compared with
+        from wbident import kernels
+        for n, k in [(0, 1.0), (2, 0.5), (8, 2.526)]:
+            params = OrderParams(n=n, k=k)
+            entered = entered_code(lambda: series_oracle(params))
+            assert not [c for c in entered if c.co_filename == kernels.__file__]
+            assert not {c.co_name for c in entered} & RECURRENCE
+
+    def test_a_coefficient_off_its_lattice_stops_the_construction(self, monkeypatch):
+        # a p_j that is no Gaussian integer over D is neither Lambda's nor 0:
+        # the construction stops there, and every order from it scores 1.0.
+        # Here 0F1 takes 1/2 - ik for 1/2 + ik, which at n = 0, k = 2 leaves
+        # a remainder at x^2
+        taylor = lambda_poly._taylor
+
+        def spoiled(count, ratio):
+            def conjugated(m):
+                u, (v_re, v_im), w = ratio(m)
+                return u, (v_re, -v_im), w
+            # the 0F1 series is the one of 3 terms at n = 0
+            return taylor(count, conjugated if count == 3 else ratio)
+
+        monkeypatch.setattr(lambda_poly, "_taylor", spoiled)
+        params = OrderParams(n=0, k=2.0)
+        series, _ = series_oracle(params)
+        assert len(series) == 2
+        assert series_oracle_residuals(params)[2:] == [1.0] * 3

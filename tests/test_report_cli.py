@@ -274,12 +274,14 @@ class TestConfig:
 
     def test_removed_fields_rejected(self, tmp_path, capsys):
         # a config file naming a retired field exits 2, and the error names
-        # it; the last five were the exact checks' tolerances
+        # it; five were the exact checks' tolerances, and the last set when
+        # a double-precision collocation fit moved to 50 digits
         for field in ("fd_step", "fd_instability_floor",
                       "itilde_recurrence_tol", "bessel_derivative_tol",
                       "collocation_cond_limit", "k_zero_threshold",
                       "quad_cutoff", "top_coeff_tol", "coupled_tol",
-                      "second_order_tol", "ode4_tol", "indicial_tol"):
+                      "second_order_tol", "ode4_tol", "indicial_tol",
+                      "collocation_escalate_cond"):
             p = tmp_path / "cfg.json"
             p.write_text(f'{{"{field}": 1e-2}}')
             with pytest.raises(InputError, match=field):

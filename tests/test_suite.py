@@ -81,8 +81,9 @@ def test_trial_grids_are_served_by_the_column_points():
 
 
 def test_oracle_run_sums_k_series_once_per_k(monkeypatch):
-    # K's two 0F1 series run once per k of the 16 escalated fits (k = 0.5,
-    # 1, 2), on the master set; W's 1F1 series once per escalated fit
+    # every one of the 27 fits (n <= 8, k = 0.5, 1, 2) runs at 50 digits:
+    # K's two 0F1 series once per k, on the master set, and W's 1F1 series
+    # once per fit
     from wbident import oracle
     series, sums = oracle._hyp_series, Counter()
 
@@ -92,9 +93,10 @@ def test_oracle_run_sums_k_series_once_per_k(monkeypatch):
 
     monkeypatch.setattr(oracle, "_hyp_series", spy)
     result = run_suite(use_oracle=True)
-    assert sums == {"0F1": 6, "1F1": 16}
+    assert sums == {"0F1": 6, "1F1": 27}
     fits = [r for r in result.reports if r.check_name == "oracle-equivalence"]
-    assert sum("collocation-fit-oracle" in r.notes[0] for r in fits) == 16
+    assert len(fits) == 27
+    assert all("50-digit collocation fit" in r.notes[0] for r in fits)
     assert max(r.params.n for r in fits) == lambda_poly.COLLOCATION_MASTER_N
 
 
@@ -251,10 +253,10 @@ def one_term_w_entries(run) -> tuple[Counter, object]:
 
 def test_default_suite_reads_one_term_w_as_grids():
     # one column per k, n = 0..8, for four k; verify_identity's and the
-    # reconstruction's per-point W reads are served by the column's points.
-    # The other grids are the collocation fits' right sides, n <= 2 and
-    # k = 0.5, 1, 2
-    assert one_term_w_entries(run_suite)[0] == {"column": 4, "other grid": 9}
+    # reconstruction's per-point W reads are served by the column's points,
+    # and the oracle check reads no W: its series oracle sums M's Taylor
+    # coefficients itself
+    assert one_term_w_entries(run_suite)[0] == {"column": 4}
 
 
 def test_point_tabling_changes_no_byte(monkeypatch):
@@ -299,20 +301,45 @@ def test_vanishing_k_scores_by_the_other_side(via_w, want, monkeypatch):
 
 
 def test_vanishing_coefficient_scores_zero(monkeypatch):
-    # oracle-equivalence divides by each recurrence coefficient; a zero one
-    # matched by a zero fit scores 0
+    # on collocation points, oracle-equivalence divides by each recurrence
+    # coefficient; a zero one matched by a zero fit scores 0
     coeffs = SimpleNamespace(a=(0j, 1 + 1j))
+    xs = tuple(lambda_poly.default_collocation_points(1))
     monkeypatch.setattr(wbident.suite, "coeffs_from_recurrence", lambda p: coeffs)
     monkeypatch.setattr(wbident.suite, "collocation_oracle",
-                        lambda p, config: SimpleNamespace(a=(0j, 1 + 1j), convention="fit"))
+                        lambda p, points, config: SimpleNamespace(
+                            a=(0j, 1 + 1j) if points == xs else ()))
     rep = wbident.suite.oracle_equivalence_report(
-        kernels.OrderParams(n=1, k=1.0), EvalConfig())
+        kernels.OrderParams(n=1, k=1.0), EvalConfig(), xs)
     assert tuple(rep.residuals) == (0.0, 0.0) and rep.passed
 
 
+def test_oracle_route_follows_the_plan():
+    # the default suite's oracle cells carry no points and run the exact
+    # series oracle; use_oracle's carry n's collocation points and run the
+    # 50-digit fit, n <= 8.  verify takes the exact route
+    for use_oracle, n_cap in ((False, 2), (True, lambda_poly.COLLOCATION_MASTER_N)):
+        result = run_suite(use_oracle=use_oracle)
+        reps = [r for r in result.reports if r.check_name == "oracle-equivalence"]
+        assert [(r.params.n, r.params.k) for r in reps] == [
+            (n, k) for n in range(n_cap + 1) for k in (0.5, 1.0, 2.0)]
+        for r in reps:
+            if use_oracle:
+                assert len(r.grid) == r.params.n + 1
+                assert r.threshold == EvalConfig().oracle_match_tol
+            else:
+                assert len(r.grid) == r.params.n + 1 + lambda_poly.SERIES_TAIL
+                assert r.threshold == 0.0 and r.max_residual == 0.0
+    check = CHECKS["oracle"]
+    rep, = check.run(kernels.OrderParams(n=3, k=1.0), check.x_grid, EvalConfig())
+    assert check.x_grid is None and rep.threshold == 0.0
+    assert len(rep.grid) == 3 + 1 + lambda_poly.SERIES_TAIL
+
+
 def test_default_suite_never_imports_mpmath():
-    # the 50-digit oracle is the only user of mpmath, and only --oracle
-    # escalates a collocation fit to it
+    # the 50-digit oracle is the only user of mpmath, and only --oracle runs
+    # it: the default suite's oracle check is the exact series oracle on
+    # plain ints
     code = ("import sys, wbident; wbident.run_suite(); "
             "assert 'mpmath' not in sys.modules, 'mpmath imported'")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -330,22 +357,24 @@ def test_import_loads_no_heavy_module():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def mutant_kernels(old: str = "", new: str = ""):
-    """A copy of wbident.kernels with the source text `old` (which must occur
-    exactly once) replaced by `new`; its tabled kernels use the kernel table
-    of wbident.kernels, so run_suite's table serves them too."""
+def mutant_copy(original, old: str = "", new: str = ""):
+    """A copy of the wbident module `original` with the source text `old`
+    (which must occur exactly once) replaced by `new`; its tabled functions
+    use the kernel table of wbident.kernels, so run_suite's table serves
+    them too."""
     import importlib.util
     import inspect
-    source = inspect.getsource(kernels)
+    source = inspect.getsource(original)
     assert not old or source.count(old) == 1, old
-    spec = importlib.util.spec_from_loader("wbident._kernels_mutant", loader=None)
+    spec = importlib.util.spec_from_loader(original.__name__ + "_mutant", loader=None)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module          # dataclasses look the module up
     try:
-        exec(compile(source.replace(old, new), kernels.__file__, "exec"), module.__dict__)
+        exec(compile(source.replace(old, new), original.__file__, "exec"), module.__dict__)
     finally:
         del sys.modules[spec.name]
-    module._TABLE = kernels._TABLE
+    if original is kernels:
+        module._TABLE = kernels._TABLE
     return module
 
 
@@ -367,7 +396,7 @@ def failing_checks(whittaker_w, monkeypatch) -> set[str]:
 
 
 def test_unmutated_kernels_copy_passes(monkeypatch):
-    failed = failing_checks(mutant_kernels().whittaker_w, monkeypatch)
+    failed = failing_checks(mutant_copy(kernels).whittaker_w, monkeypatch)
     assert not failed & {"whittaker-w-realness", "identity"}
 
 
@@ -375,9 +404,45 @@ def test_unmutated_kernels_copy_passes(monkeypatch):
 def test_one_term_mutant_fails_realness_and_identity(name, monkeypatch):
     # the realness check compares the one-term W with the two-term route,
     # so it reads exactly 0 on the real kernel and catches any change
-    mutant = mutant_kernels(*ONE_TERM_MUTANTS[name])
+    mutant = mutant_copy(kernels, *ONE_TERM_MUTANTS[name])
     failed = failing_checks(mutant.whittaker_w, monkeypatch)
     assert {"whittaker-w-realness", "identity"} <= failed
+
+
+FRONT = "front = reduce(gaussian_product, [((t - n) * q, -p) for t in range(n)], (1, 0))"
+SERIES_MUTANTS = {
+    "(-n-ik)_n dropped": (FRONT, "front = (1, 0)"),
+    "(-n-ik)_n conjugated": (FRONT, FRONT.replace("-p)", "p)")),
+    "b = 1-2ik in M": ("((m + 1) * q, 2 * p)", "((m + 1) * q, -2 * p)"),
+    "1/2-ik in 0F1": ("((1 + 2 * m) * q, 2 * p)", "((1 + 2 * m) * q, -2 * p)"),
+}
+
+
+def oracle_verdicts(series_oracle_residuals, monkeypatch) -> dict:
+    """{(n, k): passed} of the default suite's oracle-equivalence reports
+    when the row scores with `series_oracle_residuals`."""
+    monkeypatch.setattr(wbident.suite, "series_oracle_residuals", series_oracle_residuals)
+    return {(r.params.n, r.params.k): r.passed for r in run_suite().reports
+            if r.check_name == "oracle-equivalence"}
+
+
+def test_unmutated_lambda_poly_copy_passes(monkeypatch):
+    verdicts = oracle_verdicts(mutant_copy(lambda_poly).series_oracle_residuals, monkeypatch)
+    assert len(verdicts) == 9 and all(verdicts.values())
+
+
+@pytest.mark.parametrize("name", SERIES_MUTANTS)
+def test_series_oracle_mutant_fails_every_oracle_cell(name, monkeypatch):
+    # each mutant of the series oracle's construction fails every default
+    # oracle-equivalence cell.  (-n-ik)_n is the empty product 1 at n = 0,
+    # so its two mutants are the unmutated program there and fail the cells
+    # with n >= 1
+    mutant = mutant_copy(lambda_poly, *SERIES_MUTANTS[name])
+    verdicts = oracle_verdicts(mutant.series_oracle_residuals, monkeypatch)
+    assert len(verdicts) == 9
+    failed = {cell for cell, passed in verdicts.items() if not passed}
+    n_min = 1 if name.startswith("(-n-ik)_n") else 0
+    assert failed == {(n, k) for n, k in verdicts if n >= n_min}
 
 
 def test_default_suite_certifies_the_coefficient_relations():
